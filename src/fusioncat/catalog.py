@@ -2,10 +2,12 @@
 
 Each entry embeds two independent descriptions: the s-matrix (with twists
 where they fit in the entry's conductor) and the known fusion rules plus
-dimensions.  catalog_get derives the fusion ring from the s-matrix by the
-Verlinde sum and cross-checks it against the embedded rules before handing
-the category out, so the catalog data is certified at load time rather than
-trusted.
+dimensions.  catalog_get builds the entry's input through build_category,
+the one build path, which validates it once and derives the fusion ring from
+the s-matrix by the Verlinde sum once; it then cross-checks that ring against
+the embedded rules before handing the category out, so the catalog data is
+certified at load time rather than trusted.  catalog_get and catalog_input
+share one input object per entry, so the derived ring is shared too.
 
 Conventions for the abelian entries vec_zN (group Z/N with the standard
 quadratic form q): for odd N, s_jk = zeta_N^(2jk) and twist_j = zeta_N^(j^2)
@@ -18,9 +20,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .category import CategoryData, CategoryInput, build_category, validate_input
+from .category import CategoryData, CategoryInput, build_category
 from .cyclotomic import CycloMatrix, rational, zeta
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, InvalidCategoryError
 
 __all__ = ["catalog_names", "catalog_get"]
 
@@ -206,22 +208,28 @@ def catalog_names() -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
-def catalog_get(name: str) -> CategoryData:
-    """Build, validate and cross-check a catalog entry."""
+def _entry(name: str):
+    """(input, known fusion rules, known dimensions) of a catalog entry."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise KeyError(
             f"unknown catalog entry {name!r}; available: {', '.join(_BUILDERS)}"
         ) from None
-    inp, expected_fusion, expected_dims = builder()
-    failures = [c for c in validate_input(inp) if c.status == "fail"]
-    if failures:
+    return builder()
+
+
+@lru_cache(maxsize=None)
+def catalog_get(name: str) -> CategoryData:
+    """Build, validate and cross-check a catalog entry."""
+    inp, expected_fusion, expected_dims = _entry(name)
+    try:
+        data = build_category(inp)
+    except InvalidCategoryError as e:
         raise InternalConsistencyError(
             f"catalog entry {name} failed validation: "
-            + ", ".join(c.check_id for c in failures)
-        )
-    data = build_category(inp)
+            + ", ".join(c.check_id for c in e.failures)
+        ) from e
     if data.ring.fusion != tuple(expected_fusion):
         raise InternalConsistencyError(
             f"catalog entry {name}: Verlinde fusion disagrees with the known rules"
@@ -233,11 +241,6 @@ def catalog_get(name: str) -> CategoryData:
     return data
 
 
-@lru_cache(maxsize=None)
 def catalog_input(name: str) -> CategoryInput:
     """The raw (not yet validated) input of a catalog entry."""
-    if name not in _BUILDERS:
-        raise KeyError(
-            f"unknown catalog entry {name!r}; available: {', '.join(_BUILDERS)}"
-        )
-    return _BUILDERS[name]()[0]
+    return _entry(name)[0]

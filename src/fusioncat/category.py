@@ -14,7 +14,10 @@ gated off for it.
 
 Validation never raises on well-formed input: it returns a list of Check
 records, one per invariant, so a report can show everything that is wrong
-at once.  build_category refuses data with any failed check.
+at once.  build_category is the one build path: it validates the input once
+and assembles it, refusing data with any failed check.  The fusion ring and
+its duality are derived once per input, by CategoryInput.derived_ring, which
+validation checks and assembly reuses, so the Verlinde sum runs at most once.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .cyclotomic import Cyclotomic, CycloMatrix, euler_phi, lcm, rational
@@ -37,6 +41,7 @@ from .errors import (
 
 __all__ = [
     "Check",
+    "verdict",
     "FusionRing",
     "PivotalData",
     "ModularData",
@@ -66,21 +71,10 @@ class Check:
     status: str  # "pass" | "fail" | "skip"
     detail: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
 
-
-def _p(check_id: str, detail: str = "") -> Check:
-    return Check(check_id, "pass", detail)
-
-
-def _f(check_id: str, detail: str = "") -> Check:
-    return Check(check_id, "fail", detail)
-
-
-def _s(check_id: str, detail: str = "") -> Check:
-    return Check(check_id, "skip", detail)
+def verdict(check_id: str, ok: bool, detail: str = "") -> Check:
+    """A passing or failing Check; skips are written as Check(id, "skip", why)."""
+    return Check(check_id, "pass" if ok else "fail", detail)
 
 
 @dataclass(frozen=True)
@@ -177,8 +171,8 @@ def global_dim(dims, dual) -> Cyclotomic:
 def verlinde_fusion(s: CycloMatrix):
     """Derive (fusion, dual) from an s-matrix, or raise NotModularError /
     DegenerateError.  Duality is self-consistent: the first pass computes the
-    raw sums T_ij^k (no dual applied), the duality permutation is read off
-    T_ij^0, and then N_ij^k = T_ij^{k*}."""
+    raw sums T_ij^k (no dual applied), dual_involution reads the duality
+    permutation off T_ij^0, and then N_ij^k = T_ij^{k*}."""
     rank = s.nrows
     if rank != s.ncols:
         raise NotModularError("s-matrix is not square")
@@ -210,23 +204,16 @@ def verlinde_fusion(s: CycloMatrix):
                     )
                 t[i][j][k] = t[j][i][k] = int(val.coeffs[0])
 
-    dual = []
-    for i in range(rank):
-        hits = [j for j in range(rank) if t[i][j][0] != 0]
-        if len(hits) != 1 or t[i][hits[0]][0] != 1:
-            raise NotModularError(
-                f"derived duality broken at object {i}: nonzero T[i][j][0] at {hits}"
-            )
-        dual.append(hits[0])
-    for i in range(rank):
-        if dual[dual[i]] != i:
-            raise NotModularError(f"derived duality is not an involution at {i}")
+    try:
+        dual = dual_involution(t)
+    except MalformedFusionError as e:
+        raise NotModularError(f"derived duality broken: {e}") from e
 
     fusion = tuple(
         tuple(tuple(t[i][j][dual[k]] for k in range(rank)) for j in range(rank))
         for i in range(rank)
     )
-    return fusion, tuple(dual)
+    return fusion, dual
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +238,18 @@ class CategoryInput:
     def rank(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def derived_ring(self) -> tuple[tuple, tuple[int, ...]]:
+        """(fusion, dual), derived once per input: by the Verlinde sum for
+        modular input, by dual_involution for given fusion rules.  Raises
+        what those raise; validate_input reports that as a failed check."""
+        if self.kind == "modular":
+            return verlinde_fusion(self.s_matrix)
+        return self.fusion, dual_involution(self.fusion)
 
-def _check_ring_axioms(fusion, dims, checks: list[Check]):
-    """Shared fusion-ring checks; returns the dual involution or None."""
+
+def _check_ring_axioms(inp: CategoryInput, fusion, dims, checks: list[Check]):
+    """Shared fusion-ring checks on the given or derived rules of inp."""
     rank = len(fusion)
     bad = None
     for j in range(rank):
@@ -263,15 +259,15 @@ def _check_ring_axioms(fusion, dims, checks: list[Check]):
             ):
                 bad = (j, k)
     checks.append(
-        _p("unit-axiom") if bad is None else _f("unit-axiom", f"violated at {bad}")
+        verdict("unit-axiom", bad is None, "" if bad is None else f"violated at {bad}")
     )
 
     try:
-        dual = dual_involution(fusion)
-        checks.append(_p("duality-axiom"))
+        dual = inp.derived_ring[1]
+        checks.append(verdict("duality-axiom", True))
     except MalformedFusionError as e:
         dual = None
-        checks.append(_f("duality-axiom", str(e)))
+        checks.append(verdict("duality-axiom", False, str(e)))
 
     bad = None
     for i in range(rank):
@@ -290,22 +286,23 @@ def _check_ring_axioms(fusion, dims, checks: list[Check]):
         if bad:
             break
     checks.append(
-        _p("associativity")
-        if bad is None
-        else _f("associativity", f"violated at (i,j,k,m)={bad}")
+        verdict(
+            "associativity",
+            bad is None,
+            "" if bad is None else f"violated at (i,j,k,m)={bad}",
+        )
     )
 
     if dims is not None:
+        ok = dims[0] == 1
         checks.append(
-            _p("unit-dim")
-            if dims[0] == 1
-            else _f("unit-dim", f"d_0 = {dims[0]}, expected 1")
+            verdict("unit-dim", ok, "" if ok else f"d_0 = {dims[0]}, expected 1")
         )
         zero = [i for i, d in enumerate(dims) if d.is_zero()]
         checks.append(
-            _p("dims-nonzero")
-            if not zero
-            else _f("dims-nonzero", f"zero dimension at {zero}")
+            verdict(
+                "dims-nonzero", not zero, f"zero dimension at {zero}" if zero else ""
+            )
         )
         bad = None
         for i in range(rank):
@@ -320,27 +317,25 @@ def _check_ring_axioms(fusion, dims, checks: list[Check]):
             if bad:
                 break
         checks.append(
-            _p("dim-homomorphism")
-            if bad is None
-            else _f("dim-homomorphism", f"d_i*d_j != sum N_ij^k d_k at {bad}")
+            verdict(
+                "dim-homomorphism",
+                bad is None,
+                "" if bad is None else f"d_i*d_j != sum N_ij^k d_k at {bad}",
+            )
         )
         if dual is not None:
             bad = [i for i in range(rank) if dims[dual[i]] != dims[i]]
             checks.append(
-                _p("spherical")
-                if not bad
-                else _f("spherical", f"d_(i*) != d_i at {bad}")
+                verdict("spherical", not bad, f"d_(i*) != d_i at {bad}" if bad else "")
             )
             total = global_dim(dims, dual)
+            ok = not total.is_zero()
             checks.append(
-                _p("global-dim-nonzero", f"dim C = {total}")
-                if not total.is_zero()
-                else _f("global-dim-nonzero")
+                verdict("global-dim-nonzero", ok, f"dim C = {total}" if ok else "")
             )
         else:
-            checks.append(_s("spherical", "no duality involution"))
-            checks.append(_s("global-dim-nonzero", "no duality involution"))
-    return dual
+            checks.append(Check("spherical", "skip", "no duality involution"))
+            checks.append(Check("global-dim-nonzero", "skip", "no duality involution"))
 
 
 def _check_char_table(fusion, dims, table: CycloMatrix, checks: list[Check]):
@@ -351,9 +346,11 @@ def _check_char_table(fusion, dims, table: CycloMatrix, checks: list[Check]):
             bad = j
             break
     checks.append(
-        _p("char-table-unit-row")
-        if bad is None
-        else _f("char-table-unit-row", f"column {bad} does not send the unit to 1")
+        verdict(
+            "char-table-unit-row",
+            bad is None,
+            "" if bad is None else f"column {bad} does not send the unit to 1",
+        )
     )
 
     bad = None
@@ -372,19 +369,20 @@ def _check_char_table(fusion, dims, table: CycloMatrix, checks: list[Check]):
         if bad:
             break
     checks.append(
-        _p("char-table-characters")
-        if bad is None
-        else _f(
+        verdict(
             "char-table-characters",
-            f"column {bad[2]} is not an algebra character at (i,k)={bad[:2]}",
+            bad is None,
+            ""
+            if bad is None
+            else f"column {bad[2]} is not an algebra character at (i,k)={bad[:2]}",
         )
     )
 
     try:
         table.inverse()
-        checks.append(_p("char-table-invertible"))
+        checks.append(verdict("char-table-invertible", True))
     except Exception:
-        checks.append(_f("char-table-invertible"))
+        checks.append(verdict("char-table-invertible", False))
 
     if dims is not None:
         cols = [
@@ -392,58 +390,51 @@ def _check_char_table(fusion, dims, table: CycloMatrix, checks: list[Check]):
             for j in range(rank)
             if all(table.rows[i][j] == dims[i] for i in range(rank))
         ]
+        ok = len(cols) == 1
         checks.append(
-            _p("char-table-dimension-column", f"column {cols[0]}")
-            if len(cols) == 1
-            else _f(
+            verdict(
                 "char-table-dimension-column",
-                f"columns equal to the dimension vector: {cols}",
+                ok,
+                f"column {cols[0]}"
+                if ok
+                else f"columns equal to the dimension vector: {cols}",
             )
         )
 
 
 def validate_input(inp: CategoryInput) -> list[Check]:
     """Run every invariant check and report them all; never raises."""
-    checks: list[Check] = []
-    if len(set(inp.labels)) == len(inp.labels):
-        checks.append(_p("labels-distinct"))
-    else:
-        checks.append(_f("labels-distinct"))
+    checks = [verdict("labels-distinct", len(set(inp.labels)) == len(inp.labels))]
 
     if inp.kind == "modular":
         s = inp.s_matrix
+        ok = s.rows[0][0] == 1
         checks.append(
-            _p("s-unit-entry")
-            if s.rows[0][0] == 1
-            else _f("s-unit-entry", f"s_00 = {s.rows[0][0]}")
+            verdict("s-unit-entry", ok, "" if ok else f"s_00 = {s.rows[0][0]}")
         )
-        checks.append(
-            _p("s-symmetric") if s.is_symmetric() else _f("s-symmetric")
-        )
+        checks.append(verdict("s-symmetric", s.is_symmetric()))
         zero = [r for r in range(s.nrows) if s.rows[0][r].is_zero()]
         checks.append(
-            _p("dims-nonzero")
-            if not zero
-            else _f("dims-nonzero", f"s_0r = 0 at {zero}")
+            verdict("dims-nonzero", not zero, f"s_0r = 0 at {zero}" if zero else "")
         )
         try:
             s.inverse()
-            checks.append(_p("s-invertible"))
+            checks.append(verdict("s-invertible", True))
         except Exception as e:
-            checks.append(_f("s-invertible", str(e)))
+            checks.append(verdict("s-invertible", False, str(e)))
 
         fusion = None
         if not zero:
             try:
-                fusion, dual = verlinde_fusion(s)
-                checks.append(_p("verlinde-integral"))
-            except (NotModularError, DegenerateError, MalformedFusionError) as e:
-                checks.append(_f("verlinde-integral", str(e)))
+                fusion = inp.derived_ring[0]
+                checks.append(verdict("verlinde-integral", True))
+            except (NotModularError, DegenerateError) as e:
+                checks.append(verdict("verlinde-integral", False, str(e)))
         else:
-            checks.append(_s("verlinde-integral", "zero dimension"))
+            checks.append(Check("verlinde-integral", "skip", "zero dimension"))
 
         if fusion is not None:
-            _check_ring_axioms(fusion, list(s.rows[0]), checks)
+            _check_ring_axioms(inp, fusion, list(s.rows[0]), checks)
         else:
             for cid in (
                 "unit-axiom",
@@ -454,7 +445,7 @@ def validate_input(inp: CategoryInput) -> list[Check]:
                 "spherical",
                 "global-dim-nonzero",
             ):
-                checks.append(_s(cid, "fusion ring unavailable"))
+                checks.append(Check(cid, "skip", "fusion ring unavailable"))
 
         if inp.twists is not None:
             bad = None
@@ -466,11 +457,9 @@ def validate_input(inp: CategoryInput) -> list[Check]:
                     if th ** order != 1:
                         bad = f"twist {i} is not a root of unity"
                         break
-            checks.append(
-                _p("twists-roots-of-unity") if bad is None else _f("twists-roots-of-unity", bad)
-            )
+            checks.append(verdict("twists-roots-of-unity", bad is None, bad or ""))
     else:
-        dual = _check_ring_axioms(inp.fusion, inp.dims, checks)
+        _check_ring_axioms(inp, inp.fusion, inp.dims, checks)
         if inp.char_table is not None:
             _check_char_table(inp.fusion, inp.dims, inp.char_table, checks)
 
@@ -479,8 +468,7 @@ def validate_input(inp: CategoryInput) -> list[Check]:
 
 def build_category(inp: CategoryInput) -> CategoryData:
     """Validate and assemble; any failed check rejects the input."""
-    checks = validate_input(inp)
-    failures = [c for c in checks if c.status == "fail"]
+    failures = [c for c in validate_input(inp) if c.status == "fail"]
     if failures:
         raise InvalidCategoryError(failures)
     return assemble_category(inp)
@@ -488,14 +476,12 @@ def build_category(inp: CategoryInput) -> CategoryData:
 
 def assemble_category(inp: CategoryInput) -> CategoryData:
     """Assemble already-validated input; callers must run validate_input first."""
+    fusion, dual = inp.derived_ring
     if inp.kind == "modular":
-        fusion, dual = verlinde_fusion(inp.s_matrix)
         dims = tuple(inp.s_matrix.rows[0])
         modular = ModularData(s=inp.s_matrix, twists=inp.twists)
         char_table = None
     else:
-        fusion = inp.fusion
-        dual = dual_involution(fusion)
         dims = tuple(inp.dims)
         modular = None
         char_table = inp.char_table

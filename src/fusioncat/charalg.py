@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .category import CategoryData, Check
+from .category import CategoryData, Check, verdict
 from .cyclotomic import Cyclotomic, CycloMatrix, rational
 from .errors import CapabilityError, InternalConsistencyError
 
@@ -52,49 +52,35 @@ def _vec_eq(a, b) -> bool:
 
 
 @dataclass(frozen=True)
-class ClassFunction:
+class _Vector:
+    """Coefficient vector over a basis; the subclass names the basis, and
+    vectors over different bases never compare equal."""
+
+    coeffs: tuple[Cyclotomic, ...]
+
+    def __add__(self, other):
+        return type(self)(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        return type(self)(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def scaled(self, c):
+        return type(self)(tuple(c * a for a in self.coeffs))
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return len(self.coeffs) == len(other.coeffs) and _vec_eq(
+            self.coeffs, other.coeffs
+        )
+
+
+class ClassFunction(_Vector):
     """Coefficients over the irreducible characters chi_i."""
 
-    coeffs: tuple[Cyclotomic, ...]
 
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        return ClassFunction(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        return ClassFunction(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scaled(self, c) -> "ClassFunction":
-        return ClassFunction(tuple(c * a for a in self.coeffs))
-
-    def __eq__(self, other):
-        if not isinstance(other, ClassFunction):
-            return NotImplemented
-        return len(self.coeffs) == len(other.coeffs) and _vec_eq(
-            self.coeffs, other.coeffs
-        )
-
-
-@dataclass(frozen=True)
-class CentralElement:
+class CentralElement(_Vector):
     """Coefficients over the primitive central idempotents E_j."""
-
-    coeffs: tuple[Cyclotomic, ...]
-
-    def __add__(self, other: "CentralElement") -> "CentralElement":
-        return CentralElement(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CentralElement") -> "CentralElement":
-        return CentralElement(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scaled(self, c) -> "CentralElement":
-        return CentralElement(tuple(c * a for a in self.coeffs))
-
-    def __eq__(self, other):
-        if not isinstance(other, CentralElement):
-            return NotImplemented
-        return len(self.coeffs) == len(other.coeffs) and _vec_eq(
-            self.coeffs, other.coeffs
-        )
 
 
 @dataclass(frozen=True)
@@ -414,23 +400,17 @@ class CharacterAlgebra:
         rank = self.rank
         modular = self.data.modular is not None
 
-        def record(check_id, ok, detail=""):
-            checks.append(Check(check_id, "pass" if ok else "fail", detail))
-
-        def skip(check_id, why):
-            checks.append(Check(check_id, "skip", why))
-
-        record(
+        checks.append(verdict(
             "cointegral-normalized",
             self.pairing(self.cointegral(), self.unit_central()) == 1,
-        )
+        ))
 
         ok = all(
             self.fourier_inv(self.fourier(self.idempotent(i))) == self.idempotent(i)
             and self.fourier(self.fourier_inv(self.character(i))) == self.character(i)
             for i in range(rank)
         )
-        record("fourier-roundtrip", ok)
+        checks.append(verdict("fourier-roundtrip", ok))
 
         lam = self.cointegral()
         ok = all(
@@ -438,7 +418,7 @@ class CharacterAlgebra:
             == self.act_arrow(lam, self.antipode(self.idempotent(i)))
             for i in range(rank)
         )
-        record("fourier-action-consistency", ok)
+        checks.append(verdict("fourier-action-consistency", ok))
 
         try:
             conj = self.conjugacy()
@@ -452,12 +432,12 @@ class CharacterAlgebra:
                 "class-sum-expansion",
                 "second-orthogonality",
             ):
-                skip(cid, str(e))
+                checks.append(Check(cid, "skip", str(e)))
             conj = None
         if conj is not None:
             # Orthogonality and completeness were certified in conjugacy().
-            record("idempotent-orthogonality", True)
-            record("idempotent-complete", True)
+            checks.append(verdict("idempotent-orthogonality", True))
+            checks.append(verdict("idempotent-complete", True))
 
             bad = None
             for i in range(rank):
@@ -465,11 +445,11 @@ class CharacterAlgebra:
                     want = conj.sizes[i] if i == j else rational(0)
                     if self.pairing(conj.idempotents[i], conj.class_sums[j]) != want:
                         bad = (i, j)
-            record(
+            checks.append(verdict(
                 "class-size-pairing",
                 bad is None,
                 "" if bad is None else f"<F_i, cbar_j> wrong at {bad}",
-            )
+            ))
 
             bad = None
             for a in range(rank):
@@ -484,11 +464,11 @@ class CharacterAlgebra:
                     want = rational(1 if b == self.dual[a] else 0)
                     if total != want:
                         bad = (a, b)
-            record(
+            checks.append(verdict(
                 "dual-bases-exchange",
                 bad is None,
                 "" if bad is None else f"sum_i n_i F_i (x) F_i wrong at {bad}",
-            )
+            ))
 
             bad = None
             for i in range(rank):
@@ -500,11 +480,11 @@ class CharacterAlgebra:
                     )
                     if conj.alpha.rows[i][j] != val:
                         bad = (i, j)
-            record(
+            checks.append(verdict(
                 "char-table-class-pairing",
                 bad is None,
                 "" if bad is None else f"alpha_ij != <chi_i, cbar_j>/|C^j| at {bad}",
-            )
+            ))
 
             bad = None
             for i in range(rank):
@@ -512,11 +492,11 @@ class CharacterAlgebra:
                     want = conj.sizes[i] * conj.alpha.rows[j][i] * self._dims_inv[j]
                     if conj.class_sums[i].coeffs[j] != want:
                         bad = (i, j)
-            record(
+            checks.append(verdict(
                 "class-sum-expansion",
                 bad is None,
                 "" if bad is None else f"cbar_i expansion wrong at {bad}",
-            )
+            ))
 
             bad = None
             for i in range(rank):
@@ -531,11 +511,11 @@ class CharacterAlgebra:
                     )
                     if total != want:
                         bad = (i, l)
-            record(
+            checks.append(verdict(
                 "second-orthogonality",
                 bad is None,
                 "" if bad is None else f"column orthogonality wrong at {bad}",
-            )
+            ))
 
         modular_checks = (
             "integral-image",
@@ -550,73 +530,75 @@ class CharacterAlgebra:
         )
         if not modular:
             for cid in modular_checks:
-                skip(cid, "needs an s-matrix")
+                checks.append(Check(cid, "skip", "needs an s-matrix"))
             return checks
 
         fq = self._drinfeld_characters()
         conj = self.conjugacy()
 
-        record("integral-image", self.drinfeld(conj.idempotents[0]) == self.idempotent(0))
+        checks.append(verdict(
+            "integral-image", self.drinfeld(conj.idempotents[0]) == self.idempotent(0)
+        ))
 
         bad = None
         for i in range(rank):
             for j in range(rank):
                 if conj.alpha.rows[i][j] * self.dims[j] != self.dims[i] * conj.alpha.rows[j][i]:
                     bad = (i, j)
-        record(
+        checks.append(verdict(
             "char-table-symmetry",
             bad is None,
             "" if bad is None else f"d_j alpha_ij != d_i alpha_ji at {bad}",
-        )
+        ))
 
         bad = None
         for i in range(rank):
             want = conj.class_sums[i].scaled(self.dims[i] * conj.sizes[i].inv())
             if fq[i] != want:
                 bad = i
-        record(
+        checks.append(verdict(
             "drinfeld-class-sum",
             bad is None,
             "" if bad is None else f"drinfeld(chi_i) != (d_i/|C^i|) cbar_i at i={bad}",
-        )
+        ))
 
-        record(
+        checks.append(verdict(
             "counit-dimension",
             all(fq[i].coeffs[0] == self.dims[i] for i in range(rank)),
-        )
+        ))
 
         transparent = self.transparent_members()
-        record(
+        checks.append(verdict(
             "transparent-cointegral-unit",
             self.drinfeld(self.cointegral(transparent)) == self.unit_central(),
             f"transparent objects: {list(transparent)}",
-        )
+        ))
 
         bad = [
             j
             for j in range(rank)
             if conj.sizes[j] != self.dims[j] * self.dims[j]
         ]
-        record(
+        checks.append(verdict(
             "class-size-dim-square",
             not bad,
             "" if not bad else f"|C^j| != d_j^2 at {bad}",
-        )
+        ))
 
         flags = []
         try:
             for i in range(rank):
                 for j in range(rank):
                     flags.append(self.class_sum_product(i, j).all_rational)
-            record(
+            checks.append(verdict(
                 "class-sum-algebra",
                 True,
                 "all structure constants rational"
                 if all(flags)
                 else "verified; some constants irrational",
-            )
+            ))
         except InternalConsistencyError as e:
-            record("class-sum-algebra", False, str(e))
+            checks.append(verdict("class-sum-algebra", False, str(e)))
 
         bad = None
         for i in range(rank):
@@ -626,21 +608,21 @@ class CharacterAlgebra:
                     lhs = lhs + fq[k].scaled(rational(n))
                 if lhs != self.ce_mul(fq[i], fq[j]):
                     bad = (i, j)
-        record(
+        checks.append(verdict(
             "drinfeld-multiplicative",
             bad is None,
             "" if bad is None else f"drinfeld map not multiplicative at {bad}",
-        )
+        ))
 
         bad = [
             j
             for j in range(rank)
             if self.drinfeld(conj.idempotents[j]) != self.idempotent(j)
         ]
-        record(
+        checks.append(verdict(
             "drinfeld-idempotent-match",
             not bad,
             "" if not bad else f"drinfeld(F_j) != E_j at {bad}",
-        )
+        ))
 
         return checks

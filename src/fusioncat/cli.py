@@ -28,6 +28,7 @@ from .category import (
     CategoryInput,
     Check,
     assemble_category,
+    load_category,
     load_input,
     validate_input,
 )
@@ -167,12 +168,7 @@ def _get_category(args) -> CategoryData:
             return catalog_get(args.catalog)
         except KeyError as e:
             raise SchemaError(e.args[0]) from e
-    inp = load_input(args.file)
-    checks = validate_input(inp)
-    failures = [c for c in checks if c.status == "fail"]
-    if failures:
-        raise InvalidCategoryError(failures)
-    return assemble_category(inp)
+    return load_category(args.file)
 
 
 def _members_str(labels, members) -> str:

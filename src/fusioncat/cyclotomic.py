@@ -377,7 +377,7 @@ class Cyclotomic:
 
     def approx_str(self, digits: int = 6) -> str:
         z = self.embed()
-        re = f"{z.real:.{digits}g}"
+        re = f"{0.0 if abs(z.real) < 1e-12 else z.real:.{digits}g}"
         if abs(z.imag) < 1e-12:
             return re
         sign = "+" if z.imag >= 0 else "-"

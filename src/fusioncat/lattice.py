@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .category import Check
+from .category import Check, verdict
 from .charalg import CentralElement, CharacterAlgebra, ClassFunction
 from .cyclotomic import Cyclotomic, rational
 from .errors import CapabilityError, InternalConsistencyError
@@ -376,18 +376,18 @@ def prime_index_check(alg: CharacterAlgebra) -> PrimeIndexReport:
     checks = []
     count_ok = len(subcats) == len(subgroups)
     checks.append(
-        Check(
+        verdict(
             "prime-index-count",
-            "pass" if count_ok else "fail",
+            count_ok,
             f"{len(subcats)} index-{p} subcategories, "
             f"{len(subgroups)} index-{p} normal subgroups",
         )
     )
     bij_ok = sorted(by_subgroup) == sorted(d.members for d in subcats)
     checks.append(
-        Check(
+        verdict(
             "prime-index-bijection",
-            "pass" if bij_ok else "fail",
+            bij_ok,
             "subgroup preimages match the subcategories"
             if bij_ok
             else "subgroup preimages differ from the subcategories",
@@ -395,9 +395,9 @@ def prime_index_check(alg: CharacterAlgebra) -> PrimeIndexReport:
     )
     adj_ok = all(set(grade.adjoint.members) <= set(d.members) for d in subcats)
     checks.append(
-        Check(
+        verdict(
             "prime-index-adjoint",
-            "pass" if adj_ok else "fail",
+            adj_ok,
             "every such subcategory contains the adjoint"
             if adj_ok
             else "an index-p subcategory misses the adjoint",
@@ -420,9 +420,6 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
     """Exact lattice and grading laws over every pair of subcategories."""
     checks: list[Check] = []
 
-    def record(check_id, ok, detail=""):
-        checks.append(Check(check_id, "pass" if ok else "fail", detail))
-
     try:
         subcats = enumerate_subcats(alg)
     except CapabilityError as e:
@@ -439,78 +436,83 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
             break
         by_singletons |= new
     by_subsets = {d.members for d in subcats}
-    record(
+    checks.append(verdict(
         "enumeration-generator-match",
         by_singletons == by_subsets,
         f"{len(by_subsets)} subcategories",
-    )
+    ))
 
     try:
         invs = {d.members: subcat_invariants(alg, d) for d in subcats}
-        record("subcat-invariants", True, "closed forms and supports agree")
+        checks.append(
+            verdict("subcat-invariants", True, "closed forms and supports agree")
+        )
     except CapabilityError as e:
         checks.append(Check("subcat-invariants", "skip", str(e)))
         return checks
     except InternalConsistencyError as e:
-        record("subcat-invariants", False, str(e))
+        checks.append(verdict("subcat-invariants", False, str(e)))
         return checks
 
-    bad = None
+    # Every law is checked over every pair; each keeps its own first witness.
+    first = dict.fromkeys(
+        ("join-cointegral", "meet-integral-scaling", "support-antitone")
+    )
     for d in subcats:
         for e in subcats:
             di, ei = invs[d.members], invs[e.members]
             m = meet(alg, d, e)
             j = join(alg, d, e)
             mi, ji = invs[m.members], invs[j.members]
-            if alg.cf_mul(di.cointegral, ei.cointegral) != ji.cointegral:
-                bad = ("join-cointegral", d.members, e.members)
-                break
-            lhs = alg.ce_mul(di.integral, ei.integral).scaled(di.dim * ei.dim)
-            rhs = mi.integral.scaled(mi.dim * alg.dim)
-            if lhs != rhs:
-                bad = ("meet-integral-scaling", d.members, e.members)
-                break
-            contains = set(d.members) >= set(e.members)
-            support_le = set(di.support) <= set(ei.support)
-            if contains != support_le:
-                bad = ("support-antitone", d.members, e.members)
-                break
-        if bad:
-            break
-    record("join-cointegral", bad is None or bad[0] != "join-cointegral",
-           "" if bad is None else f"failed at {bad[1:]}")
-    record("meet-integral-scaling", bad is None or bad[0] != "meet-integral-scaling",
-           "" if bad is None else f"failed at {bad[1:]}")
-    record("support-antitone", bad is None or bad[0] != "support-antitone",
-           "" if bad is None else f"failed at {bad[1:]}")
+            pair = (d.members, e.members)
+            if first["join-cointegral"] is None and (
+                alg.cf_mul(di.cointegral, ei.cointegral) != ji.cointegral
+            ):
+                first["join-cointegral"] = pair
+            if first["meet-integral-scaling"] is None and (
+                alg.ce_mul(di.integral, ei.integral).scaled(di.dim * ei.dim)
+                != mi.integral.scaled(mi.dim * alg.dim)
+            ):
+                first["meet-integral-scaling"] = pair
+            if first["support-antitone"] is None and (
+                (set(d.members) >= set(e.members))
+                != (set(di.support) <= set(ei.support))
+            ):
+                first["support-antitone"] = pair
+    for law, pair in first.items():
+        checks.append(
+            verdict(law, pair is None, "" if pair is None else f"failed at {pair}")
+        )
 
     bad = [
         d.members
         for d in subcats
         if invs[d.members].integral.coeffs[0] != invs[d.members].index
     ]
-    record("index-support-sum", not bad, "" if not bad else f"failed at {bad}")
+    checks.append(
+        verdict("index-support-sum", not bad, "" if not bad else f"failed at {bad}")
+    )
 
     try:
         grade = grading(alg)
         conj = alg.conjugacy()
         adj_support = set(invs[grade.adjoint.members].support)
         size_one = {j for j in range(alg.rank) if conj.sizes[j] == 1}
-        record(
+        checks.append(verdict(
             "adjoint-support",
             adj_support == size_one,
             f"support {sorted(adj_support)}, size-one classes {sorted(size_one)}",
-        )
+        ))
         if alg.data.modular is not None:
-            record(
+            checks.append(verdict(
                 "pointed-class-match",
                 size_one == set(grade.pointed.members),
                 f"pointed {list(grade.pointed.members)}",
-            )
+            ))
         else:
             checks.append(Check("pointed-class-match", "skip", "needs an s-matrix"))
     except InternalConsistencyError as e:
-        record("adjoint-support", False, str(e))
+        checks.append(verdict("adjoint-support", False, str(e)))
 
     checks.extend(prime_index_check(alg).checks)
     return checks

@@ -1,6 +1,7 @@
 """Schema parsing, validation checks, Verlinde-derived fusion, round trips."""
 
 import json
+import sys
 
 import pytest
 
@@ -19,6 +20,7 @@ from fusioncat import (
     verlinde_fusion,
 )
 from fusioncat.category import category_to_input, input_to_json
+from fusioncat.cli import run
 from fusioncat.cyclotomic import CycloMatrix, rational
 from fusioncat.errors import MalformedFusionError, NotModularError
 
@@ -214,6 +216,52 @@ def test_downgrade_preserves_class_data(tmp_path):
                 data.char_table.rows[i][j]
                 == ising.modular.s.rows[i][j] * ising.dims[j].inv()
             )
+
+
+def _count_calls(monkeypatch, *names):
+    """Count calls to fusioncat.category functions in every module that
+    imported them."""
+    import fusioncat.category as category
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        orig = getattr(category, name)
+
+        def counted(*args, _name=name, _orig=orig):
+            calls[_name] += 1
+            return _orig(*args)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("fusioncat") and getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build, kind",
+    [("catalog_get", "modular")]
+    + [
+        (build, kind)
+        for build in ("load_category", "info", "verify")
+        for kind in ("modular", "fusion_ring")
+    ],
+)
+def test_build_validates_once_and_runs_verlinde_at_most_once(
+    build, kind, tmp_path, monkeypatch
+):
+    path = tmp_path / "toric.json"
+    save_category(catalog_get("toric_code"), path, kind=kind)
+    catalog_get.cache_clear()
+    calls = _count_calls(monkeypatch, "validate_input", "verlinde_fusion")
+    if build == "catalog_get":
+        catalog_get("vec_z4")
+    elif build == "load_category":
+        load_category(path)
+    else:
+        assert run([build, "--file", str(path)]) == 0
+    assert calls["validate_input"] == 1
+    # a catalog entry may reuse the ring its input derived earlier
+    assert calls["verlinde_fusion"] <= (1 if kind == "modular" else 0)
 
 
 def test_unknown_catalog_name():

@@ -15,7 +15,9 @@ from fusioncat import (
     enumerate_subcats,
     verify_main_identity,
 )
+from fusioncat import lattice
 from fusioncat.category import build_category, category_to_input
+from fusioncat.cli import full_suite
 from fusioncat.cyclotomic import rational
 from fusioncat.errors import CapabilityError, NotRibbonConsistentError
 
@@ -99,6 +101,18 @@ def test_suite_skips_without_s_matrix():
     assert all(c.status == "skip" for c in checks)
     with pytest.raises(CapabilityError):
         centralizer_smatrix(alg, FusionSubcategory((0,)))
+
+
+def test_suite_skips_past_enumeration_limit(monkeypatch):
+    # past the enumeration limit every centralizer law is skipped with the
+    # reason, and the other suites still report
+    monkeypatch.setattr(lattice, "ENUMERATION_RANK_LIMIT", 3)
+    checks = full_suite(CharacterAlgebra(catalog_get("toric_code")))
+    assert [c.check_id for c in checks if c.status == "fail"] == []
+    skipped = {c.check_id: c.detail for c in checks if c.status == "skip"}
+    assert skipped["enumeration"] == skipped["main-identity"]
+    assert "limited to rank 3" in skipped["dim-product"]
+    assert any(c.check_id == "fourier-roundtrip" for c in checks)
 
 
 def test_non_closed_member_set_rejected(algs):

@@ -78,6 +78,12 @@ def test_sqrt_two_from_eighth_roots():
     assert r.approx_str() == "1.41421"
 
 
+def test_approx_str_drops_float_noise():
+    assert zeta(4).approx_str() == "0+1i"
+    assert zeta(4, 3).approx_str() == "0-1i"
+    assert zeta(6).approx_str() == "0.5+0.866025i"
+
+
 def test_sixth_root_equals_one_plus_third_root():
     assert zeta(6) == rational(1) + zeta(3)
 

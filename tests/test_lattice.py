@@ -7,6 +7,7 @@ from fusioncat import (
     CharacterAlgebra,
     FusionSubcategory,
     build_category,
+    catalog_get,
     catalog_names,
     enumerate_subcats,
     generate_subcat,
@@ -175,6 +176,19 @@ def test_prime_index_not_applicable(algs):
 def test_lattice_suite_passes(name, algs):
     checks = lattice_suite(algs[name])
     assert [c.check_id for c in checks if c.status == "fail"] == []
+
+
+def test_lattice_suite_reports_each_law_separately():
+    # doubling every product of central elements breaks only the meet law;
+    # the other two laws are still checked over every pair and pass
+    alg = CharacterAlgebra(catalog_get("toric_code"))
+    ce_mul = alg.ce_mul
+    alg.ce_mul = lambda a, b: ce_mul(a, b).scaled(2)
+    laws = {c.check_id: c for c in lattice_suite(alg)}
+    assert laws["meet-integral-scaling"].status == "fail"
+    assert laws["meet-integral-scaling"].detail == "failed at ((0,), (0,))"
+    for law in ("join-cointegral", "support-antitone"):
+        assert (laws[law].status, laws[law].detail) == ("pass", "")
 
 
 def test_enumeration_guard_rank_limit():
