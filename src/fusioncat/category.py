@@ -93,6 +93,14 @@ class FusionRing:
     def n(self, i: int, j: int, k: int) -> int:
         return self.fusion[i][j][k]
 
+    @cached_property
+    def nonzero(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """nonzero[i][j] lists the pairs (k, N_ij^k) with N_ij^k != 0."""
+        return tuple(
+            tuple(tuple((k, n) for k, n in enumerate(row) if n) for row in rows)
+            for rows in self.fusion
+        )
+
     def index_of(self, label: str) -> int:
         try:
             return self.labels.index(label)

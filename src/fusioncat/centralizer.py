@@ -61,7 +61,7 @@ def centralizer_smatrix(
     alg: CharacterAlgebra, subcat: FusionSubcategory
 ) -> FusionSubcategory:
     """Objects whose s-matrix pairing with all of D degenerates to d_i d_j."""
-    s = alg._require_s()
+    s = alg.require_s()
     members = tuple(
         j
         for j in range(alg.rank)
@@ -128,7 +128,7 @@ def verify_main_identity(
     prime_inv = subcat_invariants(alg, prime)
 
     lhs = alg.fourier(result.image)
-    rhs = prime_inv.cointegral.scaled(prime_inv.dim * alg._dim_inv)
+    rhs = prime_inv.cointegral.scaled(prime_inv.dim * alg.dim_inv)
     checks.append(verdict(
         "main-identity",
         lhs == rhs,

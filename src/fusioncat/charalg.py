@@ -51,6 +51,13 @@ def _vec_eq(a, b) -> bool:
     return all(x == y for x, y in zip(a, b))
 
 
+def _first_pair(rank: int, wrong):
+    """The first (i, j) in row-major order with wrong(i, j), or None."""
+    return next(
+        ((i, j) for i in range(rank) for j in range(rank) if wrong(i, j)), None
+    )
+
+
 @dataclass(frozen=True)
 class _Vector:
     """Coefficient vector over a basis; the subclass names the basis, and
@@ -114,16 +121,8 @@ class CharacterAlgebra:
         self.dims = data.dims
         self.dual = data.ring.dual
         self.dim = data.dim
-        self._dim_inv = data.dim.inv()
+        self.dim_inv = data.dim.inv()
         self._dims_inv = tuple(d.inv() for d in self.dims)
-        fusion = data.ring.fusion
-        self._fusion_nz = tuple(
-            tuple(
-                tuple((k, n) for k, n in enumerate(fusion[i][j]) if n)
-                for j in range(self.rank)
-            )
-            for i in range(self.rank)
-        )
         self._conjugacy: ConjugacyData | None = None
         self._drinfeld_basis: tuple[CentralElement, ...] | None = None
         # caches filled by the lattice module
@@ -163,7 +162,7 @@ class CharacterAlgebra:
         for i, fi in enumerate(f.coeffs):
             if fi.is_zero():
                 continue
-            row = self._fusion_nz[i]
+            row = self.data.ring.nonzero[i]
             for j, gj in enumerate(g.coeffs):
                 if gj.is_zero():
                     continue
@@ -225,7 +224,7 @@ class CharacterAlgebra:
         out = []
         for j in range(self.rank):
             js = self.dual[j]
-            out.append(a.coeffs[js] * self.dims[js] * self._dim_inv)
+            out.append(a.coeffs[js] * self.dims[js] * self.dim_inv)
         return ClassFunction(tuple(out))
 
     def fourier_inv(self, f: ClassFunction) -> CentralElement:
@@ -238,7 +237,8 @@ class CharacterAlgebra:
 
     # -- s-matrix dependent maps -----------------------------------------------
 
-    def _require_s(self) -> CycloMatrix:
+    def require_s(self) -> CycloMatrix:
+        """The s-matrix; CapabilityError when the category is a plain fusion ring."""
         if self.data.modular is None:
             raise CapabilityError(
                 f"{self.data.name}: this computation needs an s-matrix, "
@@ -248,7 +248,7 @@ class CharacterAlgebra:
 
     def drinfeld(self, f: ClassFunction) -> CentralElement:
         """drinfeld(chi_i) = sum_j (s_ij / d_j) E_j, extended linearly."""
-        s = self._require_s()
+        s = self.require_s()
         out = []
         for j in range(self.rank):
             total = rational(0)
@@ -267,7 +267,7 @@ class CharacterAlgebra:
 
     def transparent_members(self) -> tuple[int, ...]:
         """Objects j with s_ij = d_i d_j for every i (the Mueger center)."""
-        s = self._require_s()
+        s = self.require_s()
         out = []
         for j in range(self.rank):
             if all(
@@ -298,7 +298,7 @@ class CharacterAlgebra:
             column_order = tuple(range(rank))
             idempotents = []
             for j in range(rank):
-                scale = self.dims[j] * self._dim_inv
+                scale = self.dims[j] * self.dim_inv
                 idempotents.append(
                     ClassFunction(
                         tuple(
@@ -374,15 +374,14 @@ class CharacterAlgebra:
     def class_sum_product(self, i: int, j: int) -> ClassSumProduct:
         """Structure constants of the class sums, verified against ce_mul."""
         conj = self.conjugacy()
-        constants = []
+        constants = [rational(0)] * self.rank
         lhs = self.ce_mul(conj.class_sums[i], conj.class_sums[j])
         acc = self.ce_zero()
-        for l in range(self.rank):
-            n = self.data.ring.fusion[i][j][l]
-            c = self.dims[i] * self.dims[j] * self._dims_inv[l] * n
-            constants.append(c)
-            if n:
-                acc = acc + conj.class_sums[l].scaled(c)
+        dij = self.dims[i] * self.dims[j]
+        for l, n in self.data.ring.nonzero[i][j]:
+            c = dij * self._dims_inv[l] * n
+            constants[l] = c
+            acc = acc + conj.class_sums[l].scaled(c)
         if lhs != acc:
             raise InternalConsistencyError(
                 f"class sum product ({i}, {j}) does not match its expansion"
@@ -439,78 +438,67 @@ class CharacterAlgebra:
             checks.append(verdict("idempotent-orthogonality", True))
             checks.append(verdict("idempotent-complete", True))
 
-            bad = None
-            for i in range(rank):
-                for j in range(rank):
-                    want = conj.sizes[i] if i == j else rational(0)
-                    if self.pairing(conj.idempotents[i], conj.class_sums[j]) != want:
-                        bad = (i, j)
+            def wrong(i, j):
+                want = conj.sizes[i] if i == j else rational(0)
+                return self.pairing(conj.idempotents[i], conj.class_sums[j]) != want
+
+            bad = _first_pair(rank, wrong)
             checks.append(verdict(
                 "class-size-pairing",
                 bad is None,
                 "" if bad is None else f"<F_i, cbar_j> wrong at {bad}",
             ))
 
-            bad = None
-            for a in range(rank):
-                for b in range(rank):
-                    total = rational(0)
-                    for i in range(rank):
-                        total = total + (
-                            conj.multiplicities[i]
-                            * conj.idempotents[i].coeffs[a]
-                            * conj.idempotents[i].coeffs[b]
-                        )
-                    want = rational(1 if b == self.dual[a] else 0)
-                    if total != want:
-                        bad = (a, b)
+            def wrong(a, b):
+                total = rational(0)
+                for i in range(rank):
+                    total = total + (
+                        conj.multiplicities[i]
+                        * conj.idempotents[i].coeffs[a]
+                        * conj.idempotents[i].coeffs[b]
+                    )
+                return total != rational(1 if b == self.dual[a] else 0)
+
+            bad = _first_pair(rank, wrong)
             checks.append(verdict(
                 "dual-bases-exchange",
                 bad is None,
                 "" if bad is None else f"sum_i n_i F_i (x) F_i wrong at {bad}",
             ))
 
-            bad = None
-            for i in range(rank):
-                for j in range(rank):
-                    val = (
-                        conj.class_sums[j].coeffs[i]
-                        * self.dims[i]
-                        * conj.sizes[j].inv()
-                    )
-                    if conj.alpha.rows[i][j] != val:
-                        bad = (i, j)
+            def wrong(i, j):
+                val = conj.class_sums[j].coeffs[i] * self.dims[i] * conj.sizes[j].inv()
+                return conj.alpha.rows[i][j] != val
+
+            bad = _first_pair(rank, wrong)
             checks.append(verdict(
                 "char-table-class-pairing",
                 bad is None,
                 "" if bad is None else f"alpha_ij != <chi_i, cbar_j>/|C^j| at {bad}",
             ))
 
-            bad = None
-            for i in range(rank):
-                for j in range(rank):
-                    want = conj.sizes[i] * conj.alpha.rows[j][i] * self._dims_inv[j]
-                    if conj.class_sums[i].coeffs[j] != want:
-                        bad = (i, j)
+            def wrong(i, j):
+                want = conj.sizes[i] * conj.alpha.rows[j][i] * self._dims_inv[j]
+                return conj.class_sums[i].coeffs[j] != want
+
+            bad = _first_pair(rank, wrong)
             checks.append(verdict(
                 "class-sum-expansion",
                 bad is None,
                 "" if bad is None else f"cbar_i expansion wrong at {bad}",
             ))
 
-            bad = None
-            for i in range(rank):
-                for l in range(rank):
-                    total = rational(0)
-                    for j in range(rank):
-                        total = total + (
-                            conj.alpha.rows[j][i] * conj.alpha.rows[self.dual[j]][l]
-                        )
-                    want = (
-                        self.dim * conj.sizes[i].inv() if i == l else rational(0)
+            def wrong(i, l):
+                total = rational(0)
+                for j in range(rank):
+                    total = total + (
+                        conj.alpha.rows[j][i] * conj.alpha.rows[self.dual[j]][l]
                     )
-                    if total != want:
-                        bad = (i, l)
+                return total != (
+                    self.dim * conj.sizes[i].inv() if i == l else rational(0)
+                )
+
+            bad = _first_pair(rank, wrong)
             checks.append(verdict(
                 "second-orthogonality",
                 bad is None,
@@ -540,22 +528,22 @@ class CharacterAlgebra:
             "integral-image", self.drinfeld(conj.idempotents[0]) == self.idempotent(0)
         ))
 
-        bad = None
-        for i in range(rank):
-            for j in range(rank):
-                if conj.alpha.rows[i][j] * self.dims[j] != self.dims[i] * conj.alpha.rows[j][i]:
-                    bad = (i, j)
+        bad = _first_pair(
+            rank,
+            lambda i, j: conj.alpha.rows[i][j] * self.dims[j]
+            != self.dims[i] * conj.alpha.rows[j][i],
+        )
         checks.append(verdict(
             "char-table-symmetry",
             bad is None,
             "" if bad is None else f"d_j alpha_ij != d_i alpha_ji at {bad}",
         ))
 
-        bad = None
-        for i in range(rank):
+        def wrong(i):
             want = conj.class_sums[i].scaled(self.dims[i] * conj.sizes[i].inv())
-            if fq[i] != want:
-                bad = i
+            return fq[i] != want
+
+        bad = next(filter(wrong, range(rank)), None)
         checks.append(verdict(
             "drinfeld-class-sum",
             bad is None,
@@ -600,14 +588,13 @@ class CharacterAlgebra:
         except InternalConsistencyError as e:
             checks.append(verdict("class-sum-algebra", False, str(e)))
 
-        bad = None
-        for i in range(rank):
-            for j in range(rank):
-                lhs = self.ce_zero()
-                for k, n in self._fusion_nz[i][j]:
-                    lhs = lhs + fq[k].scaled(rational(n))
-                if lhs != self.ce_mul(fq[i], fq[j]):
-                    bad = (i, j)
+        def wrong(i, j):
+            lhs = self.ce_zero()
+            for k, n in self.data.ring.nonzero[i][j]:
+                lhs = lhs + fq[k].scaled(rational(n))
+            return lhs != self.ce_mul(fq[i], fq[j])
+
+        bad = _first_pair(rank, wrong)
         checks.append(verdict(
             "drinfeld-multiplicative",
             bad is None,

@@ -2,9 +2,9 @@
 
 A fusion subcategory is recorded by the sorted index set of its simple
 objects; the set always contains the unit and is closed under duals and
-under taking constituents of tensor products.  Enumeration is exhaustive
-closure of all index subsets, which is exact and cheap at the ranks this
-package targets (guarded at rank 16).
+under taking constituents of tensor products.  Enumeration is the join
+closure of the principal subcategories <i> (guarded at rank 16); closing all
+2^(rank-1) index subsets is kept only as lattice_suite's independent oracle.
 
 Every subcategory D owns a small bundle of invariants:
 
@@ -31,6 +31,7 @@ prime_index_check report exhibits the bijection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .category import Check, verdict
 from .charalg import CentralElement, CharacterAlgebra, ClassFunction
@@ -98,18 +99,39 @@ class PrimeIndexReport:
     checks: tuple[Check, ...]
 
 
-def _close(fusion, dual, seed) -> tuple[int, ...]:
-    members = set(seed)
-    members.add(0)
-    while True:
-        new = {dual[i] for i in members}
-        for i in members:
-            for j in members:
-                row = fusion[i][j]
-                new.update(k for k, n in enumerate(row) if n)
-        if new <= members:
-            return tuple(sorted(members))
-        members |= new
+def _close(nonzero, dual, seed) -> tuple[int, ...]:
+    """Smallest set holding 0 and seed, closed under dual and the products
+    nonzero[a][b] = ((c, N_ab^c), ...).  One worklist pass: each new member is
+    multiplied both ways with itself and the members taken before it."""
+    seen = {0, *seed}
+    todo = list(seen)
+    members = []
+    while todo:
+        a = todo.pop()
+        members.append(a)
+        products = [(dual[a], 1)]
+        for b in members:
+            products += nonzero[a][b] + nonzero[b][a]
+        for c, _ in products:
+            if c not in seen:
+                seen.add(c)
+                todo.append(c)
+    return tuple(sorted(members))
+
+
+def _joins(atoms, close) -> set[tuple[int, ...]]:
+    """Every join (close of the union) of one or more sets in atoms: each set
+    found is joined with every atom, reaching a join of k atoms from k - 1."""
+    found = set(atoms)
+    todo = list(found)
+    while todo:
+        joined = todo.pop()
+        for atom in atoms:
+            j = close(joined + atom)
+            if j not in found:
+                found.add(j)
+                todo.append(j)
+    return found
 
 
 def generate_subcat(alg: CharacterAlgebra, generators) -> FusionSubcategory:
@@ -118,11 +140,16 @@ def generate_subcat(alg: CharacterAlgebra, generators) -> FusionSubcategory:
     for i in generators:
         if not 0 <= i < alg.rank:
             raise KeyError(f"no simple object with index {i}")
-    return FusionSubcategory(_close(ring.fusion, ring.dual, generators))
+    return FusionSubcategory(_close(ring.nonzero, ring.dual, generators))
 
 
 def enumerate_subcats(alg: CharacterAlgebra) -> tuple[FusionSubcategory, ...]:
-    """All fusion subcategories, sorted by (dimension, members)."""
+    """All fusion subcategories, sorted by (dimension, members).
+
+    These are the joins of the principal subcategories <i> generated by one
+    simple object.  Proof: for i in D, <i> lies in D, so the join J of the <i>
+    over i in D lies in D; each i in D lies in <i>, so D lies in J.  So D = J.
+    """
     if alg._subcats is not None:
         return alg._subcats
     rank = alg.rank
@@ -132,11 +159,8 @@ def enumerate_subcats(alg: CharacterAlgebra) -> tuple[FusionSubcategory, ...]:
             f"{ENUMERATION_RANK_LIMIT}; this category has rank {rank}"
         )
     ring = alg.data.ring
-    found = set()
-    others = [i for i in range(rank) if i != 0]
-    for mask in range(1 << len(others)):
-        seed = [others[b] for b in range(len(others)) if mask >> b & 1]
-        found.add(_close(ring.fusion, ring.dual, seed))
+    close = partial(_close, ring.nonzero, ring.dual)
+    found = _joins({close((i,)) for i in range(rank)}, close)
     ordered = sorted(
         found, key=lambda m: (alg.subset_dim(m).embed().real, m)
     )
@@ -220,11 +244,9 @@ def grading(alg: CharacterAlgebra) -> Grading:
     if alg._grading is not None:
         return alg._grading
     ring = alg.data.ring
+    nonzero = ring.nonzero
     rank = alg.rank
-    seed = set()
-    for i in range(rank):
-        row = ring.fusion[i][ring.dual[i]]
-        seed.update(k for k, n in enumerate(row) if n)
+    seed = {k for i in range(rank) for k, _ in nonzero[i][ring.dual[i]]}
     adjoint = generate_subcat(alg, seed)
 
     assigned = {}
@@ -232,10 +254,7 @@ def grading(alg: CharacterAlgebra) -> Grading:
     for j in range(rank):
         if j in assigned:
             continue
-        comp = set()
-        for k in adjoint.members:
-            comp.update(i for i, n in enumerate(ring.fusion[k][j]) if n)
-        comp = tuple(sorted(comp))
+        comp = tuple(sorted({i for k in adjoint.members for i, _ in nonzero[k][j]}))
         if j not in comp or any(i in assigned for i in comp):
             raise InternalConsistencyError(
                 "adjoint translates do not partition the simple objects"
@@ -253,12 +272,9 @@ def grading(alg: CharacterAlgebra) -> Grading:
     for p, comp_p in enumerate(components):
         row = []
         for q, comp_q in enumerate(components):
-            targets = set()
-            for i in comp_p:
-                for j in comp_q:
-                    targets.update(
-                        assigned[k] for k, n in enumerate(ring.fusion[i][j]) if n
-                    )
+            targets = {
+                assigned[k] for i in comp_p for j in comp_q for k, _ in nonzero[i][j]
+            }
             if len(targets) != 1:
                 raise InternalConsistencyError(
                     f"component product ({p}, {q}) is not a single component; "
@@ -303,36 +319,22 @@ def _smallest_prime_factor(n: int) -> int:
 
 
 def _subgroups_of_index(table, p: int) -> list[tuple[int, ...]]:
-    """Index-p subgroups of the group given by its multiplication table,
-    by exhaustive closure (the group order here is tiny)."""
+    """Index-p normal subgroups of the group with this multiplication table
+    (identity 0).  As for subcategories, the subgroups are the joins of the
+    cyclic <g>, closed as in the fusion ring with N_ab^c = 1 iff c = ab."""
     order = len(table)
     if order % p:
         return []
-    target = order // p
-    inverse = [row.index(0) for row in table]
-    found = set()
-    elements = list(range(1, order))
-    for mask in range(1 << len(elements)):
-        seed = {0} | {elements[b] for b in range(len(elements)) if mask >> b & 1}
-        if len(seed) > target:
-            continue
-        closed = set(seed)
-        while True:
-            new = {inverse[a] for a in closed}
-            new |= {table[a][b] for a in closed for b in closed}
-            if new <= closed:
-                break
-            closed |= new
-        if len(closed) == target:
-            found.add(tuple(sorted(closed)))
-    normal = []
-    for sub in sorted(found):
-        ok = all(
-            table[g][table[h][inverse[g]]] in sub for g in range(order) for h in sub
-        )
-        if ok:
-            normal.append(sub)
-    return normal
+    inv = [row.index(0) for row in table]
+    nonzero = [[((c, 1),) for c in row] for row in table]
+    close = partial(_close, nonzero, inv)
+    subgroups = _joins({close((g,)) for g in range(order)}, close)
+    return [
+        sub
+        for sub in sorted(subgroups)
+        if len(sub) == order // p
+        and all(table[g][table[h][inv[g]]] in sub for g in range(order) for h in sub)
+    ]
 
 
 def prime_index_check(alg: CharacterAlgebra) -> PrimeIndexReport:
@@ -425,22 +427,23 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
     except CapabilityError as e:
         return [Check("enumeration", "skip", str(e))]
 
-    by_singletons = {generate_subcat(alg, [i]).members for i in range(alg.rank)}
-    while True:
-        new = {
-            join(alg, FusionSubcategory(a), FusionSubcategory(b)).members
-            for a in by_singletons
-            for b in by_singletons
-        }
-        if new <= by_singletons:
-            break
-        by_singletons |= new
-    by_subsets = {d.members for d in subcats}
+    # The independent oracle: close every subset of the non-unit objects.
+    close = partial(_close, alg.data.ring.nonzero, alg.data.ring.dual)
+    others = range(1, alg.rank)
+    by_subsets = {
+        close([i for b, i in enumerate(others) if mask >> b & 1])
+        for mask in range(1 << len(others))
+    }
+    match = by_subsets == {d.members for d in subcats}
     checks.append(verdict(
         "enumeration-generator-match",
-        by_singletons == by_subsets,
-        f"{len(by_subsets)} subcategories",
+        match,
+        f"{len(by_subsets)} subcategories"
+        if match
+        else f"join closure finds {len(subcats)}, subset closure {len(by_subsets)}",
     ))
+    if not match:
+        return checks
 
     try:
         invs = {d.members: subcat_invariants(alg, d) for d in subcats}

@@ -256,6 +256,21 @@ def test_class_sum_product_fibonacci_irrational(algs):
     assert not p.all_rational
 
 
+@pytest.mark.parametrize("name", ["toric_code", "ising", "fibonacci", "vec_z4"])
+def test_class_sum_product_matches_closed_form(name, algs):
+    # c_ij^l = d_i d_j N_ij^l / d_l at every l, zero or not
+    alg = algs[name]
+    d, fusion = alg.dims, alg.data.ring.fusion
+    for i in range(alg.rank):
+        for j in range(alg.rank):
+            want = tuple(
+                d[i] * d[j] * d[l].inv() * fusion[i][j][l] for l in range(alg.rank)
+            )
+            p = alg.class_sum_product(i, j)
+            assert p.constants == want
+            assert p.rational_flags == tuple(c.is_rational() for c in want)
+
+
 # -- the full identity suite ---------------------------------------------------------
 
 
@@ -279,3 +294,17 @@ def test_identity_suite_fusion_ring_skips():
     assert by_id["drinfeld-class-sum"] == "skip"
     assert by_id["class-size-dim-square"] == "skip"
     assert not any(s == "fail" for s in by_id.values())
+
+
+def test_identity_suite_reports_first_witness():
+    # doubling every product of central elements breaks drinfeld
+    # multiplicativity at every pair; the report names the first one
+    alg = CharacterAlgebra(catalog_get("toric_code"))
+    ce_mul = alg.ce_mul
+    alg.ce_mul = lambda a, b: ce_mul(a, b).scaled(2)
+    checks = {c.check_id: c for c in alg.identity_suite()}
+    law = checks["drinfeld-multiplicative"]
+    assert (law.status, law.detail) == (
+        "fail",
+        "drinfeld map not multiplicative at (0, 0)",
+    )

@@ -1,7 +1,10 @@
 """Fusion subcategory lattice, universal grading, prime-index correspondence."""
 
+from itertools import permutations, product
+
 import pytest
 
+from fusioncat import lattice
 from fusioncat import (
     CategoryInput,
     CharacterAlgebra,
@@ -189,6 +192,81 @@ def test_lattice_suite_reports_each_law_separately():
     assert laws["meet-integral-scaling"].detail == "failed at ((0,), (0,))"
     for law in ("join-cointegral", "support-antitone"):
         assert (laws[law].status, laws[law].detail) == ("pass", "")
+
+
+def test_enumeration_stops_when_the_oracle_disagrees(monkeypatch):
+    # a join closure that loses one subcategory must fail the match check
+    # and stop there, not run the pair laws over an incomplete set
+    joins = lattice._joins
+    monkeypatch.setattr(
+        lattice, "_joins", lambda atoms, close: set(sorted(joins(atoms, close))[1:])
+    )
+    checks = lattice_suite(CharacterAlgebra(catalog_get("toric_code")))
+    assert [(c.check_id, c.status) for c in checks] == [
+        ("enumeration-generator-match", "fail")
+    ]
+    assert checks[0].detail == "join closure finds 4, subset closure 5"
+
+
+# -- group rings: join closure against the subset sweep ---------------------------
+
+
+def _group_ring(name, elements, mul):
+    """The group ring of a finite group as a conductor-1 fusion ring; the
+    identity must come first in elements."""
+    index = {g: i for i, g in enumerate(elements)}
+    n = len(elements)
+    table = [[index[mul(g, h)] for h in elements] for g in elements]
+    fusion = tuple(
+        tuple(tuple(1 if k == table[i][j] else 0 for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    inp = CategoryInput(
+        name=name,
+        kind="fusion_ring",
+        conductor=1,
+        labels=tuple(str(i) for i in range(n)),
+        fusion=fusion,
+        dims=tuple(rational(1) for _ in range(n)),
+        char_table=None,
+    )
+    return CharacterAlgebra(build_category(inp)), table
+
+
+def _abelian(*moduli):
+    elements = list(product(*(range(m) for m in moduli)))
+    return elements, lambda g, h: tuple((a + b) % m for a, b, m in zip(g, h, moduli))
+
+
+S3 = (sorted(permutations(range(3))), lambda g, h: tuple(g[h[x]] for x in range(3)))
+
+
+@pytest.mark.parametrize(
+    "name,group,count",
+    [
+        ("z2^3", _abelian(2, 2, 2), 16),
+        ("z12", _abelian(12), 6),
+        ("z3^2", _abelian(3, 3), 6),
+        ("s3", S3, 6),
+    ],
+)
+def test_join_closure_matches_subset_sweep_on_group_rings(name, group, count):
+    alg, _ = _group_ring(name, *group)
+    assert len(enumerate_subcats(alg)) == count
+    match = lattice_suite(alg)[0]
+    assert (match.check_id, match.status, match.detail) == (
+        "enumeration-generator-match",
+        "pass",
+        f"{count} subcategories",
+    )
+
+
+def test_subgroups_of_index_keeps_only_normal_subgroups():
+    _, table = _group_ring("s3", *S3)
+    # in sorted order 0 is the identity and 3, 4 are the two 3-cycles
+    assert lattice._subgroups_of_index(table, 2) == [(0, 3, 4)]
+    # the three subgroups of order 2 have index 3 but none is normal
+    assert lattice._subgroups_of_index(table, 3) == []
 
 
 def test_enumeration_guard_rank_limit():
