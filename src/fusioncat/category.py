@@ -205,12 +205,12 @@ def verlinde_fusion(s: CycloMatrix):
                 for r in range(rank):
                     val = val + weights[r] * s.rows[k][r]
                 val = val * dim_inv
-                if not val.is_integer() or val.coeffs[0] < 0:
+                if not val.is_integer() or val.nums[0] < 0:
                     raise NotModularError(
                         f"Verlinde coefficient at (i={i}, j={j}, k={k}) is "
                         f"{val}, not a nonnegative integer"
                     )
-                t[i][j][k] = t[j][i][k] = int(val.coeffs[0])
+                t[i][j][k] = t[j][i][k] = val.nums[0]
 
     try:
         dual = dual_involution(t)

@@ -32,7 +32,6 @@ one Check per identity; on modular input all of them must pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .category import CategoryData, Check, verdict
 from .cyclotomic import Cyclotomic, CycloMatrix, rational

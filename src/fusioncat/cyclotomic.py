@@ -1,12 +1,17 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n), plus exact linear algebra.
 
-A value is a coset representative in Q[x]/(Phi_n(x)): a dense vector of
-phi(n) rationals over the power basis 1, zeta, ..., zeta^(phi(n)-1), always
-fully reduced mod Phi_n.  This makes equality at a fixed conductor a plain
-coefficient comparison.  Mixed-conductor arithmetic coerces both operands to
-the lcm conductor; results are never descended to a smaller field (a value
-that happens to be rational still reports is_rational() exactly, because the
-canonical representative of a rational is the constant vector).
+A value is a coset representative in Q[x]/(Phi_n(x)) over the power basis
+1, zeta, ..., zeta^(phi(n)-1), always fully reduced mod Phi_n, stored as a
+tuple of phi(n) integer numerators `nums` over one positive denominator
+`den`.  The form is canonical: gcd(den, *nums) == 1, so zero is stored with
+den == 1, and equality at a fixed conductor is a plain (nums, den)
+comparison.  Every operation works on the integers and builds its result
+through the trusted constructor `_make`, which restores the canonical form;
+the public constructor accepts any rationals and is meant for boundaries.
+Mixed-conductor arithmetic coerces both operands to the lcm conductor;
+results are never descended to a smaller field (a value that happens to be
+rational still reports is_rational() exactly, because the canonical
+representative of a rational is the constant vector).
 
 Numeric embedding (zeta_n -> exp(2*pi*i/n)) exists for display and sanity
 checks only; nothing downstream branches on floats.
@@ -17,7 +22,9 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, mul
 
 from .errors import SingularMatrixError
 
@@ -37,10 +44,7 @@ __all__ = [
 Rational = Fraction
 
 
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
+@cache
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError(f"conductor must be >= 1, got {n}")
@@ -102,15 +106,22 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @cache
-def _monomial_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row k is zeta_n^k reduced mod Phi_n (k = 0..n-1, integer vectors)."""
+def _phi_terms(n: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (degree, coefficient) pairs of Phi_n below its leading term."""
+    return tuple((i, c) for i, c in enumerate(cyclotomic_polynomial(n)[:-1]) if c)
+
+
+@cache
+def _monomial_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row k is zeta_n^k reduced mod Phi_n (k = 0..n-1), as its nonzero
+    (position, integer coefficient) pairs."""
     phi_n = euler_phi(n)
     phi_poly = cyclotomic_polynomial(n)
     rows = []
     cur = [0] * phi_n
     cur[0] = 1
     for _ in range(n):
-        rows.append(tuple(cur))
+        rows.append(tuple((m, c) for m, c in enumerate(cur) if c))
         top = cur[-1]
         cur = [0] + cur[:-1]
         if top:
@@ -119,72 +130,125 @@ def _monomial_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_buckets(buckets, n: int) -> tuple[Fraction, ...]:
-    """Collapse exponent buckets (length n, exponents already mod n) to the
-    canonical phi(n)-vector."""
+def _reduce_buckets(buckets: list[int], n: int) -> list[int]:
+    """Collapse integer exponent buckets (length n, exponents already mod n)
+    to the canonical phi(n)-vector of numerators."""
     phi_n = euler_phi(n)
     table = _monomial_table(n)
-    out = [Fraction(buckets[m]) for m in range(phi_n)]
+    out = buckets[:phi_n]
     for k in range(phi_n, n):
         c = buckets[k]
         if c:
-            row = table[k]
-            for m in range(phi_n):
-                if row[m]:
-                    out[m] += c * row[m]
-    return tuple(out)
+            for m, r in table[k]:
+                out[m] += c * r
+    return out
+
+
+def _mul_nums(n: int, xs, ys) -> list[int]:
+    """Numerators of the product of two numerator vectors at conductor n:
+    one pass of the dense product into 2*phi(n)-1 buckets, then division by
+    the monic Phi_n from the top."""
+    phi_n = len(xs)
+    prod = [0] * (2 * phi_n - 1)
+    for i, x in enumerate(xs):
+        if x:
+            j = i + phi_n
+            prod[i:j] = map(add, prod[i:j], map(mul, ys, repeat(x)))
+    terms = _phi_terms(n)
+    for k in range(2 * phi_n - 2, phi_n - 1, -1):
+        c = prod[k]
+        if c:
+            base = k - phi_n
+            for i, p in terms:
+                prod[base + i] -= c * p
+    del prod[phi_n:]
+    return prod
+
+
+def _permute_nums(n: int, nums, t: int) -> list[int]:
+    """Numerators of sum c_i zeta_n^(i*t), for coefficients c_i of `nums`."""
+    buckets = [0] * n
+    for i, c in enumerate(nums):
+        if c:
+            buckets[(i * t) % n] += c
+    return _reduce_buckets(buckets, n)
+
+
+def _make(n: int, nums, den: int = 1) -> "Cyclotomic":
+    """Trusted constructor: `nums` are phi(n) integers and `den` > 0.  No
+    validation; divides out gcd(den, *nums) to keep the form canonical."""
+    g = gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [c // g for c in nums]
+    v = _new(Cyclotomic)
+    _set_conductor(v, n)
+    _set_nums(v, tuple(nums))
+    _set_den(v, den)
+    return v
 
 
 class Cyclotomic:
-    """An element of Q(zeta_n) in reduced power-basis form."""
+    """An element of Q(zeta_n) in reduced power-basis form: integer
+    numerators `nums` over the positive denominator `den`."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "nums", "den")
     __hash__ = None  # equality coerces across conductors, so no stable hash
 
-    def __init__(self, conductor: int, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+    def __new__(cls, conductor: int, coeffs):
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != euler_phi(conductor):
             raise ValueError(
                 f"need {euler_phi(conductor)} coefficients at conductor "
                 f"{conductor}, got {len(coeffs)}"
             )
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
+        den = lcm(*(c.denominator for c in coeffs))
+        return _make(conductor, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions (a read-only view)."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(q, conductor: int = 1) -> "Cyclotomic":
-        coeffs = [Fraction(q)] + [Fraction(0)] * (euler_phi(conductor) - 1)
-        return Cyclotomic(conductor, coeffs)
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        nums = [0] * euler_phi(conductor)
+        nums[0] = q.numerator
+        return _make(conductor, nums, q.denominator)
 
     @staticmethod
     def root_of_unity(n: int, k: int = 1) -> "Cyclotomic":
-        table = _monomial_table(n)
-        return Cyclotomic(n, table[k % n])
+        nums = [0] * euler_phi(n)
+        for m, c in _monomial_table(n)[k % n]:
+            nums[m] = c
+        return _make(n, nums)
 
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     @property
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.coeffs[0].denominator == 1
+        return self.den == 1 and self.is_rational()
 
     def lift(self, conductor: int) -> "Cyclotomic":
         """Rewrite at a multiple of the current conductor (zeta_m = zeta_n^(n/m))."""
@@ -195,11 +259,7 @@ class Cyclotomic:
                 f"cannot lift conductor {self.conductor} to non-multiple {conductor}"
             )
         step = conductor // self.conductor
-        buckets = [0] * conductor
-        for i, c in enumerate(self.coeffs):
-            if c:
-                buckets[(i * step) % conductor] += c
-        return Cyclotomic(conductor, _reduce_buckets(buckets, conductor))
+        return _make(conductor, _permute_nums(conductor, self.nums, step), self.den)
 
     @staticmethod
     def _common(a: "Cyclotomic", b: "Cyclotomic"):
@@ -222,12 +282,19 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         a, b = Cyclotomic._common(self, other)
-        return Cyclotomic(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a.den, b.den
+        if da == db:
+            return _make(a.conductor, list(map(add, a.nums, b.nums)), da)
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        return _make(
+            a.conductor, [x * fa + y * fb for x, y in zip(a.nums, b.nums)], den
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.conductor, [-c for c in self.coeffs])
+        return _make(self.conductor, [-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -243,51 +310,41 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         if other.is_rational() and other.conductor <= self.conductor:
-            q = other.coeffs[0]
-            return Cyclotomic(self.conductor, [q * c for c in self.coeffs])
+            p = other.nums[0]
+            return _make(
+                self.conductor, [p * c for c in self.nums], self.den * other.den
+            )
         if self.is_rational() and self.conductor <= other.conductor:
-            q = self.coeffs[0]
-            return Cyclotomic(other.conductor, [q * c for c in other.coeffs])
+            p = self.nums[0]
+            return _make(
+                other.conductor, [p * c for c in other.nums], self.den * other.den
+            )
         a, b = Cyclotomic._common(self, other)
         n = a.conductor
-        buckets = [0] * n
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        buckets[(i + j) % n] += x * y
-        return Cyclotomic(n, _reduce_buckets(buckets, n))
+        return _make(n, _mul_nums(n, a.nums, b.nums), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Cyclotomic":
-        """Multiplicative inverse by the extended Euclidean algorithm against
-        Phi_n, which is irreducible, so any nonzero value is a unit."""
+        """Multiplicative inverse as the product of the nontrivial Galois
+        conjugates over the norm: for a = A/d with A integral,
+        B = prod_{t != 1} sigma_t(A) makes A*B = N(A) a nonzero integer (Phi_n
+        is irreducible, so every conjugate of a nonzero value is nonzero),
+        and a^-1 = d*B / N(A)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic value")
+        n, nums, den = self.conductor, self.nums, self.den
         if self.is_rational():
-            return Cyclotomic.from_rational(1 / self.coeffs[0], self.conductor)
-        n = self.conductor
-        # r0 = Phi_n, r1 = self; keep u with u*self = r (mod Phi_n).
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        r1 = list(self.coeffs)
-        u0 = [Fraction(0)]
-        u1 = [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, _frac_poly_sub(u0, _frac_poly_mul(q, u1))
-        # r1 is the constant gcd; u1*self = r1 (mod Phi_n).
-        c = r1[0]
-        buckets = [Fraction(0)] * n
-        for i, v in enumerate(u1):
-            if v:
-                buckets[i % n] += v / c
-        return Cyclotomic(n, _reduce_buckets(buckets, n))
+            return Cyclotomic.from_rational(Fraction(den, nums[0]), n)
+        conj = None
+        for t in range(2, n):
+            if gcd(t, n) == 1:
+                image = _permute_nums(n, nums, t)
+                conj = image if conj is None else _mul_nums(n, conj, image)
+        norm = _mul_nums(n, nums, conj)[0]
+        if norm < 0:
+            den, norm = -den, -norm
+        return _make(n, [den * c for c in conj], norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -319,11 +376,7 @@ class Cyclotomic:
         n = self.conductor
         if gcd(t % n, n) != 1:
             raise ValueError(f"exponent {t} is not invertible mod {n}")
-        buckets = [0] * n
-        for i, c in enumerate(self.coeffs):
-            if c:
-                buckets[(i * t) % n] += c
-        return Cyclotomic(n, _reduce_buckets(buckets, n))
+        return _make(n, _permute_nums(n, self.nums, t), self.den)
 
     def conj(self) -> "Cyclotomic":
         """Complex conjugation, zeta_n -> zeta_n^(-1)."""
@@ -346,7 +399,7 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         a, b = Cyclotomic._common(self, other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     def __repr__(self):
         return f"Cyclotomic({self.conductor}, {[str(c) for c in self.coeffs]})"
@@ -384,51 +437,19 @@ class Cyclotomic:
         return f"{re}{sign}{abs(z.imag):.{digits}g}i"
 
 
+# Slot setters that bypass the immutability guard, for `_make` only.
+_new = object.__new__
+_set_conductor = Cyclotomic.conductor.__set__
+_set_nums = Cyclotomic.nums.__set__
+_set_den = Cyclotomic.den.__set__
+
+
 def zeta(n: int, k: int = 1) -> Cyclotomic:
     return Cyclotomic.root_of_unity(n, k)
 
 
 def rational(q, conductor: int = 1) -> Cyclotomic:
     return Cyclotomic.from_rational(q, conductor)
-
-
-# -- dense Fraction polynomial helpers (ascending coefficients) ------------
-
-
-def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    q = [Fraction(0)] * max(len(num) - dd, 1)
-    for k in range(len(num) - dd - 1, -1, -1):
-        c = num[k + dd] / lead
-        q[k] = c
-        if c:
-            for i, d in enumerate(den):
-                num[k + i] -= c * d
-    rem = num[:dd]
-    while rem and not rem[-1]:
-        rem.pop()
-    return q, rem if rem else [Fraction(0)]
-
-
-def _frac_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _frac_poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
 
 
 class CycloMatrix:
@@ -516,8 +537,9 @@ class CycloMatrix:
 
     def inverse(self) -> "CycloMatrix":
         """Exact Gauss-Jordan; pivot is the first nonzero entry in the column
-        (no magnitude heuristics needed over an exact field).  Raises
-        SingularMatrixError carrying the rank of the matrix."""
+        (no magnitude heuristics needed over an exact field).  A column with
+        no pivot is skipped and elimination goes on, so the number of pivots
+        found is the rank that SingularMatrixError carries."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of non-square matrix")
         k = self.nrows
@@ -527,49 +549,28 @@ class CycloMatrix:
             list(self.rows[i]) + [one if i == j else zero for j in range(k)]
             for i in range(k)
         ]
+        rank = 0
         for col in range(k):
             pivot_row = None
-            for r in range(col, k):
-                if not work[r][col].is_zero():
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                raise SingularMatrixError(rank=self._echelon_rank(work, col, col))
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            pinv = work[col][col].inv()
-            work[col] = [v * pinv for v in work[col]]
-            for r in range(k):
-                if r != col and not work[r][col].is_zero():
-                    factor = work[r][col]
-                    work[r] = [
-                        a - factor * b for a, b in zip(work[r], work[col])
-                    ]
-        return CycloMatrix([row[k:] for row in work])
-
-    def _echelon_rank(self, work, row: int, col: int) -> int:
-        """Finish forward elimination over the remaining columns to report the
-        true rank once inversion has already failed."""
-        k = self.nrows
-        rank = row
-        for c in range(col + 1, k):
-            pivot_row = None
             for r in range(rank, k):
-                if not work[r][c].is_zero():
+                if not work[r][col].is_zero():
                     pivot_row = r
                     break
             if pivot_row is None:
                 continue
             work[rank], work[pivot_row] = work[pivot_row], work[rank]
-            pinv = work[rank][c].inv()
+            pinv = work[rank][col].inv()
             work[rank] = [v * pinv for v in work[rank]]
-            for r in range(rank + 1, k):
-                if not work[r][c].is_zero():
-                    factor = work[r][c]
+            for r in range(k):
+                if r != rank and not work[r][col].is_zero():
+                    factor = work[r][col]
                     work[r] = [
                         a - factor * b for a, b in zip(work[r], work[rank])
                     ]
             rank += 1
-        return rank
+        if rank < k:
+            raise SingularMatrixError(rank=rank)
+        return CycloMatrix([row[k:] for row in work])
 
     def __repr__(self):
         return f"CycloMatrix({self.nrows}x{self.ncols}, conductor {self.conductor})"

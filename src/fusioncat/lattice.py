@@ -354,7 +354,7 @@ def prime_index_check(alg: CharacterAlgebra) -> PrimeIndexReport:
 
     if not alg.data.is_integral:
         return na("not applicable: category has non-integral dimensions")
-    dim_c = int(alg.dim.coeffs[0])
+    dim_c = int(alg.dim.rational_value)
     if dim_c <= 1:
         return na("not applicable: global dimension 1 has no prime factor")
 

@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic: construction, field operations, matrices."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -28,10 +29,10 @@ def fractions(max_num=9, max_den=9):
 
 
 @st.composite
-def cyclotomics(draw, conductors=CONDUCTORS, nonzero=False):
+def cyclotomics(draw, conductors=CONDUCTORS, nonzero=False, max_num=9, max_den=9):
     n = draw(st.sampled_from(conductors))
     k = euler_phi(n)
-    coeffs = draw(st.lists(fractions(), min_size=k, max_size=k))
+    coeffs = draw(st.lists(fractions(max_num, max_den), min_size=k, max_size=k))
     value = Cyclotomic(n, coeffs)
     if nonzero and value.is_zero():
         value = value + 1
@@ -236,6 +237,19 @@ def test_singular_matrix_reports_rank():
     assert exc.value.rank == 2
 
 
+def test_singular_matrix_rank_with_an_inner_missing_pivot():
+    # Column 1 is zeta8 times column 0, so the pivot goes missing in the
+    # second column, not the last; rows 2 and 3 are combinations of rows 0, 1.
+    z, one, zero = zeta(8), rational(1), rational(0)
+    r0 = [one, z, zero, one]
+    r1 = [z, z * z, one, zero]
+    r2 = [a + b for a, b in zip(r0, r1)]
+    r3 = [z * a - b for a, b in zip(r0, r1)]
+    with pytest.raises(SingularMatrixError) as exc:
+        CycloMatrix([r0, r1, r2, r3]).inverse()
+    assert exc.value.rank == 2
+
+
 def test_matrix_multiply_known():
     z = zeta(4)
     m = CycloMatrix([[rational(1), z], [z, rational(1)]])
@@ -250,3 +264,131 @@ def test_matrix_transpose_symmetric():
     m = CycloMatrix([[rational(2), z], [z, rational(5)]])
     assert m.is_symmetric()
     assert m.transpose() == m
+
+
+# -- the integer kernel against a Fraction reference -------------------------
+#
+# The reference works on Fraction coefficient lists only: dense products and
+# substitutions x -> x^t, then long division by Phi_n.
+
+
+def _ref_reduce(poly, n):
+    phi_poly = cyclotomic_polynomial(n)
+    k = len(phi_poly) - 1
+    poly = [Fraction(c) for c in poly] + [Fraction(0)] * max(0, k - len(poly))
+    for top in range(len(poly) - 1, k - 1, -1):
+        c = poly[top]
+        if c:
+            for i, p in enumerate(phi_poly):
+                poly[top - k + i] -= c * p
+    return poly[:k]
+
+
+def _ref_mul(n, a, b):
+    conv = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return _ref_reduce(conv, n)
+
+
+def _ref_substitute(n, coeffs, t):
+    """sum c_i x^(i*t) reduced mod Phi_n."""
+    poly = [Fraction(0)] * ((len(coeffs) - 1) * t + 1)
+    for i, c in enumerate(coeffs):
+        poly[i * t] += c
+    return _ref_reduce(poly, n)
+
+
+def _ref_at(v, n):
+    """Coefficients of v written at conductor n, a multiple of v's."""
+    return _ref_substitute(n, list(v.coeffs), n // v.conductor)
+
+
+def _assert_canonical(v):
+    assert len(v.nums) == euler_phi(v.conductor)
+    assert all(type(c) is int for c in v.nums)
+    assert type(v.den) is int and v.den >= 1
+    assert gcd(v.den, *v.nums) == 1
+    if not any(v.nums):
+        assert v.den == 1
+    assert all(isinstance(c, Fraction) for c in v.coeffs)
+    back = Cyclotomic(v.conductor, v.coeffs)
+    assert back == v
+    assert (back.nums, back.den) == (v.nums, v.den)
+
+
+def wide_cyclotomics(conductors=CONDUCTORS, nonzero=False):
+    return cyclotomics(conductors, nonzero, max_num=99, max_den=36)
+
+
+@given(wide_cyclotomics(), wide_cyclotomics())
+@settings(max_examples=200, deadline=None)
+def test_ring_operations_match_reference(a, b):
+    n = a.conductor * b.conductor // gcd(a.conductor, b.conductor)
+    ra, rb = _ref_at(a, n), _ref_at(b, n)
+    total, diff, prod = a + b, a - b, a * b
+    for v in (total, diff, prod, -a):
+        _assert_canonical(v)
+    assert total.conductor == diff.conductor == n
+    assert list(total.coeffs) == [x + y for x, y in zip(ra, rb)]
+    assert list(diff.coeffs) == [x - y for x, y in zip(ra, rb)]
+    assert _ref_at(prod, n) == _ref_mul(n, ra, rb)
+
+
+@given(wide_cyclotomics(nonzero=True))
+@settings(max_examples=200, deadline=None)
+def test_inverse_matches_reference(a):
+    b = a.inv()
+    _assert_canonical(b)
+    assert b.conductor == a.conductor
+    one = [Fraction(1)] + [Fraction(0)] * (euler_phi(a.conductor) - 1)
+    assert _ref_mul(a.conductor, list(a.coeffs), list(b.coeffs)) == one
+
+
+@given(st.sampled_from((5, 8, 12, 15, 24)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_galois_matches_reference(n, data):
+    t = data.draw(st.sampled_from([t for t in range(1, n) if gcd(t, n) == 1]))
+    a = data.draw(wide_cyclotomics(conductors=(n,)))
+    image = a.galois(t)
+    _assert_canonical(image)
+    assert list(image.coeffs) == _ref_substitute(n, list(a.coeffs), t)
+    _assert_canonical(a.conj())
+
+
+@given(wide_cyclotomics(conductors=(1, 2, 3, 4, 5, 6)), st.sampled_from((1, 2, 3, 4, 5)))
+@settings(max_examples=150, deadline=None)
+def test_lift_matches_reference(a, k):
+    m = a.conductor * k
+    lifted = a.lift(m)
+    _assert_canonical(lifted)
+    assert lifted.conductor == m
+    assert list(lifted.coeffs) == _ref_at(a, m)
+
+
+@given(wide_cyclotomics(conductors=(1, 2, 3, 4, 6, 8, 12)), st.sampled_from((2, 3, 4, 6)),
+       st.booleans(), wide_cyclotomics(conductors=(1, 2, 3, 5)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_mixed_conductor_equality_matches_reference(a, k, perturb, c, data):
+    # b is a written at a larger conductor by the reference, perhaps nudged.
+    m = a.conductor * k
+    coeffs = _ref_at(a, m)
+    if perturb:
+        i = data.draw(st.integers(0, len(coeffs) - 1))
+        coeffs[i] += data.draw(fractions().filter(bool))
+    b = Cyclotomic(m, coeffs)
+    assert (a == b) == (b == a) == (not perturb)
+    for x, y in ((a, c), (c, b), (b, c + 0)):
+        n = x.conductor * y.conductor // gcd(x.conductor, y.conductor)
+        assert (x == y) == (_ref_at(x, n) == _ref_at(y, n))
+
+
+def test_constructor_stores_canonical_form():
+    v = Cyclotomic(4, ["2/4", Fraction(6, 4)])
+    assert (v.nums, v.den) == ((1, 3), 2)
+    assert v.coeffs == (Fraction(1, 2), Fraction(3, 2))
+    for zero in (Cyclotomic(8, [0, 0, 0, 0]), v - v, rational(Fraction(0, 5), 12)):
+        assert zero.nums == (0,) * euler_phi(zero.conductor) and zero.den == 1
+    assert (rational(Fraction(-3, 6)).nums, rational(Fraction(-3, 6)).den) == ((-1,), 2)
+    assert rational(Fraction(-2, 3), 5).inv() == rational(Fraction(-3, 2))
