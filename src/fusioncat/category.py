@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Optional
 
 from .cyclotomic import Cyclotomic, CycloMatrix, euler_phi, lcm, rational
@@ -96,10 +97,7 @@ class FusionRing:
     @cached_property
     def nonzero(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
         """nonzero[i][j] lists the pairs (k, N_ij^k) with N_ij^k != 0."""
-        return tuple(
-            tuple(tuple((k, n) for k, n in enumerate(row) if n) for row in rows)
-            for rows in self.fusion
-        )
+        return _sparse_rows(self.fusion)
 
     def index_of(self, label: str) -> int:
         try:
@@ -148,6 +146,14 @@ class CategoryData:
     @property
     def is_integral(self) -> bool:
         return all(d.is_integer() for d in self.dims)
+
+
+def _sparse_rows(fusion):
+    """The pairs (k, N_ij^k) with N_ij^k != 0, for each (i, j)."""
+    return tuple(
+        tuple(tuple((k, n) for k, n in enumerate(row) if n) for row in rows)
+        for rows in fusion
+    )
 
 
 def dual_involution(fusion) -> tuple[int, ...]:
@@ -260,12 +266,9 @@ def _check_ring_axioms(inp: CategoryInput, fusion, dims, checks: list[Check]):
     """Shared fusion-ring checks on the given or derived rules of inp."""
     rank = len(fusion)
     bad = None
-    for j in range(rank):
-        for k in range(rank):
-            if fusion[0][j][k] != (1 if j == k else 0) or fusion[j][0][k] != (
-                1 if j == k else 0
-            ):
-                bad = (j, k)
+    for j, k in product(range(rank), repeat=2):
+        if fusion[0][j][k] != (j == k) or fusion[j][0][k] != (j == k):
+            bad = (j, k)
     checks.append(
         verdict("unit-axiom", bad is None, "" if bad is None else f"violated at {bad}")
     )
@@ -277,29 +280,24 @@ def _check_ring_axioms(inp: CategoryInput, fusion, dims, checks: list[Check]):
         dual = None
         checks.append(verdict("duality-axiom", False, str(e)))
 
+    # (L_i L_j) L_k against L_i (L_j L_k) over the nonzero coefficients; the
+    # witness is the first (i, j, k) in row-major order, and there the first m.
+    nonzero = _sparse_rows(fusion)
     bad = None
-    for i in range(rank):
-        for j in range(rank):
-            for k in range(rank):
-                for m in range(rank):
-                    lhs = sum(fusion[i][j][l] * fusion[l][k][m] for l in range(rank))
-                    rhs = sum(fusion[j][k][l] * fusion[i][l][m] for l in range(rank))
-                    if lhs != rhs:
-                        bad = (i, j, k, m)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
+    for i, j, k in product(range(rank), repeat=3):
+        lhs, rhs = [0] * rank, [0] * rank
+        for l, a in nonzero[i][j]:
+            for m, b in nonzero[l][k]:
+                lhs[m] += a * b
+        for l, a in nonzero[j][k]:
+            for m, b in nonzero[i][l]:
+                rhs[m] += a * b
+        if lhs != rhs:
+            bad = (i, j, k, next(m for m in range(rank) if lhs[m] != rhs[m]))
             break
-    checks.append(
-        verdict(
-            "associativity",
-            bad is None,
-            "" if bad is None else f"violated at (i,j,k,m)={bad}",
-        )
-    )
+    checks.append(verdict(
+        "associativity", bad is None, "" if bad is None else f"violated at (i,j,k,m)={bad}"
+    ))
 
     if dims is not None:
         ok = dims[0] == 1
@@ -313,24 +311,13 @@ def _check_ring_axioms(inp: CategoryInput, fusion, dims, checks: list[Check]):
             )
         )
         bad = None
-        for i in range(rank):
-            for j in range(rank):
-                total = rational(0)
-                for k in range(rank):
-                    if fusion[i][j][k]:
-                        total = total + fusion[i][j][k] * dims[k]
-                if total != dims[i] * dims[j]:
-                    bad = (i, j)
-                    break
-            if bad:
+        for i, j in product(range(rank), repeat=2):
+            total = sum((n * dims[k] for k, n in nonzero[i][j]), rational(0))
+            if total != dims[i] * dims[j]:
+                bad = (i, j)
                 break
-        checks.append(
-            verdict(
-                "dim-homomorphism",
-                bad is None,
-                "" if bad is None else f"d_i*d_j != sum N_ij^k d_k at {bad}",
-            )
-        )
+        detail = "" if bad is None else f"d_i*d_j != sum N_ij^k d_k at {bad}"
+        checks.append(verdict("dim-homomorphism", bad is None, detail))
         if dual is not None:
             bad = [i for i in range(rank) if dims[dual[i]] != dims[i]]
             checks.append(
@@ -348,11 +335,7 @@ def _check_ring_axioms(inp: CategoryInput, fusion, dims, checks: list[Check]):
 
 def _check_char_table(fusion, dims, table: CycloMatrix, checks: list[Check]):
     rank = len(fusion)
-    bad = None
-    for j in range(rank):
-        if table.rows[0][j] != 1:
-            bad = j
-            break
+    bad = next((j for j in range(rank) if table.rows[0][j] != 1), None)
     checks.append(
         verdict(
             "char-table-unit-row",
@@ -361,30 +344,21 @@ def _check_char_table(fusion, dims, table: CycloMatrix, checks: list[Check]):
         )
     )
 
-    bad = None
-    for j in range(rank):
-        for i in range(rank):
-            for k in range(i, rank):
-                total = rational(0)
-                for l in range(rank):
-                    if fusion[i][k][l]:
-                        total = total + fusion[i][k][l] * table.rows[l][j]
-                if table.rows[i][j] * table.rows[k][j] != total:
-                    bad = (i, k, j)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(
-        verdict(
-            "char-table-characters",
-            bad is None,
-            ""
-            if bad is None
-            else f"column {bad[2]} is not an algebra character at (i,k)={bad[:2]}",
-        )
+    nonzero = _sparse_rows(fusion)
+    bad = next(
+        (
+            (i, k, j)
+            for j, i in product(range(rank), repeat=2)
+            for k in range(i, rank)
+            if table.rows[i][j] * table.rows[k][j]
+            != sum((n * table.rows[l][j] for l, n in nonzero[i][k]), rational(0))
+        ),
+        None,
     )
+    detail = "" if bad is None else (
+        f"column {bad[2]} is not an algebra character at (i,k)={bad[:2]}"
+    )
+    checks.append(verdict("char-table-characters", bad is None, detail))
 
     try:
         table.inverse()

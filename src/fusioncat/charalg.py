@@ -124,10 +124,6 @@ class CharacterAlgebra:
         self._dims_inv = tuple(d.inv() for d in self.dims)
         self._conjugacy: ConjugacyData | None = None
         self._drinfeld_basis: tuple[CentralElement, ...] | None = None
-        # caches filled by the lattice module
-        self._subcat_cache: dict = {}
-        self._subcats: tuple | None = None
-        self._grading = None
 
     # -- basis vectors ------------------------------------------------------
 

@@ -3,8 +3,10 @@
 A fusion subcategory is recorded by the sorted index set of its simple
 objects; the set always contains the unit and is closed under duals and
 under taking constituents of tensor products.  Enumeration is the join
-closure of the principal subcategories <i> (guarded at rank 16); closing all
-2^(rank-1) index subsets is kept only as lattice_suite's independent oracle.
+closure of the principal subcategories <i> (guarded at rank 16), listed in
+exact order of dimension; closing all 2^(rank-1) index subsets is kept only
+as lattice_suite's independent oracle.  The subcategories, invariants and
+grading of an algebra are memoized in this module, keyed weakly by it.
 
 Every subcategory D owns a small bundle of invariants:
 
@@ -17,8 +19,9 @@ Every subcategory D owns a small bundle of invariants:
                 sizes summed over the support.
 
 The lattice laws tie these together: cointegrals multiply along joins,
-integrals multiply along meets up to the dimension scalar, and the
-support map is an inclusion-reversing bijection onto its image.
+integrals multiply along meets up to the dimension scalar (both symmetric,
+so checked once per unordered pair, meets read off the enumerated lattice),
+and the support map is an inclusion-reversing bijection onto its image.
 
 The universal grading comes from the adjoint subcategory (generated by all
 i (x) i*): its components partition the simples and multiply like a finite
@@ -30,8 +33,10 @@ prime_index_check report exhibits the bijection.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import partial
+from functools import cmp_to_key, partial, wraps
+from itertools import product
 
 from .category import Check, verdict
 from .charalg import CentralElement, CharacterAlgebra, ClassFunction
@@ -99,6 +104,21 @@ class PrimeIndexReport:
     checks: tuple[Check, ...]
 
 
+_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _memoized(fn):
+    """fn(alg, *args), memoized in _MEMOS[alg], which dies with alg."""
+    @wraps(fn)
+    def cached(alg, *args):
+        memo = _MEMOS.setdefault(alg, {})
+        key = (fn.__name__, *args)
+        if key not in memo:
+            memo[key] = fn(alg, *args)
+        return memo[key]
+    return cached
+
+
 def _close(nonzero, dual, seed) -> tuple[int, ...]:
     """Smallest set holding 0 and seed, closed under dual and the products
     nonzero[a][b] = ((c, N_ab^c), ...).  One worklist pass: each new member is
@@ -143,6 +163,7 @@ def generate_subcat(alg: CharacterAlgebra, generators) -> FusionSubcategory:
     return FusionSubcategory(_close(ring.nonzero, ring.dual, generators))
 
 
+@_memoized
 def enumerate_subcats(alg: CharacterAlgebra) -> tuple[FusionSubcategory, ...]:
     """All fusion subcategories, sorted by (dimension, members).
 
@@ -150,8 +171,6 @@ def enumerate_subcats(alg: CharacterAlgebra) -> tuple[FusionSubcategory, ...]:
     simple object.  Proof: for i in D, <i> lies in D, so the join J of the <i>
     over i in D lies in D; each i in D lies in <i>, so D lies in J.  So D = J.
     """
-    if alg._subcats is not None:
-        return alg._subcats
     rank = alg.rank
     if rank > ENUMERATION_RANK_LIMIT:
         raise CapabilityError(
@@ -161,18 +180,29 @@ def enumerate_subcats(alg: CharacterAlgebra) -> tuple[FusionSubcategory, ...]:
     ring = alg.data.ring
     close = partial(_close, ring.nonzero, ring.dual)
     found = _joins({close((i,)) for i in range(rank)}, close)
-    ordered = sorted(
-        found, key=lambda m: (alg.subset_dim(m).embed().real, m)
-    )
-    alg._subcats = tuple(FusionSubcategory(m) for m in ordered)
-    return alg._subcats
+    dims = {m: alg.subset_dim(m) for m in found}
+
+    def by_dim(a, b):
+        gap = dims[a] - dims[b]
+        if gap.is_zero():
+            return (a > b) - (a < b)
+        # |embed() - gap| < bound: each of the phi(n) terms c_k zeta^k and each
+        # addition rounds by a few units of 2^-53 times sum |c_k|.
+        x = gap.embed().real
+        bound = 2.0**-40 * len(gap.nums) * sum(map(abs, gap.nums)) / gap.den
+        if abs(x) > bound:
+            return 1 if x > 0 else -1
+        raise InternalConsistencyError(
+            f"cannot order subcategories {a} and {b}: their dimensions "
+            f"differ by {x:.3g}, within the rounding bound {bound:.3g}"
+        )
+
+    return tuple(FusionSubcategory(m) for m in sorted(found, key=cmp_to_key(by_dim)))
 
 
+@_memoized
 def subcat_invariants(alg: CharacterAlgebra, subcat: FusionSubcategory) -> SubcatInvariants:
     """Invariant bundle for one subcategory, exactly cross-checked."""
-    cached = alg._subcat_cache.get(subcat.members)
-    if cached is not None:
-        return cached
     members = subcat.members
     dim_d = alg.subset_dim(members)
     index = alg.dim * dim_d.inv()
@@ -193,16 +223,11 @@ def subcat_invariants(alg: CharacterAlgebra, subcat: FusionSubcategory) -> Subca
         for j in range(alg.rank)
         if not alg.pairing(conj.idempotents[j], ell).is_zero()
     )
-    total = alg.cf_zero()
-    for j in support:
-        total = total + conj.idempotents[j]
-    if total != lam:
+    if sum((conj.idempotents[j] for j in support), alg.cf_zero()) != lam:
         raise InternalConsistencyError(
             "cointegral is not the sum of the idempotents in its support"
         )
-    size_sum = rational(0)
-    for j in support:
-        size_sum = size_sum + conj.sizes[j]
+    size_sum = sum((conj.sizes[j] for j in support), rational(0))
     if ell.coeffs[0] != index or size_sum != index:
         raise InternalConsistencyError(
             "index, counit of the integral and class sizes over the support disagree"
@@ -216,7 +241,6 @@ def subcat_invariants(alg: CharacterAlgebra, subcat: FusionSubcategory) -> Subca
         integral=ell,
         support=support,
     )
-    alg._subcat_cache[subcat.members] = inv
     return inv
 
 
@@ -235,14 +259,11 @@ def join(alg: CharacterAlgebra, a: FusionSubcategory, b: FusionSubcategory) -> F
 def kernel_of_object(alg: CharacterAlgebra, i: int) -> tuple[int, ...]:
     """Classes on which chi_i takes its maximal value d_i."""
     alpha = alg.alpha()
-    return tuple(
-        j for j in range(alg.rank) if alpha.rows[i][j] == alg.dims[i]
-    )
+    return tuple(j for j in range(alg.rank) if alpha.rows[i][j] == alg.dims[i])
 
 
+@_memoized
 def grading(alg: CharacterAlgebra) -> Grading:
-    if alg._grading is not None:
-        return alg._grading
     ring = alg.data.ring
     nonzero = ring.nonzero
     rank = alg.rank
@@ -300,13 +321,12 @@ def grading(alg: CharacterAlgebra) -> Grading:
             "dimension-one objects do not form a fusion subcategory"
         )
 
-    alg._grading = Grading(
+    return Grading(
         adjoint=adjoint,
         pointed=FusionSubcategory(pointed_members),
         components=tuple(components),
         table=table,
     )
-    return alg._grading
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -368,12 +388,9 @@ def prime_index_check(alg: CharacterAlgebra) -> PrimeIndexReport:
 
     grade = grading(alg)
     subgroups = tuple(_subgroups_of_index(grade.table, p))
-    by_subgroup = []
-    for sub in subgroups:
-        members = []
-        for g in sub:
-            members.extend(grade.components[g])
-        by_subgroup.append(tuple(sorted(members)))
+    by_subgroup = [
+        tuple(sorted(i for g in sub for i in grade.components[g])) for sub in subgroups
+    ]
 
     checks = []
     count_ok = len(subcats) == len(subgroups)
@@ -419,7 +436,16 @@ def prime_index_check(alg: CharacterAlgebra) -> PrimeIndexReport:
 
 
 def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
-    """Exact lattice and grading laws over every pair of subcategories."""
+    """Exact lattice and grading laws over every pair of subcategories.
+
+    Each law reports its first failing pair in row-major order.  The symmetric
+    laws run over d <= e, as a failure at (e, d), d < e, follows one at (d, e).
+    ce_mul is pointwise.  cf_mul commutes once conjugacy() has certified
+    F_j F_k = delta_jk F_j (j <= k), sum_j F_j = chi_0 and nonzero sizes: then
+    sum_{k<j} F_j F_k = F_j chi_0 - F_j = 0, and by induction on j (multiply on
+    the right by F_m, m < j; the ring is associative) F_j F_m = 0, so the
+    nonzero F_j are a basis of orthogonal idempotents: the algebra is C^rank.
+    """
     checks: list[Check] = []
 
     try:
@@ -447,9 +473,7 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
 
     try:
         invs = {d.members: subcat_invariants(alg, d) for d in subcats}
-        checks.append(
-            verdict("subcat-invariants", True, "closed forms and supports agree")
-        )
+        checks.append(verdict("subcat-invariants", True, "closed forms and supports agree"))
     except CapabilityError as e:
         checks.append(Check("subcat-invariants", "skip", str(e)))
         return checks
@@ -457,31 +481,34 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
         checks.append(verdict("subcat-invariants", False, str(e)))
         return checks
 
-    # Every law is checked over every pair; each keeps its own first witness.
     first = dict.fromkeys(
         ("join-cointegral", "meet-integral-scaling", "support-antitone")
     )
-    for d in subcats:
-        for e in subcats:
-            di, ei = invs[d.members], invs[e.members]
-            m = meet(alg, d, e)
-            j = join(alg, d, e)
-            mi, ji = invs[m.members], invs[j.members]
-            pair = (d.members, e.members)
-            if first["join-cointegral"] is None and (
-                alg.cf_mul(di.cointegral, ei.cointegral) != ji.cointegral
-            ):
-                first["join-cointegral"] = pair
-            if first["meet-integral-scaling"] is None and (
-                alg.ce_mul(di.integral, ei.integral).scaled(di.dim * ei.dim)
-                != mi.integral.scaled(mi.dim * alg.dim)
-            ):
-                first["meet-integral-scaling"] = pair
-            if first["support-antitone"] is None and (
-                (set(d.members) >= set(e.members))
-                != (set(di.support) <= set(ei.support))
-            ):
-                first["support-antitone"] = pair
+    members = [set(d.members) for d in subcats]
+    supports = [set(invs[d.members].support) for d in subcats]
+    for (a, d), (b, e) in product(enumerate(subcats), repeat=2):
+        pair = (d.members, e.members)
+        if first["support-antitone"] is None and (
+            (members[a] >= members[b]) != (supports[a] <= supports[b])
+        ):
+            first["support-antitone"] = pair
+        if a > b:
+            continue  # the symmetric laws were checked at (e, d)
+        di, ei = invs[d.members], invs[e.members]
+        # The meet is the enumerated subcategory on the common members.
+        mi = invs.get(tuple(sorted(members[a] & members[b])))
+        if mi is None:
+            raise InternalConsistencyError("intersection of subcategories is not closed")
+        ji = invs[join(alg, d, e).members]
+        if first["join-cointegral"] is None and (
+            alg.cf_mul(di.cointegral, ei.cointegral) != ji.cointegral
+        ):
+            first["join-cointegral"] = pair
+        if first["meet-integral-scaling"] is None and (
+            alg.ce_mul(di.integral, ei.integral).scaled(di.dim * ei.dim)
+            != mi.integral.scaled(mi.dim * alg.dim)
+        ):
+            first["meet-integral-scaling"] = pair
     for law, pair in first.items():
         checks.append(
             verdict(law, pair is None, "" if pair is None else f"failed at {pair}")

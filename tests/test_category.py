@@ -1,6 +1,8 @@
 """Schema parsing, validation checks, Verlinde-derived fusion, round trips."""
 
+import dataclasses
 import json
+import random
 import sys
 
 import pytest
@@ -267,3 +269,52 @@ def test_build_validates_once_and_runs_verlinde_at_most_once(
 def test_unknown_catalog_name():
     with pytest.raises(KeyError, match="available"):
         catalog_get("nope")
+
+
+def _dense_associativity_witness(fusion):
+    """First (i, j, k, m) with sum_l N_ij^l N_lk^m != sum_l N_jk^l N_il^m, by
+    the full O(rank^5) sweep the sparse check replaced."""
+    rank = len(fusion)
+    for i in range(rank):
+        for j in range(rank):
+            for k in range(rank):
+                for m in range(rank):
+                    lhs = sum(fusion[i][j][l] * fusion[l][k][m] for l in range(rank))
+                    rhs = sum(fusion[j][k][l] * fusion[i][l][m] for l in range(rank))
+                    if lhs != rhs:
+                        return (i, j, k, m)
+    return None
+
+
+def _with_fusion(inp, fusion):
+    return dataclasses.replace(
+        inp, fusion=tuple(tuple(tuple(row) for row in plane) for plane in fusion)
+    )
+
+
+def test_associativity_witness_is_pinned():
+    inp = category_to_input(catalog_get("toric_code"), "fusion_ring")
+    fusion = [[list(row) for row in plane] for plane in inp.fusion]
+    fusion[3][3][3] = 2
+    checks = {c.check_id: c for c in validate_input(_with_fusion(inp, fusion))}
+    assert checks["associativity"].status == "fail"
+    assert checks["associativity"].detail == "violated at (i,j,k,m)=(1, 2, 3, 3)"
+
+
+@pytest.mark.parametrize("name", ["toric_code", "ising", "fibonacci", "vec_z6"])
+def test_associativity_reports_the_dense_first_witness(name):
+    inp = category_to_input(catalog_get(name), "fusion_ring")
+    rng = random.Random(name)
+    failures = 0
+    for _ in range(12):
+        fusion = [[list(row) for row in plane] for plane in inp.fusion]
+        for _ in range(rng.randint(1, 3)):
+            i, j, k = (rng.randrange(inp.rank) for _ in range(3))
+            fusion[i][j][k] = rng.randrange(3)
+        want = _dense_associativity_witness(fusion)
+        got = {c.check_id: c for c in validate_input(_with_fusion(inp, fusion))}
+        assert (got["associativity"].status, got["associativity"].detail) == (
+            ("pass", "") if want is None else ("fail", f"violated at (i,j,k,m)={want}")
+        )
+        failures += want is not None
+    assert failures

@@ -1,5 +1,7 @@
 """Fusion subcategory lattice, universal grading, prime-index correspondence."""
 
+import gc
+import weakref
 from itertools import permutations, product
 
 import pytest
@@ -22,8 +24,8 @@ from fusioncat import (
     prime_index_check,
     subcat_invariants,
 )
-from fusioncat.cyclotomic import rational
-from fusioncat.errors import CapabilityError
+from fusioncat.cyclotomic import rational, zeta
+from fusioncat.errors import CapabilityError, InternalConsistencyError
 
 # counts derived once by exhaustive closure over each entry and pinned
 SUBCAT_COUNTS = {
@@ -192,6 +194,80 @@ def test_lattice_suite_reports_each_law_separately():
     assert laws["meet-integral-scaling"].detail == "failed at ((0,), (0,))"
     for law in ("join-cointegral", "support-antitone"):
         assert (laws[law].status, laws[law].detail) == ("pass", "")
+
+
+def test_lattice_suite_reports_the_join_law_at_its_first_pair():
+    alg = CharacterAlgebra(catalog_get("toric_code"))
+    alg.conjugacy()  # certified with the true product
+    cf_mul = alg.cf_mul
+    alg.cf_mul = lambda f, g: cf_mul(f, g).scaled(2)
+    laws = {c.check_id: c for c in lattice_suite(alg)}
+    assert laws["join-cointegral"].status == "fail"
+    assert laws["join-cointegral"].detail == "failed at ((0,), (0,))"
+    for law in ("meet-integral-scaling", "support-antitone"):
+        assert (laws[law].status, laws[law].detail) == ("pass", "")
+
+
+def test_symmetric_laws_run_once_per_unordered_pair(monkeypatch):
+    # toric_code has 5 subcategories: 15 unordered pairs, 25 ordered ones.
+    # Each pair closes its join once; meets come from the enumerated lattice.
+    alg = CharacterAlgebra(catalog_get("toric_code"))
+    alg.conjugacy()
+    grading(alg)
+    calls = {"cf_mul": 0, "closures": 0}
+    cf_mul, generate = alg.cf_mul, lattice.generate_subcat
+
+    def counted_cf_mul(f, g):
+        calls["cf_mul"] += 1
+        return cf_mul(f, g)
+
+    def counted_generate(alg, generators):
+        calls["closures"] += 1
+        return generate(alg, generators)
+
+    def no_meet(*args):
+        raise AssertionError("meets are read off the enumerated lattice")
+
+    alg.cf_mul = counted_cf_mul
+    monkeypatch.setattr(lattice, "generate_subcat", counted_generate)
+    monkeypatch.setattr(lattice, "meet", no_meet)
+    checks = lattice_suite(alg)
+    assert [c.check_id for c in checks if c.status == "fail"] == []
+    assert calls == {"cf_mul": 15, "closures": 15}
+
+
+def test_lattice_memo_dies_with_its_algebra():
+    gc.collect()  # drop algebras left behind by earlier tests
+    alg = CharacterAlgebra(catalog_get("toric_code"))
+    before = len(lattice._MEMOS)
+    lattice_suite(alg)
+    assert len(lattice._MEMOS) == before + 1
+    assert not {"_subcats", "_subcat_cache", "_grading"} & set(vars(alg))
+    ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert ref() is None
+    assert len(lattice._MEMOS) == before
+
+
+def test_enumeration_refuses_an_uncertified_dimension_order():
+    # p - q sqrt(2) with p^2 - 2 q^2 = 1 is about 7.5e-7, well inside the
+    # rounding bound of a float sum whose terms are near 1e6
+    p, q = 665857, 470832
+    gap = rational(p) - q * (zeta(8) - zeta(8, 3))
+    alg = CharacterAlgebra(catalog_get("toric_code"))
+    alg.subset_dim = lambda members: rational(1) + gap * (len(members) - 1)
+    with pytest.raises(InternalConsistencyError, match="cannot order subcategories"):
+        enumerate_subcats(alg)
+
+
+def test_enumeration_orders_equal_dimensions_by_members():
+    alg = CharacterAlgebra(catalog_get("toric_code"))
+    # every subcategory but the trivial one gets dimension 2
+    alg.subset_dim = lambda members: rational(min(len(members), 2))
+    assert [d.members for d in enumerate_subcats(alg)] == [
+        (0,), (0, 1), (0, 1, 2, 3), (0, 2), (0, 3)
+    ]
 
 
 def test_enumeration_stops_when_the_oracle_disagrees(monkeypatch):

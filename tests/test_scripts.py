@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end against the package."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -34,3 +35,32 @@ def test_survey_catalog_centralizers():
     assert counts == {"toric_code": 5, "ising": 3}
     # one D -> D' line per subcategory
     assert proc.stdout.count(" -> ") == 5 + 3
+
+
+def test_output_digest_hashes_each_command():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+
+    proc = run(str(ROOT / "scripts" / "output_digest.py"), "toric_code")
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split(" ", 3) for line in proc.stdout.splitlines()]
+    # catalog, six commands and one centralizer per object, text and --json
+    assert len(lines) == 2 * (1 + 6 + 4)
+    empty = hashlib.sha256(b"").hexdigest()
+    assert all(err == empty and code == "0" for _, err, code, _ in lines)
+    by_argv = {argv: out for out, _, _, argv in lines}
+    direct = run("-m", "fusioncat", "verify", "--catalog", "toric_code", "--json")
+    want = hashlib.sha256(direct.stdout.encode("utf-8")).hexdigest()
+    assert by_argv["verify --catalog toric_code --json"] == want
+    assert "centralizer --catalog toric_code --subcat f --json" in by_argv
