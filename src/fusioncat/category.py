@@ -265,10 +265,10 @@ class CategoryInput:
 def _check_ring_axioms(inp: CategoryInput, fusion, dims, checks: list[Check]):
     """Shared fusion-ring checks on the given or derived rules of inp."""
     rank = len(fusion)
-    bad = None
-    for j, k in product(range(rank), repeat=2):
-        if fusion[0][j][k] != (j == k) or fusion[j][0][k] != (j == k):
-            bad = (j, k)
+    bad = next((
+        (j, k) for j, k in product(range(rank), repeat=2)
+        if fusion[0][j][k] != (j == k) or fusion[j][0][k] != (j == k)
+    ), None)
     checks.append(
         verdict("unit-axiom", bad is None, "" if bad is None else f"violated at {bad}")
     )
@@ -310,12 +310,10 @@ def _check_ring_axioms(inp: CategoryInput, fusion, dims, checks: list[Check]):
                 "dims-nonzero", not zero, f"zero dimension at {zero}" if zero else ""
             )
         )
-        bad = None
-        for i, j in product(range(rank), repeat=2):
-            total = sum((n * dims[k] for k, n in nonzero[i][j]), rational(0))
-            if total != dims[i] * dims[j]:
-                bad = (i, j)
-                break
+        bad = next((
+            (i, j) for i, j in product(range(rank), repeat=2)
+            if sum((n * dims[k] for k, n in nonzero[i][j]), rational(0)) != dims[i] * dims[j]
+        ), None)
         detail = "" if bad is None else f"d_i*d_j != sum N_ij^k d_k at {bad}"
         checks.append(verdict("dim-homomorphism", bad is None, detail))
         if dual is not None:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import CategoryData, Check, verdict
-from .cyclotomic import Cyclotomic, CycloMatrix, rational
+from .cyclotomic import Cyclotomic, CycloMatrix, bilinear, rational
 from .errors import CapabilityError, InternalConsistencyError
 
 __all__ = [
@@ -44,10 +44,6 @@ __all__ = [
     "ClassSumProduct",
     "CharacterAlgebra",
 ]
-
-
-def _vec_eq(a, b) -> bool:
-    return all(x == y for x, y in zip(a, b))
 
 
 def _first_pair(rank: int, wrong):
@@ -76,8 +72,8 @@ class _Vector:
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return len(self.coeffs) == len(other.coeffs) and _vec_eq(
-            self.coeffs, other.coeffs
+        return len(self.coeffs) == len(other.coeffs) and all(
+            x == y for x, y in zip(self.coeffs, other.coeffs)
         )
 
 
@@ -153,28 +149,14 @@ class CharacterAlgebra:
     # -- products, pairing, trace, antipode ----------------------------------
 
     def cf_mul(self, f: ClassFunction, g: ClassFunction) -> ClassFunction:
-        acc = [rational(0) for _ in range(self.rank)]
-        for i, fi in enumerate(f.coeffs):
-            if fi.is_zero():
-                continue
-            row = self.data.ring.nonzero[i]
-            for j, gj in enumerate(g.coeffs):
-                if gj.is_zero():
-                    continue
-                c = fi * gj
-                for k, n in row[j]:
-                    acc[k] = acc[k] + (c if n == 1 else n * c)
-        return ClassFunction(tuple(acc))
+        return ClassFunction(tuple(bilinear(f.coeffs, g.coeffs, self.data.ring.nonzero)))
 
     def ce_mul(self, a: CentralElement, b: CentralElement) -> CentralElement:
         return CentralElement(tuple(x * y for x, y in zip(a.coeffs, b.coeffs)))
 
     def pairing(self, f: ClassFunction, a: CentralElement) -> Cyclotomic:
-        total = rational(0)
-        for fi, ai, di in zip(f.coeffs, a.coeffs, self.dims):
-            if not fi.is_zero() and not ai.is_zero():
-                total = total + fi * ai * di
-        return total
+        terms = zip(f.coeffs, a.coeffs, self.dims)
+        return sum((fi * ai * di for fi, ai, di in terms if fi and ai), rational(0))
 
     def trace(self, f: ClassFunction) -> Cyclotomic:
         return f.coeffs[0]
@@ -192,10 +174,7 @@ class CharacterAlgebra:
     # -- cointegrals ----------------------------------------------------------
 
     def subset_dim(self, members) -> Cyclotomic:
-        total = rational(0)
-        for i in members:
-            total = total + self.dims[i] * self.dims[self.dual[i]]
-        return total
+        return sum((self.dims[i] * self.dims[self.dual[i]] for i in members), rational(0))
 
     def cointegral(self, members=None) -> ClassFunction:
         """tau-normalized cointegral of the full category, or of the fusion
@@ -246,11 +225,8 @@ class CharacterAlgebra:
         s = self.require_s()
         out = []
         for j in range(self.rank):
-            total = rational(0)
-            for i, fi in enumerate(f.coeffs):
-                if not fi.is_zero():
-                    total = total + fi * s.rows[i][j]
-            out.append(total * self._dims_inv[j])
+            terms = (fi * s.rows[i][j] for i, fi in enumerate(f.coeffs) if fi)
+            out.append(sum(terms, rational(0)) * self._dims_inv[j])
         return CentralElement(tuple(out))
 
     def _drinfeld_characters(self) -> tuple[CentralElement, ...]:
@@ -445,13 +421,10 @@ class CharacterAlgebra:
             ))
 
             def wrong(a, b):
-                total = rational(0)
-                for i in range(rank):
-                    total = total + (
-                        conj.multiplicities[i]
-                        * conj.idempotents[i].coeffs[a]
-                        * conj.idempotents[i].coeffs[b]
-                    )
+                total = sum((
+                    n * f.coeffs[a] * f.coeffs[b]
+                    for n, f in zip(conj.multiplicities, conj.idempotents)
+                ), rational(0))
                 return total != rational(1 if b == self.dual[a] else 0)
 
             bad = _first_pair(rank, wrong)
@@ -484,11 +457,10 @@ class CharacterAlgebra:
             ))
 
             def wrong(i, l):
-                total = rational(0)
-                for j in range(rank):
-                    total = total + (
-                        conj.alpha.rows[j][i] * conj.alpha.rows[self.dual[j]][l]
-                    )
+                rows = conj.alpha.rows
+                total = sum(
+                    (rows[j][i] * rows[self.dual[j]][l] for j in range(rank)), rational(0)
+                )
                 return total != (
                     self.dim * conj.sizes[i].inv() if i == l else rational(0)
                 )

@@ -36,6 +36,7 @@ __all__ = [
     "euler_phi",
     "zeta",
     "rational",
+    "bilinear",
     "lcm",
 ]
 
@@ -450,6 +451,37 @@ def zeta(n: int, k: int = 1) -> Cyclotomic:
 
 def rational(q, conductor: int = 1) -> Cyclotomic:
     return Cyclotomic.from_rational(q, conductor)
+
+
+def bilinear(xs, ys, table) -> list[Cyclotomic]:
+    """z_k = the sum of xs[i] ys[j] t over i, j and the pairs (k, t) of
+    integers in table[i][j], for k < len(xs).  The nonzero entries are lifted
+    to one conductor n and each vector is put over one denominator, so every
+    term is one product of integer numerator vectors."""
+    size = len(xs)
+    xs, ys = ([(i, v) for i, v in enumerate(vs) if any(v.nums)] for vs in (xs, ys))
+    n = lcm(*(v.conductor for _, v in xs + ys))
+    dx, dy = (lcm(*(v.den for _, v in vs)) for vs in (xs, ys))
+    xs, ys = (
+        [(i, [c * (d // v.den) for c in _permute_nums(n, v.nums, n // v.conductor)])
+         for i, v in vs]
+        for vs, d in ((xs, dx), (ys, dy))
+    )
+    acc = {}
+    for i, x in xs:
+        row = table[i]
+        for j, y in ys:
+            if len(x) == 1:  # phi(n) = 1: one numerator each
+                p = x[0] * y[0]
+                for k, t in row[j]:
+                    acc.setdefault(k, [0])[0] += t * p
+                continue
+            p = _mul_nums(n, x, y)
+            for k, t in row[j]:
+                a = acc.setdefault(k, [0] * len(p))
+                a[:] = map(add, a, map(mul, p, repeat(t)))
+    zero = rational(0)
+    return [_make(n, acc[k], dx * dy) if k in acc else zero for k in range(size)]
 
 
 class CycloMatrix:

@@ -2,11 +2,15 @@
 
 A fusion subcategory is recorded by the sorted index set of its simple
 objects; the set always contains the unit and is closed under duals and
-under taking constituents of tensor products.  Enumeration is the join
-closure of the principal subcategories <i> (guarded at rank 16), listed in
-exact order of dimension; closing all 2^(rank-1) index subsets is kept only
-as lattice_suite's independent oracle.  The subcategories, invariants and
-grading of an algebra are memoized in this module, keyed weakly by it.
+under taking constituents of tensor products.  Inside this module a set
+of objects is an int mask, bit i for object i, and the one closure routine
+_close grows a closed mask by new bits over a table of product supports.
+Enumeration is the join closure of the principal subcategories <i>
+(guarded at rank 16), listed in exact order of dimension; closing all
+2^(rank-1) index subsets, each extending the closure of a smaller one, is
+kept only as lattice_suite's independent oracle.  The subcategories,
+invariants, grading and support table of an algebra are memoized in this
+module, keyed weakly by it.
 
 Every subcategory D owns a small bundle of invariants:
 
@@ -34,6 +38,7 @@ prime_index_check report exhibits the bijection.
 from __future__ import annotations
 
 import weakref
+from array import array
 from dataclasses import dataclass
 from functools import cmp_to_key, partial, wraps
 from itertools import product
@@ -119,48 +124,76 @@ def _memoized(fn):
     return cached
 
 
-def _close(nonzero, dual, seed) -> tuple[int, ...]:
-    """Smallest set holding 0 and seed, closed under dual and the products
-    nonzero[a][b] = ((c, N_ab^c), ...).  One worklist pass: each new member is
-    multiplied both ways with itself and the members taken before it."""
-    seen = {0, *seed}
-    todo = list(seen)
-    members = []
+def _product_masks(nonzero, dual) -> tuple[tuple[int, ...], ...]:
+    """P[a][b]: bit c set iff chi_c is a constituent of L_a L_b or L_b L_a,
+    for nonzero[a][b] = ((c, N_ab^c), ...); P[a][a] also holds bit dual[a]."""
+    rank = len(nonzero)
+    bits = [[sum(1 << c for c, _ in row) for row in rows] for rows in nonzero]
+    for a in range(rank):
+        bits[a][a] |= 1 << dual[a]
+    return tuple(tuple(bits[a][b] | bits[b][a] for b in range(rank)) for a in range(rank))
+
+
+@_memoized
+def _ring_masks(alg: CharacterAlgebra) -> tuple[tuple[int, ...], ...]:
+    return _product_masks(alg.data.ring.nonzero, alg.data.ring.dual)
+
+
+def _close(masks, closed: int, new: int) -> int:
+    """The smallest closed mask holding the closed mask `closed` (bit 0 set)
+    and the bits of `new`.  One worklist pass: each new member a is multiplied
+    with itself and the members taken before it, by masks[a][b]."""
+    members = [b for b in range(closed.bit_length()) if closed >> b & 1]
+    todo = new & ~closed
     while todo:
-        a = todo.pop()
+        a = (todo & -todo).bit_length() - 1
+        closed |= 1 << a
         members.append(a)
-        products = [(dual[a], 1)]
+        row = masks[a]
         for b in members:
-            products += nonzero[a][b] + nonzero[b][a]
-        for c, _ in products:
-            if c not in seen:
-                seen.add(c)
-                todo.append(c)
-    return tuple(sorted(members))
+            todo |= row[b]
+        todo &= ~closed
+    return closed
 
 
-def _joins(atoms, close) -> set[tuple[int, ...]]:
-    """Every join (close of the union) of one or more sets in atoms: each set
-    found is joined with every atom, reaching a join of k atoms from k - 1."""
+def _members(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _joins(atoms, close) -> set[int]:
+    """Every join (close of the union) of one or more masks in atoms: each
+    mask found is joined with every atom, reaching k atoms from k - 1."""
     found = set(atoms)
     todo = list(found)
     while todo:
         joined = todo.pop()
         for atom in atoms:
-            j = close(joined + atom)
+            j = close(joined, atom)
             if j not in found:
                 found.add(j)
                 todo.append(j)
     return found
 
 
+def _subset_closures(masks, rank: int) -> array:
+    """cl[m] = the closure of subset m of the non-unit objects (bit b for
+    object b + 1), for all 2^(rank-1) m; DP and proof in lattice_suite."""
+    cl = array("I", [1]) * (1 << (rank - 1))
+    for m in range(1, len(cl)):
+        top = m.bit_length() - 1
+        rest, new = cl[m ^ 1 << top], 2 << top
+        cl[m] = rest if rest & new else _close(masks, rest, new)
+    return cl
+
+
 def generate_subcat(alg: CharacterAlgebra, generators) -> FusionSubcategory:
     """Smallest fusion subcategory containing the given simple indices."""
-    ring = alg.data.ring
+    new = 0
     for i in generators:
         if not 0 <= i < alg.rank:
             raise KeyError(f"no simple object with index {i}")
-    return FusionSubcategory(_close(ring.nonzero, ring.dual, generators))
+        new |= 1 << i
+    return FusionSubcategory(_members(_close(_ring_masks(alg), 1, new)))
 
 
 @_memoized
@@ -177,9 +210,8 @@ def enumerate_subcats(alg: CharacterAlgebra) -> tuple[FusionSubcategory, ...]:
             f"subcategory enumeration is exhaustive and limited to rank "
             f"{ENUMERATION_RANK_LIMIT}; this category has rank {rank}"
         )
-    ring = alg.data.ring
-    close = partial(_close, ring.nonzero, ring.dual)
-    found = _joins({close((i,)) for i in range(rank)}, close)
+    close = partial(_close, _ring_masks(alg))
+    found = {_members(m) for m in _joins({close(1, 1 << i) for i in range(rank)}, close)}
     dims = {m: alg.subset_dim(m) for m in found}
 
     def by_dim(a, b):
@@ -233,7 +265,7 @@ def subcat_invariants(alg: CharacterAlgebra, subcat: FusionSubcategory) -> Subca
             "index, counit of the integral and class sizes over the support disagree"
         )
 
-    inv = SubcatInvariants(
+    return SubcatInvariants(
         subcat=subcat,
         dim=dim_d,
         index=index,
@@ -241,7 +273,6 @@ def subcat_invariants(alg: CharacterAlgebra, subcat: FusionSubcategory) -> Subca
         integral=ell,
         support=support,
     )
-    return inv
 
 
 def meet(alg: CharacterAlgebra, a: FusionSubcategory, b: FusionSubcategory) -> FusionSubcategory:
@@ -346,12 +377,12 @@ def _subgroups_of_index(table, p: int) -> list[tuple[int, ...]]:
     if order % p:
         return []
     inv = [row.index(0) for row in table]
-    nonzero = [[((c, 1),) for c in row] for row in table]
-    close = partial(_close, nonzero, inv)
-    subgroups = _joins({close((g,)) for g in range(order)}, close)
+    masks = _product_masks([[((c, 1),) for c in row] for row in table], inv)
+    close = partial(_close, masks)
+    subgroups = _joins({close(1, 1 << g) for g in range(order)}, close)
     return [
         sub
-        for sub in sorted(subgroups)
+        for sub in sorted(map(_members, subgroups))
         if len(sub) == order // p
         and all(table[g][table[h][inv[g]]] in sub for g in range(order) for h in sub)
     ]
@@ -438,6 +469,13 @@ def prime_index_check(alg: CharacterAlgebra) -> PrimeIndexReport:
 def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
     """Exact lattice and grading laws over every pair of subcategories.
 
+    The oracle closes every subset of the non-unit objects by a DP over
+    masks: for i above every member of S, cl(S + i) = cl(S) when i is in
+    cl(S), else _close(cl(S), i) = cl(cl(S) + i).  Proof: closure is
+    extensive, monotone and idempotent, and S + i <= cl(S) + i <= cl(S + i),
+    so applying cl gives cl(S + i) <= cl(cl(S) + i) <= cl(S + i); when i is
+    in cl(S), cl(cl(S) + i) = cl(cl(S)) = cl(S).
+
     Each law reports its first failing pair in row-major order.  The symmetric
     laws run over d <= e, as a failure at (e, d), d < e, follows one at (d, e).
     ce_mul is pointwise.  cf_mul commutes once conjugacy() has certified
@@ -453,14 +491,9 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
     except CapabilityError as e:
         return [Check("enumeration", "skip", str(e))]
 
-    # The independent oracle: close every subset of the non-unit objects.
-    close = partial(_close, alg.data.ring.nonzero, alg.data.ring.dual)
-    others = range(1, alg.rank)
-    by_subsets = {
-        close([i for b, i in enumerate(others) if mask >> b & 1])
-        for mask in range(1 << len(others))
-    }
-    match = by_subsets == {d.members for d in subcats}
+    # The independent oracle: the closure of every subset.
+    by_subsets = set(_subset_closures(_ring_masks(alg), alg.rank))
+    match = by_subsets == {sum(1 << i for i in d.members) for d in subcats}
     checks.append(verdict(
         "enumeration-generator-match",
         match,
@@ -486,6 +519,7 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
     )
     members = [set(d.members) for d in subcats]
     supports = [set(invs[d.members].support) for d in subcats]
+    meet_rhs = {m: i.integral.scaled(i.dim * alg.dim) for m, i in invs.items()}
     for (a, d), (b, e) in product(enumerate(subcats), repeat=2):
         pair = (d.members, e.members)
         if first["support-antitone"] is None and (
@@ -496,8 +530,8 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
             continue  # the symmetric laws were checked at (e, d)
         di, ei = invs[d.members], invs[e.members]
         # The meet is the enumerated subcategory on the common members.
-        mi = invs.get(tuple(sorted(members[a] & members[b])))
-        if mi is None:
+        rhs = meet_rhs.get(tuple(sorted(members[a] & members[b])))
+        if rhs is None:
             raise InternalConsistencyError("intersection of subcategories is not closed")
         ji = invs[join(alg, d, e).members]
         if first["join-cointegral"] is None and (
@@ -505,8 +539,7 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
         ):
             first["join-cointegral"] = pair
         if first["meet-integral-scaling"] is None and (
-            alg.ce_mul(di.integral, ei.integral).scaled(di.dim * ei.dim)
-            != mi.integral.scaled(mi.dim * alg.dim)
+            alg.ce_mul(di.integral, ei.integral).scaled(di.dim * ei.dim) != rhs
         ):
             first["meet-integral-scaling"] = pair
     for law, pair in first.items():
@@ -514,14 +547,8 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
             verdict(law, pair is None, "" if pair is None else f"failed at {pair}")
         )
 
-    bad = [
-        d.members
-        for d in subcats
-        if invs[d.members].integral.coeffs[0] != invs[d.members].index
-    ]
-    checks.append(
-        verdict("index-support-sum", not bad, "" if not bad else f"failed at {bad}")
-    )
+    bad = [m for m, i in invs.items() if i.integral.coeffs[0] != i.index]
+    checks.append(verdict("index-support-sum", not bad, f"failed at {bad}" if bad else ""))
 
     try:
         grade = grading(alg)

@@ -301,6 +301,16 @@ def test_associativity_witness_is_pinned():
     assert checks["associativity"].detail == "violated at (i,j,k,m)=(1, 2, 3, 3)"
 
 
+def test_unit_axiom_reports_the_first_witness():
+    # two bad entries in the unit row: (1, 2) comes first in row-major order
+    inp = category_to_input(catalog_get("toric_code"), "fusion_ring")
+    fusion = [[list(row) for row in plane] for plane in inp.fusion]
+    fusion[0][1][2] = fusion[0][3][2] = 1
+    checks = {c.check_id: c for c in validate_input(_with_fusion(inp, fusion))}
+    assert checks["unit-axiom"].status == "fail"
+    assert checks["unit-axiom"].detail == "violated at (1, 2)"
+
+
 @pytest.mark.parametrize("name", ["toric_code", "ising", "fibonacci", "vec_z6"])
 def test_associativity_reports_the_dense_first_witness(name):
     inp = category_to_input(catalog_get(name), "fusion_ring")

@@ -15,7 +15,7 @@ from fusioncat import (
     catalog_get,
     catalog_names,
 )
-from fusioncat.cyclotomic import rational, zeta
+from fusioncat.cyclotomic import Cyclotomic, bilinear, euler_phi, rational, zeta
 
 GOLDEN = -zeta(5, 2) - zeta(5, 3)
 
@@ -135,6 +135,66 @@ def test_fourier_roundtrip_random(name, data, algs):
     assert alg.fourier(alg.fourier_inv(f)) == f
     a = CentralElement(coeffs)
     assert alg.fourier_inv(alg.fourier(a)) == a
+
+
+# -- cf_mul against plain Cyclotomic arithmetic -----------------------------------
+
+
+def _bilinear_reference(f, g, table):
+    """sum over i, j of f_i g_j t chi_k, (k, t) in table[i][j], by Cyclotomic
+    + and * one term at a time."""
+    acc = [rational(0) for _ in f]
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            for k, t in table[i][j]:
+                acc[k] = acc[k] + fi * gj * t
+    return acc
+
+
+@st.composite
+def mixed_vectors(draw, rank, n):
+    """Class-function coefficients: all zero, all rational, or each entry
+    zero, rational, at the category's conductor n, or at conductor 3 or 4."""
+    kind = draw(st.sampled_from(("zero", "rational", "mixed")))
+    coeffs = []
+    for _ in range(rank):
+        if kind == "mixed":
+            m = draw(st.sampled_from((0, 1, n, 3, 4)))
+        else:
+            m = 0 if kind == "zero" else 1
+        coeffs.append(
+            rational(0, n)
+            if m == 0
+            else Cyclotomic(m, draw(frac_vectors(euler_phi(m))))
+        )
+    return ClassFunction(tuple(coeffs))
+
+
+@pytest.mark.parametrize("name", ["toric_code", "fibonacci", "ising", "vec_z6", "vec_z8"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_cf_mul_matches_plain_arithmetic(name, data, algs):
+    alg = algs[name]
+    n = alg.data.dims[0].conductor
+    f = data.draw(mixed_vectors(alg.rank, n))
+    g = data.draw(mixed_vectors(alg.rank, n))
+    got = alg.cf_mul(f, g)
+    assert type(got) is ClassFunction
+    assert list(got.coeffs) == _bilinear_reference(
+        f.coeffs, g.coeffs, alg.data.ring.nonzero
+    )
+    # any integer table, so multiplicities above one are covered too
+    entry = st.tuples(st.integers(0, alg.rank - 1), st.integers(1, 3))
+    table = data.draw(
+        st.lists(
+            st.lists(st.lists(entry, max_size=3), min_size=alg.rank, max_size=alg.rank),
+            min_size=alg.rank,
+            max_size=alg.rank,
+        )
+    )
+    assert bilinear(f.coeffs, g.coeffs, table) == _bilinear_reference(
+        f.coeffs, g.coeffs, table
+    )
 
 
 def test_integral_is_unit_block_idempotent(algs):

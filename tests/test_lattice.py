@@ -337,6 +337,55 @@ def test_join_closure_matches_subset_sweep_on_group_rings(name, group, count):
     )
 
 
+def _closures_from_scratch(alg):
+    """The closure of every subset of the non-unit objects (bit b of the
+    index for object b + 1), from the definition: the intersection of all
+    closed sets holding the subset and 0, where a set is closed when it holds
+    the dual of each member and every constituent of every product of two."""
+    ring = alg.data.ring
+
+    def is_closed(members):
+        return all(ring.dual[a] in members for a in members) and all(
+            k in members for a in members for b in members for k, _ in ring.nonzero[a][b]
+        )
+
+    subsets = [
+        {0} | {b + 1 for b in range(alg.rank - 1) if m >> b & 1}
+        for m in range(1 << (alg.rank - 1))
+    ]
+    closed = [s for s in subsets if is_closed(s)]
+    return [set.intersection(*(c for c in closed if s <= c)) for s in subsets]
+
+
+def _subset_closure_count(alg):
+    """Assert that the DP table equals the closures from scratch; return the
+    number of distinct closures."""
+    cl = lattice._subset_closures(lattice._ring_masks(alg), alg.rank)
+    want = _closures_from_scratch(alg)
+    assert [sum(1 << i for i in c) for c in want] == list(cl)
+    return len({tuple(sorted(c)) for c in want})
+
+
+@pytest.mark.parametrize(
+    "name,group,count",
+    [
+        ("z2^3", _abelian(2, 2, 2), 16),
+        ("z12", _abelian(12), 6),
+        ("z3^2", _abelian(3, 3), 6),
+        ("s3", S3, 6),
+        ("z2^4", _abelian(2, 2, 2, 2), 67),
+    ],
+)
+def test_subset_closures_match_closure_from_scratch_on_group_rings(name, group, count):
+    alg, _ = _group_ring(name, *group)
+    assert _subset_closure_count(alg) == count
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_subset_closures_match_closure_from_scratch_on_the_catalog(name, algs):
+    assert _subset_closure_count(algs[name]) == SUBCAT_COUNTS[name]
+
+
 def test_subgroups_of_index_keeps_only_normal_subgroups():
     _, table = _group_ring("s3", *S3)
     # in sorted order 0 is the identity and 3, 4 are the two 3-cycles
