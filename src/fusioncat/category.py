@@ -30,7 +30,7 @@ from functools import cached_property
 from itertools import product
 from typing import Optional
 
-from .cyclotomic import Cyclotomic, CycloMatrix, euler_phi, lcm, rational
+from .cyclotomic import Cyclotomic, CycloMatrix, euler_phi, lcm, rational, triple_sums
 from .errors import (
     CapabilityError,
     DegenerateError,
@@ -185,8 +185,10 @@ def global_dim(dims, dual) -> Cyclotomic:
 def verlinde_fusion(s: CycloMatrix):
     """Derive (fusion, dual) from an s-matrix, or raise NotModularError /
     DegenerateError.  Duality is self-consistent: the first pass computes the
-    raw sums T_ij^k (no dual applied), dual_involution reads the duality
-    permutation off T_ij^0, and then N_ij^k = T_ij^{k*}."""
+    raw sums T_ij^k = sum_r s_ir s_jr s_kr / (d_r dim C) as packed triple sums
+    (no dual applied), stopping at the first (i, j >= i, k) that is not a
+    nonnegative integer; dual_involution reads the duality permutation off
+    T_ij^0, and then N_ij^k = T_ij^{k*}."""
     rank = s.nrows
     if rank != s.ncols:
         raise NotModularError("s-matrix is not square")
@@ -200,23 +202,17 @@ def verlinde_fusion(s: CycloMatrix):
     if dim_c.is_zero():
         raise DegenerateError("global dimension is zero")
     dim_inv = dim_c.inv()
-    dims_inv = [d.inv() for d in dims]
+    weights = [d.inv() * dim_inv for d in dims]
+    scaled = [[v * w for v, w in zip(row, weights)] for row in s.rows]
 
     t = [[[None] * rank for _ in range(rank)] for _ in range(rank)]
-    for i in range(rank):
-        for j in range(i, rank):
-            weights = [s.rows[i][r] * s.rows[j][r] * dims_inv[r] for r in range(rank)]
-            for k in range(rank):
-                val = rational(0)
-                for r in range(rank):
-                    val = val + weights[r] * s.rows[k][r]
-                val = val * dim_inv
-                if not val.is_integer() or val.nums[0] < 0:
-                    raise NotModularError(
-                        f"Verlinde coefficient at (i={i}, j={j}, k={k}) is "
-                        f"{val}, not a nonnegative integer"
-                    )
-                t[i][j][k] = t[j][i][k] = val.nums[0]
+    for (i, j, k), val in triple_sums(s.rows, scaled):
+        if not val.is_integer() or val.nums[0] < 0:
+            raise NotModularError(
+                f"Verlinde coefficient at (i={i}, j={j}, k={k}) is "
+                f"{val}, not a nonnegative integer"
+            )
+        t[i][j][k] = t[j][i][k] = val.nums[0]
 
     try:
         dual = dual_involution(t)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import CategoryData, Check, verdict
-from .cyclotomic import Cyclotomic, CycloMatrix, bilinear, rational
+from .cyclotomic import Cyclotomic, CycloMatrix, bilinear, matmul, rational
 from .errors import CapabilityError, InternalConsistencyError
 
 __all__ = [
@@ -155,8 +155,14 @@ class CharacterAlgebra:
         return CentralElement(tuple(x * y for x, y in zip(a.coeffs, b.coeffs)))
 
     def pairing(self, f: ClassFunction, a: CentralElement) -> Cyclotomic:
-        terms = zip(f.coeffs, a.coeffs, self.dims)
-        return sum((fi * ai * di for fi, ai, di in terms if fi and ai), rational(0))
+        return self.pairings([f], [a])[0][0]
+
+    def pairings(self, fs, elements) -> list[list[Cyclotomic]]:
+        """The matrix of <f, a> = sum_k f_k a_k d_k over fs and elements, as one matmul."""
+        return matmul(
+            [f.coeffs for f in fs],
+            [[a.coeffs[k] * d for a in elements] for k, d in enumerate(self.dims)],
+        )
 
     def trace(self, f: ClassFunction) -> Cyclotomic:
         return f.coeffs[0]
@@ -221,18 +227,16 @@ class CharacterAlgebra:
         return self.data.modular.s
 
     def drinfeld(self, f: ClassFunction) -> CentralElement:
-        """drinfeld(chi_i) = sum_j (s_ij / d_j) E_j, extended linearly."""
-        s = self.require_s()
-        out = []
-        for j in range(self.rank):
-            terms = (fi * s.rows[i][j] for i, fi in enumerate(f.coeffs) if fi)
-            out.append(sum(terms, rational(0)) * self._dims_inv[j])
-        return CentralElement(tuple(out))
+        """drinfeld(chi_i) = sum_j (s_ij / d_j) E_j, extended linearly: one matmul."""
+        (image,) = matmul([f.coeffs], [e.coeffs for e in self._drinfeld_characters()])
+        return CentralElement(tuple(image))
 
     def _drinfeld_characters(self) -> tuple[CentralElement, ...]:
+        """drinfeld(chi_i) for every i: row i of s with column j divided by d_j."""
         if self._drinfeld_basis is None:
             self._drinfeld_basis = tuple(
-                self.drinfeld(self.character(i)) for i in range(self.rank)
+                CentralElement(tuple(v * d for v, d in zip(row, self._dims_inv)))
+                for row in self.require_s().rows
             )
         return self._drinfeld_basis
 
@@ -260,12 +264,7 @@ class CharacterAlgebra:
         rank = self.rank
         if self.data.modular is not None:
             s = self.data.modular.s
-            alpha = CycloMatrix(
-                [
-                    [s.rows[i][j] * self._dims_inv[j] for j in range(rank)]
-                    for i in range(rank)
-                ]
-            )
+            alpha = CycloMatrix([e.coeffs for e in self._drinfeld_characters()])
             column_order = tuple(range(rank))
             idempotents = []
             for j in range(rank):
@@ -347,13 +346,14 @@ class CharacterAlgebra:
         conj = self.conjugacy()
         constants = [rational(0)] * self.rank
         lhs = self.ce_mul(conj.class_sums[i], conj.class_sums[j])
-        acc = self.ce_zero()
         dij = self.dims[i] * self.dims[j]
-        for l, n in self.data.ring.nonzero[i][j]:
-            c = dij * self._dims_inv[l] * n
-            constants[l] = c
-            acc = acc + conj.class_sums[l].scaled(c)
-        if lhs != acc:
+        terms = self.data.ring.nonzero[i][j]
+        for l, n in terms:
+            constants[l] = dij * self._dims_inv[l] * n
+        (acc,) = matmul(
+            [[constants[l] for l, _ in terms]], [conj.class_sums[l].coeffs for l, _ in terms]
+        )
+        if lhs != CentralElement(tuple(acc)):
             raise InternalConsistencyError(
                 f"class sum product ({i}, {j}) does not match its expansion"
             )
@@ -409,25 +409,25 @@ class CharacterAlgebra:
             checks.append(verdict("idempotent-orthogonality", True))
             checks.append(verdict("idempotent-complete", True))
 
-            def wrong(i, j):
-                want = conj.sizes[i] if i == j else rational(0)
-                return self.pairing(conj.idempotents[i], conj.class_sums[j]) != want
-
-            bad = _first_pair(rank, wrong)
+            pairs = self.pairings(conj.idempotents, conj.class_sums)
+            bad = _first_pair(
+                rank,
+                lambda i, j: pairs[i][j] != (conj.sizes[i] if i == j else rational(0)),
+            )
             checks.append(verdict(
                 "class-size-pairing",
                 bad is None,
                 "" if bad is None else f"<F_i, cbar_j> wrong at {bad}",
             ))
 
-            def wrong(a, b):
-                total = sum((
-                    n * f.coeffs[a] * f.coeffs[b]
-                    for n, f in zip(conj.multiplicities, conj.idempotents)
-                ), rational(0))
-                return total != rational(1 if b == self.dual[a] else 0)
-
-            bad = _first_pair(rank, wrong)
+            exchange = matmul(  # sum_i F_i[a] (n_i F_i[b])
+                list(zip(*(f.coeffs for f in conj.idempotents))),
+                [f.scaled(n).coeffs for n, f in zip(conj.multiplicities, conj.idempotents)],
+            )
+            bad = _first_pair(
+                rank,
+                lambda a, b: exchange[a][b] != rational(1 if b == self.dual[a] else 0),
+            )
             checks.append(verdict(
                 "dual-bases-exchange",
                 bad is None,
@@ -456,16 +456,13 @@ class CharacterAlgebra:
                 "" if bad is None else f"cbar_i expansion wrong at {bad}",
             ))
 
-            def wrong(i, l):
-                rows = conj.alpha.rows
-                total = sum(
-                    (rows[j][i] * rows[self.dual[j]][l] for j in range(rank)), rational(0)
-                )
-                return total != (
-                    self.dim * conj.sizes[i].inv() if i == l else rational(0)
-                )
-
-            bad = _first_pair(rank, wrong)
+            rows = conj.alpha.rows  # sum_j alpha_ji alpha_{j* l}
+            columns = matmul(list(zip(*rows)), [rows[self.dual[j]] for j in range(rank)])
+            bad = _first_pair(
+                rank,
+                lambda i, l: columns[i][l]
+                != (self.dim * conj.sizes[i].inv() if i == l else rational(0)),
+            )
             checks.append(verdict(
                 "second-orthogonality",
                 bad is None,
@@ -555,13 +552,15 @@ class CharacterAlgebra:
         except InternalConsistencyError as e:
             checks.append(verdict("class-sum-algebra", False, str(e)))
 
-        def wrong(i, j):
-            lhs = self.ce_zero()
-            for k, n in self.data.ring.nonzero[i][j]:
-                lhs = lhs + fq[k].scaled(rational(n))
-            return lhs != self.ce_mul(fq[i], fq[j])
-
-        bad = _first_pair(rank, wrong)
+        expanded = matmul(  # row i * rank + j: sum_k N_ij^k fq[k]
+            [[rational(n) for n in cell] for row in self.data.ring.fusion for cell in row],
+            [e.coeffs for e in fq],
+        )
+        bad = _first_pair(
+            rank,
+            lambda i, j: CentralElement(tuple(expanded[i * rank + j]))
+            != self.ce_mul(fq[i], fq[j]),
+        )
         checks.append(verdict(
             "drinfeld-multiplicative",
             bad is None,

@@ -13,6 +13,21 @@ results are never descended to a smaller field (a value that happens to be
 rational still reports is_rational() exactly, because the canonical
 representative of a rational is the constant vector).
 
+Products and sums of products go through one packed kernel (Kronecker
+substitution).  A numerator vector (c_0, ..., c_{phi-1}) at conductor n is
+packed as the integer sum c_i 2^(b i), its polynomial at x = 2^b, with
+signed slots of b = 8w bits.  Integer products and sums of packed values are
+the packed products and sums of the polynomials, so a sum of T terms (one of
+integer multiplicity t counts |t| times), each a product of f vectors, is one
+big-int multiply-add per term, and its f(phi-1)+1 slots are unpacked, reduced
+mod Phi_n and built by `_make` once.  Slot bound: a coefficient of a product
+of f vectors sums at most phi^(f-1) products of numerators (the exponents of
+f-1 factors fix the last), so every unreduced slot has |c| <= B =
+T phi^(f-1) prod_m max|x_m|.  `_width` takes b >= bitlen(B) + 1, so
+|c| <= B < 2^(b-1): adding 2^(b-1) to every slot keeps each in [0, 2^b), no
+carry crosses a slot, and each slot reads back exactly.  A single slot
+(phi = 1) is the value itself.
+
 Numeric embedding (zeta_n -> exp(2*pi*i/n)) exists for display and sanity
 checks only; nothing downstream branches on floats.
 """
@@ -22,9 +37,9 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, mul
+from struct import unpack
 
 from .errors import SingularMatrixError
 
@@ -37,6 +52,8 @@ __all__ = [
     "zeta",
     "rational",
     "bilinear",
+    "matmul",
+    "triple_sums",
     "lcm",
 ]
 
@@ -107,12 +124,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @cache
-def _phi_terms(n: int) -> tuple[tuple[int, int], ...]:
-    """The nonzero (degree, coefficient) pairs of Phi_n below its leading term."""
-    return tuple((i, c) for i, c in enumerate(cyclotomic_polynomial(n)[:-1]) if c)
-
-
-@cache
 def _monomial_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Row k is zeta_n^k reduced mod Phi_n (k = 0..n-1), as its nonzero
     (position, integer coefficient) pairs."""
@@ -132,38 +143,67 @@ def _monomial_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def _reduce_buckets(buckets: list[int], n: int) -> list[int]:
-    """Collapse integer exponent buckets (length n, exponents already mod n)
-    to the canonical phi(n)-vector of numerators."""
+    """Collapse integer exponent buckets (at least phi(n) of them; zeta_n^k =
+    zeta_n^(k mod n)) to the canonical phi(n)-vector of numerators."""
     phi_n = euler_phi(n)
     table = _monomial_table(n)
     out = buckets[:phi_n]
-    for k in range(phi_n, n):
+    for k in range(phi_n, len(buckets)):
         c = buckets[k]
         if c:
-            for m, r in table[k]:
+            for m, r in table[k % n]:
                 out[m] += c * r
     return out
 
 
+def _width(terms: int, phi_n: int, *tops: int) -> int:
+    """Slot width w in bytes for a sum of `terms` products of vectors whose
+    numerators are at most tops[m] in size: 8w >= bitlen(B) + 1 for the bound
+    B of the module docstring, rounded up to 1, 2, 4 or 8 below 8 bytes."""
+    w = (terms * phi_n ** (len(tops) - 1) * prod(tops)).bit_length() // 8 + 1
+    return w if w > 8 else 1 << (w - 1).bit_length()
+
+
+def _pack(nums, w: int) -> int:
+    """The polynomial of `nums` evaluated at x = 2^(8w): signed w-byte slots."""
+    v = 0
+    for c in reversed(nums):
+        v = (v << 8 * w) + c
+    return v
+
+
+@cache
+def _offset(w: int, slots: int) -> int:
+    """2^(8w-1) in each of `slots` slots of w bytes."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * slots, "little")
+
+
+_INT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _unpack(n: int, v: int, w: int, slots: int) -> list[int]:
+    """Numerators mod Phi_n of the packed polynomial v with `slots` signed
+    slots of w bytes: adding the offset makes every slot nonnegative, and
+    xor with it leaves each slot in two's complement, read from its bytes."""
+    if slots == 1:
+        return [v]
+    off = _offset(w, slots)
+    raw = ((v + off) ^ off).to_bytes(w * slots, "little")
+    code = _INT_CODES.get(w)
+    if code:
+        coeffs = list(unpack(f"<{slots}{code}", raw))
+    else:
+        coeffs = [int.from_bytes(raw[i:i + w], "little", signed=True)
+                  for i in range(0, len(raw), w)]
+    return _reduce_buckets(coeffs, n)
+
+
 def _mul_nums(n: int, xs, ys) -> list[int]:
     """Numerators of the product of two numerator vectors at conductor n:
-    one pass of the dense product into 2*phi(n)-1 buckets, then division by
-    the monic Phi_n from the top."""
+    one packed product, unpacked and reduced once."""
     phi_n = len(xs)
-    prod = [0] * (2 * phi_n - 1)
-    for i, x in enumerate(xs):
-        if x:
-            j = i + phi_n
-            prod[i:j] = map(add, prod[i:j], map(mul, ys, repeat(x)))
-    terms = _phi_terms(n)
-    for k in range(2 * phi_n - 2, phi_n - 1, -1):
-        c = prod[k]
-        if c:
-            base = k - phi_n
-            for i, p in terms:
-                prod[base + i] -= c * p
-    del prod[phi_n:]
-    return prod
+    w = _width(1, phi_n, max(map(abs, xs)), max(map(abs, ys)))
+    return _unpack(n, _pack(xs, w) * _pack(ys, w), w, 2 * phi_n - 1)
 
 
 def _permute_nums(n: int, nums, t: int) -> list[int]:
@@ -453,35 +493,79 @@ def rational(q, conductor: int = 1) -> Cyclotomic:
     return Cyclotomic.from_rational(q, conductor)
 
 
+def _packing(groups, terms, uses):
+    """Lift all values to their lcm conductor n, put each vector of each group
+    over one denominator and pack it for sums of products, with multiplicities
+    `terms`, of one vector from each group in `uses`.  Returns n, the width,
+    the slot count of such a sum and per group its (packed ints, den) pairs."""
+    n = lcm(*(v.conductor for vecs in groups for vec in vecs for v in vec))
+    phi_n = euler_phi(n)
+    cleared = [[] for _ in groups]
+    for vecs, out in zip(groups, cleared):
+        for vec in vecs:
+            den = lcm(*(v.den for v in vec))
+            nums = []
+            for v in vec:
+                x = v.nums if v.conductor == n else _permute_nums(n, v.nums, n // v.conductor)
+                nums.append(x if v.den == den else [c * (den // v.den) for c in x])
+            out.append((nums, den))
+    w = 1  # a single slot (phi(n) = 1) has no neighbour to carry into
+    if phi_n > 1:
+        tops = [max((max(map(abs, x)) for nums, _ in out for x in nums), default=0)
+                for out in cleared]
+        w = _width(sum(terms), phi_n, *(tops[g] for g in uses))
+    packed = [[([_pack(x, w) for x in nums], den) for nums, den in out] for out in cleared]
+    return n, w, len(uses) * (phi_n - 1) + 1, packed
+
+
+def matmul(a_rows, b_rows) -> list[list[Cyclotomic]]:
+    """The rows of A B for matrices given as rows of Cyclotomic values: all
+    entries are lifted to one conductor, each row of A and column of B is
+    put over one denominator, and entry (i, j) is one packed dot product."""
+    n, w, slots, (a, b) = _packing((a_rows, list(zip(*b_rows))), [len(b_rows)], (0, 1))
+    return [
+        [_make(n, _unpack(n, sum(map(mul, row, col)), w, slots), da * db) for col, db in b]
+        for row, da in a
+    ]
+
+
+def triple_sums(x_rows, z_rows):
+    """Yield ((i, j, k), sum_r x_ir x_jr z_kr) for i <= j and every k, in
+    that order.  Each x_ir x_jr is kept as one unreduced packed product, so
+    every value costs one packed multiply-add per r and one reduction."""
+    n, w, slots, (x, z) = _packing((x_rows, z_rows), [len(z_rows[0])], (0, 0, 1))
+    for i, (xi, di) in enumerate(x):
+        for j in range(i, len(x)):
+            xj, dj = x[j]
+            pair = list(map(mul, xi, xj))
+            for k, (zk, dk) in enumerate(z):
+                v = _unpack(n, sum(map(mul, pair, zk)), w, slots)
+                yield (i, j, k), _make(n, v, di * dj * dk)
+
+
 def bilinear(xs, ys, table) -> list[Cyclotomic]:
     """z_k = the sum of xs[i] ys[j] t over i, j and the pairs (k, t) of
     integers in table[i][j], for k < len(xs).  The nonzero entries are lifted
-    to one conductor n and each vector is put over one denominator, so every
-    term is one product of integer numerator vectors."""
+    to one conductor and each vector is put over one denominator; every z_k
+    is one packed sum, unpacked once."""
     size = len(xs)
     xs, ys = ([(i, v) for i, v in enumerate(vs) if any(v.nums)] for vs in (xs, ys))
-    n = lcm(*(v.conductor for _, v in xs + ys))
-    dx, dy = (lcm(*(v.den for _, v in vs)) for vs in (xs, ys))
-    xs, ys = (
-        [(i, [c * (d // v.den) for c in _permute_nums(n, v.nums, n // v.conductor)])
-         for i, v in vs]
-        for vs, d in ((xs, dx), (ys, dy))
+    terms = (abs(t) for i, _ in xs for j, _ in ys for _, t in table[i][j])
+    n, w, slots, (((px, dx),), ((py, dy),)) = _packing(
+        ([[v for _, v in xs]], [[v for _, v in ys]]), terms, (0, 1)
     )
     acc = {}
-    for i, x in xs:
+    for (i, _), p in zip(xs, px):
         row = table[i]
-        for j, y in ys:
-            if len(x) == 1:  # phi(n) = 1: one numerator each
-                p = x[0] * y[0]
-                for k, t in row[j]:
-                    acc.setdefault(k, [0])[0] += t * p
-                continue
-            p = _mul_nums(n, x, y)
+        for (j, _), q in zip(ys, py):
+            pq = p * q
             for k, t in row[j]:
-                a = acc.setdefault(k, [0] * len(p))
-                a[:] = map(add, a, map(mul, p, repeat(t)))
+                acc[k] = acc.get(k, 0) + t * pq
     zero = rational(0)
-    return [_make(n, acc[k], dx * dy) if k in acc else zero for k in range(size)]
+    return [
+        _make(n, _unpack(n, acc[k], w, slots), dx * dy) if k in acc else zero
+        for k in range(size)
+    ]
 
 
 class CycloMatrix:
@@ -537,18 +621,7 @@ class CycloMatrix:
     def __matmul__(self, other: "CycloMatrix") -> "CycloMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        return CycloMatrix(
-            [
-                [
-                    sum(
-                        (self.rows[i][k] * other.rows[k][j] for k in range(self.ncols)),
-                        Cyclotomic.from_rational(0),
-                    )
-                    for j in range(other.ncols)
-                ]
-                for i in range(self.nrows)
-            ]
-        )
+        return CycloMatrix(matmul(self.rows, other.rows))
 
     def transpose(self) -> "CycloMatrix":
         return CycloMatrix(

@@ -23,7 +23,7 @@ from fusioncat import (
 )
 from fusioncat.category import category_to_input, input_to_json
 from fusioncat.cli import run
-from fusioncat.cyclotomic import CycloMatrix, rational
+from fusioncat.cyclotomic import CycloMatrix, rational, zeta
 from fusioncat.errors import MalformedFusionError, NotModularError
 
 XOR4 = tuple(
@@ -73,6 +73,58 @@ def test_verlinde_rejects_corrupted_entry():
     rows[1][1] = rows[1][1] + rational(1)  # keeps symmetry, breaks integrality
     with pytest.raises(NotModularError):
         verlinde_fusion(CycloMatrix(rows))
+
+
+def _su2_s_rows(k):
+    """The normalized s-matrix of SU(2)_k, s_ij = [(i+1)(j+1)]_q with
+    q = exp(pi i / (k+2)), written at conductor 4(k+2)."""
+    n = 4 * (k + 2)
+
+    def qint(m):
+        return sum((zeta(n, 2 * e) for e in range(1 - m, m, 2)), rational(0))
+
+    return [[qint((i + 1) * (j + 1)) for j in range(k + 1)] for i in range(k + 1)]
+
+
+def _plus_one_at_1_2(rows):
+    rows[1][2] = rows[2][1] = rows[1][2] + 1
+
+
+def _negate_row_and_column_2(rows):
+    # s'_ij = e_i e_j s_ij with e_2 = -1 stays symmetric and negates every
+    # T_ij^k with an odd number of indices equal to 2
+    for t in range(len(rows)):
+        rows[2][t] = -rows[2][t]
+        rows[t][2] = -rows[t][2]
+
+
+@pytest.mark.parametrize(
+    "corrupt, detail",
+    [
+        (
+            _plus_one_at_1_2,
+            "Verlinde coefficient at (i=0, j=0, k=1) is "
+            "1/14*ζ28^4+1/14*ζ28^6-1/14*ζ28^8-1/14*ζ28^10, not a nonnegative integer",
+        ),
+        (
+            _negate_row_and_column_2,
+            "Verlinde coefficient at (i=1, j=1, k=2) is -1, not a nonnegative integer",
+        ),
+    ],
+)
+def test_verlinde_reports_its_first_witness_on_su2_5(corrupt, detail):
+    rows = _su2_s_rows(5)
+    corrupt(rows)
+    inp = CategoryInput(
+        name="su2_5", kind="modular", conductor=28,
+        labels=tuple(map(str, range(6))), s_matrix=CycloMatrix(rows),
+    )
+    checks = {c.check_id: c for c in validate_input(inp)}
+    assert checks["s-symmetric"].status == "pass"
+    assert (checks["verlinde-integral"].status, checks["verlinde-integral"].detail) == (
+        "fail",
+        detail,
+    )
 
 
 def test_corrupted_s_fails_validation():

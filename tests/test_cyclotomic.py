@@ -4,15 +4,19 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusioncat.cyclotomic import (
     CycloMatrix,
     Cyclotomic,
+    _mul_nums,
+    bilinear,
     cyclotomic_polynomial,
     euler_phi,
+    matmul,
     rational,
+    triple_sums,
     zeta,
 )
 from fusioncat.errors import SingularMatrixError
@@ -392,3 +396,117 @@ def test_constructor_stores_canonical_form():
         assert zero.nums == (0,) * euler_phi(zero.conductor) and zero.den == 1
     assert (rational(Fraction(-3, 6)).nums, rational(Fraction(-3, 6)).den) == ((-1,), 2)
     assert rational(Fraction(-2, 3), 5).inv() == rational(Fraction(-3, 2))
+
+
+# -- the packed kernel against plain accumulation ----------------------------
+#
+# Every expected value is accumulated in the test from the Fraction reference
+# above, term by term, at the lcm conductor of the operands.
+
+BIG = 2**64 + 3  # numerators above one machine word
+
+
+@st.composite
+def kernel_values(draw, conductors):
+    """Zero, random or extremal values: numerators up to BIG in size, or every
+    numerator equal to +-top, which makes the middle slot of a product of such
+    vectors reach the bound exactly."""
+    n = draw(st.sampled_from(conductors))
+    k = euler_phi(n)
+    top = draw(st.sampled_from((1, 8, 127, 2**31, BIG, 3 * 2**65)))
+    shape = draw(st.sampled_from(("zero", "random", "extremal")))
+    if shape == "zero":
+        nums = [0] * k
+    elif shape == "random":
+        nums = draw(st.lists(st.integers(-top, top), min_size=k, max_size=k))
+    else:
+        nums = [draw(st.sampled_from((top, -top)))] * k
+    return Cyclotomic(n, [Fraction(c, draw(st.sampled_from((1, 1, 3, 10)))) for c in nums])
+
+
+def _ref_sum(n, products):
+    """sum over `products` (tuples of values) of their product, by the reference."""
+    total = [Fraction(0)] * euler_phi(n)
+    for factors in products:
+        acc = [Fraction(1)] + [Fraction(0)] * (euler_phi(n) - 1)
+        for v in factors:
+            acc = _ref_mul(n, acc, _ref_at(v, n))
+        total = [x + y for x, y in zip(total, acc)]
+    return Cyclotomic(n, total)
+
+
+def _kernel_conductor(draw):
+    n = draw(st.sampled_from((5, 8, 12)))
+    return (1, 3, 4, n), n * 12 // gcd(n, 12)
+
+
+@st.composite
+def numerator_pairs(draw):
+    n = draw(st.sampled_from((1, 2, 3, 4, 5, 8, 12)))
+    k = euler_phi(n)
+    top = draw(st.sampled_from((1, 8, 2**31, BIG, 3 * 2**65)))
+    vector = st.one_of(
+        st.lists(st.integers(-top, top), min_size=k, max_size=k),
+        st.sampled_from(([top] * k, [-top] * k, [0] * k)),
+    )
+    return n, draw(vector), draw(vector)
+
+
+@given(numerator_pairs())
+@settings(max_examples=150, deadline=None)
+@example((3, [8, 8], [8, 8]))  # middle slot 128 = the bound: a 9-bit slot
+@example((8, [3 * 2**65] * 4, [-3 * 2**65] * 4))  # the bound has 136 bits
+def test_packed_product_matches_reference(case):
+    n, xs, ys = case
+    assert _mul_nums(n, xs, ys) == _ref_mul(n, xs, ys)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_matmul_matches_plain_accumulation(rows, inner, cols, data):
+    conductors, n = _kernel_conductor(data.draw)
+    values = kernel_values(conductors)
+    a = [[data.draw(values) for _ in range(inner)] for _ in range(rows)]
+    b = [[data.draw(values) for _ in range(cols)] for _ in range(inner)]
+    product = matmul(a, b)
+    assert [len(r) for r in product] == [cols] * rows
+    for i in range(rows):
+        for j in range(cols):
+            want = _ref_sum(n, [(a[i][r], b[r][j]) for r in range(inner)])
+            assert product[i][j] == want
+    assert CycloMatrix(a) @ CycloMatrix(b) == CycloMatrix(product)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=40, deadline=None)
+def test_triple_sums_match_plain_accumulation(rows, inner, others, data):
+    conductors, n = _kernel_conductor(data.draw)
+    values = kernel_values(conductors)
+    x = [[data.draw(values) for _ in range(inner)] for _ in range(rows)]
+    z = [[data.draw(values) for _ in range(inner)] for _ in range(others)]
+    got = list(triple_sums(x, z))
+    assert [key for key, _ in got] == [
+        (i, j, k) for i in range(rows) for j in range(i, rows) for k in range(others)
+    ]
+    for (i, j, k), value in got:
+        assert value == _ref_sum(n, [(x[i][r], x[j][r], z[k][r]) for r in range(inner)])
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_bilinear_matches_plain_accumulation(size, data):
+    conductors, n = _kernel_conductor(data.draw)
+    values = kernel_values(conductors)
+    xs = [data.draw(values) for _ in range(size)]
+    ys = [data.draw(values) for _ in range(size)]
+    cell = st.lists(
+        st.tuples(st.integers(0, size - 1), st.integers(-3, 3).filter(bool)), max_size=3
+    )
+    table = [[tuple(data.draw(cell)) for _ in range(size)] for _ in range(size)]
+    got = bilinear(xs, ys, table)
+    for k in range(size):
+        terms = [
+            (xs[i], ys[j], rational(t))
+            for i in range(size) for j in range(size) for kk, t in table[i][j] if kk == k
+        ]
+        assert got[k] == _ref_sum(n, terms)
