@@ -408,9 +408,9 @@ BIG = 2**64 + 3  # numerators above one machine word
 
 @st.composite
 def kernel_values(draw, conductors):
-    """Zero, random or extremal values: numerators up to BIG in size, or every
-    numerator equal to +-top, which makes the middle slot of a product of such
-    vectors reach the bound exactly."""
+    """Zero, random or extremal values: numerators up to 3 * 2^65 in size, or
+    every numerator equal to +-top, which makes the middle slot of a product
+    of such vectors reach the bound exactly."""
     n = draw(st.sampled_from(conductors))
     k = euler_phi(n)
     top = draw(st.sampled_from((1, 8, 127, 2**31, BIG, 3 * 2**65)))
