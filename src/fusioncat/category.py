@@ -30,7 +30,7 @@ from functools import cached_property
 from itertools import product
 from typing import Optional
 
-from .cyclotomic import Cyclotomic, CycloMatrix, euler_phi, lcm, rational, triple_sums
+from .cyclotomic import Cyclotomic, CycloMatrix, euler_phi, lcm, matmul, rational
 from .errors import (
     CapabilityError,
     DegenerateError,
@@ -185,9 +185,10 @@ def global_dim(dims, dual) -> Cyclotomic:
 def verlinde_fusion(s: CycloMatrix):
     """Derive (fusion, dual) from an s-matrix, or raise NotModularError /
     DegenerateError.  Duality is self-consistent: the first pass computes the
-    raw sums T_ij^k = sum_r s_ir s_jr s_kr / (d_r dim C) as packed triple sums
-    (no dual applied), stopping at the first (i, j >= i, k) that is not a
-    nonnegative integer; dual_involution reads the duality permutation off
+    raw sums T_ij^k = sum_r s_ir s_jr s_kr / (d_r dim C) (no dual applied),
+    for each i as one matmul of the rows (s_ir s_jr), j >= i, against the
+    columns s_kr / (d_r dim C), and stops at the first (i, j >= i, k) that is
+    not a nonnegative integer; dual_involution reads the duality permutation off
     T_ij^0, and then N_ij^k = T_ij^{k*}."""
     rank = s.nrows
     if rank != s.ncols:
@@ -205,14 +206,18 @@ def verlinde_fusion(s: CycloMatrix):
     weights = [d.inv() * dim_inv for d in dims]
     scaled = [[v * w for v, w in zip(row, weights)] for row in s.rows]
 
+    columns = list(zip(*scaled))
     t = [[[None] * rank for _ in range(rank)] for _ in range(rank)]
-    for (i, j, k), val in triple_sums(s.rows, scaled):
-        if not val.is_integer() or val.nums[0] < 0:
-            raise NotModularError(
-                f"Verlinde coefficient at (i={i}, j={j}, k={k}) is "
-                f"{val}, not a nonnegative integer"
-            )
-        t[i][j][k] = t[j][i][k] = val.nums[0]
+    for i, si in enumerate(s.rows):
+        products = [[x * y for x, y in zip(si, s.rows[j])] for j in range(i, rank)]
+        for j, row in enumerate(matmul(products, columns), i):
+            for k, val in enumerate(row):
+                if not val.is_integer() or val.nums[0] < 0:
+                    raise NotModularError(
+                        f"Verlinde coefficient at (i={i}, j={j}, k={k}) is "
+                        f"{val}, not a nonnegative integer"
+                    )
+                t[i][j][k] = t[j][i][k] = val.nums[0]
 
     try:
         dual = dual_involution(t)

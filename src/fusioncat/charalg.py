@@ -552,14 +552,15 @@ class CharacterAlgebra:
         except InternalConsistencyError as e:
             checks.append(verdict("class-sum-algebra", False, str(e)))
 
-        expanded = matmul(  # row i * rank + j: sum_k N_ij^k fq[k]
-            [[rational(n) for n in cell] for row in self.data.ring.fusion for cell in row],
-            [e.coeffs for e in fq],
-        )
-        bad = _first_pair(
-            rank,
-            lambda i, j: CentralElement(tuple(expanded[i * rank + j]))
-            != self.ce_mul(fq[i], fq[j]),
+        fq_rows = [e.coeffs for e in fq]
+        bad = next(  # one matmul per i; row j is sum_k N_ij^k fq[k]
+            (
+                (i, j)
+                for i, cells in enumerate(self.data.ring.fusion)
+                for j, lhs in enumerate(matmul([[rational(n) for n in c] for c in cells], fq_rows))
+                if CentralElement(tuple(lhs)) != self.ce_mul(fq[i], fq[j])
+            ),
+            None,
         )
         checks.append(verdict(
             "drinfeld-multiplicative",

@@ -53,7 +53,6 @@ __all__ = [
     "rational",
     "bilinear",
     "matmul",
-    "triple_sums",
     "lcm",
 ]
 
@@ -159,7 +158,8 @@ def _reduce_buckets(buckets: list[int], n: int) -> list[int]:
 def _width(terms: int, phi_n: int, *tops: int) -> int:
     """Slot width w in bytes for a sum of `terms` products of vectors whose
     numerators are at most tops[m] in size: 8w >= bitlen(B) + 1 for the bound
-    B of the module docstring, rounded up to 1, 2, 4 or 8 below 8 bytes."""
+    B of the module docstring, rounded up to 1, 2, 4 or 8 below 8 bytes so
+    that `_unpack` reads the slots with one `struct.unpack`."""
     w = (terms * phi_n ** (len(tops) - 1) * prod(tops)).bit_length() // 8 + 1
     return w if w > 8 else 1 << (w - 1).bit_length()
 
@@ -172,22 +172,17 @@ def _pack(nums, w: int) -> int:
     return v
 
 
-@cache
-def _offset(w: int, slots: int) -> int:
-    """2^(8w-1) in each of `slots` slots of w bytes."""
-    return int.from_bytes((bytes(w - 1) + b"\x80") * slots, "little")
-
-
 _INT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _unpack(n: int, v: int, w: int, slots: int) -> list[int]:
     """Numerators mod Phi_n of the packed polynomial v with `slots` signed
-    slots of w bytes: adding the offset makes every slot nonnegative, and
-    xor with it leaves each slot in two's complement, read from its bytes."""
+    slots of w bytes: adding 2^(8w-1) to every slot makes each nonnegative,
+    and xor with the same offset leaves each slot in two's complement, read
+    from its bytes."""
     if slots == 1:
         return [v]
-    off = _offset(w, slots)
+    off = int.from_bytes((bytes(w - 1) + b"\x80") * slots, "little")
     raw = ((v + off) ^ off).to_bytes(w * slots, "little")
     code = _INT_CODES.get(w)
     if code:
@@ -527,20 +522,6 @@ def matmul(a_rows, b_rows) -> list[list[Cyclotomic]]:
         [_make(n, _unpack(n, sum(map(mul, row, col)), w, slots), da * db) for col, db in b]
         for row, da in a
     ]
-
-
-def triple_sums(x_rows, z_rows):
-    """Yield ((i, j, k), sum_r x_ir x_jr z_kr) for i <= j and every k, in
-    that order.  Each x_ir x_jr is kept as one unreduced packed product, so
-    every value costs one packed multiply-add per r and one reduction."""
-    n, w, slots, (x, z) = _packing((x_rows, z_rows), [len(z_rows[0])], (0, 0, 1))
-    for i, (xi, di) in enumerate(x):
-        for j in range(i, len(x)):
-            xj, dj = x[j]
-            pair = list(map(mul, xi, xj))
-            for k, (zk, dk) in enumerate(z):
-                v = _unpack(n, sum(map(mul, pair, zk)), w, slots)
-                yield (i, j, k), _make(n, v, di * dj * dk)
 
 
 def bilinear(xs, ys, table) -> list[Cyclotomic]:

@@ -1,7 +1,7 @@
 """Exact cyclotomic arithmetic: construction, field operations, matrices."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +16,6 @@ from fusioncat.cyclotomic import (
     euler_phi,
     matmul,
     rational,
-    triple_sums,
     zeta,
 )
 from fusioncat.errors import SingularMatrixError
@@ -435,9 +434,8 @@ def _ref_sum(n, products):
     return Cyclotomic(n, total)
 
 
-def _kernel_conductor(draw):
-    n = draw(st.sampled_from((5, 8, 12)))
-    return (1, 3, 4, n), n * 12 // gcd(n, 12)
+def _kernel_conductors(draw):
+    return (1, 3, 4, draw(st.sampled_from((5, 8, 12))))
 
 
 @st.composite
@@ -461,48 +459,63 @@ def test_packed_product_matches_reference(case):
     assert _mul_nums(n, xs, ys) == _ref_mul(n, xs, ys)
 
 
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
-@settings(max_examples=80, deadline=None)
-def test_matmul_matches_plain_accumulation(rows, inner, cols, data):
-    conductors, n = _kernel_conductor(data.draw)
-    values = kernel_values(conductors)
-    a = [[data.draw(values) for _ in range(inner)] for _ in range(rows)]
-    b = [[data.draw(values) for _ in range(cols)] for _ in range(inner)]
-    product = matmul(a, b)
-    assert [len(r) for r in product] == [cols] * rows
-    for i in range(rows):
-        for j in range(cols):
-            want = _ref_sum(n, [(a[i][r], b[r][j]) for r in range(inner)])
-            assert product[i][j] == want
-    assert CycloMatrix(a) @ CycloMatrix(b) == CycloMatrix(product)
+@st.composite
+def matmul_cases(draw):
+    values = kernel_values(_kernel_conductors(draw))
+    rows, inner, cols = (draw(st.integers(1, 3)) for _ in range(3))
+    a = [[draw(values) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(values) for _ in range(cols)] for _ in range(inner)]
+    return a, b
 
 
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
-@settings(max_examples=40, deadline=None)
-def test_triple_sums_match_plain_accumulation(rows, inner, others, data):
-    conductors, n = _kernel_conductor(data.draw)
-    values = kernel_values(conductors)
-    x = [[data.draw(values) for _ in range(inner)] for _ in range(rows)]
-    z = [[data.draw(values) for _ in range(inner)] for _ in range(others)]
-    got = list(triple_sums(x, z))
-    assert [key for key, _ in got] == [
-        (i, j, k) for i in range(rows) for j in range(i, rows) for k in range(others)
-    ]
-    for (i, j, k), value in got:
-        assert value == _ref_sum(n, [(x[i][r], x[j][r], z[k][r]) for r in range(inner)])
-
-
-@given(st.integers(1, 4), st.data())
-@settings(max_examples=80, deadline=None)
-def test_bilinear_matches_plain_accumulation(size, data):
-    conductors, n = _kernel_conductor(data.draw)
-    values = kernel_values(conductors)
-    xs = [data.draw(values) for _ in range(size)]
-    ys = [data.draw(values) for _ in range(size)]
+@st.composite
+def bilinear_cases(draw):
+    values = kernel_values(_kernel_conductors(draw))
+    size = draw(st.integers(1, 4))
+    xs = [draw(values) for _ in range(size)]
+    ys = [draw(values) for _ in range(size)]
     cell = st.lists(
         st.tuples(st.integers(0, size - 1), st.integers(-3, 3).filter(bool)), max_size=3
     )
-    table = [[tuple(data.draw(cell)) for _ in range(size)] for _ in range(size)]
+    table = [[tuple(draw(cell)) for _ in range(size)] for _ in range(size)]
+    return xs, ys, table
+
+
+def _constant(n, top):
+    return Cyclotomic(n, [top] * euler_phi(n))
+
+
+# Tight cases: constant +-top vectors whose sum of T = 2 products puts the
+# bound B = T phi top^2 of the module docstring in the middle slot, with
+# bitlen(B) = 72.  The least width is then 10 bytes, and a bound without the
+# factor T or phi, or a slot one bit short, gives 9 bytes, where B overflows.
+TIGHT3 = 2**35 - 1  # at conductor 3: B = 2 * 2 * TIGHT3^2
+TIGHT8 = 2**34  # at conductor 8: B = 2 * 4 * TIGHT8^2 = 2^71
+
+
+@given(matmul_cases())
+@settings(max_examples=80, deadline=None)
+@example(([[_constant(3, TIGHT3)] * 2], [[_constant(3, TIGHT3)]] * 2))
+@example(([[_constant(8, TIGHT8)] * 2], [[_constant(8, -TIGHT8)]] * 2))
+def test_matmul_matches_plain_accumulation(case):
+    a, b = case
+    n = lcm(*(v.conductor for row in a + b for v in row))
+    product = matmul(a, b)
+    assert [len(r) for r in product] == [len(b[0])] * len(a)
+    for i, row in enumerate(a):
+        for j in range(len(b[0])):
+            assert product[i][j] == _ref_sum(n, [(x, b[r][j]) for r, x in enumerate(row)])
+    assert CycloMatrix(a) @ CycloMatrix(b) == CycloMatrix(product)
+
+
+@given(bilinear_cases())
+@settings(max_examples=80, deadline=None)
+@example(([_constant(3, TIGHT3)], [_constant(3, -TIGHT3)], [[((0, 2),)]]))
+@example(([_constant(8, TIGHT8)], [_constant(8, TIGHT8)], [[((0, 1), (0, 1))]]))
+def test_bilinear_matches_plain_accumulation(case):
+    xs, ys, table = case
+    size = len(xs)
+    n = lcm(*(v.conductor for v in xs + ys))
     got = bilinear(xs, ys, table)
     for k in range(size):
         terms = [
