@@ -28,9 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import lcm
 from typing import Optional
 
-from .cyclotomic import Cyclotomic, CycloMatrix, euler_phi, lcm, matmul, rational
+from .cyclotomic import Cyclotomic, CycloMatrix, euler_phi, matmul, rational
 from .errors import (
     CapabilityError,
     DegenerateError,
@@ -90,9 +91,6 @@ class FusionRing:
     @property
     def rank(self) -> int:
         return len(self.labels)
-
-    def n(self, i: int, j: int, k: int) -> int:
-        return self.fusion[i][j][k]
 
     @cached_property
     def nonzero(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:

@@ -61,12 +61,7 @@ def centralizer_smatrix(
     alg: CharacterAlgebra, subcat: FusionSubcategory
 ) -> FusionSubcategory:
     """Objects whose s-matrix pairing with all of D degenerates to d_i d_j."""
-    s = alg.require_s()
-    members = tuple(
-        j
-        for j in range(alg.rank)
-        if all(s.rows[i][j] == alg.dims[i] * alg.dims[j] for i in subcat.members)
-    )
+    members = alg.s_centralizer(subcat.members)
     closed = generate_subcat(alg, members)
     if closed.members != members:
         raise NotRibbonConsistentError(

@@ -22,16 +22,24 @@ preimages cbar_j = F^{-1}(F_j) (the class sums), class sizes
 |C^j| = dim(C) tau(F_j) and multiplicities n_j = dim(C)/|C^j|.  For modular
 data the F_j are labelled by simple objects through the closed form
 F_j = (d_j / dim C) sum_i s_{i* j} chi_i, which makes drinfeld(F_j) = E_j; for a
-plain fusion ring they come from exact inversion of a supplied character
-table, with the column equal to the dimension vector moved to slot 0.
+plain fusion ring F_j is the row of the supplied character table's inverse
+(kept by the matrix since validation) at the column behind class j, the
+column equal to the dimension vector being class 0.
 
 identity_suite runs every exact identity the machinery promises and reports
-one Check per identity; on modular input all of them must pass.
+one Check per identity; on modular input all of them must pass.  One matmul
+gives drinfeld(F_j) for every j.  Identities with a class size |C^j| in a
+denominator are multiplied through by it (conjugacy() certifies it nonzero).
+The class-sum law cbar_i cbar_j = sum_l c_ij^l cbar_l is d_i d_j times the
+fusion law of y_l = cbar_l / d_l, checked in one pass with drinfeld's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby, product
+from operator import itemgetter
 
 from .category import CategoryData, Check, verdict
 from .cyclotomic import Cyclotomic, CycloMatrix, bilinear, matmul, rational
@@ -119,7 +127,6 @@ class CharacterAlgebra:
         self.dim_inv = data.dim.inv()
         self._dims_inv = tuple(d.inv() for d in self.dims)
         self._conjugacy: ConjugacyData | None = None
-        self._drinfeld_basis: tuple[CentralElement, ...] | None = None
 
     # -- basis vectors ------------------------------------------------------
 
@@ -228,33 +235,29 @@ class CharacterAlgebra:
 
     def drinfeld(self, f: ClassFunction) -> CentralElement:
         """drinfeld(chi_i) = sum_j (s_ij / d_j) E_j, extended linearly: one matmul."""
-        (image,) = matmul([f.coeffs], [e.coeffs for e in self._drinfeld_characters()])
+        (image,) = matmul([f.coeffs], [e.coeffs for e in self._drinfeld_characters])
         return CentralElement(tuple(image))
 
+    @cached_property
     def _drinfeld_characters(self) -> tuple[CentralElement, ...]:
         """drinfeld(chi_i) for every i: row i of s with column j divided by d_j."""
-        if self._drinfeld_basis is None:
-            self._drinfeld_basis = tuple(
-                CentralElement(tuple(v * d for v, d in zip(row, self._dims_inv)))
-                for row in self.require_s().rows
-            )
-        return self._drinfeld_basis
+        return tuple(
+            CentralElement(tuple(v * d for v, d in zip(row, self._dims_inv)))
+            for row in self.require_s().rows
+        )
+
+    def s_centralizer(self, members) -> tuple[int, ...]:
+        """Objects j with s_ij = d_i d_j for every i in members."""
+        s = self.require_s()
+        return tuple(
+            j
+            for j in range(self.rank)
+            if all(s.rows[i][j] == self.dims[i] * self.dims[j] for i in members)
+        )
 
     def transparent_members(self) -> tuple[int, ...]:
-        """Objects j with s_ij = d_i d_j for every i (the Mueger center)."""
-        s = self.require_s()
-        out = []
-        for j in range(self.rank):
-            if all(
-                s.rows[i][j] == self.dims[i] * self.dims[j] for i in range(self.rank)
-            ):
-                out.append(j)
-        return tuple(out)
-
-    # -- character table --------------------------------------------------------
-
-    def alpha(self) -> CycloMatrix:
-        return self.conjugacy().alpha
+        """The centralizer of the whole category (the Mueger center)."""
+        return self.s_centralizer(range(self.rank))
 
     # -- conjugacy class data ----------------------------------------------------
 
@@ -264,7 +267,7 @@ class CharacterAlgebra:
         rank = self.rank
         if self.data.modular is not None:
             s = self.data.modular.s
-            alpha = CycloMatrix([e.coeffs for e in self._drinfeld_characters()])
+            alpha = CycloMatrix([e.coeffs for e in self._drinfeld_characters])
             column_order = tuple(range(rank))
             idempotents = []
             for j in range(rank):
@@ -296,17 +299,11 @@ class CharacterAlgebra:
             column_order = (dim_cols[0],) + tuple(
                 j for j in range(rank) if j != dim_cols[0]
             )
-            alpha = CycloMatrix(
-                [
-                    [table.rows[i][c] for c in column_order]
-                    for i in range(rank)
-                ]
-            )
-            inv = alpha.inverse()
-            idempotents = [
-                ClassFunction(tuple(inv.rows[j][i] for i in range(rank)))
-                for j in range(rank)
-            ]
+            alpha = CycloMatrix([[row[c] for c in column_order] for row in table.rows])
+            # alpha is the table with its columns permuted, so F_c, row c of
+            # alpha^-1, is row column_order[c] of the table's own inverse
+            inv = table.inverse()
+            idempotents = [ClassFunction(inv.rows[c]) for c in column_order]
 
         # Exact certification: orthogonal, complete, F_0 = cointegral.
         for j in range(rank):
@@ -317,10 +314,7 @@ class CharacterAlgebra:
                     raise InternalConsistencyError(
                         f"class idempotents are not orthogonal at ({j}, {k})"
                     )
-        total = self.cf_zero()
-        for f in idempotents:
-            total = total + f
-        if total != self.character(0):
+        if sum(idempotents, self.cf_zero()) != self.character(0):
             raise InternalConsistencyError("class idempotents do not sum to chi_0")
         if idempotents[0] != self.cointegral():
             raise InternalConsistencyError("F_0 is not the cointegral")
@@ -341,22 +335,51 @@ class CharacterAlgebra:
         )
         return self._conjugacy
 
-    def class_sum_product(self, i: int, j: int) -> ClassSumProduct:
-        """Structure constants of the class sums, verified against ce_mul."""
+    def _fusion_law(self, families, pairs) -> list[tuple[int, int] | None]:
+        """For each family x of central elements, the first (i, j) of `pairs`
+        (in row-major order) with sum_k N_ij^k x_k != x_i x_j, or None.  A
+        family is read only at i, j and the k with N_ij^k != 0.  Per i, one
+        matmul of the fusion rows N_ij over those k against the rows of all
+        families side by side; it stops once every family has failed."""
+        rank, ring = self.rank, self.data.ring
+        first = [None] * len(families)
+        for i, group in groupby(pairs, key=itemgetter(0)):
+            js = [j for _, j in group]
+            ks = sorted({k for j in js for k, _ in ring.nonzero[i][j]})
+            sums = matmul(
+                [[rational(ring.fusion[i][j][k]) for k in ks] for j in js],
+                [[c for x in families for c in x[k].coeffs] for k in ks],
+            )
+            for j, row in zip(js, sums):
+                for f, x in enumerate(families):
+                    lhs = CentralElement(tuple(row[f * rank:(f + 1) * rank]))
+                    if first[f] is None and lhs != self.ce_mul(x[i], x[j]):
+                        first[f] = (i, j)
+            if None not in first:
+                break
+        return first
+
+    @cached_property
+    def _scaled_class_sums(self) -> tuple[CentralElement, ...]:
+        """y_l = cbar_l / d_l.  For c_ij^l = d_i d_j N_ij^l / d_l,
+        sum_l c_ij^l cbar_l = d_i d_j sum_l N_ij^l y_l and cbar_i cbar_j =
+        d_i d_j (y_i y_j).  Every d_i is nonzero (__init__ inverts each one),
+        so the class-sum law and the fusion law of the y_l fail at exactly
+        the same pairs."""
         conj = self.conjugacy()
-        constants = [rational(0)] * self.rank
-        lhs = self.ce_mul(conj.class_sums[i], conj.class_sums[j])
-        dij = self.dims[i] * self.dims[j]
-        terms = self.data.ring.nonzero[i][j]
-        for l, n in terms:
-            constants[l] = dij * self._dims_inv[l] * n
-        (acc,) = matmul(
-            [[constants[l] for l, _ in terms]], [conj.class_sums[l].coeffs for l, _ in terms]
-        )
-        if lhs != CentralElement(tuple(acc)):
+        return tuple(c.scaled(d) for c, d in zip(conj.class_sums, self._dims_inv))
+
+    def class_sum_product(self, i: int, j: int) -> ClassSumProduct:
+        """Structure constants of the class sums, verified against ce_mul
+        through the fusion law of the y_l (one routine with the suite)."""
+        if self._fusion_law((self._scaled_class_sums,), [(i, j)]) != [None]:
             raise InternalConsistencyError(
                 f"class sum product ({i}, {j}) does not match its expansion"
             )
+        constants = [rational(0)] * self.rank
+        dij = self.dims[i] * self.dims[j]
+        for l, n in self.data.ring.nonzero[i][j]:
+            constants[l] = dij * self._dims_inv[l] * n
         return ClassSumProduct(
             constants=tuple(constants),
             rational_flags=tuple(c.is_rational() for c in constants),
@@ -434,11 +457,11 @@ class CharacterAlgebra:
                 "" if bad is None else f"sum_i n_i F_i (x) F_i wrong at {bad}",
             ))
 
-            def wrong(i, j):
-                val = conj.class_sums[j].coeffs[i] * self.dims[i] * conj.sizes[j].inv()
-                return conj.alpha.rows[i][j] != val
-
-            bad = _first_pair(rank, wrong)
+            bad = _first_pair(  # alpha_ij = <chi_i, cbar_j> / |C^j|, times |C^j|
+                rank,
+                lambda i, j: conj.alpha.rows[i][j] * conj.sizes[j]
+                != conj.class_sums[j].coeffs[i] * self.dims[i],
+            )
             checks.append(verdict(
                 "char-table-class-pairing",
                 bad is None,
@@ -458,11 +481,13 @@ class CharacterAlgebra:
 
             rows = conj.alpha.rows  # sum_j alpha_ji alpha_{j* l}
             columns = matmul(list(zip(*rows)), [rows[self.dual[j]] for j in range(rank)])
-            bad = _first_pair(
-                rank,
-                lambda i, l: columns[i][l]
-                != (self.dim * conj.sizes[i].inv() if i == l else rational(0)),
-            )
+
+            def wrong(i, l):  # the diagonal dim C / |C^i|, times |C^i|
+                if i == l:
+                    return columns[i][i] * conj.sizes[i] != self.dim
+                return not columns[i][l].is_zero()
+
+            bad = _first_pair(rank, wrong)
             checks.append(verdict(
                 "second-orthogonality",
                 bad is None,
@@ -485,12 +510,14 @@ class CharacterAlgebra:
                 checks.append(Check(cid, "skip", "needs an s-matrix"))
             return checks
 
-        fq = self._drinfeld_characters()
+        fq = self._drinfeld_characters
         conj = self.conjugacy()
+        images = [  # row j is drinfeld(F_j)
+            CentralElement(tuple(row))
+            for row in matmul([f.coeffs for f in conj.idempotents], [e.coeffs for e in fq])
+        ]
 
-        checks.append(verdict(
-            "integral-image", self.drinfeld(conj.idempotents[0]) == self.idempotent(0)
-        ))
+        checks.append(verdict("integral-image", images[0] == self.idempotent(0)))
 
         bad = _first_pair(
             rank,
@@ -503,9 +530,8 @@ class CharacterAlgebra:
             "" if bad is None else f"d_j alpha_ij != d_i alpha_ji at {bad}",
         ))
 
-        def wrong(i):
-            want = conj.class_sums[i].scaled(self.dims[i] * conj.sizes[i].inv())
-            return fq[i] != want
+        def wrong(i):  # drinfeld(chi_i) = (d_i / |C^i|) cbar_i, times |C^i|
+            return fq[i].scaled(conj.sizes[i]) != conj.class_sums[i].scaled(self.dims[i])
 
         bad = next(filter(wrong, range(rank)), None)
         checks.append(verdict(
@@ -537,42 +563,27 @@ class CharacterAlgebra:
             "" if not bad else f"|C^j| != d_j^2 at {bad}",
         ))
 
-        flags = []
-        try:
-            for i in range(rank):
-                for j in range(rank):
-                    flags.append(self.class_sum_product(i, j).all_rational)
-            checks.append(verdict(
-                "class-sum-algebra",
-                True,
-                "all structure constants rational"
-                if all(flags)
-                else "verified; some constants irrational",
-            ))
-        except InternalConsistencyError as e:
-            checks.append(verdict("class-sum-algebra", False, str(e)))
-
-        fq_rows = [e.coeffs for e in fq]
-        bad = next(  # one matmul per i; row j is sum_k N_ij^k fq[k]
-            (
-                (i, j)
-                for i, cells in enumerate(self.data.ring.fusion)
-                for j, lhs in enumerate(matmul([[rational(n) for n in c] for c in cells], fq_rows))
-                if CentralElement(tuple(lhs)) != self.ce_mul(fq[i], fq[j])
-            ),
-            None,
+        bad_sums, bad = self._fusion_law(
+            (self._scaled_class_sums, fq), product(range(rank), repeat=2)
         )
+        if bad_sums is not None:
+            detail = f"class sum product {bad_sums} does not match its expansion"
+        elif all(
+            (self.dims[i] * self.dims[j] * self._dims_inv[l]).is_rational()
+            for i, j in product(range(rank), repeat=2)
+            for l, _ in self.data.ring.nonzero[i][j]
+        ):
+            detail = "all structure constants rational"
+        else:
+            detail = "verified; some constants irrational"
+        checks.append(verdict("class-sum-algebra", bad_sums is None, detail))
         checks.append(verdict(
             "drinfeld-multiplicative",
             bad is None,
             "" if bad is None else f"drinfeld map not multiplicative at {bad}",
         ))
 
-        bad = [
-            j
-            for j in range(rank)
-            if self.drinfeld(conj.idempotents[j]) != self.idempotent(j)
-        ]
+        bad = [j for j in range(rank) if images[j] != self.idempotent(j)]
         checks.append(verdict(
             "drinfeld-idempotent-match",
             not bad,

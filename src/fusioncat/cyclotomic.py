@@ -44,7 +44,6 @@ from struct import unpack
 from .errors import SingularMatrixError
 
 __all__ = [
-    "Rational",
     "Cyclotomic",
     "CycloMatrix",
     "cyclotomic_polynomial",
@@ -53,12 +52,7 @@ __all__ = [
     "rational",
     "bilinear",
     "matmul",
-    "lcm",
 ]
-
-# Exact rational scalar used throughout; fractions.Fraction already keeps
-# lowest terms and a positive denominator, which is all the contract asks.
-Rational = Fraction
 
 
 @cache
@@ -552,7 +546,7 @@ def bilinear(xs, ys, table) -> list[Cyclotomic]:
 class CycloMatrix:
     """Immutable matrix over a cyclotomic field, all entries at one conductor."""
 
-    __slots__ = ("nrows", "ncols", "rows", "conductor")
+    __slots__ = ("nrows", "ncols", "rows", "conductor", "_inverse")
     __hash__ = None
 
     def __init__(self, rows):
@@ -616,16 +610,15 @@ class CycloMatrix:
             for j in range(i + 1, self.ncols)
         )
 
-    def scale(self, c) -> "CycloMatrix":
-        if not isinstance(c, Cyclotomic):
-            c = Cyclotomic.from_rational(c)
-        return CycloMatrix([[c * v for v in row] for row in self.rows])
-
     def inverse(self) -> "CycloMatrix":
         """Exact Gauss-Jordan; pivot is the first nonzero entry in the column
         (no magnitude heuristics needed over an exact field).  A column with
         no pivot is skipped and elimination goes on, so the number of pivots
-        found is the rank that SingularMatrixError carries."""
+        found is the rank that SingularMatrixError carries.  The matrix is
+        immutable, so it keeps its inverse once found; a singular matrix
+        raises on every call."""
+        if hasattr(self, "_inverse"):
+            return self._inverse
         if self.nrows != self.ncols:
             raise ValueError("inverse of non-square matrix")
         k = self.nrows
@@ -656,7 +649,8 @@ class CycloMatrix:
             rank += 1
         if rank < k:
             raise SingularMatrixError(rank=rank)
-        return CycloMatrix([row[k:] for row in work])
+        object.__setattr__(self, "_inverse", CycloMatrix([row[k:] for row in work]))
+        return self._inverse
 
     def __repr__(self):
         return f"CycloMatrix({self.nrows}x{self.ncols}, conductor {self.conductor})"

@@ -286,7 +286,7 @@ def join(alg: CharacterAlgebra, a: FusionSubcategory, b: FusionSubcategory) -> F
 
 def kernel_of_object(alg: CharacterAlgebra, i: int) -> tuple[int, ...]:
     """Classes on which chi_i takes its maximal value d_i."""
-    alpha = alg.alpha()
+    alpha = alg.conjugacy().alpha
     return tuple(j for j in range(alg.rank) if alpha.rows[i][j] == alg.dims[i])
 
 

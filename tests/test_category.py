@@ -16,6 +16,7 @@ from fusioncat import (
     catalog_input,
     catalog_names,
     load_category,
+    load_input,
     parse_category,
     save_category,
     validate_input,
@@ -316,6 +317,30 @@ def test_build_validates_once_and_runs_verlinde_at_most_once(
     assert calls["validate_input"] == 1
     # a catalog entry may reuse the ring its input derived earlier
     assert calls["verlinde_fusion"] <= (1 if kind == "modular" else 0)
+
+
+@pytest.mark.parametrize("kind", ["modular", "fusion_ring"])
+def test_verify_inverts_one_matrix_once(kind, tmp_path, monkeypatch):
+    # validation inverts the s-matrix or the character table, and conjugacy
+    # data of a fusion ring needs the table's inverse again: one Gauss-Jordan
+    # elimination serves both, so every call returns the same matrix object
+    path = tmp_path / "ising.json"
+    save_category(catalog_get("ising"), path, kind=kind)
+    inverse = CycloMatrix.inverse
+    calls = []
+
+    def counted(self):
+        out = inverse(self)
+        calls.append((self, out))
+        return out
+
+    monkeypatch.setattr(CycloMatrix, "inverse", counted)
+    assert run(["verify", "--file", str(path)]) == 0
+    eliminated = {id(out): m for m, out in calls}
+    inp = load_input(path)
+    assert list(eliminated.values()) == [
+        inp.s_matrix if kind == "modular" else inp.char_table
+    ]
 
 
 def test_unknown_catalog_name():

@@ -2,6 +2,7 @@
 conjugacy data.  The frozen numbers below were derived once by hand from the
 defining formulas and pinned."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from fusioncat import (
     catalog_get,
     catalog_names,
 )
-from fusioncat.cyclotomic import Cyclotomic, bilinear, euler_phi, rational, zeta
+from fusioncat.cyclotomic import CycloMatrix, Cyclotomic, bilinear, euler_phi, rational, zeta
 
 GOLDEN = -zeta(5, 2) - zeta(5, 3)
 
@@ -302,6 +303,25 @@ def test_conjugacy_from_char_table_matches_modular(algs):
         assert a.idempotents == b.idempotents
 
 
+@pytest.mark.parametrize("name", ["toric_code", "ising", "fibonacci", "vec_z4"])
+def test_conjugacy_from_permuted_char_table(name, algs):
+    # with the dimension column moved last, class c still comes from the
+    # table column behind it, so the classes are the modular ones
+    from fusioncat.category import category_to_input, build_category
+
+    inp = category_to_input(catalog_get(name), kind="fusion_ring")
+    rows = [row[1:] + row[:1] for row in inp.char_table.rows]
+    inp = dataclasses.replace(inp, char_table=CycloMatrix(rows))
+    got = CharacterAlgebra(build_category(inp)).conjugacy()
+    want = algs[name].conjugacy()
+    rank = len(rows)
+    assert got.column_order == (rank - 1, *range(rank - 1))
+    assert got.alpha == want.alpha
+    assert got.idempotents == want.idempotents
+    assert got.class_sums == want.class_sums
+    assert got.sizes == want.sizes
+
+
 def test_class_sum_product_toric(algs):
     p = algs["toric_code"].class_sum_product(1, 2)
     assert p.constants == (rational(0), rational(0), rational(0), rational(1))
@@ -368,3 +388,139 @@ def test_identity_suite_reports_first_witness():
         "fail",
         "drinfeld map not multiplicative at (0, 0)",
     )
+
+
+def test_class_sum_algebra_reports_first_witness():
+    # doubled products of central elements break every class-sum product;
+    # the report names the first pair
+    alg = CharacterAlgebra(catalog_get("toric_code"))
+    ce_mul = alg.ce_mul
+    alg.ce_mul = lambda a, b: ce_mul(a, b).scaled(2)
+    checks = {c.check_id: c for c in alg.identity_suite()}
+    law = checks["class-sum-algebra"]
+    assert (law.status, law.detail) == (
+        "fail",
+        "class sum product (0, 0) does not match its expansion",
+    )
+
+
+SUITE_IDS = (
+    "cointegral-normalized",
+    "fourier-roundtrip",
+    "fourier-action-consistency",
+    "idempotent-orthogonality",
+    "idempotent-complete",
+    "class-size-pairing",
+    "dual-bases-exchange",
+    "char-table-class-pairing",
+    "class-sum-expansion",
+    "second-orthogonality",
+    "integral-image",
+    "char-table-symmetry",
+    "drinfeld-class-sum",
+    "counit-dimension",
+    "transparent-cointegral-unit",
+    "class-size-dim-square",
+    "class-sum-algebra",
+    "drinfeld-multiplicative",
+    "drinfeld-idempotent-match",
+)
+
+
+def _corrupt(conj, what):
+    """ConjugacyData with one entry of class 1 broken; the rest, the
+    multiplicities included, left as they are."""
+    sums, sizes = list(conj.class_sums), list(conj.sizes)
+    if what == "class sum x2":
+        sums[1] = sums[1].scaled(2)
+    elif what == "size +1":
+        sizes[1] = sizes[1] + 1
+    elif what == "alpha entry +1":
+        rows = [list(row) for row in conj.alpha.rows]
+        rows[1][-1] = rows[1][-1] + 1
+        return dataclasses.replace(conj, alpha=CycloMatrix(rows))
+    else:  # "class-sum entry +1"
+        coeffs = list(sums[1].coeffs)
+        coeffs[-1] = coeffs[-1] + 1
+        sums[1] = CentralElement(tuple(coeffs))
+    return dataclasses.replace(conj, class_sums=tuple(sums), sizes=tuple(sizes))
+
+
+RATIONAL = ("pass", "all structure constants rational")
+IRRATIONAL = ("pass", "verified; some constants irrational")
+PRODUCT_11 = ("fail", "class sum product (1, 1) does not match its expansion")
+
+# Every check that does not read ("pass", "") after the corruption, pinned
+# from the suite as it stood before the fusion-law checks shared one pass:
+# what a corruption does on every entry, then what it does on each.
+COMMON = {
+    "class sum x2": {
+        "class-size-pairing": ("fail", "<F_i, cbar_j> wrong at (1, 1)"),
+        "char-table-class-pairing": ("fail", "alpha_ij != <chi_i, cbar_j>/|C^j| at (0, 1)"),
+        "class-sum-expansion": ("fail", "cbar_i expansion wrong at (1, 0)"),
+        "drinfeld-class-sum": ("fail", "drinfeld(chi_i) != (d_i/|C^i|) cbar_i at i=1"),
+        "class-sum-algebra": PRODUCT_11,
+    },
+    "size +1": {
+        "class-size-pairing": ("fail", "<F_i, cbar_j> wrong at (1, 1)"),
+        "char-table-class-pairing": ("fail", "alpha_ij != <chi_i, cbar_j>/|C^j| at (0, 1)"),
+        "class-sum-expansion": ("fail", "cbar_i expansion wrong at (1, 0)"),
+        "second-orthogonality": ("fail", "column orthogonality wrong at (1, 1)"),
+        "drinfeld-class-sum": ("fail", "drinfeld(chi_i) != (d_i/|C^i|) cbar_i at i=1"),
+        "class-size-dim-square": ("fail", "|C^j| != d_j^2 at [1]"),
+    },
+    "alpha entry +1": {},
+    "class-sum entry +1": {
+        "class-size-pairing": ("fail", "<F_i, cbar_j> wrong at (0, 1)"),
+        "drinfeld-class-sum": ("fail", "drinfeld(chi_i) != (d_i/|C^i|) cbar_i at i=1"),
+        "class-sum-algebra": PRODUCT_11,
+    },
+}
+RANK3 = {  # ising and vec_z3 read alike
+    "class sum x2": {},
+    "size +1": {"class-sum-algebra": RATIONAL},
+    "alpha entry +1": {
+        "char-table-class-pairing": ("fail", "alpha_ij != <chi_i, cbar_j>/|C^j| at (1, 2)"),
+        "class-sum-expansion": ("fail", "cbar_i expansion wrong at (2, 1)"),
+        "second-orthogonality": ("fail", "column orthogonality wrong at (0, 2)"),
+        "char-table-symmetry": ("fail", "d_j alpha_ij != d_i alpha_ji at (1, 2)"),
+        "class-sum-algebra": RATIONAL,
+    },
+    "class-sum entry +1": {
+        "char-table-class-pairing": ("fail", "alpha_ij != <chi_i, cbar_j>/|C^j| at (2, 1)"),
+        "class-sum-expansion": ("fail", "cbar_i expansion wrong at (1, 2)"),
+    },
+}
+PER_ENTRY = {
+    "fibonacci": {
+        "class sum x2": {},
+        "size +1": {"class-sum-algebra": IRRATIONAL},
+        "alpha entry +1": {
+            "char-table-class-pairing": ("fail", "alpha_ij != <chi_i, cbar_j>/|C^j| at (1, 1)"),
+            "class-sum-expansion": ("fail", "cbar_i expansion wrong at (1, 1)"),
+            "second-orthogonality": ("fail", "column orthogonality wrong at (0, 1)"),
+            "class-sum-algebra": IRRATIONAL,
+        },
+        "class-sum entry +1": {
+            "char-table-class-pairing": ("fail", "alpha_ij != <chi_i, cbar_j>/|C^j| at (1, 1)"),
+            "class-sum-expansion": ("fail", "cbar_i expansion wrong at (1, 1)"),
+        },
+    },
+    "ising": RANK3,
+    "vec_z3": RANK3,
+}
+
+
+@pytest.mark.parametrize("name", list(PER_ENTRY))
+@pytest.mark.parametrize("what", list(COMMON))
+def test_identity_suite_on_corrupted_conjugacy_data(name, what):
+    alg = CharacterAlgebra(catalog_get(name))
+    alg._conjugacy = _corrupt(alg.conjugacy(), what)
+    deviations = {
+        "transparent-cointegral-unit": ("pass", "transparent objects: [0]"),
+        **COMMON[what],
+        **PER_ENTRY[name][what],
+    }
+    want = [(cid, *deviations.get(cid, ("pass", ""))) for cid in SUITE_IDS]
+    got = [(c.check_id, c.status, c.detail) for c in alg.identity_suite()]
+    assert got == want
