@@ -20,7 +20,7 @@ import io
 
 from fusioncat import catalog_input, catalog_names, load_input
 from fusioncat.cli import run
-from fusioncat.errors import SchemaError
+from fusioncat.errors import CapabilityError, SchemaError
 
 COMMANDS = ("validate", "info", "subcats", "classes", "grading", "verify")
 
@@ -30,7 +30,7 @@ def _labels(source):
     kind, where = source
     try:
         return (catalog_input if kind == "--catalog" else load_input)(where).labels
-    except (KeyError, SchemaError):
+    except (KeyError, SchemaError, CapabilityError):
         return ()
 
 

@@ -63,15 +63,31 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# Largest conductor a file may declare: the first sum at conductor n builds an
+# n * phi(n)-entry monomial table, which takes seconds from about n = 10000.
+CONDUCTOR_LIMIT = 1000
 
 
-@dataclass(frozen=True)
-class Check:
+class _Frozen:
+    """Read-only record: __init__ sets each slot via object.__setattr__; writes raise."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Check(_Frozen):
     """Outcome of one named invariant check."""
 
-    check_id: str
-    status: str  # "pass" | "fail" | "skip"
-    detail: str = ""
+    __slots__ = ("check_id", "status", "detail")
+
+    def __init__(self, check_id: str, status: str, detail: str = ""):
+        object.__setattr__(self, "check_id", check_id)
+        object.__setattr__(self, "status", status)  # "pass" | "fail" | "skip"
+        object.__setattr__(self, "detail", detail)
 
 
 def verdict(check_id: str, ok: bool, detail: str = "") -> Check:
@@ -79,14 +95,16 @@ def verdict(check_id: str, ok: bool, detail: str = "") -> Check:
     return Check(check_id, "pass" if ok else "fail", detail)
 
 
-@dataclass(frozen=True)
-class FusionRing:
+class FusionRing(_Frozen):
     """Fusion coefficients N[i][j][k] with the derived duality involution.
     Index 0 is always the unit object."""
 
-    labels: tuple[str, ...]
-    fusion: tuple[tuple[tuple[int, ...], ...], ...]
-    dual: tuple[int, ...]
+    __slots__ = ("labels", "fusion", "dual", "__dict__")  # __dict__ holds nonzero
+
+    def __init__(self, labels: tuple[str, ...], fusion: tuple, dual: tuple[int, ...]):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "fusion", fusion)  # tuple[tuple[tuple[int, ...], ...], ...]
+        object.__setattr__(self, "dual", dual)
 
     @property
     def rank(self) -> int:
@@ -104,30 +122,37 @@ class FusionRing:
             raise KeyError(f"no simple object labelled {label!r}") from None
 
 
-@dataclass(frozen=True)
-class PivotalData:
+class PivotalData(_Frozen):
     """Pivotal (quantum) dimensions of the simple objects."""
 
-    dims: tuple[Cyclotomic, ...]
+    __slots__ = ("dims",)
+
+    def __init__(self, dims: tuple[Cyclotomic, ...]):
+        object.__setattr__(self, "dims", dims)
 
 
-@dataclass(frozen=True)
-class ModularData:
+class ModularData(_Frozen):
     """Unnormalized s-matrix; twists are stored if given but only checked
     to be roots of unity."""
 
-    s: CycloMatrix
-    twists: Optional[tuple[Cyclotomic, ...]] = None
+    __slots__ = ("s", "twists")
+
+    def __init__(self, s: CycloMatrix, twists: Optional[tuple[Cyclotomic, ...]] = None):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "twists", twists)
 
 
-@dataclass(frozen=True)
-class CategoryData:
-    name: str
-    ring: FusionRing
-    pivotal: PivotalData
-    modular: Optional[ModularData]
-    char_table: Optional[CycloMatrix]
-    dim: Cyclotomic  # global dimension, sum_i d_i d_{i*}
+class CategoryData(_Frozen):
+    __slots__ = ("name", "ring", "pivotal", "modular", "char_table", "dim")
+
+    def __init__(self, name: str, ring: FusionRing, pivotal: PivotalData,
+                 modular: ModularData | None, char_table: CycloMatrix | None, dim: Cyclotomic):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "pivotal", pivotal)
+        object.__setattr__(self, "modular", modular)
+        object.__setattr__(self, "char_table", char_table)
+        object.__setattr__(self, "dim", dim)  # global dimension, sum_i d_i d_{i*}
 
     @property
     def rank(self) -> int:
@@ -467,12 +492,8 @@ def assemble_category(inp: CategoryInput) -> CategoryData:
 
     ring = FusionRing(labels=inp.labels, fusion=fusion, dual=dual)
     return CategoryData(
-        name=inp.name,
-        ring=ring,
-        pivotal=PivotalData(dims=dims),
-        modular=modular,
-        char_table=char_table,
-        dim=global_dim(dims, dual),
+        name=inp.name, ring=ring, pivotal=PivotalData(dims=dims), modular=modular,
+        char_table=char_table, dim=global_dim(dims, dual),
     )
 
 
@@ -551,6 +572,8 @@ def parse_category(obj) -> CategoryInput:
     conductor = obj["conductor"]
     if not isinstance(conductor, int) or isinstance(conductor, bool) or conductor < 1:
         raise SchemaError(f"conductor: expected a positive integer, got {conductor!r}")
+    if conductor > CONDUCTOR_LIMIT:
+        raise CapabilityError(f"conductor {conductor} is past the limit {CONDUCTOR_LIMIT}")
     labels = obj["labels"]
     if (
         not isinstance(labels, list)

@@ -19,9 +19,7 @@ support(D') = members(D), the duality (D')' = D and dim D * dim D' = dim C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .category import Check, verdict
+from .category import Check, _Frozen, verdict
 from .charalg import CentralElement, CharacterAlgebra
 from .errors import CapabilityError, NotRibbonConsistentError
 from .lattice import (
@@ -41,12 +39,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CentralizerResult:
-    subcat: FusionSubcategory
-    smatrix_route: FusionSubcategory
-    transform_route: FusionSubcategory
-    image: CentralElement  # drinfeld(lambda_D)
+class CentralizerResult(_Frozen):
+    __slots__ = ("subcat", "smatrix_route", "transform_route", "image")
+
+    def __init__(self, subcat: FusionSubcategory, smatrix_route: FusionSubcategory,
+                 transform_route: FusionSubcategory, image: CentralElement):
+        object.__setattr__(self, "subcat", subcat)
+        object.__setattr__(self, "smatrix_route", smatrix_route)
+        object.__setattr__(self, "transform_route", transform_route)
+        object.__setattr__(self, "image", image)  # drinfeld(lambda_D)
 
     @property
     def agreed(self) -> bool:

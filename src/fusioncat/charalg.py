@@ -41,7 +41,7 @@ from functools import cached_property
 from itertools import groupby, product
 from operator import itemgetter
 
-from .category import CategoryData, Check, verdict
+from .category import CategoryData, Check, _Frozen, verdict
 from .cyclotomic import Cyclotomic, CycloMatrix, bilinear, matmul, rational
 from .errors import CapabilityError, InternalConsistencyError
 
@@ -61,12 +61,17 @@ def _first_pair(rank: int, wrong):
     )
 
 
-@dataclass(frozen=True)
-class _Vector:
+class _Vector(_Frozen):
     """Coefficient vector over a basis; the subclass names the basis, and
-    vectors over different bases never compare equal."""
+    vectors over different bases never compare equal.  Unhashable."""
 
-    coeffs: tuple[Cyclotomic, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Cyclotomic, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(coeffs={self.coeffs!r})"
 
     def __add__(self, other):
         return type(self)(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -88,9 +93,13 @@ class _Vector:
 class ClassFunction(_Vector):
     """Coefficients over the irreducible characters chi_i."""
 
+    __slots__ = ()
+
 
 class CentralElement(_Vector):
     """Coefficients over the primitive central idempotents E_j."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -103,12 +112,14 @@ class ConjugacyData:
     column_order: tuple[int, ...]  # original columns behind each class index
 
 
-@dataclass(frozen=True)
-class ClassSumProduct:
+class ClassSumProduct(_Frozen):
     """cbar_i cbar_j = sum_l c_ij^l cbar_l with c_ij^l = (d_i d_j / d_l) N_ij^l."""
 
-    constants: tuple[Cyclotomic, ...]
-    rational_flags: tuple[bool, ...]
+    __slots__ = ("constants", "rational_flags")
+
+    def __init__(self, constants: tuple[Cyclotomic, ...], rational_flags: tuple[bool, ...]):
+        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "rational_flags", rational_flags)
 
     @property
     def all_rational(self) -> bool:
@@ -380,10 +391,7 @@ class CharacterAlgebra:
         dij = self.dims[i] * self.dims[j]
         for l, n in self.data.ring.nonzero[i][j]:
             constants[l] = dij * self._dims_inv[l] * n
-        return ClassSumProduct(
-            constants=tuple(constants),
-            rational_flags=tuple(c.is_rational() for c in constants),
-        )
+        return ClassSumProduct(tuple(constants), tuple(c.is_rational() for c in constants))
 
     # -- identity suite -----------------------------------------------------------
 

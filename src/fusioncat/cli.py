@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import catalog_get, catalog_input, catalog_names
@@ -58,18 +57,22 @@ __all__ = ["main", "run", "full_suite", "Report", "Section"]
 # report model and rendering
 
 
-@dataclass
 class Section:
-    title: str
-    rows: list  # (key, value) pairs; values are cells, see below
+    __slots__ = ("title", "rows")
+
+    def __init__(self, title: str, rows: list):
+        self.title = title
+        self.rows = rows  # (key, value) pairs; values are cells, see below
 
 
-@dataclass
 class Report:
-    command: str
-    category: str
-    sections: list
-    checks: list
+    __slots__ = ("command", "category", "sections", "checks")
+
+    def __init__(self, command: str, category: str, sections: list, checks: list):
+        self.command = command
+        self.category = category
+        self.sections = sections
+        self.checks = checks
 
 
 def _cell_text(v) -> str:
@@ -264,14 +267,11 @@ def _cmd_centralizer(args) -> Report:
     data = _get_category(args)
     alg = CharacterAlgebra(data)
     labels = data.ring.labels
-    index_of = data.ring.index_of
-    try:
-        generators = [index_of(lab.strip()) for lab in args.subcat.split(",")]
-    except KeyError as e:
-        raise SchemaError(
-            f"unknown object label {e.args[0]!r}; have {', '.join(labels)}"
-        ) from e
-    subcat = generate_subcat(alg, generators)
+    names = [lab.strip() for lab in args.subcat.split(",")]
+    unknown = [lab for lab in names if lab not in labels]
+    if unknown:
+        raise SchemaError(f"unknown object label {unknown[0]!r}; have {', '.join(labels)}")
+    subcat = generate_subcat(alg, [data.ring.index_of(lab) for lab in names])
     result = centralizer(alg, subcat)
     checks = verify_main_identity(alg, subcat)
     sections = [
@@ -390,10 +390,8 @@ def _cmd_verify(args) -> Report:
             [("name", inp.name), ("kind", inp.kind), ("rank", inp.rank)],
         )
     ]
-    if any(c.status == "fail" for c in checks):
-        return Report("verify", inp.name, sections, checks)
-    data = assemble_category(inp)
-    checks = checks + full_suite(CharacterAlgebra(data))
+    if not any(c.status == "fail" for c in checks):
+        checks = checks + full_suite(CharacterAlgebra(assemble_category(inp)))
     return Report("verify", inp.name, sections, checks)
 
 

@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import weakref
 from array import array
-from dataclasses import dataclass
 from functools import cmp_to_key, partial, wraps
 from itertools import product
 
-from .category import Check, verdict
+from .category import Check, _Frozen, verdict
 from .charalg import CentralElement, CharacterAlgebra, ClassFunction
 from .cyclotomic import Cyclotomic, rational
 from .errors import CapabilityError, InternalConsistencyError
@@ -67,11 +66,19 @@ __all__ = [
 ENUMERATION_RANK_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class FusionSubcategory:
-    """Sorted simple-object indices; unit-, dual- and fusion-closed."""
+class FusionSubcategory(_Frozen):
+    """Sorted simple-object indices; unit-, dual- and fusion-closed; equal by members."""
 
-    members: tuple[int, ...]
+    __slots__ = ("members",)
+
+    def __init__(self, members: tuple[int, ...]):
+        object.__setattr__(self, "members", members)
+
+    def __eq__(self, other):
+        return type(other) is FusionSubcategory and self.members == other.members
+
+    def __hash__(self):
+        return hash(self.members)
 
     def __contains__(self, i: int) -> bool:
         return i in self.members
@@ -80,33 +87,42 @@ class FusionSubcategory:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class SubcatInvariants:
-    subcat: FusionSubcategory
-    dim: Cyclotomic
-    index: Cyclotomic
-    cointegral: ClassFunction
-    integral: CentralElement
-    support: tuple[int, ...]
+class SubcatInvariants(_Frozen):
+    __slots__ = ("subcat", "dim", "index", "cointegral", "integral", "support")
+
+    def __init__(self, subcat: FusionSubcategory, dim: Cyclotomic, index: Cyclotomic,
+                 cointegral: ClassFunction, integral: CentralElement, support: tuple[int, ...]):
+        object.__setattr__(self, "subcat", subcat)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "cointegral", cointegral)
+        object.__setattr__(self, "integral", integral)
+        object.__setattr__(self, "support", support)
 
 
-@dataclass(frozen=True)
-class Grading:
-    adjoint: FusionSubcategory
-    pointed: FusionSubcategory
-    components: tuple[tuple[int, ...], ...]  # partition; component 0 holds the unit
-    table: tuple[tuple[int, ...], ...]  # universal grading group
+class Grading(_Frozen):
+    __slots__ = ("adjoint", "pointed", "components", "table")
+
+    def __init__(self, adjoint: FusionSubcategory, pointed: FusionSubcategory,
+                 components: tuple[tuple[int, ...], ...], table: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "adjoint", adjoint)
+        object.__setattr__(self, "pointed", pointed)
+        object.__setattr__(self, "components", components)  # partition; 0 holds the unit
+        object.__setattr__(self, "table", table)  # universal grading group
 
 
-@dataclass(frozen=True)
-class PrimeIndexReport:
-    applicable: bool
-    reason: str
-    prime: int | None
-    subcategories: tuple[FusionSubcategory, ...]  # index-p subcategories
-    subgroups: tuple[tuple[int, ...], ...]  # index-p normal subgroups
-    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (subgroup, members)
-    checks: tuple[Check, ...]
+class PrimeIndexReport(_Frozen):
+    __slots__ = ("applicable", "reason", "prime", "subcategories", "subgroups", "pairs", "checks")
+
+    def __init__(self, applicable: bool, reason: str, prime: int | None, subcategories: tuple,
+                 subgroups: tuple, pairs: tuple, checks: tuple[Check, ...]):
+        object.__setattr__(self, "applicable", applicable)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "subcategories", subcategories)  # index-p subcategories
+        object.__setattr__(self, "subgroups", subgroups)  # index-p normal subgroups
+        object.__setattr__(self, "pairs", pairs)  # (subgroup, members of its preimage)
+        object.__setattr__(self, "checks", checks)
 
 
 _MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -263,12 +279,7 @@ def subcat_invariants(alg: CharacterAlgebra, subcat: FusionSubcategory) -> Subca
         )
 
     return SubcatInvariants(
-        subcat=subcat,
-        dim=dim_d,
-        index=index,
-        cointegral=lam,
-        integral=ell,
-        support=support,
+        subcat=subcat, dim=dim_d, index=index, cointegral=lam, integral=ell, support=support
     )
 
 
@@ -350,10 +361,8 @@ def grading(alg: CharacterAlgebra) -> Grading:
         )
 
     return Grading(
-        adjoint=adjoint,
-        pointed=FusionSubcategory(pointed_members),
-        components=tuple(components),
-        table=table,
+        adjoint=adjoint, pointed=FusionSubcategory(pointed_members),
+        components=tuple(components), table=table,
     )
 
 
@@ -391,13 +400,8 @@ def prime_index_check(alg: CharacterAlgebra) -> PrimeIndexReport:
 
     def na(reason):
         return PrimeIndexReport(
-            applicable=False,
-            reason=reason,
-            prime=None,
-            subcategories=(),
-            subgroups=(),
-            pairs=(),
-            checks=(Check("prime-index", "skip", reason),),
+            applicable=False, reason=reason, prime=None, subcategories=(), subgroups=(),
+            pairs=(), checks=(Check("prime-index", "skip", reason),),
         )
 
     if not alg.data.is_integral:
@@ -453,13 +457,8 @@ def prime_index_check(alg: CharacterAlgebra) -> PrimeIndexReport:
 
     pairs = tuple(zip(subgroups, by_subgroup))
     return PrimeIndexReport(
-        applicable=True,
-        reason=f"dim C = {dim_c}, smallest prime {p}",
-        prime=p,
-        subcategories=subcats,
-        subgroups=subgroups,
-        pairs=pairs,
-        checks=tuple(checks),
+        applicable=True, reason=f"dim C = {dim_c}, smallest prime {p}", prime=p,
+        subcategories=subcats, subgroups=subgroups, pairs=pairs, checks=tuple(checks),
     )
 
 

@@ -1,11 +1,12 @@
 """Command line behavior: rendering, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
 from fusioncat import catalog_get, catalog_input, save_category
-from fusioncat.category import category_to_input, input_to_json
+from fusioncat.category import CONDUCTOR_LIMIT, category_to_input, input_to_json
 from fusioncat.cli import run
 
 
@@ -163,6 +164,40 @@ def test_exit_unknown_label(capsys):
     )
     assert code == 3
     assert "unknown object label" in err
+
+
+def test_unknown_label_error_names_the_label_once(capsys):
+    code, out, err = invoke(
+        capsys, "centralizer", "--catalog", "toric_code", "--subcat", "e,zz"
+    )
+    assert (code, out, err) == (3, "", "error: unknown object label 'zz'; have 1, e, m, f\n")
+
+
+def _rational_modular_file(path, conductor):
+    """A two-object modular file (vec_z2) whose entries are all rational."""
+    path.write_text(json.dumps({
+        "schema_version": 1, "name": "z2", "kind": "modular", "conductor": conductor,
+        "rank": 2, "labels": ["1", "g"], "s_matrix": [["1", "1"], ["1", "-1"]],
+    }))
+    return str(path)
+
+
+def test_conductor_limit_is_accepted(tmp_path, capsys):
+    path = _rational_modular_file(tmp_path / "at.json", CONDUCTOR_LIMIT)
+    code, out, _ = invoke(capsys, "info", "--file", path)
+    assert code == 0
+    assert "global dim" in out
+
+
+def test_conductor_past_limit_exits_4_at_once(tmp_path, capsys):
+    path = _rational_modular_file(tmp_path / "past.json", CONDUCTOR_LIMIT + 1)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "info", "--file", path)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (4, "")
+    assert err == (
+        f"error: conductor {CONDUCTOR_LIMIT + 1} is past the limit {CONDUCTOR_LIMIT}\n"
+    )
 
 
 def test_exit_capability(tmp_path, capsys):

@@ -1,0 +1,103 @@
+"""The result records: construction, read-only fields, equality and hashing.
+
+Only CategoryInput and ConjugacyData are dataclasses, because callers
+dataclasses.replace them; every other record is a plain slotted class,
+which keeps the package's import free of per-class code generation.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import fusioncat
+from fusioncat import catalog_get
+from fusioncat.category import Check, ModularData
+from fusioncat.centralizer import centralizer
+from fusioncat.charalg import CentralElement, CharacterAlgebra, ClassFunction
+from fusioncat.lattice import (
+    FusionSubcategory,
+    enumerate_subcats,
+    grading,
+    prime_index_check,
+    subcat_invariants,
+)
+
+
+def test_only_replaced_records_are_dataclasses():
+    found = set()
+    for info in pkgutil.iter_modules(fusioncat.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"fusioncat.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):
+                found.add(cls.__name__)
+    assert found == {"CategoryInput", "ConjugacyData"}
+
+
+def test_keyword_construction_with_defaults():
+    check = Check(check_id="unit-axiom", status="pass")
+    assert (check.check_id, check.status, check.detail) == ("unit-axiom", "pass", "")
+    s = catalog_get("semion").modular.s
+    modular = ModularData(s=s)
+    assert modular.s is s and modular.twists is None
+
+
+@pytest.fixture(scope="module")
+def toric():
+    return CharacterAlgebra(catalog_get("toric_code"))
+
+
+def _read_only_records(alg):
+    data = alg.data
+    subcat = enumerate_subcats(alg)[1]
+    return [
+        (Check("x", "pass"), "status"),
+        (data.ring, "labels"),
+        (data.pivotal, "dims"),
+        (data.modular, "twists"),
+        (data, "name"),
+        (alg.character(0), "coeffs"),
+        (alg.idempotent(0), "coeffs"),
+        (alg.class_sum_product(1, 1), "constants"),
+        (subcat, "members"),
+        (subcat_invariants(alg, subcat), "dim"),
+        (grading(alg), "table"),
+        (prime_index_check(alg), "checks"),
+        (centralizer(alg, subcat), "image"),
+    ]
+
+
+def test_records_are_read_only(toric):
+    for record, field in _read_only_records(toric):
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) is before
+
+
+def test_fusion_subcategory_equal_and_hashed_by_members(toric):
+    a, b = FusionSubcategory((0, 1)), FusionSubcategory((0, 1))
+    assert a == b and hash(a) == hash(b)
+    assert a != FusionSubcategory((0, 2))
+    assert len({a, b, FusionSubcategory((0, 2))}) == 2
+    # value-equal subcategories share one memo entry
+    assert subcat_invariants(toric, a) is subcat_invariants(toric, b)
+
+
+def test_vectors_over_different_bases_differ(toric):
+    coeffs = toric.character(1).coeffs
+    assert ClassFunction(coeffs) == ClassFunction(coeffs)
+    assert ClassFunction(coeffs) != CentralElement(coeffs)
+    assert CentralElement(coeffs) != ClassFunction(coeffs)
+
+
+def test_vectors_are_unhashable(toric):
+    for vector in (toric.character(1), toric.idempotent(1)):
+        with pytest.raises(TypeError):
+            hash(vector)
