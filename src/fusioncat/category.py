@@ -39,6 +39,7 @@ from .errors import (
     MalformedFusionError,
     NotModularError,
     SchemaError,
+    SingularMatrixError,
 )
 
 __all__ = [
@@ -328,12 +329,10 @@ def _check_ring_axioms(inp: CategoryInput, fusion, dims, checks: list[Check]):
         checks.append(
             verdict("unit-dim", ok, "" if ok else f"d_0 = {dims[0]}, expected 1")
         )
-        zero = [i for i, d in enumerate(dims) if d.is_zero()]
-        checks.append(
-            verdict(
-                "dims-nonzero", not zero, f"zero dimension at {zero}" if zero else ""
-            )
-        )
+        if inp.kind != "modular":  # modular input checked s_0r before Verlinde
+            zero = [i for i, d in enumerate(dims) if d.is_zero()]
+            detail = f"zero dimension at {zero}" if zero else ""
+            checks.append(verdict("dims-nonzero", not zero, detail))
         bad = next((
             (i, j) for i, j in product(range(rank), repeat=2)
             if sum((n * dims[k] for k, n in nonzero[i][j]), rational(0)) != dims[i] * dims[j]
@@ -385,8 +384,8 @@ def _check_char_table(fusion, dims, table: CycloMatrix, checks: list[Check]):
     try:
         table.inverse()
         checks.append(verdict("char-table-invertible", True))
-    except Exception:
-        checks.append(verdict("char-table-invertible", False))
+    except SingularMatrixError as e:
+        checks.append(verdict("char-table-invertible", False, str(e)))
 
     if dims is not None:
         cols = [
@@ -424,7 +423,7 @@ def validate_input(inp: CategoryInput) -> list[Check]:
         try:
             s.inverse()
             checks.append(verdict("s-invertible", True))
-        except Exception as e:
+        except SingularMatrixError as e:
             checks.append(verdict("s-invertible", False, str(e)))
 
         fusion = None

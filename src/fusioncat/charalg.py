@@ -17,19 +17,19 @@ They pair by <chi_i, E_j> = delta_ij d_i, and talk to each other through
   drinfeld(chi_i) = sum_j (s_ij / d_j) E_j, an algebra homomorphism.
 
 Conjugacy class data is the second basis of class functions: the primitive
-idempotents F_0..F_m of the class algebra itself, with F_0 = lambda, their
-preimages cbar_j = F^{-1}(F_j) (the class sums), class sizes
-|C^j| = dim(C) tau(F_j) and multiplicities n_j = dim(C)/|C^j|.  For modular
-data the F_j are labelled by simple objects through the closed form
-F_j = (d_j / dim C) sum_i s_{i* j} chi_i, which makes drinfeld(F_j) = E_j; for a
-plain fusion ring F_j is the row of the supplied character table's inverse
-(kept by the matrix since validation) at the column behind class j, the
-column equal to the dimension vector being class 0.
+idempotents F_0..F_m of the class algebra itself, their preimages
+cbar_j = F^{-1}(F_j) (the class sums), class sizes |C^j| = dim(C) tau(F_j)
+and multiplicities n_j = dim(C)/|C^j|.  One formula serves both kinds of
+input: alpha_ij is s_ij / d_j or the supplied character table (dimension
+column first, class 0), F_j = (1/f_j) sum_i alpha_{i*j} chi_i with the formal
+codegree f_j = sum_k alpha_kj alpha_{k*j}, n_j = f_j and F_0 = lambda.
+conjugacy() certifies the result by the character law of alpha's columns
+and F alpha = I, with no inverse taken.
 
 identity_suite runs every exact identity the machinery promises and reports
 one Check per identity; on modular input all of them must pass.  One matmul
 gives drinfeld(F_j) for every j.  Identities with a class size |C^j| in a
-denominator are multiplied through by it (conjugacy() certifies it nonzero).
+denominator are multiplied through by it (it is dim C / f_j, nonzero).
 The class-sum law cbar_i cbar_j = sum_l c_ij^l cbar_l is d_i d_j times the
 fusion law of y_l = cbar_l / d_l, checked in one pass with drinfeld's.
 """
@@ -107,8 +107,8 @@ class ConjugacyData:
     alpha: CycloMatrix  # alpha_ij = value of chi_i on the class of j
     idempotents: tuple[ClassFunction, ...]  # F_j
     class_sums: tuple[CentralElement, ...]  # cbar_j = F^{-1}(F_j)
-    sizes: tuple[Cyclotomic, ...]  # |C^j| = dim(C) tau(F_j)
-    multiplicities: tuple[Cyclotomic, ...]  # n_j = dim(C) / |C^j|
+    sizes: tuple[Cyclotomic, ...]  # |C^j| = dim(C) tau(F_j) = dim(C) / f_j
+    multiplicities: tuple[Cyclotomic, ...]  # n_j = f_j, the formal codegree
     column_order: tuple[int, ...]  # original columns behind each class index
 
 
@@ -273,23 +273,23 @@ class CharacterAlgebra:
     # -- conjugacy class data ----------------------------------------------------
 
     def conjugacy(self) -> ConjugacyData:
+        """Class data from alpha (module docstring): F_l = (1/f_l) sum_i
+        alpha_{i*l} chi_i, |C^l| = dim C / f_l, n_l = f_l.  Certified, each
+        part raising InternalConsistencyError: N_ij = N_ji; sum_k N_ij^k
+        alpha_kl = alpha_il alpha_jl for j >= i, so for all i, j; f_l != 0;
+        F alpha = I.  Then alpha is invertible and phi(chi_i) = row i of alpha
+        is an algebra isomorphism onto C^rank, unital as the law at (0, j),
+        alpha_jl = alpha_0l alpha_jl, on a nonzero column makes alpha_0l = 1.
+        phi(F_j) = row j of F alpha = e_j, so the F_j are the primitive
+        idempotents, summing to chi_0, with tau(F_l) = alpha_0l / f_l = 1 / f_l.
+        Column 0 holds the d_i (s is symmetric), so f_0 = dim C, F_0 = lambda.
+        """
         if self._conjugacy is not None:
             return self._conjugacy
-        rank = self.rank
+        rank, dual, ring = self.rank, self.dual, self.data.ring
         if self.data.modular is not None:
-            s = self.data.modular.s
             alpha = CycloMatrix([e.coeffs for e in self._drinfeld_characters])
             column_order = tuple(range(rank))
-            idempotents = []
-            for j in range(rank):
-                scale = self.dims[j] * self.dim_inv
-                idempotents.append(
-                    ClassFunction(
-                        tuple(
-                            scale * s.rows[self.dual[i]][j] for i in range(rank)
-                        )
-                    )
-                )
         else:
             table = self.data.char_table
             if table is None:
@@ -297,51 +297,55 @@ class CharacterAlgebra:
                     f"{self.data.name}: conjugacy data needs an s-matrix or a "
                     "character table"
                 )
-            dim_cols = [
-                j
-                for j in range(rank)
-                if all(table.rows[i][j] == self.dims[i] for i in range(rank))
-            ]
+            dim_cols = [j for j, col in enumerate(zip(*table.rows)) if col == self.dims]
             if len(dim_cols) != 1:
                 raise InternalConsistencyError(
                     f"character table must have exactly one dimension column, "
                     f"found {dim_cols}"
                 )
-            column_order = (dim_cols[0],) + tuple(
-                j for j in range(rank) if j != dim_cols[0]
-            )
+            column_order = (dim_cols[0], *(j for j in range(rank) if j != dim_cols[0]))
             alpha = CycloMatrix([[row[c] for c in column_order] for row in table.rows])
-            # alpha is the table with its columns permuted, so F_c, row c of
-            # alpha^-1, is row column_order[c] of the table's own inverse
-            inv = table.inverse()
-            idempotents = [ClassFunction(inv.rows[c]) for c in column_order]
+        rows = alpha.rows
 
-        # Exact certification: orthogonal, complete, F_0 = cointegral.
-        for j in range(rank):
-            for k in range(j, rank):
-                prod = self.cf_mul(idempotents[j], idempotents[k])
-                want = idempotents[j] if j == k else self.cf_zero()
-                if prod != want:
-                    raise InternalConsistencyError(
-                        f"class idempotents are not orthogonal at ({j}, {k})"
-                    )
-        if sum(idempotents, self.cf_zero()) != self.character(0):
-            raise InternalConsistencyError("class idempotents do not sum to chi_0")
-        if idempotents[0] != self.cointegral():
-            raise InternalConsistencyError("F_0 is not the cointegral")
+        bad = _first_pair(rank, lambda i, j: ring.fusion[i][j] != ring.fusion[j][i])
+        if bad is not None:
+            raise InternalConsistencyError(f"fusion rules do not commute at {bad}")
+        for i in range(rank):  # one matmul per i, over the k with N_ij^k != 0
+            ks = sorted({k for j in range(i, rank) for k, _ in ring.nonzero[i][j]})
+            sums = matmul(
+                [[rational(ring.fusion[i][j][k]) for k in ks] for j in range(i, rank)],
+                [rows[k] for k in ks],
+            )
+            bad = next((
+                (j, l) for j, row in enumerate(sums, i) for l in range(rank)
+                if row[l] != rows[i][l] * rows[j][l]
+            ), None)
+            if bad is not None:
+                j, l = bad
+                raise InternalConsistencyError(f"class {l} is not a character at ({i}, {j})")
 
-        sizes = tuple(self.dim * f.coeffs[0] for f in idempotents)
-        if any(z.is_zero() for z in sizes):
-            raise InternalConsistencyError("zero class size")
-        mults = tuple(self.dim * z.inv() for z in sizes)
-        class_sums = tuple(self.fourier_inv(f) for f in idempotents)
+        codegrees = tuple(
+            sum((rows[k][l] * rows[dual[k]][l] for k in range(rank)), rational(0))
+            for l in range(rank)
+        )
+        if any(f.is_zero() for f in codegrees):
+            raise InternalConsistencyError("zero formal codegree")
+        invs = [f.inv() for f in codegrees]
+        idempotents = tuple(
+            ClassFunction(tuple(rows[dual[i]][l] * invs[l] for i in range(rank)))
+            for l in range(rank)
+        )
+        values = matmul([f.coeffs for f in idempotents], rows)  # F_j on class l
+        bad = _first_pair(rank, lambda j, l: values[j][l] != int(j == l))
+        if bad is not None:
+            raise InternalConsistencyError(f"class idempotents do not invert alpha at {bad}")
 
         self._conjugacy = ConjugacyData(
             alpha=alpha,
-            idempotents=tuple(idempotents),
-            class_sums=class_sums,
-            sizes=sizes,
-            multiplicities=mults,
+            idempotents=idempotents,
+            class_sums=tuple(self.fourier_inv(f) for f in idempotents),
+            sizes=tuple(self.dim * z for z in invs),
+            multiplicities=codegrees,
             column_order=column_order,
         )
         return self._conjugacy

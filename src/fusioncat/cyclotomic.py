@@ -546,7 +546,7 @@ def bilinear(xs, ys, table) -> list[Cyclotomic]:
 class CycloMatrix:
     """Immutable matrix over a cyclotomic field, all entries at one conductor."""
 
-    __slots__ = ("nrows", "ncols", "rows", "conductor", "_inverse")
+    __slots__ = ("nrows", "ncols", "rows", "conductor")
     __hash__ = None
 
     def __init__(self, rows):
@@ -614,11 +614,8 @@ class CycloMatrix:
         """Exact Gauss-Jordan; pivot is the first nonzero entry in the column
         (no magnitude heuristics needed over an exact field).  A column with
         no pivot is skipped and elimination goes on, so the number of pivots
-        found is the rank that SingularMatrixError carries.  The matrix is
-        immutable, so it keeps its inverse once found; a singular matrix
-        raises on every call."""
-        if hasattr(self, "_inverse"):
-            return self._inverse
+        found is the rank that SingularMatrixError carries.  Each call
+        eliminates afresh: the matrix keeps no inverse."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of non-square matrix")
         k = self.nrows
@@ -649,8 +646,7 @@ class CycloMatrix:
             rank += 1
         if rank < k:
             raise SingularMatrixError(rank=rank)
-        object.__setattr__(self, "_inverse", CycloMatrix([row[k:] for row in work]))
-        return self._inverse
+        return CycloMatrix([row[k:] for row in work])
 
     def __repr__(self):
         return f"CycloMatrix({self.nrows}x{self.ncols}, conductor {self.conductor})"

@@ -321,9 +321,8 @@ def test_build_validates_once_and_runs_verlinde_at_most_once(
 
 @pytest.mark.parametrize("kind", ["modular", "fusion_ring"])
 def test_verify_inverts_one_matrix_once(kind, tmp_path, monkeypatch):
-    # validation inverts the s-matrix or the character table, and conjugacy
-    # data of a fusion ring needs the table's inverse again: one Gauss-Jordan
-    # elimination serves both, so every call returns the same matrix object
+    # validation inverts the s-matrix or the character table, once; conjugacy
+    # data is certified by a product and takes no inverse
     path = tmp_path / "ising.json"
     save_category(catalog_get("ising"), path, kind=kind)
     inverse = CycloMatrix.inverse
@@ -336,11 +335,35 @@ def test_verify_inverts_one_matrix_once(kind, tmp_path, monkeypatch):
 
     monkeypatch.setattr(CycloMatrix, "inverse", counted)
     assert run(["verify", "--file", str(path)]) == 0
-    eliminated = {id(out): m for m, out in calls}
     inp = load_input(path)
-    assert list(eliminated.values()) == [
+    assert [m for m, _ in calls] == [
         inp.s_matrix if kind == "modular" else inp.char_table
     ]
+
+
+def test_singular_s_matrix_reports_its_rank():
+    one = rational(1)
+    inp = CategoryInput(
+        name="singular", kind="modular", conductor=1, labels=("1", "x"),
+        s_matrix=CycloMatrix([[one, one], [one, one]]),
+    )
+    checks = {c.check_id: c for c in validate_input(inp)}
+    assert (checks["s-invertible"].status, checks["s-invertible"].detail) == (
+        "fail",
+        "singular matrix, rank 1",
+    )
+
+
+def test_char_table_with_a_repeated_column_reports_its_rank():
+    inp = category_to_input(catalog_get("toric_code"), kind="fusion_ring")
+    rows = [row[:3] + row[1:2] for row in inp.char_table.rows]
+    checks = {
+        c.check_id: c
+        for c in validate_input(dataclasses.replace(inp, char_table=CycloMatrix(rows)))
+    }
+    law = checks["char-table-invertible"]
+    assert (law.status, law.detail) == ("fail", "singular matrix, rank 3")
+    assert checks["char-table-characters"].status == "pass"
 
 
 def test_unknown_catalog_name():

@@ -4,19 +4,23 @@ defining formulas and pinned."""
 
 import dataclasses
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusioncat import (
+    CategoryInput,
     CentralElement,
     CharacterAlgebra,
     ClassFunction,
     catalog_get,
     catalog_names,
 )
+from fusioncat.category import assemble_category, build_category, category_to_input
 from fusioncat.cyclotomic import CycloMatrix, Cyclotomic, bilinear, euler_phi, rational, zeta
+from fusioncat.errors import InternalConsistencyError
 
 GOLDEN = -zeta(5, 2) - zeta(5, 3)
 
@@ -239,7 +243,6 @@ def test_transparent_members(algs):
 
 
 def test_drinfeld_needs_s_matrix():
-    from fusioncat.category import category_to_input, build_category
     from fusioncat.errors import CapabilityError
 
     inp = category_to_input(catalog_get("toric_code"), kind="fusion_ring")
@@ -290,9 +293,8 @@ def test_conjugacy_idempotents_complete(algs):
 
 
 def test_conjugacy_from_char_table_matches_modular(algs):
-    # fusion_ring route (generic inversion + column permutation) must agree
-    from fusioncat.category import category_to_input, build_category
-
+    # the character-table route (dimension column first, then the same
+    # codegree formula) must agree with the s-matrix route
     for name in ("toric_code", "ising", "fibonacci"):
         modular = algs[name]
         inp = category_to_input(catalog_get(name), kind="fusion_ring")
@@ -307,8 +309,6 @@ def test_conjugacy_from_char_table_matches_modular(algs):
 def test_conjugacy_from_permuted_char_table(name, algs):
     # with the dimension column moved last, class c still comes from the
     # table column behind it, so the classes are the modular ones
-    from fusioncat.category import category_to_input, build_category
-
     inp = category_to_input(catalog_get(name), kind="fusion_ring")
     rows = [row[1:] + row[:1] for row in inp.char_table.rows]
     inp = dataclasses.replace(inp, char_table=CycloMatrix(rows))
@@ -320,6 +320,67 @@ def test_conjugacy_from_permuted_char_table(name, algs):
     assert got.idempotents == want.idempotents
     assert got.class_sums == want.class_sums
     assert got.sizes == want.sizes
+
+
+@pytest.mark.parametrize("kind", ["modular", "fusion_ring"])
+def test_conjugacy_takes_no_inverse_and_no_class_function_product(kind, algs, monkeypatch):
+    data = catalog_get("ising")
+    if kind == "fusion_ring":
+        data = build_category(category_to_input(data, kind="fusion_ring"))
+    alg = CharacterAlgebra(data)
+
+    def forbidden(*args):
+        raise AssertionError("conjugacy() is certified by one matmul")
+
+    monkeypatch.setattr(CycloMatrix, "inverse", forbidden)
+    alg.cf_mul = forbidden
+    assert alg.conjugacy().sizes == algs["ising"].conjugacy().sizes
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        # class 2 reads (1, 1, 1, -1) on (1, e, m, f): squares map to 1, but
+        # e m = f while 1 * 1 != -1, so the first failing pair is (1, 2)
+        ("non-character", r"class 2 is not a character at \(1, 2\)"),
+        ("repeated-column", r"do not invert alpha at \(2, 3\)"),
+    ],
+    ids=["non-character", "repeated-column"],
+)
+def test_conjugacy_rejects_a_table_of_non_characters(corrupt, message):
+    inp = category_to_input(catalog_get("toric_code"), kind="fusion_ring")
+    if corrupt == "non-character":
+        rows = [
+            row[:2] + (rational(v),) + row[3:]
+            for row, v in zip(inp.char_table.rows, (1, 1, 1, -1))
+        ]
+    else:
+        rows = [row[:3] + row[2:3] for row in inp.char_table.rows]
+    inp = dataclasses.replace(inp, char_table=CycloMatrix(rows))
+    alg = CharacterAlgebra(assemble_category(inp))  # no validation
+    with pytest.raises(InternalConsistencyError, match=message):
+        alg.conjugacy()
+
+
+def test_conjugacy_rejects_non_commutative_fusion_rules():
+    # Vec(S_3): L_g L_h = L_gh, and the transpositions 1 and 2 do not commute
+    group = list(permutations(range(3)))
+    fusion = tuple(
+        tuple(
+            tuple(int(group[k] == tuple(g[x] for x in h)) for k in range(6))
+            for h in group
+        )
+        for g in group
+    )
+    one, zero = rational(1), rational(0)
+    inp = CategoryInput(
+        name="vec_s3", kind="fusion_ring", conductor=1, labels=tuple("abcdef"),
+        fusion=fusion, dims=(one,) * 6,
+        char_table=CycloMatrix([[one] + [zero] * 5] * 6),
+    )
+    alg = CharacterAlgebra(assemble_category(inp))
+    with pytest.raises(InternalConsistencyError, match=r"do not commute at \(1, 2\)"):
+        alg.conjugacy()
 
 
 def test_class_sum_product_toric(algs):
@@ -364,8 +425,6 @@ def test_identity_suite_passes(name, algs):
 
 
 def test_identity_suite_fusion_ring_skips():
-    from fusioncat.category import category_to_input, build_category
-
     inp = category_to_input(catalog_get("toric_code"), kind="fusion_ring")
     alg = CharacterAlgebra(build_category(inp))
     checks = alg.identity_suite()

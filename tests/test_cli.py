@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from fusioncat import catalog_get, catalog_input, save_category
+from fusioncat import catalog_get, catalog_input, catalog_names, save_category
 from fusioncat.category import CONDUCTOR_LIMIT, category_to_input, input_to_json
 from fusioncat.cli import run
 
@@ -90,6 +90,18 @@ def test_json_output_parses(capsys):
     # ising is non-integral, so the prime-index law is skipped, nothing else
     skipped = [c["id"] for c in obj["checks"] if c["status"] == "skip"]
     assert skipped == ["prime-index"]
+
+
+@pytest.mark.parametrize("kind", ["modular", "fusion_ring"])
+@pytest.mark.parametrize("name", catalog_names())
+def test_check_ids_are_unique_in_every_report(name, kind, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    save_category(catalog_get(name), path, kind=kind)
+    for command in ("validate", "verify"):
+        code, out, _ = invoke(capsys, command, "--file", str(path), "--json")
+        assert code == 0
+        ids = [c["id"] for c in json.loads(out)["checks"]]
+        assert sorted({i for i in ids if ids.count(i) > 1}) == [], command
 
 
 def test_json_exact_coefficient_arrays(capsys):

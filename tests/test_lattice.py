@@ -1,5 +1,6 @@
 """Fusion subcategory lattice, universal grading, prime-index correspondence."""
 
+import dataclasses
 import gc
 import weakref
 from itertools import permutations, product
@@ -206,6 +207,17 @@ def test_lattice_suite_reports_the_join_law_at_its_first_pair():
     assert laws["join-cointegral"].detail == "failed at ((0,), (0,))"
     for law in ("meet-integral-scaling", "support-antitone"):
         assert (laws[law].status, laws[law].detail) == ("pass", "")
+
+
+def test_lattice_suite_reports_class_sizes_that_miss_the_index():
+    alg = CharacterAlgebra(catalog_get("toric_code"))
+    conj = alg.conjugacy()
+    alg._conjugacy = dataclasses.replace(conj, sizes=tuple(z + 1 for z in conj.sizes))
+    laws = {c.check_id: c for c in lattice_suite(alg)}
+    assert (laws["subcat-invariants"].status, laws["subcat-invariants"].detail) == (
+        "fail",
+        "index, counit of the integral and class sizes over the support disagree",
+    )
 
 
 def test_symmetric_laws_run_once_per_unordered_pair(monkeypatch):
