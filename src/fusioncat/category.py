@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
-from typing import Optional
 
 from .cyclotomic import Cyclotomic, CycloMatrix, euler_phi, matmul, rational
 from .errors import (
@@ -138,7 +136,7 @@ class ModularData(_Frozen):
 
     __slots__ = ("s", "twists")
 
-    def __init__(self, s: CycloMatrix, twists: Optional[tuple[Cyclotomic, ...]] = None):
+    def __init__(self, s: CycloMatrix, twists: tuple[Cyclotomic, ...] | None = None):
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "twists", twists)
 
@@ -178,6 +176,25 @@ def _sparse_rows(fusion):
         tuple(tuple((k, n) for k, n in enumerate(row) if n) for row in rows)
         for rows in fusion
     )
+
+
+def _character_law_witness(nonzero, rows):
+    """The first (i, j, l), j >= i, in row-major order with
+    sum_k N_ij^k rows[k][l] != rows[i][l] rows[j][l], or None; nonzero is
+    _sparse_rows of the rules.  Per i, one matmul of the rows N_ij, j >= i,
+    over the k with some N_ij^k != 0 (and k = 0, so it is never empty)."""
+    rank = len(rows)
+    for i in range(rank):
+        coeffs = [dict(nonzero[i][j]) for j in range(i, rank)]
+        ks = sorted({0}.union(*coeffs))
+        sums = matmul([[rational(c.get(k, 0)) for k in ks] for c in coeffs], [rows[k] for k in ks])
+        bad = next((
+            (i, j, l) for j, row in enumerate(sums, i) for l in range(rank)
+            if row[l] != rows[i][l] * rows[j][l]
+        ), None)
+        if bad is not None:
+            return bad
+    return None
 
 
 def dual_involution(fusion) -> tuple[int, ...]:
@@ -259,19 +276,25 @@ def verlinde_fusion(s: CycloMatrix):
 # raw input carrier and validation
 
 
-@dataclass(frozen=True)
-class CategoryInput:
+class CategoryInput(_Frozen):
     """Parsed but not yet trusted category description."""
 
-    name: str
-    kind: str  # "modular" | "fusion_ring"
-    conductor: int
-    labels: tuple[str, ...]
-    s_matrix: Optional[CycloMatrix] = None
-    twists: Optional[tuple[Cyclotomic, ...]] = None
-    fusion: Optional[tuple] = None
-    dims: Optional[tuple[Cyclotomic, ...]] = None
-    char_table: Optional[CycloMatrix] = None
+    __slots__ = ("name", "kind", "conductor", "labels", "s_matrix", "twists", "fusion",
+                 "dims", "char_table", "__dict__")  # __dict__ holds derived_ring
+
+    def __init__(self, name: str, kind: str, conductor: int, labels: tuple[str, ...],
+                 s_matrix: CycloMatrix | None = None, twists: tuple[Cyclotomic, ...] | None = None,
+                 fusion: tuple | None = None, dims: tuple[Cyclotomic, ...] | None = None,
+                 char_table: CycloMatrix | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)  # "modular" | "fusion_ring"
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "s_matrix", s_matrix)
+        object.__setattr__(self, "twists", twists)
+        object.__setattr__(self, "fusion", fusion)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "char_table", char_table)
 
     @property
     def rank(self) -> int:
@@ -287,8 +310,9 @@ class CategoryInput:
         return self.fusion, dual_involution(self.fusion)
 
 
-def _check_ring_axioms(inp: CategoryInput, fusion, dims, checks: list[Check]):
-    """Shared fusion-ring checks on the given or derived rules of inp."""
+def _check_ring_axioms(inp: CategoryInput, fusion, nonzero, dims, checks: list[Check]):
+    """Shared fusion-ring checks on the given or derived rules of inp, with
+    nonzero = _sparse_rows(fusion)."""
     rank = len(fusion)
     bad = next((
         (j, k) for j, k in product(range(rank), repeat=2)
@@ -307,7 +331,6 @@ def _check_ring_axioms(inp: CategoryInput, fusion, dims, checks: list[Check]):
 
     # (L_i L_j) L_k against L_i (L_j L_k) over the nonzero coefficients; the
     # witness is the first (i, j, k) in row-major order, and there the first m.
-    nonzero = _sparse_rows(fusion)
     bad = None
     for i, j, k in product(range(rank), repeat=3):
         lhs, rhs = [0] * rank, [0] * rank
@@ -354,8 +377,8 @@ def _check_ring_axioms(inp: CategoryInput, fusion, dims, checks: list[Check]):
             checks.append(Check("global-dim-nonzero", "skip", "no duality involution"))
 
 
-def _check_char_table(fusion, dims, table: CycloMatrix, checks: list[Check]):
-    rank = len(fusion)
+def _check_char_table(nonzero, dims, table: CycloMatrix, checks: list[Check]):
+    rank = len(nonzero)
     bad = next((j for j in range(rank) if table.rows[0][j] != 1), None)
     checks.append(
         verdict(
@@ -365,17 +388,7 @@ def _check_char_table(fusion, dims, table: CycloMatrix, checks: list[Check]):
         )
     )
 
-    nonzero = _sparse_rows(fusion)
-    bad = next(
-        (
-            (i, k, j)
-            for j, i in product(range(rank), repeat=2)
-            for k in range(i, rank)
-            if table.rows[i][j] * table.rows[k][j]
-            != sum((n * table.rows[l][j] for l, n in nonzero[i][k]), rational(0))
-        ),
-        None,
-    )
+    bad = _character_law_witness(nonzero, table.rows)
     detail = "" if bad is None else (
         f"column {bad[2]} is not an algebra character at (i,k)={bad[:2]}"
     )
@@ -437,7 +450,7 @@ def validate_input(inp: CategoryInput) -> list[Check]:
             checks.append(Check("verlinde-integral", "skip", "zero dimension"))
 
         if fusion is not None:
-            _check_ring_axioms(inp, fusion, list(s.rows[0]), checks)
+            _check_ring_axioms(inp, fusion, _sparse_rows(fusion), list(s.rows[0]), checks)
         else:
             for cid in (
                 "unit-axiom",
@@ -462,9 +475,10 @@ def validate_input(inp: CategoryInput) -> list[Check]:
                         break
             checks.append(verdict("twists-roots-of-unity", bad is None, bad or ""))
     else:
-        _check_ring_axioms(inp, inp.fusion, inp.dims, checks)
+        nonzero = _sparse_rows(inp.fusion)
+        _check_ring_axioms(inp, inp.fusion, nonzero, inp.dims, checks)
         if inp.char_table is not None:
-            _check_char_table(inp.fusion, inp.dims, inp.char_table, checks)
+            _check_char_table(nonzero, inp.dims, inp.char_table, checks)
 
     return checks
 

@@ -36,12 +36,11 @@ fusion law of y_l = cbar_l / d_l, checked in one pass with drinfeld's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, product
 from operator import itemgetter
 
-from .category import CategoryData, Check, _Frozen, verdict
+from .category import CategoryData, Check, _character_law_witness, _Frozen, verdict
 from .cyclotomic import Cyclotomic, CycloMatrix, bilinear, matmul, rational
 from .errors import CapabilityError, InternalConsistencyError
 
@@ -102,14 +101,18 @@ class CentralElement(_Vector):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConjugacyData:
-    alpha: CycloMatrix  # alpha_ij = value of chi_i on the class of j
-    idempotents: tuple[ClassFunction, ...]  # F_j
-    class_sums: tuple[CentralElement, ...]  # cbar_j = F^{-1}(F_j)
-    sizes: tuple[Cyclotomic, ...]  # |C^j| = dim(C) tau(F_j) = dim(C) / f_j
-    multiplicities: tuple[Cyclotomic, ...]  # n_j = f_j, the formal codegree
-    column_order: tuple[int, ...]  # original columns behind each class index
+class ConjugacyData(_Frozen):
+    __slots__ = ("alpha", "idempotents", "class_sums", "sizes", "multiplicities", "column_order")
+
+    def __init__(self, alpha: CycloMatrix, idempotents: tuple[ClassFunction, ...],
+                 class_sums: tuple[CentralElement, ...], sizes: tuple[Cyclotomic, ...],
+                 multiplicities: tuple[Cyclotomic, ...], column_order: tuple[int, ...]):
+        object.__setattr__(self, "alpha", alpha)  # alpha_ij = chi_i on the class of j
+        object.__setattr__(self, "idempotents", idempotents)  # F_j
+        object.__setattr__(self, "class_sums", class_sums)  # cbar_j = F^{-1}(F_j)
+        object.__setattr__(self, "sizes", sizes)  # |C^j| = dim(C) tau(F_j) = dim(C) / f_j
+        object.__setattr__(self, "multiplicities", multiplicities)  # n_j = f_j, formal codegree
+        object.__setattr__(self, "column_order", column_order)  # table column behind class j
 
 
 class ClassSumProduct(_Frozen):
@@ -310,19 +313,10 @@ class CharacterAlgebra:
         bad = _first_pair(rank, lambda i, j: ring.fusion[i][j] != ring.fusion[j][i])
         if bad is not None:
             raise InternalConsistencyError(f"fusion rules do not commute at {bad}")
-        for i in range(rank):  # one matmul per i, over the k with N_ij^k != 0
-            ks = sorted({k for j in range(i, rank) for k, _ in ring.nonzero[i][j]})
-            sums = matmul(
-                [[rational(ring.fusion[i][j][k]) for k in ks] for j in range(i, rank)],
-                [rows[k] for k in ks],
-            )
-            bad = next((
-                (j, l) for j, row in enumerate(sums, i) for l in range(rank)
-                if row[l] != rows[i][l] * rows[j][l]
-            ), None)
-            if bad is not None:
-                j, l = bad
-                raise InternalConsistencyError(f"class {l} is not a character at ({i}, {j})")
+        bad = _character_law_witness(ring.nonzero, rows)
+        if bad is not None:
+            i, j, l = bad
+            raise InternalConsistencyError(f"class {l} is not a character at ({i}, {j})")
 
         codegrees = tuple(
             sum((rows[k][l] * rows[dual[k]][l] for k in range(rank)), rational(0))

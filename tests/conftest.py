@@ -21,6 +21,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def replaced(record, **changes):
+    """A copy of a read-only slotted record with the given fields changed."""
+    fields = (f for f in type(record).__slots__ if f != "__dict__")
+    return type(record)(**{f: changes.pop(f, getattr(record, f)) for f in fields}, **changes)
+
+
 @pytest.fixture(scope="session")
 def algs():
     """One CharacterAlgebra per catalog entry, shared so caches persist."""

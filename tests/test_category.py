@@ -1,11 +1,12 @@
 """Schema parsing, validation checks, Verlinde-derived fusion, round trips."""
 
-import dataclasses
 import json
 import random
 import sys
 
 import pytest
+
+from conftest import replaced
 
 from fusioncat import (
     CategoryInput,
@@ -359,11 +360,28 @@ def test_char_table_with_a_repeated_column_reports_its_rank():
     rows = [row[:3] + row[1:2] for row in inp.char_table.rows]
     checks = {
         c.check_id: c
-        for c in validate_input(dataclasses.replace(inp, char_table=CycloMatrix(rows)))
+        for c in validate_input(replaced(inp, char_table=CycloMatrix(rows)))
     }
     law = checks["char-table-invertible"]
     assert (law.status, law.detail) == ("fail", "singular matrix, rank 3")
     assert checks["char-table-characters"].status == "pass"
+
+
+def test_char_table_characters_reports_the_first_witness_by_row():
+    # the witness is the first (i, k >= i) in row-major order, and there the
+    # first column: column 1, (1, 1, -1, 1), first fails at e m = f, (1, 2);
+    # column 2, (1, 2, 1, 2), already at e e = 1, (1, 1)
+    inp = category_to_input(catalog_get("toric_code"), kind="fusion_ring")
+    rows = [list(row) for row in inp.char_table.rows]
+    for row, a, b in zip(rows, (1, 1, -1, 1), (1, 2, 1, 2)):
+        row[1:3] = rational(a), rational(b)
+    checks = {
+        c.check_id: c for c in validate_input(replaced(inp, char_table=CycloMatrix(rows)))
+    }
+    law = checks["char-table-characters"]
+    assert (law.status, law.detail) == (
+        "fail", "column 2 is not an algebra character at (i,k)=(1, 1)"
+    )
 
 
 def test_unknown_catalog_name():
@@ -387,7 +405,7 @@ def _dense_associativity_witness(fusion):
 
 
 def _with_fusion(inp, fusion):
-    return dataclasses.replace(
+    return replaced(
         inp, fusion=tuple(tuple(tuple(row) for row in plane) for plane in fusion)
     )
 

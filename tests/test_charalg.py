@@ -2,13 +2,14 @@
 conjugacy data.  The frozen numbers below were derived once by hand from the
 defining formulas and pinned."""
 
-import dataclasses
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import replaced
 
 from fusioncat import (
     CategoryInput,
@@ -311,7 +312,7 @@ def test_conjugacy_from_permuted_char_table(name, algs):
     # table column behind it, so the classes are the modular ones
     inp = category_to_input(catalog_get(name), kind="fusion_ring")
     rows = [row[1:] + row[:1] for row in inp.char_table.rows]
-    inp = dataclasses.replace(inp, char_table=CycloMatrix(rows))
+    inp = replaced(inp, char_table=CycloMatrix(rows))
     got = CharacterAlgebra(build_category(inp)).conjugacy()
     want = algs[name].conjugacy()
     rank = len(rows)
@@ -356,7 +357,7 @@ def test_conjugacy_rejects_a_table_of_non_characters(corrupt, message):
         ]
     else:
         rows = [row[:3] + row[2:3] for row in inp.char_table.rows]
-    inp = dataclasses.replace(inp, char_table=CycloMatrix(rows))
+    inp = replaced(inp, char_table=CycloMatrix(rows))
     alg = CharacterAlgebra(assemble_category(inp))  # no validation
     with pytest.raises(InternalConsistencyError, match=message):
         alg.conjugacy()
@@ -497,12 +498,12 @@ def _corrupt(conj, what):
     elif what == "alpha entry +1":
         rows = [list(row) for row in conj.alpha.rows]
         rows[1][-1] = rows[1][-1] + 1
-        return dataclasses.replace(conj, alpha=CycloMatrix(rows))
+        return replaced(conj, alpha=CycloMatrix(rows))
     else:  # "class-sum entry +1"
         coeffs = list(sums[1].coeffs)
         coeffs[-1] = coeffs[-1] + 1
         sums[1] = CentralElement(tuple(coeffs))
-    return dataclasses.replace(conj, class_sums=tuple(sums), sizes=tuple(sizes))
+    return replaced(conj, class_sums=tuple(sums), sizes=tuple(sizes))
 
 
 RATIONAL = ("pass", "all structure constants rational")

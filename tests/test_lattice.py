@@ -1,11 +1,12 @@
 """Fusion subcategory lattice, universal grading, prime-index correspondence."""
 
-import dataclasses
 import gc
 import weakref
 from itertools import permutations, product
 
 import pytest
+
+from conftest import replaced
 
 from fusioncat import lattice
 from fusioncat import (
@@ -184,35 +185,61 @@ def test_lattice_suite_passes(name, algs):
     assert [c.check_id for c in checks if c.status == "fail"] == []
 
 
-def test_lattice_suite_reports_each_law_separately():
-    # doubling every product of central elements breaks only the meet law;
-    # the other two laws are still checked over every pair and pass
-    alg = CharacterAlgebra(catalog_get("toric_code"))
-    ce_mul = alg.ce_mul
-    alg.ce_mul = lambda a, b: ce_mul(a, b).scaled(2)
-    laws = {c.check_id: c for c in lattice_suite(alg)}
-    assert laws["meet-integral-scaling"].status == "fail"
-    assert laws["meet-integral-scaling"].detail == "failed at ((0,), (0,))"
-    for law in ("join-cointegral", "support-antitone"):
-        assert (laws[law].status, laws[law].detail) == ("pass", "")
+def _laws_with_support(monkeypatch, members, support):
+    """lattice_suite on toric_code, reading the given support for the
+    subcategory with these members; every closed form stays true."""
+
+    def corrupted(alg, subcat):
+        inv = subcat_invariants(alg, subcat)
+        return replaced(inv, support=support) if subcat.members == members else inv
+
+    monkeypatch.setattr(lattice, "subcat_invariants", corrupted)
+    checks = lattice_suite(CharacterAlgebra(catalog_get("toric_code")))
+    return {c.check_id: (c.status, c.detail) for c in checks}
 
 
-def test_lattice_suite_reports_the_join_law_at_its_first_pair():
-    alg = CharacterAlgebra(catalog_get("toric_code"))
-    alg.conjugacy()  # certified with the true product
-    cf_mul = alg.cf_mul
-    alg.cf_mul = lambda f, g: cf_mul(f, g).scaled(2)
-    laws = {c.check_id: c for c in lattice_suite(alg)}
-    assert laws["join-cointegral"].status == "fail"
-    assert laws["join-cointegral"].detail == "failed at ((0,), (0,))"
-    for law in ("meet-integral-scaling", "support-antitone"):
-        assert (laws[law].status, laws[law].detail) == ("pass", "")
+def test_lattice_suite_reports_each_law_separately(monkeypatch):
+    # supports (0,) -> 0123, (0,1) -> 01, (0,2) -> 02, (0,3) -> 03, full -> 0
+    first = ("fail", "failed at ((0, 1), (0, 2))")
+    # (0,1) does not contain (0,2), yet support 0 lies inside 02; the
+    # supports still intersect along every join
+    laws = _laws_with_support(monkeypatch, (0, 1), (0,))
+    assert (laws["support-antitone"], laws["join-cointegral"]) == (first, ("pass", ""))
+    # an empty support keeps the order, but (0,1) v (0,2) is the full
+    # subcategory, whose support () is not 01 & 02 = 0
+    laws = _laws_with_support(monkeypatch, (0, 1, 2, 3), ())
+    assert (laws["support-antitone"], laws["join-cointegral"]) == (("pass", ""), first)
+    assert "meet-integral-scaling" not in laws
+
+
+def test_lattice_suite_reports_the_join_law_at_its_first_pair(monkeypatch):
+    laws = _laws_with_support(monkeypatch, (0, 1, 2, 3), (0, 1))
+    assert laws["join-cointegral"] == ("fail", "failed at ((0, 1), (0, 2))")
+    assert laws["support-antitone"] == ("fail", "failed at ((0, 1), (0, 1, 2, 3))")
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_pair_laws_hold_as_class_algebra_products(name, algs):
+    # the product forms that lattice_suite decides on support masks:
+    # lambda_D lambda_E = lambda_{D v E}, and (ell_D dim D)(ell_E dim E) =
+    # dim C ell_{D ^ E} dim(D ^ E)
+    alg = algs[name]
+    subcats = enumerate_subcats(alg)
+    invs = {d.members: subcat_invariants(alg, d) for d in subcats}
+    for d, e in product(subcats, repeat=2):
+        di, ei = invs[d.members], invs[e.members]
+        ji, mi = invs[join(alg, d, e).members], invs[meet(alg, d, e).members]
+        assert alg.cf_mul(di.cointegral, ei.cointegral) == ji.cointegral
+        assert set(ji.support) == set(di.support) & set(ei.support)
+        assert alg.ce_mul(di.integral.scaled(di.dim), ei.integral.scaled(ei.dim)) == (
+            mi.integral.scaled(mi.dim * alg.dim)
+        )
 
 
 def test_lattice_suite_reports_class_sizes_that_miss_the_index():
     alg = CharacterAlgebra(catalog_get("toric_code"))
     conj = alg.conjugacy()
-    alg._conjugacy = dataclasses.replace(conj, sizes=tuple(z + 1 for z in conj.sizes))
+    alg._conjugacy = replaced(conj, sizes=tuple(z + 1 for z in conj.sizes))
     laws = {c.check_id: c for c in lattice_suite(alg)}
     assert (laws["subcat-invariants"].status, laws["subcat-invariants"].detail) == (
         "fail",
@@ -222,30 +249,32 @@ def test_lattice_suite_reports_class_sizes_that_miss_the_index():
 
 def test_symmetric_laws_run_once_per_unordered_pair(monkeypatch):
     # toric_code has 5 subcategories: 15 unordered pairs, 25 ordered ones.
-    # Each pair closes its join once; meets come from the enumerated lattice.
+    # Each pair closes its join once, on masks; no law multiplies class
+    # functions or central elements, and no meet or join is formed.
     alg = CharacterAlgebra(catalog_get("toric_code"))
-    alg.conjugacy()
+    enumerate_subcats(alg)
     grading(alg)
-    calls = {"cf_mul": 0, "closures": 0}
-    cf_mul, generate = alg.cf_mul, lattice.generate_subcat
+    masks = lattice._ring_masks(alg)
+    oracle = lattice._subset_closures(masks, alg.rank)
+    closures = []
+    close = lattice._close
 
-    def counted_cf_mul(f, g):
-        calls["cf_mul"] += 1
-        return cf_mul(f, g)
+    def counted_close(table, closed, new):
+        if table is masks:
+            closures.append(frozenset((closed, new)))
+        return close(table, closed, new)
 
-    def counted_generate(alg, generators):
-        calls["closures"] += 1
-        return generate(alg, generators)
+    def forbidden(*args):
+        raise AssertionError("the pair laws run on support masks")
 
-    def no_meet(*args):
-        raise AssertionError("meets are read off the enumerated lattice")
-
-    alg.cf_mul = counted_cf_mul
-    monkeypatch.setattr(lattice, "generate_subcat", counted_generate)
-    monkeypatch.setattr(lattice, "meet", no_meet)
+    alg.cf_mul = alg.ce_mul = forbidden
+    for name in ("meet", "join", "generate_subcat"):
+        monkeypatch.setattr(lattice, name, forbidden)
+    monkeypatch.setattr(lattice, "_subset_closures", lambda table, rank: oracle)
+    monkeypatch.setattr(lattice, "_close", counted_close)
     checks = lattice_suite(alg)
     assert [c.check_id for c in checks if c.status == "fail"] == []
-    assert calls == {"cf_mul": 15, "closures": 15}
+    assert len(closures) == len(set(closures)) == 15
 
 
 def test_lattice_memo_dies_with_its_algebra():

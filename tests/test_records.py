@@ -1,20 +1,24 @@
 """The result records: construction, read-only fields, equality and hashing.
 
-Only CategoryInput and ConjugacyData are dataclasses, because callers
-dataclasses.replace them; every other record is a plain slotted class,
-which keeps the package's import free of per-class code generation.
+Every record is a plain slotted class, not a dataclass, which keeps the
+package's import free of per-class code generation and of the dataclasses
+and inspect modules.
 """
 
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import fusioncat
 from fusioncat import catalog_get
-from fusioncat.category import Check, ModularData
+from fusioncat.category import CategoryInput, Check, ModularData
 from fusioncat.centralizer import centralizer
 from fusioncat.charalg import CentralElement, CharacterAlgebra, ClassFunction
 from fusioncat.lattice import (
@@ -26,7 +30,7 @@ from fusioncat.lattice import (
 )
 
 
-def test_only_replaced_records_are_dataclasses():
+def test_no_record_is_a_dataclass():
     found = set()
     for info in pkgutil.iter_modules(fusioncat.__path__):
         if info.name == "__main__":
@@ -35,7 +39,20 @@ def test_only_replaced_records_are_dataclasses():
         for _, cls in inspect.getmembers(module, inspect.isclass):
             if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):
                 found.add(cls.__name__)
-    assert found == {"CategoryInput", "ConjugacyData"}
+    assert found == set()
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    src = Path(fusioncat.__file__).resolve().parent.parent
+    probe = (
+        "import sys, fusioncat.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_keyword_construction_with_defaults():
@@ -44,6 +61,18 @@ def test_keyword_construction_with_defaults():
     s = catalog_get("semion").modular.s
     modular = ModularData(s=s)
     assert modular.s is s and modular.twists is None
+
+
+def test_category_input_keeps_field_order_and_defaults():
+    fusion = catalog_get("semion").ring.fusion
+    inp = CategoryInput("z2", "fusion_ring", 1, ("1", "s"), None, None, fusion)
+    assert (inp.name, inp.kind, inp.conductor, inp.labels, inp.fusion) == (
+        "z2", "fusion_ring", 1, ("1", "s"), fusion
+    )
+    assert (inp.s_matrix, inp.twists, inp.dims, inp.char_table) == (None,) * 4
+    assert inp.derived_ring is inp.derived_ring  # cached once per input
+    with pytest.raises(AttributeError):
+        inp.fusion = None
 
 
 @pytest.fixture(scope="module")
