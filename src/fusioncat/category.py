@@ -29,7 +29,9 @@ from functools import cached_property
 from itertools import product
 from math import lcm
 
-from .cyclotomic import Cyclotomic, CycloMatrix, euler_phi, matmul, rational
+from .cyclotomic import (
+    Cyclotomic, CycloMatrix, euler_phi, flatten, matmul, pointwise_nums, rational,
+)
 from .errors import (
     CapabilityError,
     DegenerateError,
@@ -178,23 +180,34 @@ def _sparse_rows(fusion):
     )
 
 
-def _character_law_witness(nonzero, rows):
-    """The first (i, j, l), j >= i, in row-major order with
-    sum_k N_ij^k rows[k][l] != rows[i][l] rows[j][l], or None; nonzero is
-    _sparse_rows of the rules.  Per i, one matmul of the rows N_ij, j >= i,
-    over the k with some N_ij^k != 0 (and k = 0, so it is never empty)."""
-    rank = len(rows)
-    for i in range(rank):
-        coeffs = [dict(nonzero[i][j]) for j in range(i, rank)]
-        ks = sorted({0}.union(*coeffs))
-        sums = matmul([[rational(c.get(k, 0)) for k in ks] for c in coeffs], [rows[k] for k in ks])
-        bad = next((
-            (i, j, l) for j, row in enumerate(sums, i) for l in range(rank)
-            if row[l] != rows[i][l] * rows[j][l]
-        ), None)
-        if bad is not None:
-            return bad
+def _law_witness(nonzero, n: int, den: int, rows, pairs=None):
+    """The first (i, j) of pairs (default: every j >= i, row-major), and there
+    the first coordinate l, where the fusion law sum_k N_ij^k x_k = x_i x_j
+    fails for x_k = rows[k] / den, flat numerator rows at conductor n; both
+    sides are compared times den^2.  nonzero is _sparse_rows of N."""
+    rank, phi = len(rows), euler_phi(n)
+    scaled = rows if den == 1 else [[den * c for c in row] for row in rows]
+    if pairs is None:
+        pairs = ((i, j) for i in range(rank) for j in range(i, rank))
+    for i, j in pairs:
+        lhs = [0] * len(rows[i])
+        for k, t in nonzero[i][j]:
+            lhs = [a + t * b for a, b in zip(lhs, scaled[k])]
+        rhs = pointwise_nums(n, rows[i], rows[j])
+        if lhs != rhs:
+            return i, j, next(m for m, (a, b) in enumerate(zip(lhs, rhs)) if a != b) // phi
     return None
+
+
+def _invertibility(check_id: str, m: CycloMatrix, certified: bool) -> Check:
+    """Pass on a certificate; without one, elimination decides, and a
+    singular m fails with its rank."""
+    try:
+        if not certified:
+            m.inverse()
+    except SingularMatrixError as e:
+        return verdict(check_id, False, str(e))
+    return verdict(check_id, True)
 
 
 def dual_involution(fusion) -> tuple[int, ...]:
@@ -312,7 +325,7 @@ class CategoryInput(_Frozen):
 
 def _check_ring_axioms(inp: CategoryInput, fusion, nonzero, dims, checks: list[Check]):
     """Shared fusion-ring checks on the given or derived rules of inp, with
-    nonzero = _sparse_rows(fusion)."""
+    nonzero = _sparse_rows(fusion); returns the duality, or None."""
     rank = len(fusion)
     bad = next((
         (j, k) for j, k in product(range(rank), repeat=2)
@@ -375,9 +388,10 @@ def _check_ring_axioms(inp: CategoryInput, fusion, nonzero, dims, checks: list[C
         else:
             checks.append(Check("spherical", "skip", "no duality involution"))
             checks.append(Check("global-dim-nonzero", "skip", "no duality involution"))
+    return dual
 
 
-def _check_char_table(nonzero, dims, table: CycloMatrix, checks: list[Check]):
+def _check_char_table(nonzero, dims, dual, table: CycloMatrix, checks: list[Check]):
     rank = len(nonzero)
     bad = next((j for j in range(rank) if table.rows[0][j] != 1), None)
     checks.append(
@@ -388,17 +402,19 @@ def _check_char_table(nonzero, dims, table: CycloMatrix, checks: list[Check]):
         )
     )
 
-    bad = _character_law_witness(nonzero, table.rows)
+    bad = _law_witness(nonzero, *flatten(table.rows))
     detail = "" if bad is None else (
         f"column {bad[2]} is not an algebra character at (i,k)={bad[:2]}"
     )
     checks.append(verdict("char-table-characters", bad is None, detail))
 
-    try:
-        table.inverse()
-        checks.append(verdict("char-table-invertible", True))
-    except SingularMatrixError as e:
-        checks.append(verdict("char-table-invertible", False, str(e)))
+    # alpha^T P alpha = diag(f) with every f_j != 0, P the duality on rows,
+    # proves alpha invertible: column orthogonality of a character table
+    gram = dual is not None and matmul(list(zip(*table.rows)), [table.rows[k] for k in dual])
+    certified = gram and all(
+        (j == l) != v.is_zero() for j, row in enumerate(gram) for l, v in enumerate(row)
+    )
+    checks.append(_invertibility("char-table-invertible", table, certified))
 
     if dims is not None:
         cols = [
@@ -433,11 +449,13 @@ def validate_input(inp: CategoryInput) -> list[Check]:
         checks.append(
             verdict("dims-nonzero", not zero, f"s_0r = 0 at {zero}" if zero else "")
         )
-        try:
-            s.inverse()
-            checks.append(verdict("s-invertible", True))
-        except SingularMatrixError as e:
-            checks.append(verdict("s-invertible", False, str(e)))
+        # s s = c P with c != 0 and P a permutation matrix proves s invertible;
+        # for modular data c = dim C and P is charge conjugation
+        hits = [[(j, v) for j, v in enumerate(row) if v] for row in matmul(s.rows, s.rows)]
+        certified = all(len(h) == 1 and h[0][1] == hits[0][0][1] for h in hits) and (
+            sorted(h[0][0] for h in hits) == list(range(s.nrows))
+        )
+        checks.append(_invertibility("s-invertible", s, certified))
 
         fusion = None
         if not zero:
@@ -476,9 +494,9 @@ def validate_input(inp: CategoryInput) -> list[Check]:
             checks.append(verdict("twists-roots-of-unity", bad is None, bad or ""))
     else:
         nonzero = _sparse_rows(inp.fusion)
-        _check_ring_axioms(inp, inp.fusion, nonzero, inp.dims, checks)
+        dual = _check_ring_axioms(inp, inp.fusion, nonzero, inp.dims, checks)
         if inp.char_table is not None:
-            _check_char_table(nonzero, inp.dims, inp.char_table, checks)
+            _check_char_table(nonzero, inp.dims, dual, inp.char_table, checks)
 
     return checks
 

@@ -28,6 +28,11 @@ T phi^(f-1) prod_m max|x_m|.  `_width` takes b >= bitlen(B) + 1, so
 carry crosses a slot, and each slot reads back exactly.  A single slot
 (phi = 1) is the value itself.
 
+A flat numerator vector holds several values at one conductor n over one
+denominator, phi(n) numerators per coordinate (`flatten`); `pointwise_nums`
+and `matmul_nums` are the kernel on that layout, with plain int products
+when phi(n) = 1 (n = 1 or 2).
+
 Numeric embedding (zeta_n -> exp(2*pi*i/n)) exists for display and sanity
 checks only; nothing downstream branches on floats.
 """
@@ -52,6 +57,10 @@ __all__ = [
     "rational",
     "bilinear",
     "matmul",
+    "flatten",
+    "lift_nums",
+    "pointwise_nums",
+    "matmul_nums",
 ]
 
 
@@ -204,6 +213,50 @@ def _permute_nums(n: int, nums, t: int) -> list[int]:
     return _reduce_buckets(buckets, n)
 
 
+def _chunks(nums, phi: int) -> list:
+    """A flat numerator vector cut into its coordinates, phi numerators each."""
+    return [nums[k:k + phi] for k in range(0, len(nums), phi)]
+
+
+def lift_nums(nums, m: int, n: int):
+    """Flat numerators at conductor m (phi(m) per coordinate), rewritten at
+    n, a multiple of m, coordinate by coordinate as Cyclotomic.lift does."""
+    if m == n:
+        return nums
+    return [c for x in _chunks(nums, euler_phi(m)) for c in _permute_nums(n, x, n // m)]
+
+
+def pointwise_nums(n: int, xs, ys) -> list[int]:
+    """Flat numerators of the coordinatewise product of two flat numerator
+    vectors at conductor n: plain int products when phi(n) = 1, else per
+    coordinate a scaling when one factor is rational, as in
+    Cyclotomic.__mul__, or one _mul_nums."""
+    phi = euler_phi(n)
+    if phi == 1:
+        return list(map(mul, xs, ys))
+    out = []
+    for x, y in zip(_chunks(xs, phi), _chunks(ys, phi)):
+        if any(x[1:]) and any(y[1:]):
+            out += _mul_nums(n, x, y)
+        else:
+            p, v = (x[0], y) if not any(x[1:]) else (y[0], x)
+            out += [p * c for c in v]
+    return out
+
+
+def matmul_nums(n: int, rows, cols) -> list[list[int]]:
+    """Flat numerator rows of the dot products sum_k x_k y_k of every flat
+    row x with every flat column y, all at conductor n: as in matmul, entry
+    (i, j) is one packed sum, unpacked once."""
+    phi = euler_phi(n)
+    if phi == 1:
+        return [[sum(map(mul, x, y)) for y in cols] for x in rows]
+    tops = (max((abs(c) for v in vs for c in v), default=0) for vs in (rows, cols))
+    w = _width(len(rows[0]) // phi, phi, *tops)
+    px, py = ([[_pack(x, w) for x in _chunks(v, phi)] for v in vs] for vs in (rows, cols))
+    return [[c for y in py for c in _unpack(n, sum(map(mul, x, y)), w, 2 * phi - 1)] for x in px]
+
+
 def _make(n: int, nums, den: int = 1) -> "Cyclotomic":
     """Trusted constructor: `nums` are phi(n) integers and `den` > 0.  No
     validation; divides out gcd(den, *nums) to keep the form canonical."""
@@ -288,8 +341,7 @@ class Cyclotomic:
             raise ValueError(
                 f"cannot lift conductor {self.conductor} to non-multiple {conductor}"
             )
-        step = conductor // self.conductor
-        return _make(conductor, _permute_nums(conductor, self.nums, step), self.den)
+        return _make(conductor, lift_nums(self.nums, self.conductor, conductor), self.den)
 
     @staticmethod
     def _common(a: "Cyclotomic", b: "Cyclotomic"):
@@ -482,39 +534,30 @@ def rational(q, conductor: int = 1) -> Cyclotomic:
     return Cyclotomic.from_rational(q, conductor)
 
 
-def _packing(groups, terms, uses):
-    """Lift all values to their lcm conductor n, put each vector of each group
-    over one denominator and pack it for sums of products, with multiplicities
-    `terms`, of one vector from each group in `uses`.  Returns n, the width,
-    the slot count of such a sum and per group its (packed ints, den) pairs."""
-    n = lcm(*(v.conductor for vecs in groups for vec in vecs for v in vec))
-    phi_n = euler_phi(n)
-    cleared = [[] for _ in groups]
-    for vecs, out in zip(groups, cleared):
-        for vec in vecs:
-            den = lcm(*(v.den for v in vec))
-            nums = []
-            for v in vec:
-                x = v.nums if v.conductor == n else _permute_nums(n, v.nums, n // v.conductor)
-                nums.append(x if v.den == den else [c * (den // v.den) for c in x])
-            out.append((nums, den))
-    w = 1  # a single slot (phi(n) = 1) has no neighbour to carry into
-    if phi_n > 1:
-        tops = [max((max(map(abs, x)) for nums, _ in out for x in nums), default=0)
-                for out in cleared]
-        w = _width(sum(terms), phi_n, *(tops[g] for g in uses))
-    packed = [[([_pack(x, w) for x in nums], den) for nums, den in out] for out in cleared]
-    return n, w, len(uses) * (phi_n - 1) + 1, packed
+def flatten(rows, n: int = 1):
+    """(n, den, flat): Cyclotomic rows lifted to the lcm conductor n of their
+    entries (and of n) over one denominator den; flat[i] lists the
+    numerators of the entries of row i in turn, phi(n) each."""
+    n = lcm(n, *(v.conductor for row in rows for v in row))
+    den = lcm(*(v.den for row in rows for v in row))
+    return n, den, [
+        [c * (den // v.den) for v in row for c in lift_nums(v.nums, v.conductor, n)]
+        for row in rows
+    ]
 
 
 def matmul(a_rows, b_rows) -> list[list[Cyclotomic]]:
     """The rows of A B for matrices given as rows of Cyclotomic values: all
     entries are lifted to one conductor, each row of A and column of B is
     put over one denominator, and entry (i, j) is one packed dot product."""
-    n, w, slots, (a, b) = _packing((a_rows, list(zip(*b_rows))), [len(b_rows)], (0, 1))
+    cols = list(zip(*b_rows))
+    n = lcm(*(v.conductor for vec in (*a_rows, *cols) for v in vec))
+    a, b = ([flatten([vec], n) for vec in vecs] for vecs in (a_rows, cols))
+    phi = euler_phi(n)
+    sums = matmul_nums(n, [x for _, _, (x,) in a], [y for _, _, (y,) in b])
     return [
-        [_make(n, _unpack(n, sum(map(mul, row, col)), w, slots), da * db) for col, db in b]
-        for row, da in a
+        [_make(n, x, da * db) for x, (_, db, _) in zip(_chunks(row, phi), b)]
+        for (_, da, _), row in zip(a, sums)
     ]
 
 
@@ -525,10 +568,12 @@ def bilinear(xs, ys, table) -> list[Cyclotomic]:
     is one packed sum, unpacked once."""
     size = len(xs)
     xs, ys = ([(i, v) for i, v in enumerate(vs) if any(v.nums)] for vs in (xs, ys))
-    terms = (abs(t) for i, _ in xs for j, _ in ys for _, t in table[i][j])
-    n, w, slots, (((px, dx),), ((py, dy),)) = _packing(
-        ([[v for _, v in xs]], [[v for _, v in ys]]), terms, (0, 1)
-    )
+    terms = sum(abs(t) for i, _ in xs for j, _ in ys for _, t in table[i][j])
+    n = lcm(*(v.conductor for _, v in (*xs, *ys)))
+    (_, dx, (fx,)), (_, dy, (fy,)) = (flatten([[v for _, v in vs]], n) for vs in (xs, ys))
+    phi = euler_phi(n)
+    w = _width(terms, phi, max(map(abs, fx), default=0), max(map(abs, fy), default=0))
+    px, py = ([_pack(x, w) for x in _chunks(f, phi)] for f in (fx, fy))
     acc = {}
     for (i, _), p in zip(xs, px):
         row = table[i]
@@ -538,7 +583,7 @@ def bilinear(xs, ys, table) -> list[Cyclotomic]:
                 acc[k] = acc.get(k, 0) + t * pq
     zero = rational(0)
     return [
-        _make(n, _unpack(n, acc[k], w, slots), dx * dy) if k in acc else zero
+        _make(n, _unpack(n, acc[k], w, 2 * phi - 1), dx * dy) if k in acc else zero
         for k in range(size)
     ]
 

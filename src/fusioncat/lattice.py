@@ -268,7 +268,7 @@ def subcat_invariants(alg: CharacterAlgebra, subcat: FusionSubcategory) -> Subca
     conj = alg.conjugacy()
     pairs = alg.pairings(conj.idempotents, [ell])
     support = tuple(j for j in range(alg.rank) if not pairs[j][0].is_zero())
-    if sum((conj.idempotents[j] for j in support), alg.cf_zero()) != lam:
+    if alg.cf_sum(conj.idempotents[j] for j in support) != lam:
         raise InternalConsistencyError(
             "cointegral is not the sum of the idempotents in its support"
         )

@@ -17,7 +17,6 @@ from fusioncat import (
     catalog_input,
     catalog_names,
     load_category,
-    load_input,
     parse_category,
     save_category,
     validate_input,
@@ -320,26 +319,55 @@ def test_build_validates_once_and_runs_verlinde_at_most_once(
     assert calls["verlinde_fusion"] <= (1 if kind == "modular" else 0)
 
 
-@pytest.mark.parametrize("kind", ["modular", "fusion_ring"])
-def test_verify_inverts_one_matrix_once(kind, tmp_path, monkeypatch):
-    # validation inverts the s-matrix or the character table, once; conjugacy
-    # data is certified by a product and takes no inverse
-    path = tmp_path / "ising.json"
-    save_category(catalog_get("ising"), path, kind=kind)
-    inverse = CycloMatrix.inverse
-    calls = []
+def _count_eliminations(monkeypatch) -> list:
+    """Record the matrix of every CycloMatrix.inverse call."""
+    inverse, calls = CycloMatrix.inverse, []
 
     def counted(self):
-        out = inverse(self)
-        calls.append((self, out))
-        return out
+        calls.append(self)
+        return inverse(self)
 
     monkeypatch.setattr(CycloMatrix, "inverse", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["modular", "fusion_ring"])
+def test_verify_eliminates_only_after_a_failed_certificate(kind, tmp_path, monkeypatch):
+    # validation certifies the s-matrix by s s = c P and the character table
+    # by alpha^T P alpha = diag(f); conjugacy data is certified by a product
+    path = tmp_path / "ising.json"
+    save_category(catalog_get("ising"), path, kind=kind)
+    calls = _count_eliminations(monkeypatch)
     assert run(["verify", "--file", str(path)]) == 0
-    inp = load_input(path)
-    assert [m for m, _ in calls] == [
-        inp.s_matrix if kind == "modular" else inp.char_table
-    ]
+    assert calls == []
+
+
+def _uncertified(kind):
+    """An invertible s-matrix that is no multiple of a permutation when
+    squared, or toric_code's character table with column 2 added to column 1."""
+    if kind == "modular":
+        one = rational(1)
+        return CategoryInput(
+            name="uncertified", kind="modular", conductor=1, labels=("1", "x"),
+            s_matrix=CycloMatrix([[one, one], [one, rational(2)]]),
+        )
+    inp = category_to_input(catalog_get("toric_code"), kind="fusion_ring")
+    rows = [(row[0], row[1] + row[2], *row[2:]) for row in inp.char_table.rows]
+    return replaced(inp, char_table=CycloMatrix(rows))
+
+
+@pytest.mark.parametrize(
+    "kind, law, other",
+    [("modular", "s-invertible", "verlinde-integral"),
+     ("fusion_ring", "char-table-invertible", "char-table-characters")],
+)
+def test_an_uncertified_invertible_matrix_is_eliminated_once(kind, law, other, monkeypatch):
+    inp = _uncertified(kind)
+    calls = _count_eliminations(monkeypatch)
+    checks = {c.check_id: c for c in validate_input(inp)}
+    assert calls == [inp.s_matrix if kind == "modular" else inp.char_table]
+    assert (checks[law].status, checks[law].detail) == ("pass", "")
+    assert checks[other].status == "fail"
 
 
 def test_singular_s_matrix_reports_its_rank():

@@ -19,8 +19,13 @@ from fusioncat import (
     catalog_get,
     catalog_names,
 )
-from fusioncat.category import assemble_category, build_category, category_to_input
-from fusioncat.cyclotomic import CycloMatrix, Cyclotomic, bilinear, euler_phi, rational, zeta
+from fusioncat.category import (
+    _law_witness, assemble_category, build_category, category_to_input, input_to_json,
+    parse_category,
+)
+from fusioncat.cyclotomic import (
+    CycloMatrix, Cyclotomic, bilinear, euler_phi, flatten, rational, zeta,
+)
 from fusioncat.errors import InternalConsistencyError
 
 GOLDEN = -zeta(5, 2) - zeta(5, 3)
@@ -437,11 +442,11 @@ def test_identity_suite_fusion_ring_skips():
 
 
 def test_identity_suite_reports_first_witness():
-    # doubling every product of central elements breaks drinfeld
-    # multiplicativity at every pair; the report names the first one
+    # doubling the Drinfeld characters once conjugacy data is built breaks
+    # drinfeld multiplicativity at every pair; the report names the first one
     alg = CharacterAlgebra(catalog_get("toric_code"))
-    ce_mul = alg.ce_mul
-    alg.ce_mul = lambda a, b: ce_mul(a, b).scaled(2)
+    alg.conjugacy()
+    alg._drinfeld_characters = tuple(e.scaled(2) for e in alg._drinfeld_characters)
     checks = {c.check_id: c for c in alg.identity_suite()}
     law = checks["drinfeld-multiplicative"]
     assert (law.status, law.detail) == (
@@ -451,11 +456,10 @@ def test_identity_suite_reports_first_witness():
 
 
 def test_class_sum_algebra_reports_first_witness():
-    # doubled products of central elements break every class-sum product;
-    # the report names the first pair
+    # doubled scaled class sums break every class-sum product; the report
+    # names the first pair
     alg = CharacterAlgebra(catalog_get("toric_code"))
-    ce_mul = alg.ce_mul
-    alg.ce_mul = lambda a, b: ce_mul(a, b).scaled(2)
+    alg._scaled_class_sums = tuple(y.scaled(2) for y in alg._scaled_class_sums)
     checks = {c.check_id: c for c in alg.identity_suite()}
     law = checks["class-sum-algebra"]
     assert (law.status, law.detail) == (
@@ -584,3 +588,123 @@ def test_identity_suite_on_corrupted_conjugacy_data(name, what):
     want = [(cid, *deviations.get(cid, ("pass", ""))) for cid in SUITE_IDS]
     got = [(c.check_id, c.status, c.detail) for c in alg.identity_suite()]
     assert got == want
+
+
+# -- flat integer vectors and the fusion-law routine against plain Cyclotomic ----
+
+BIG = 2**70
+
+
+@st.composite
+def wide_coeffs(draw, rank, n):
+    """Coordinates all zero, or each zero or at conductor 1, 2, 3, 4 or n, with
+    numerators and denominators up to 2^70."""
+    mixed = draw(st.booleans())
+    coeffs = []
+    for _ in range(rank):
+        m = draw(st.sampled_from((0, 1, 2, 3, 4, n))) if mixed else 0
+        if m == 0:
+            coeffs.append(rational(0, draw(st.sampled_from((1, n)))))
+            continue
+        nums = draw(st.lists(st.integers(-BIG, BIG), min_size=euler_phi(m), max_size=euler_phi(m)))
+        coeffs.append(Cyclotomic(m, [Fraction(c, draw(st.integers(1, BIG))) for c in nums]))
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("name", ["toric_code", "fibonacci", "ising", "vec_z8"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_flat_vectors_match_plain_arithmetic(name, data, algs):
+    alg = algs[name]
+    x = data.draw(wide_coeffs(alg.rank, alg.n))
+    y = data.draw(wide_coeffs(alg.rank, alg.n))
+    c = data.draw(wide_coeffs(1, alg.n))[0]
+    f, g, a, b = ClassFunction(x), ClassFunction(y), CentralElement(x), CentralElement(y)
+    for v, coeffs in ((f, x), (g, y), (a, x), (b, y)):
+        assert type(v)(v.coeffs) == v
+        assert v.coeffs == coeffs
+    assert list((f + g).coeffs) == [p + q for p, q in zip(x, y)]
+    assert list((f - g).coeffs) == [p - q for p, q in zip(x, y)]
+    assert list(f.scaled(c).coeffs) == [c * p for p in x]
+    assert list(f.scaled(-3).coeffs) == [-3 * p for p in x]
+    assert list(alg.ce_mul(a, b).coeffs) == [p * q for p, q in zip(x, y)]
+    assert list(alg.act_arrow(f, b).coeffs) == [p * q for p, q in zip(x, y)]
+    assert (f == g) == all(p == q for p, q in zip(x, y))
+    assert f == ClassFunction(tuple(p.lift(2 * p.conductor) for p in x)) and f != a
+    dual, d = alg.dual, alg.dims
+    assert list(alg.antipode(a).coeffs) == [x[dual[i]] for i in range(alg.rank)]
+    assert list(alg.fourier(a).coeffs) == [
+        x[dual[j]] * d[dual[j]] * alg.dim.inv() for j in range(alg.rank)
+    ]
+    assert list(alg.fourier_inv(f).coeffs) == [
+        x[dual[k]] * alg.dim * d[dual[k]].inv() for k in range(alg.rank)
+    ]
+    want = sum((p * q * dk for p, q, dk in zip(x, y, d)), rational(0))
+    assert alg.pairing(f, b) == want
+
+
+def test_a_conductor_two_input_runs_the_plain_path_at_n_2(algs):
+    # toric_code read at conductor 2, as toric_code^(x)3 is: phi(2) = 1, so
+    # one numerator per coordinate and plain int products; zeta_2 = -1
+    obj = input_to_json(category_to_input(catalog_get("toric_code")))
+    alg = CharacterAlgebra(build_category(parse_category({**obj, "conductor": 2})))
+    want = algs["toric_code"]
+    assert alg.n == 2 and alg.idempotent(1).nums == (0, 1, 0, 0)
+    got = [(c.check_id, c.status, c.detail) for c in alg.identity_suite()]
+    assert got == [(c.check_id, c.status, c.detail) for c in want.identity_suite()]
+    assert alg.conjugacy().class_sums == want.conjugacy().class_sums
+    x = CentralElement((Cyclotomic(2, ["3/2"]), zeta(2), rational(0, 2), Cyclotomic(2, [BIG])))
+    assert (x.n, x.den, x.nums) == (2, 2, (3, -2, 0, 2 * BIG))
+    assert alg.ce_mul(x, x).coeffs == tuple(c * c for c in x.coeffs)
+    assert type(x)(x.coeffs) == x
+
+
+def _law_reference(table, rows, den, n, pairs):
+    """The first (i, j) of pairs and coordinate l with
+    sum_k N_ij^k x_k != x_i x_j at l, by Cyclotomic + and * one term at a time."""
+    phi = euler_phi(n)
+    x = [[Cyclotomic(n, [Fraction(c, den) for c in row[l * phi:(l + 1) * phi]])
+          for l in range(len(row) // phi)] for row in rows]
+    for i, j in pairs:
+        for l in range(len(x[i])):
+            lhs = sum((x[k][l] * t for k, t in table[i][j]), rational(0))
+            if lhs != x[i][l] * x[j][l]:
+                return i, j, l
+    return None
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_fusion_law_routine_matches_plain_arithmetic(data):
+    # small numerators make both sides agree often, so the witness rests on
+    # every multiplicity; the big flag scales numerators and den past 2^64
+    n = data.draw(st.sampled_from((1, 2, 3, 4, 5, 8)))
+    rank, width = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    entry = st.tuples(st.integers(0, rank - 1), st.integers(1, 3))
+    table = data.draw(st.lists(
+        st.lists(st.lists(entry, max_size=2, unique_by=lambda e: e[0]),
+                 min_size=rank, max_size=rank),
+        min_size=rank, max_size=rank,
+    ))
+    size = width * euler_phi(n)
+    rows = data.draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=size, max_size=size), min_size=rank, max_size=rank,
+    ))
+    den = data.draw(st.sampled_from((1, 2)))
+    if data.draw(st.booleans()):
+        rows, den = [[c * (BIG + 1) for c in row] for row in rows], den * (BIG + 1)
+    pairs = data.draw(st.sampled_from((None, "all")))
+    pairs = pairs and [(i, j) for i in range(rank) for j in range(rank)]
+    want_pairs = pairs or [(i, j) for i in range(rank) for j in range(i, rank)]
+    assert _law_witness(table, n, den, rows, pairs) == _law_reference(
+        table, rows, den, n, want_pairs
+    )
+
+
+@pytest.mark.parametrize("name", ["toric_code", "fibonacci", "ising", "vec_z8"])
+def test_fusion_law_routine_accepts_the_character_tables(name, algs):
+    alg = algs[name]
+    alpha = alg.conjugacy().alpha
+    n, den, rows = flatten(alpha.rows)
+    assert _law_witness(alg.data.ring.nonzero, n, den, rows) is None
+    assert _law_witness(alg.data.ring.nonzero, n, den, [[0] * len(r) for r in rows]) is None
