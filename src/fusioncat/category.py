@@ -30,7 +30,8 @@ from itertools import product
 from math import lcm
 
 from .cyclotomic import (
-    Cyclotomic, CycloMatrix, euler_phi, flatten, matmul, pointwise_nums, rational,
+    Cyclotomic, CycloMatrix, _chunks, _make, euler_phi, flatten, matmul, matmul_nums,
+    pointwise_nums, rational,
 )
 from .errors import (
     CapabilityError,
@@ -240,10 +241,10 @@ def verlinde_fusion(s: CycloMatrix):
     """Derive (fusion, dual) from an s-matrix, or raise NotModularError /
     DegenerateError.  Duality is self-consistent: the first pass computes the
     raw sums T_ij^k = sum_r s_ir s_jr s_kr / (d_r dim C) (no dual applied),
-    for each i as one matmul of the rows (s_ir s_jr), j >= i, against the
-    columns s_kr / (d_r dim C), and stops at the first (i, j >= i, k) that is
-    not a nonnegative integer; dual_involution reads the duality permutation off
-    T_ij^0, and then N_ij^k = T_ij^{k*}."""
+    for each i as one matmul_nums of flat rows (s_ir s_jr), j >= i, against
+    s_kr / (d_r dim C), and stops at the first (i, j >= i, k) whose
+    numerators are not a nonnegative integer over the common denominator;
+    dual_involution reads duality off T_ij^0, and then N_ij^k = T_ij^{k*}."""
     rank = s.nrows
     if rank != s.ncols:
         raise NotModularError("s-matrix is not square")
@@ -258,20 +259,21 @@ def verlinde_fusion(s: CycloMatrix):
         raise DegenerateError("global dimension is zero")
     dim_inv = dim_c.inv()
     weights = [d.inv() * dim_inv for d in dims]
-    scaled = [[v * w for v, w in zip(row, weights)] for row in s.rows]
-
-    columns = list(zip(*scaled))
+    n, den_w, columns = flatten([[v * w for v, w in zip(row, weights)] for row in s.rows])
+    n, den_s, rows = flatten(s.rows, n)
+    den, phi = den_s * den_s * den_w, euler_phi(n)
     t = [[[None] * rank for _ in range(rank)] for _ in range(rank)]
-    for i, si in enumerate(s.rows):
-        products = [[x * y for x, y in zip(si, s.rows[j])] for j in range(i, rank)]
-        for j, row in enumerate(matmul(products, columns), i):
-            for k, val in enumerate(row):
-                if not val.is_integer() or val.nums[0] < 0:
+    for i, si in enumerate(rows):
+        products = [pointwise_nums(n, si, rows[j]) for j in range(i, rank)]
+        for j, row in enumerate(matmul_nums(n, products, columns), i):
+            for k, x in enumerate(_chunks(row, phi)):
+                q, r = divmod(x[0], den)
+                if r or q < 0 or any(x[1:]):
                     raise NotModularError(
                         f"Verlinde coefficient at (i={i}, j={j}, k={k}) is "
-                        f"{val}, not a nonnegative integer"
+                        f"{_make(n, x, den)}, not a nonnegative integer"
                     )
-                t[i][j][k] = t[j][i][k] = val.nums[0]
+                t[i][j][k] = t[j][i][k] = q
 
     try:
         dual = dual_involution(t)

@@ -255,7 +255,7 @@ def test_symmetric_laws_run_once_per_unordered_pair(monkeypatch):
     enumerate_subcats(alg)
     grading(alg)
     masks = lattice._ring_masks(alg)
-    oracle = lattice._subset_closures(masks, alg.rank)
+    oracle = lattice._closed_masks(masks, alg.rank)
     closures = []
     close = lattice._close
 
@@ -270,7 +270,7 @@ def test_symmetric_laws_run_once_per_unordered_pair(monkeypatch):
     alg.cf_mul = alg.ce_mul = forbidden
     for name in ("meet", "join", "generate_subcat"):
         monkeypatch.setattr(lattice, name, forbidden)
-    monkeypatch.setattr(lattice, "_subset_closures", lambda table, rank: oracle)
+    monkeypatch.setattr(lattice, "_closed_masks", lambda table, rank: oracle)
     monkeypatch.setattr(lattice, "_close", counted_close)
     checks = lattice_suite(alg)
     assert [c.check_id for c in checks if c.status == "fail"] == []
@@ -398,13 +398,24 @@ def _closures_from_scratch(alg):
     return [set.intersection(*(c for c in closed if s <= c)) for s in subsets]
 
 
-def _subset_closure_count(alg):
-    """Assert that the DP table equals the closures from scratch; return the
-    number of distinct closures."""
-    cl = lattice._subset_closures(lattice._ring_masks(alg), alg.rank)
-    want = _closures_from_scratch(alg)
-    assert [sum(1 << i for i in c) for c in want] == list(cl)
-    return len({tuple(sorted(c)) for c in want})
+def _closed_mask_count(monkeypatch, alg):
+    """Assert that NextClosure lists the closures from scratch, each once, in
+    lectic order (the lowest differing bit decides), with at most
+    L (rank - 1) closures for L closed sets; return L."""
+    masks, close, calls = lattice._ring_masks(alg), lattice._close, []
+
+    def counted_close(*args):
+        calls.append(args)
+        return close(*args)
+
+    monkeypatch.setattr(lattice, "_close", counted_close)
+    found = lattice._closed_masks(masks, alg.rank)
+    want = {sum(1 << i for i in c) for c in _closures_from_scratch(alg)}
+    assert set(found) == want
+    assert len(found) == len(want)
+    assert found == sorted(found, key=lambda m: f"{m:0{alg.rank}b}"[::-1])
+    assert len(calls) <= len(found) * (alg.rank - 1)
+    return len(found)
 
 
 @pytest.mark.parametrize(
@@ -417,14 +428,36 @@ def _subset_closure_count(alg):
         ("z2^4", _abelian(2, 2, 2, 2), 67),
     ],
 )
-def test_subset_closures_match_closure_from_scratch_on_group_rings(name, group, count):
+def test_subset_closures_match_closure_from_scratch_on_group_rings(
+    monkeypatch, name, group, count
+):
     alg, _ = _group_ring(name, *group)
-    assert _subset_closure_count(alg) == count
+    assert _closed_mask_count(monkeypatch, alg) == count
 
 
 @pytest.mark.parametrize("name", catalog_names())
-def test_subset_closures_match_closure_from_scratch_on_the_catalog(name, algs):
-    assert _subset_closure_count(algs[name]) == SUBCAT_COUNTS[name]
+def test_subset_closures_match_closure_from_scratch_on_the_catalog(monkeypatch, name, algs):
+    assert _closed_mask_count(monkeypatch, algs[name]) == SUBCAT_COUNTS[name]
+
+
+def _gaussian_binomial_sum(n, q=2):
+    """The number of subspaces of F_q^n: the sum over k of [n k]_q."""
+    total, term = 0, 1
+    for k in range(n + 1):
+        total += term
+        term = term * (q ** (n - k) - 1) // (q ** (k + 1) - 1)
+    return total
+
+
+@pytest.mark.parametrize("n,count", [(5, 374), (6, 2825)])
+def test_closed_masks_count_the_subgroups_of_f2n_past_the_rank_cap(n, count):
+    # the group table of F_2^n (xor on indices), closed as in
+    # _subgroups_of_index; rank 2^n is past ENUMERATION_RANK_LIMIT
+    order = 1 << n
+    table = [[g ^ h for h in range(order)] for g in range(order)]
+    masks = lattice._product_masks([[((c, 1),) for c in row] for row in table], range(order))
+    found = lattice._closed_masks(masks, order)
+    assert len(found) == len(set(found)) == _gaussian_binomial_sum(n) == count
 
 
 def test_subgroups_of_index_keeps_only_normal_subgroups():

@@ -10,23 +10,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_survey_catalog_centralizers():
+def _python(*args):
+    """Run the interpreter on args with src/ first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [
-            sys.executable,
-            str(ROOT / "scripts" / "survey_catalog.py"),
-            "--centralizers",
-            "toric_code",
-            "ising",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_survey_catalog_centralizers():
+    proc = _python(
+        str(ROOT / "scripts" / "survey_catalog.py"), "--centralizers", "toric_code", "ising"
     )
     assert proc.returncode == 0, proc.stderr
     # entry, rank, dim, subcats, grading order, transparent objects
@@ -38,21 +35,7 @@ def test_survey_catalog_centralizers():
 
 
 def test_output_digest_hashes_each_command():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-
-    def run(*args):
-        return subprocess.run(
-            [sys.executable, *args],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-
-    proc = run(str(ROOT / "scripts" / "output_digest.py"), "toric_code")
+    proc = _python(str(ROOT / "scripts" / "output_digest.py"), "toric_code")
     assert proc.returncode == 0, proc.stderr
     lines = [line.split(" ", 3) for line in proc.stdout.splitlines()]
     # catalog, six commands and one centralizer per object, text and --json
@@ -60,7 +43,17 @@ def test_output_digest_hashes_each_command():
     empty = hashlib.sha256(b"").hexdigest()
     assert all(err == empty and code == "0" for _, err, code, _ in lines)
     by_argv = {argv: out for out, _, _, argv in lines}
-    direct = run("-m", "fusioncat", "verify", "--catalog", "toric_code", "--json")
+    direct = _python("-m", "fusioncat", "verify", "--catalog", "toric_code", "--json")
     want = hashlib.sha256(direct.stdout.encode("utf-8")).hexdigest()
     assert by_argv["verify --catalog toric_code --json"] == want
     assert "centralizer --catalog toric_code --subcat f --json" in by_argv
+
+
+def test_output_digest_of_the_catalog_is_unchanged():
+    # Every command's output on the whole catalog, byte for byte.  A change
+    # that alters output on purpose regenerates the file with
+    #   PYTHONPATH=src python scripts/output_digest.py > tests/catalog_digest.txt
+    proc = _python(str(ROOT / "scripts" / "output_digest.py"))
+    assert proc.returncode == 0, proc.stderr
+    want = (ROOT / "tests" / "catalog_digest.txt").read_text(encoding="utf-8")
+    assert proc.stdout.splitlines() == want.splitlines()
