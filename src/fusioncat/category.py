@@ -344,19 +344,23 @@ def _check_ring_axioms(inp: CategoryInput, fusion, nonzero, dims, checks: list[C
         dual = None
         checks.append(verdict("duality-axiom", False, str(e)))
 
-    # (L_i L_j) L_k against L_i (L_j L_k) over the nonzero coefficients; the
-    # witness is the first (i, j, k) in row-major order, and there the first m.
+    # (L_i L_j) L_k against L_i (L_j L_k) for all k of one (i, j), on packed
+    # rows m -> N_ab^m in w-bit slots (each slot sum is <= rank max(N)^2 < 2^w);
+    # the witness is the first (i, j, k), and there the lowest differing slot m.
+    w = (rank * max(n for plane in fusion for row in plane for n in row) ** 2).bit_length()
+    packed = [[sum(n << w * m for m, n in row) for row in rows] for rows in nonzero]
+    terms = [[(k, l, a) for k, row in enumerate(rows) for l, a in row] for rows in nonzero]
     bad = None
-    for i, j, k in product(range(rank), repeat=3):
-        lhs, rhs = [0] * rank, [0] * rank
+    for i, j in product(range(rank), repeat=2):
+        lhs, rhs, row = [0] * rank, [0] * rank, packed[i]
         for l, a in nonzero[i][j]:
-            for m, b in nonzero[l][k]:
-                lhs[m] += a * b
-        for l, a in nonzero[j][k]:
-            for m, b in nonzero[i][l]:
-                rhs[m] += a * b
+            lhs = [x + a * y for x, y in zip(lhs, packed[l])]
+        for k, l, a in terms[j]:
+            rhs[k] += a * row[l]
         if lhs != rhs:
-            bad = (i, j, k, next(m for m in range(rank) if lhs[m] != rhs[m]))
+            k = next(k for k in range(rank) if lhs[k] != rhs[k])
+            diff = lhs[k] ^ rhs[k]
+            bad = (i, j, k, next(m for m in range(rank) if diff >> w * m & ((1 << w) - 1)))
             break
     checks.append(verdict(
         "associativity", bad is None, "" if bad is None else f"violated at (i,j,k,m)={bad}"

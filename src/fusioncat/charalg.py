@@ -216,6 +216,7 @@ class CharacterAlgebra:
         self.dim = data.dim
         self.dim_inv = data.dim.inv()
         self._dims_inv = tuple(d.inv() for d in self.dims)
+        self._dim_terms = tuple(d * self.dims[k] for d, k in zip(self.dims, self.dual))
         self._conjugacy: ConjugacyData | None = None
         self.n = lcm(*(d.conductor for d in self.dims))
         # weights of the pairing, fourier and fourier_inv, built once
@@ -257,11 +258,6 @@ class CharacterAlgebra:
     def cf_mul(self, f: ClassFunction, g: ClassFunction) -> ClassFunction:
         return ClassFunction(tuple(bilinear(f.coeffs, g.coeffs, self.data.ring.nonzero)))
 
-    def cf_sum(self, fs) -> ClassFunction:
-        """The sum of the class functions fs, as one integer sum."""
-        n, den, rows = _family([self.cf_zero(), *fs])
-        return _vec(ClassFunction, n, list(map(sum, zip(*rows))), den)
-
     def ce_mul(self, a: CentralElement, b: CentralElement) -> CentralElement:
         return _mul(CentralElement, a, b)
 
@@ -288,7 +284,7 @@ class CharacterAlgebra:
     # -- cointegrals ----------------------------------------------------------
 
     def subset_dim(self, members) -> Cyclotomic:
-        return sum((self.dims[i] * self.dims[self.dual[i]] for i in members), rational(0))
+        return sum((self._dim_terms[i] for i in members), rational(0))
 
     def cointegral(self, members=None) -> ClassFunction:
         """tau-normalized cointegral of the full category, or of the fusion

@@ -6,9 +6,10 @@ under taking constituents of tensor products.  Inside this module a set
 of objects is an int mask, bit i for object i, and the one closure routine
 _close grows a closed mask by new bits over a table of product supports.
 Enumeration is the join closure of the principal subcategories <i>
-(guarded at rank 16), listed in exact order of dimension; listing every
-closed mask by Ganter's NextClosure, at most rank - 1 closures each, is
-kept only as lattice_suite's independent oracle.  The subcategories,
+(stopped past SUBCATEGORY_LIMIT), listed in exact order of dimension; the
+joins D v <i> it forms give every other join.  Listing every closed mask
+by Ganter's NextClosure, at most rank - 1 closures each, is kept only as
+lattice_suite's independent oracle.  The subcategories,
 invariants, grading and support table of an algebra are memoized in this
 module, keyed weakly by it.
 
@@ -39,11 +40,12 @@ from __future__ import annotations
 
 import weakref
 from functools import cmp_to_key, partial, wraps
-from itertools import product
 
 from .category import Check, _Frozen, verdict
-from .charalg import CentralElement, CharacterAlgebra, ClassFunction
-from .cyclotomic import Cyclotomic, rational
+from .charalg import (
+    CentralElement, CharacterAlgebra, ClassFunction, _family, _mul, _products, _vec, _Vector,
+)
+from .cyclotomic import Cyclotomic, _chunks, euler_phi, rational
 from .errors import CapabilityError, InternalConsistencyError
 
 __all__ = [
@@ -62,7 +64,7 @@ __all__ = [
     "lattice_suite",
 ]
 
-ENUMERATION_RANK_LIMIT = 16
+SUBCATEGORY_LIMIT = 4096  # most subcategories: L^2 = 16.8e6 ordered pairs
 
 
 class FusionSubcategory(_Frozen):
@@ -187,7 +189,17 @@ def _joins(atoms, close) -> set[int]:
             if j not in found:
                 found.add(j)
                 todo.append(j)
+                if len(found) > SUBCATEGORY_LIMIT:
+                    raise CapabilityError(f"subcategory enumeration stopped past "
+                                          f"SUBCATEGORY_LIMIT = {SUBCATEGORY_LIMIT} subcategories")
     return found
+
+
+def _fold(joins, closed: int, atoms) -> int:
+    """closed v A_1 v A_2 v ..., read off the joins D v A of enumerate_subcats."""
+    for atom in atoms:
+        closed = joins[closed, atom]
+    return closed
 
 
 def _closed_masks(masks, rank: int) -> list[int]:
@@ -223,15 +235,18 @@ def enumerate_subcats(alg: CharacterAlgebra) -> tuple[FusionSubcategory, ...]:
     These are the joins of the principal subcategories <i> generated by one
     simple object.  Proof: for i in D, <i> lies in D, so the join J of the <i>
     over i in D lies in D; each i in D lies in <i>, so D lies in J.  So D = J.
+    The memo keeps every join formed, joins[D, <i>], and gens[D], atoms joining to D.
     """
-    rank = alg.rank
-    if rank > ENUMERATION_RANK_LIMIT:
-        raise CapabilityError(
-            f"subcategory enumeration is exhaustive and limited to rank "
-            f"{ENUMERATION_RANK_LIMIT}; this category has rank {rank}"
-        )
-    close = partial(_close, _ring_masks(alg))
-    found = {_members(m) for m in _joins({close(1, 1 << i) for i in range(rank)}, close)}
+    masks, memo = _ring_masks(alg), _MEMOS[alg]
+    atoms = {_close(masks, 1, 1 << i) for i in range(alg.rank)}
+    joins, gens = memo.setdefault("joins", {}), memo.setdefault("gens", {a: (a,) for a in atoms})
+
+    def close(closed, atom):
+        joins[closed, atom] = joined = _close(masks, closed, atom)
+        gens.setdefault(joined, gens[closed] + (atom,))
+        return joined
+
+    found = {_members(m) for m in _joins(atoms, close)}
     dims = {m: alg.subset_dim(m) for m in found}
 
     def by_dim(a, b):
@@ -252,39 +267,50 @@ def enumerate_subcats(alg: CharacterAlgebra) -> tuple[FusionSubcategory, ...]:
     return tuple(FusionSubcategory(m) for m in sorted(found, key=cmp_to_key(by_dim)))
 
 
-@_memoized
 def subcat_invariants(alg: CharacterAlgebra, subcat: FusionSubcategory) -> SubcatInvariants:
-    """Invariant bundle for one subcategory, exactly cross-checked."""
-    members = subcat.members
-    dim_d = alg.subset_dim(members)
-    index = alg.dim * dim_d.inv()
-    lam = alg.cointegral(members)
-    ell = alg.fourier_inv(lam)
+    """Invariant bundle for one subcategory: _invariants on [subcat]."""
+    return _invariants(alg, [subcat])[0]
 
-    direct = [rational(0) for _ in range(alg.rank)]
-    for i in members:
-        direct[i] = index
-    if ell != CentralElement(tuple(direct)):
-        raise InternalConsistencyError(
-            "integral of the subcategory disagrees with its closed form"
-        )
 
-    conj = alg.conjugacy()
-    pairs = alg.pairings(conj.idempotents, [ell])
-    support = tuple(j for j in range(alg.rank) if not pairs[j][0].is_zero())
-    if alg.cf_sum(conj.idempotents[j] for j in support) != lam:
-        raise InternalConsistencyError(
-            "cointegral is not the sum of the idempotents in its support"
-        )
-    size_sum = sum((conj.sizes[j] for j in support), rational(0))
-    if ell.coeffs[0] != index or size_sum != index:
-        raise InternalConsistencyError(
-            "index, counit of the integral and class sizes over the support disagree"
-        )
-
-    return SubcatInvariants(
-        subcat=subcat, dim=dim_d, index=index, cointegral=lam, integral=ell, support=support
-    )
+def _invariants(alg: CharacterAlgebra, subcats) -> list[SubcatInvariants]:
+    """The invariant bundles of subcats, memoized, from one pass over flat
+    integer rows; the first failing check in list order raises.  As
+    fourier_inv is a permutation times a weight per coordinate, ell_D =
+    fourier_inv(lambda_D) = u 1_D / dim D for u = fourier_inv(sum_i d_{i*}
+    chi_i), which is index 1_D iff u_k = dim C on D; then <F_j, ell_D> =
+    index <F_j d, 1_D>, one matmul over every j and D."""
+    memo = _MEMOS.setdefault(alg, {})
+    todo = [d for d in subcats if ("subcat_invariants", d) not in memo]
+    if todo:
+        rank, conj = alg.rank, alg.conjugacy()
+        u = alg.fourier_inv(alg._codims).coeffs
+        good = sum(1 << k for k in range(rank) if u[k] == alg.dim)
+        indicators = [alg._basis(_Vector, d.members) for d in todo]
+        pairs = _products(_Vector, [_mul(_Vector, f, alg._dims_vec) for f in conj.idempotents],
+                          indicators)
+        nonzero = [[any(x) for x in _chunks(p.nums, euler_phi(p.n))] for p in pairs]
+        n, den, rows = _family(conj.idempotents)
+        for x, (d, one) in enumerate(zip(todo, indicators)):
+            dim_d = alg.subset_dim(d.members)
+            index = alg.dim * (dim_inv := dim_d.inv())
+            if sum(1 << i for i in d.members) & ~good:
+                raise InternalConsistencyError(
+                    "integral of the subcategory disagrees with its closed form"
+                )
+            support = tuple(j for j in range(rank) if nonzero[j][x])
+            lam = _mul(ClassFunction, one, alg._codims).scaled(dim_inv)
+            total = list(map(sum, zip([0] * len(rows[0]), *(rows[j] for j in support))))
+            if _vec(ClassFunction, n, total, den) != lam:
+                raise InternalConsistencyError(
+                    "cointegral is not the sum of the idempotents in its support"
+                )
+            if 0 not in d or sum((conj.sizes[j] for j in support), rational(0)) != index:
+                raise InternalConsistencyError(
+                    "index, counit of the integral and class sizes over the support disagree"
+                )
+            memo["subcat_invariants", d] = SubcatInvariants(
+                d, dim_d, index, lam, alg._basis(CentralElement, d.members).scaled(index), support)
+    return [memo["subcat_invariants", d] for d in subcats]
 
 
 def meet(alg: CharacterAlgebra, a: FusionSubcategory, b: FusionSubcategory) -> FusionSubcategory:
@@ -478,19 +504,22 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
     A below i <= A + i <= B as sets, so A + i agrees with A below i, holds i
     and lies inside B: A < A + i <= B, so A + i = B.  A larger such j would
     give A < A + j < B, as A + j lacks i.  So L closed masks cost at most
-    L (rank - 1) closures, not 2^(rank-1).  Once it matches, the join
-    _close(D, E) of any two subcategories is an enumerated one.
+    L (rank - 1) closures, not 2^(rank-1).  Once it matches, every join is
+    enumerated, and none is closed here: D v E = cl(D | E) = cl(D | gens E),
+    as E = cl(gens E), and closing an atom at a time is the same closure, so
+    D v E is _fold of the joins D v A that enumerate_subcats kept.  The pairs
+    number L^2: past SUBCATEGORY_LIMIT = 4096 the laws are skipped.
 
     The pair laws run on int masks of members and supports.  The join law
     lambda_D lambda_E = lambda_{D v E} holds iff supp(D v E) = supp D & supp E.
     Proof: conjugacy() certifies F alpha = I, so the F_j are orthogonal
     idempotents, F_j F_k = delta_jk F_j, and linearly independent;
-    subcat_invariants checks lambda_D = sum_{j in supp D} F_j.  So
+    _invariants checks lambda_D = sum_{j in supp D} F_j.  So
     lambda_D lambda_E = sum_{j in supp D & supp E} F_j, and two indicator sums
     of independent F_j are equal iff their index sets are.  The law is
     symmetric, so it runs over d <= e.  The meet law (ell_D dim D)(ell_E dim E)
     = dim C ell_{D ^ E} dim(D ^ E) is not checked, as it cannot fail once
-    subcat_invariants passes: that certifies ell_D dim D = dim C 1_D, so both
+    _invariants passes: that certifies ell_D dim D = dim C 1_D, so both
     sides are dim C^2 1_{D & E}, and D & E is closed, as closed sets of a
     closure are closed under intersection.  Each law reports its first
     failing pair in row-major order.
@@ -517,6 +546,7 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
         return checks
 
     try:
+        _invariants(alg, subcats)
         invs = {d.members: subcat_invariants(alg, d) for d in subcats}
         checks.append(verdict("subcat-invariants", True, "closed forms and supports agree"))
     except CapabilityError as e:
@@ -527,17 +557,17 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
         return checks
 
     supports = [sum(1 << j for j in invs[d.members].support) for d in subcats]
-    support_of = dict(zip(masks, supports))
-    close = partial(_close, _ring_masks(alg))
+    support_of, joins, gens = dict(zip(masks, supports)), _MEMOS[alg]["joins"], _MEMOS[alg]["gens"]
     first = dict.fromkeys(("join-cointegral", "support-antitone"))
-    for a, b in product(range(len(subcats)), repeat=2):
-        ma, mb, sa, sb = masks[a], masks[b], supports[a], supports[b]
-        if first["support-antitone"] is None and (ma & mb == mb) != (sa & sb == sa):
-            first["support-antitone"] = (a, b)
-        if a <= b and first["join-cointegral"] is None and (
-            support_of[close(ma, mb)] != sa & sb
-        ):
-            first["join-cointegral"] = (a, b)
+    for a, (ma, sa) in enumerate(zip(masks, supports)):
+        if first["support-antitone"] is None:
+            wrong = [(ma & mb == mb) != (sa & sb == sa) for mb, sb in zip(masks, supports)]
+            first["support-antitone"] = (a, wrong.index(True)) if True in wrong else None
+        if first["join-cointegral"] is None:
+            first["join-cointegral"] = next((
+                (a, b) for b, mb in enumerate(masks[a:], a)
+                if support_of[_fold(joins, ma, gens[mb])] != sa & supports[b]
+            ), None)
     for law, at in first.items():
         detail = "" if at is None else f"failed at {tuple(subcats[x].members for x in at)}"
         checks.append(verdict(law, at is None, detail))

@@ -447,6 +447,27 @@ def test_associativity_witness_is_pinned():
     assert checks["associativity"].detail == "violated at (i,j,k,m)=(1, 2, 3, 3)"
 
 
+@pytest.mark.parametrize("entry,witness", [
+    ((14, 9, 7, 2), "(1, 14, 9, 6)"),
+    ((12, 15, 3, 0), "(1, 12, 15, 2)"),
+])
+def test_associativity_witness_deep_in_a_rank_16_ring(entry, witness):
+    # the group ring of Z/2^4 with one entry changed far from the unit; the
+    # witnesses are those of the triple-by-triple check the packed rows replaced
+    xor16 = [[[int(k == i ^ j) for k in range(16)] for j in range(16)] for i in range(16)]
+    i, j, k, value = entry
+    xor16[i][j][k] = value
+    inp = CategoryInput(
+        name="z2^4", kind="fusion_ring", conductor=1, labels=tuple(map(str, range(16))),
+        fusion=tuple(tuple(map(tuple, plane)) for plane in xor16),
+        dims=tuple(rational(1) for _ in range(16)),
+    )
+    checks = {c.check_id: c for c in validate_input(inp)}
+    assert (checks["associativity"].status, checks["associativity"].detail) == (
+        "fail", f"violated at (i,j,k,m)={witness}"
+    )
+
+
 def test_unit_axiom_reports_the_first_witness():
     # two bad entries in the unit row: (1, 2) comes first in row-major order
     inp = category_to_input(catalog_get("toric_code"), "fusion_ring")

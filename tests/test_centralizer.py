@@ -1,5 +1,7 @@
 """Centralizer computation by both routes plus the exact laws tying them."""
 
+import sys
+
 import pytest
 
 from fusioncat import (
@@ -16,10 +18,12 @@ from fusioncat import (
     verify_main_identity,
 )
 from fusioncat import lattice
-from fusioncat.category import build_category, category_to_input
+from fusioncat.category import CategoryInput, build_category, category_to_input, validate_input
 from fusioncat.cli import full_suite
-from fusioncat.cyclotomic import rational
+from fusioncat.cyclotomic import CycloMatrix, rational
 from fusioncat.errors import CapabilityError, NotRibbonConsistentError
+
+centralizer_module = sys.modules["fusioncat.centralizer"]
 
 
 def test_toric_self_centralizing_halves(algs):
@@ -104,15 +108,48 @@ def test_suite_skips_without_s_matrix():
 
 
 def test_suite_skips_past_enumeration_limit(monkeypatch):
-    # past the enumeration limit every centralizer law is skipped with the
-    # reason, and the other suites still report
-    monkeypatch.setattr(lattice, "ENUMERATION_RANK_LIMIT", 3)
+    # past the subcategory bound (toric_code has 5) every centralizer law is
+    # skipped with the reason, and the other suites still report
+    monkeypatch.setattr(lattice, "SUBCATEGORY_LIMIT", 3)
     checks = full_suite(CharacterAlgebra(catalog_get("toric_code")))
     assert [c.check_id for c in checks if c.status == "fail"] == []
     skipped = {c.check_id: c.detail for c in checks if c.status == "skip"}
     assert skipped["enumeration"] == skipped["main-identity"]
-    assert "limited to rank 3" in skipped["dim-product"]
+    assert "past SUBCATEGORY_LIMIT = 3 subcategories" in skipped["dim-product"]
     assert any(c.check_id == "fourier-roundtrip" for c in checks)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_batched_images_match_the_formula(name):
+    # drinfeld(lambda_D) for every D from one matmul, against
+    # sum_i lambda_D[i] s_ij / d_j one subcategory at a time
+    alg = CharacterAlgebra(catalog_get(name))
+    s, d = alg.data.modular.s.rows, alg.dims
+    subcats = enumerate_subcats(alg)
+    for sub, result in zip(subcats, centralizer_module._results(alg, subcats)):
+        lam = alg.cointegral(sub.members).coeffs
+        want = [sum((lam[i] * s[i][j] for i in range(alg.rank)), rational(0)) * d[j].inv()
+                for j in range(alg.rank)]
+        assert list(result.image.coeffs) == want
+        assert result.members == centralizer_smatrix(alg, sub).members
+
+
+def _kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def test_rank_32_product_verifies_with_nothing_skipped():
+    # toric_code (x) toric_code (x) semion: rank 32, past the old rank-16 cap
+    toric = catalog_get("toric_code").modular.s.rows
+    s = _kron(_kron(toric, toric), catalog_get("semion").modular.s.rows)
+    inp = CategoryInput(name="tc2s", kind="modular", conductor=1,
+                        labels=tuple(f"x{i}" for i in range(32)), s_matrix=CycloMatrix(s))
+    assert [c.check_id for c in validate_input(inp) if c.status != "pass"] == []
+    checks = full_suite(CharacterAlgebra(build_category(inp)))
+    assert [(c.check_id, c.status) for c in checks if c.status != "pass"] == []
+    laws = {c.check_id: c.detail for c in checks}
+    assert laws["enumeration-generator-match"] == "374 subcategories"
+    assert laws["main-identity"] == "all 374 subcategories"
 
 
 def test_non_closed_member_set_rejected(algs):

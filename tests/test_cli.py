@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from fusioncat import catalog_get, catalog_input, catalog_names, save_category
+from fusioncat import catalog_get, catalog_input, catalog_names, lattice, save_category
 from fusioncat.category import CONDUCTOR_LIMIT, category_to_input, input_to_json
 from fusioncat.cli import run
 
@@ -227,6 +227,18 @@ def test_exit_capability_classes_without_tables(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     code, _, err = invoke(capsys, "classes", "--file", str(path))
     assert code == 4
+
+
+def test_subcategory_limit_skips_verify_and_exits_4_from_subcats(monkeypatch, capsys):
+    # toric_code has 5 subcategories; past a bound of 3, verify skips the
+    # lattice and centralizer laws and subcats exits 4, both naming the bound
+    monkeypatch.setattr(lattice, "SUBCATEGORY_LIMIT", 3)
+    why = "subcategory enumeration stopped past SUBCATEGORY_LIMIT = 3 subcategories"
+    code, out, _ = invoke(capsys, "verify", "--catalog", "toric_code", "--json")
+    skipped = {c["id"]: c["detail"] for c in json.loads(out)["checks"] if c["status"] == "skip"}
+    assert code == 0
+    assert skipped["enumeration"] == skipped["dim-product"] == why
+    assert invoke(capsys, "subcats", "--catalog", "toric_code") == (4, "", f"error: {why}\n")
 
 
 def test_verify_fusion_ring_skips_but_passes(tmp_path, capsys):

@@ -249,20 +249,25 @@ def test_lattice_suite_reports_class_sizes_that_miss_the_index():
 
 def test_symmetric_laws_run_once_per_unordered_pair(monkeypatch):
     # toric_code has 5 subcategories: 15 unordered pairs, 25 ordered ones.
-    # Each pair closes its join once, on masks; no law multiplies class
-    # functions or central elements, and no meet or join is formed.
+    # The pair loop reads every join off the joins enumerate_subcats kept, so
+    # it closes no mask; no law multiplies class functions or central
+    # elements, and no meet or join is formed.
     alg = CharacterAlgebra(catalog_get("toric_code"))
     enumerate_subcats(alg)
     grading(alg)
     masks = lattice._ring_masks(alg)
     oracle = lattice._closed_masks(masks, alg.rank)
-    closures = []
-    close = lattice._close
+    closures, folds = [], []
+    close, fold = lattice._close, lattice._fold
 
     def counted_close(table, closed, new):
         if table is masks:
-            closures.append(frozenset((closed, new)))
+            closures.append((closed, new))
         return close(table, closed, new)
+
+    def counted_fold(joins, closed, atoms):
+        folds.append(closed)
+        return fold(joins, closed, atoms)
 
     def forbidden(*args):
         raise AssertionError("the pair laws run on support masks")
@@ -272,9 +277,11 @@ def test_symmetric_laws_run_once_per_unordered_pair(monkeypatch):
         monkeypatch.setattr(lattice, name, forbidden)
     monkeypatch.setattr(lattice, "_closed_masks", lambda table, rank: oracle)
     monkeypatch.setattr(lattice, "_close", counted_close)
+    monkeypatch.setattr(lattice, "_fold", counted_fold)
     checks = lattice_suite(alg)
     assert [c.check_id for c in checks if c.status == "fail"] == []
-    assert len(closures) == len(set(closures)) == 15
+    assert closures == []
+    assert len(folds) == 15
 
 
 def test_lattice_memo_dies_with_its_algebra():
@@ -468,8 +475,7 @@ def test_subgroups_of_index_keeps_only_normal_subgroups():
     assert lattice._subgroups_of_index(table, 3) == []
 
 
-def test_enumeration_guard_rank_limit():
-    # group ring of Z/17: rank 17 exceeds the 2^(rank-1) enumeration guard
+def _z17():
     n = 17
     fusion = tuple(
         tuple(
@@ -486,8 +492,74 @@ def test_enumeration_guard_rank_limit():
         dims=tuple(rational(1) for _ in range(n)),
         char_table=None,
     )
-    alg = CharacterAlgebra(build_category(inp))
-    with pytest.raises(CapabilityError, match="rank"):
+    return CharacterAlgebra(build_category(inp))
+
+
+def test_z17_group_ring_enumerates_past_the_old_rank_cap():
+    # rank 17 was past the old rank-16 cap; Z/17 has two subgroups
+    alg = _z17()
+    assert [d.members for d in enumerate_subcats(alg)] == [(0,), tuple(range(17))]
+    assert generate_subcat(alg, [4]).members == tuple(range(17))
+
+
+def test_enumeration_stops_past_the_subcategory_limit(monkeypatch):
+    # toric_code has 5 subcategories; with a bound of 3 the enumeration
+    # stops and names the bound, and a later call enumerates afresh
+    monkeypatch.setattr(lattice, "SUBCATEGORY_LIMIT", 3)
+    alg = CharacterAlgebra(catalog_get("toric_code"))
+    with pytest.raises(CapabilityError, match="past SUBCATEGORY_LIMIT = 3 subcategories"):
         enumerate_subcats(alg)
-    # targeted closure still works above the guard
-    assert generate_subcat(alg, [4]).members == tuple(range(0, 17, 1))
+    monkeypatch.setattr(lattice, "SUBCATEGORY_LIMIT", 5)
+    assert len(enumerate_subcats(alg)) == 5
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_join_fold_matches_closure_on_the_catalog(name):
+    _assert_join_fold_matches_closure(CharacterAlgebra(catalog_get(name)))
+
+
+@pytest.mark.parametrize("group", [
+    _abelian(2, 2, 2), _abelian(12), _abelian(3, 3), S3, _abelian(2, 2, 2, 2)
+], ids=["z2^3", "z12", "z3^2", "s3", "z2^4"])
+def test_join_fold_matches_closure_on_group_rings(group):
+    _assert_join_fold_matches_closure(_group_ring("g", *group)[0])
+
+
+def _assert_join_fold_matches_closure(alg):
+    # D v E = cl(D | E) = cl(D | gens E), and closing in steps is the same
+    # closure: the fold over the joins D v A kept by enumerate_subcats
+    # equals _close on every ordered pair
+    masks = [sum(1 << i for i in d.members) for d in enumerate_subcats(alg)]
+    memo, table = lattice._MEMOS[alg], lattice._ring_masks(alg)
+    for mb in masks:
+        assert lattice._fold(memo["joins"], 1, memo["gens"][mb]) == mb
+        for ma in masks:
+            assert lattice._fold(memo["joins"], ma, memo["gens"][mb]) == (
+                lattice._close(table, ma, mb)
+            )
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_batched_invariants_match_the_formulas(name):
+    # each bundle from one _invariants pass over every subcategory against
+    # the Cyclotomic formulas, one subcategory at a time: dim D =
+    # sum d_i d_{i*}, lambda_D = sum_{i in D} d_{i*} chi_i / dim D,
+    # ell_D = index 1_D, and supp D = {j : <F_j, ell_D> != 0}
+    alg = CharacterAlgebra(catalog_get(name))
+    subcats = enumerate_subcats(alg)
+    d, dual, rank = alg.dims, alg.dual, alg.rank
+    zero = rational(0)
+    conj = alg.conjugacy()
+    for sub, inv in zip(subcats, lattice._invariants(alg, subcats)):
+        dim = sum((d[i] * d[dual[i]] for i in sub.members), zero)
+        index = alg.dim * dim.inv()
+        lam = [d[dual[i]] * dim.inv() if i in sub else zero for i in range(rank)]
+        ell = [index if i in sub else zero for i in range(rank)]
+        support = tuple(
+            j for j in range(rank)
+            if sum((f * e * dk for f, e, dk in zip(conj.idempotents[j].coeffs, ell, d)), zero)
+        )
+        assert (inv.subcat, inv.dim, inv.index, inv.support) == (sub, dim, index, support)
+        assert list(inv.cointegral.coeffs) == lam
+        assert list(inv.integral.coeffs) == ell
+        assert inv is subcat_invariants(alg, sub)
