@@ -18,20 +18,23 @@ at once.  build_category is the one build path: it validates the input once
 and assembles it, refusing data with any failed check.  The fusion ring and
 its duality are derived once per input, by CategoryInput.derived_ring, which
 validation checks and assembly reuses, so the Verlinde sum runs at most once.
+Everything derived from an s-matrix is computed in the least field that
+holds it (CategoryInput.s_field): SU(2)_k declares conductor 4(k+2) for its
+twists, but its s lies in Q(zeta_2(k+2)).  Twists keep their conductor, and
+values are printed at the one s was given at (CategoryData.show).
 """
 
 from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
 
 from .cyclotomic import (
     Cyclotomic, CycloMatrix, _chunks, _make, euler_phi, flatten, matmul, matmul_nums,
-    pointwise_nums, rational,
+    pointwise_nums, rational, shown,
 )
 from .errors import (
     CapabilityError,
@@ -68,6 +71,9 @@ SCHEMA_VERSION = 1
 # Largest conductor a file may declare: the first sum at conductor n builds an
 # n * phi(n)-entry monomial table, which takes seconds from about n = 10000.
 CONDUCTOR_LIMIT = 1000
+# Pairs (i, j) per Verlinde matmul: one packing of the columns serves them
+# all, and the products held at once stay below 256 rank phi numerators.
+VERLINDE_BLOCK = 256
 
 
 class _Frozen:
@@ -95,6 +101,13 @@ class Check(_Frozen):
 def verdict(check_id: str, ok: bool, detail: str = "") -> Check:
     """A passing or failing Check; skips are written as Check(id, "skip", why)."""
     return Check(check_id, "pass" if ok else "fail", detail)
+
+
+def _witness(check_id: str, bad, detail: str) -> Check:
+    """Pass when there is no witness (bad is None or []), else fail with
+    detail.format(bad)."""
+    ok = bad is None or bad == []
+    return verdict(check_id, ok, "" if ok else detail.format(bad))
 
 
 class FusionRing(_Frozen):
@@ -134,14 +147,29 @@ class PivotalData(_Frozen):
 
 
 class ModularData(_Frozen):
-    """Unnormalized s-matrix; twists are stored if given but only checked
-    to be roots of unity."""
+    """Unnormalized s-matrix, in its least field when built from input, and
+    `conductor`, the one its values are shown at (CategoryInput); twists are
+    stored if given but only checked to be roots of unity.  `certified` is
+    the fusion rules N for which validation's certificate proves the
+    character law sum_k N_ij^k alpha_kl = alpha_il alpha_jl of alpha_il =
+    s_il / d_l, or None.
 
-    __slots__ = ("s", "twists")
+    The certificate: s symmetric, s s = c P with c != 0 and P the permutation
+    matrix of the duality k -> k* derived with N by the Verlinde sum
+    N_ij^k = (1/c') sum_r s_ir s_jr s_{k* r} / d_r, c' = sum_r d_r^2,
+    d_r = s_0r.  Proof: s commutes with s s = c P, so s P = P s, that is
+    s_{r k*} = s_{r* k}.  With symmetry, sum_k s_{k* r} s_kl =
+    sum_k s_{r* k} s_kl = (s s)_{r* l} = c delta_rl, and c = (s s)_00 = c'
+    as 0* = 0.  So sum_k N_ij^k s_kl = s_il s_jl / d_l; divide by d_l."""
 
-    def __init__(self, s: CycloMatrix, twists: tuple[Cyclotomic, ...] | None = None):
+    __slots__ = ("s", "twists", "conductor", "certified")
+
+    def __init__(self, s: CycloMatrix, twists: tuple[Cyclotomic, ...] | None = None,
+                 conductor: int | None = None, certified: tuple | None = None):
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "twists", twists)
+        object.__setattr__(self, "conductor", conductor or s.conductor)
+        object.__setattr__(self, "certified", certified)
 
 
 class CategoryData(_Frozen):
@@ -171,6 +199,12 @@ class CategoryData(_Frozen):
     @property
     def is_integral(self) -> bool:
         return all(d.is_integer() for d in self.dims)
+
+    def show(self, v: Cyclotomic) -> Cyclotomic:
+        """v as printed: s-derived values are computed in the least field of s
+        but every one that is printed, in a report, a check or an error,
+        goes through here and is lifted to the conductor s was given at."""
+        return shown(v, self.modular.conductor if self.modular is not None else 1)
 
 
 def _sparse_rows(fusion):
@@ -237,14 +271,15 @@ def global_dim(dims, dual) -> Cyclotomic:
     return total
 
 
-def verlinde_fusion(s: CycloMatrix):
+def verlinde_fusion(s: CycloMatrix, show=lambda v: v):
     """Derive (fusion, dual) from an s-matrix, or raise NotModularError /
     DegenerateError.  Duality is self-consistent: the first pass computes the
     raw sums T_ij^k = sum_r s_ir s_jr s_kr / (d_r dim C) (no dual applied),
-    for each i as one matmul_nums of flat rows (s_ir s_jr), j >= i, against
-    s_kr / (d_r dim C), and stops at the first (i, j >= i, k) whose
-    numerators are not a nonnegative integer over the common denominator;
-    dual_involution reads duality off T_ij^0, and then N_ij^k = T_ij^{k*}."""
+    as matmul_nums of the flat rows (s_ir s_jr), j >= i, VERLINDE_BLOCK pairs
+    at a time, against s_kr / (d_r dim C), and stops at the first
+    (i, j >= i, k) whose numerators are not a nonnegative integer over the
+    common denominator, printed through show; dual_involution reads duality
+    off T_ij^0, and then N_ij^k = T_ij^{k*}."""
     rank = s.nrows
     if rank != s.ncols:
         raise NotModularError("s-matrix is not square")
@@ -263,15 +298,16 @@ def verlinde_fusion(s: CycloMatrix):
     n, den_s, rows = flatten(s.rows, n)
     den, phi = den_s * den_s * den_w, euler_phi(n)
     t = [[[None] * rank for _ in range(rank)] for _ in range(rank)]
-    for i, si in enumerate(rows):
-        products = [pointwise_nums(n, si, rows[j]) for j in range(i, rank)]
-        for j, row in enumerate(matmul_nums(n, products, columns), i):
+    pairs = [(i, j) for i in range(rank) for j in range(i, rank)]
+    for block in _chunks(pairs, VERLINDE_BLOCK):
+        products = [pointwise_nums(n, rows[i], rows[j]) for i, j in block]
+        for (i, j), row in zip(block, matmul_nums(n, products, columns)):
             for k, x in enumerate(_chunks(row, phi)):
                 q, r = divmod(x[0], den)
                 if r or q < 0 or any(x[1:]):
                     raise NotModularError(
                         f"Verlinde coefficient at (i={i}, j={j}, k={k}) is "
-                        f"{_make(n, x, den)}, not a nonnegative integer"
+                        f"{show(_make(n, x, den))}, not a nonnegative integer"
                     )
                 t[i][j][k] = t[j][i][k] = q
 
@@ -321,8 +357,36 @@ class CategoryInput(_Frozen):
         modular input, by dual_involution for given fusion rules.  Raises
         what those raise; validate_input reports that as a failed check."""
         if self.kind == "modular":
-            return verlinde_fusion(self.s_matrix)
+            return verlinde_fusion(self.s_field, self.show)
         return self.fusion, dual_involution(self.fusion)
+
+    @property
+    def shown_conductor(self) -> int:
+        """Where s-derived values are shown: the declared conductor, or the
+        given s-matrix's if that is not a divisor of it; 1 without s."""
+        return lcm(self.conductor, self.s_matrix.conductor) if self.s_matrix is not None else 1
+
+    def show(self, v: Cyclotomic) -> Cyclotomic:
+        """v as printed (CategoryData.show)."""
+        return shown(v, self.shown_conductor)
+
+    @cached_property
+    def s_field(self) -> CycloMatrix:
+        """The s-matrix in the least field that holds it (CycloMatrix.descended)."""
+        return self.s_matrix.descended()
+
+    @cached_property
+    def s_square(self) -> tuple[int, ...] | None:
+        """P when s s = c P with c != 0 and P a permutation matrix, as the
+        column of the one nonzero entry of each row; else None.  This proves s
+        invertible, and with s symmetric and P the derived duality it proves
+        the character law of alpha (ModularData)."""
+        s = self.s_field
+        hits = [[(j, v) for j, v in enumerate(row) if v] for row in matmul(s.rows, s.rows)]
+        if not all(len(h) == 1 and h[0][1] == hits[0][0][1] for h in hits):
+            return None
+        perm = tuple(h[0][0] for h in hits)
+        return perm if sorted(perm) == list(range(s.nrows)) else None
 
 
 def _check_ring_axioms(inp: CategoryInput, fusion, nonzero, dims, checks: list[Check]):
@@ -333,9 +397,7 @@ def _check_ring_axioms(inp: CategoryInput, fusion, nonzero, dims, checks: list[C
         (j, k) for j, k in product(range(rank), repeat=2)
         if fusion[0][j][k] != (j == k) or fusion[j][0][k] != (j == k)
     ), None)
-    checks.append(
-        verdict("unit-axiom", bad is None, "" if bad is None else f"violated at {bad}")
-    )
+    checks.append(_witness("unit-axiom", bad, "violated at {}"))
 
     try:
         dual = inp.derived_ring[1]
@@ -362,34 +424,29 @@ def _check_ring_axioms(inp: CategoryInput, fusion, nonzero, dims, checks: list[C
             diff = lhs[k] ^ rhs[k]
             bad = (i, j, k, next(m for m in range(rank) if diff >> w * m & ((1 << w) - 1)))
             break
-    checks.append(verdict(
-        "associativity", bad is None, "" if bad is None else f"violated at (i,j,k,m)={bad}"
-    ))
+    checks.append(_witness("associativity", bad, "violated at (i,j,k,m)={}"))
 
     if dims is not None:
         ok = dims[0] == 1
         checks.append(
-            verdict("unit-dim", ok, "" if ok else f"d_0 = {dims[0]}, expected 1")
+            verdict("unit-dim", ok, "" if ok else f"d_0 = {inp.show(dims[0])}, expected 1")
         )
         if inp.kind != "modular":  # modular input checked s_0r before Verlinde
             zero = [i for i, d in enumerate(dims) if d.is_zero()]
-            detail = f"zero dimension at {zero}" if zero else ""
-            checks.append(verdict("dims-nonzero", not zero, detail))
-        bad = next((
-            (i, j) for i, j in product(range(rank), repeat=2)
-            if sum((n * dims[k] for k, n in nonzero[i][j]), rational(0)) != dims[i] * dims[j]
-        ), None)
-        detail = "" if bad is None else f"d_i*d_j != sum N_ij^k d_k at {bad}"
-        checks.append(verdict("dim-homomorphism", bad is None, detail))
+            checks.append(_witness("dims-nonzero", zero, "zero dimension at {}"))
+        # the fusion law of the one-coordinate vectors (d_k), at every (i, j)
+        m, den, (flat,) = flatten([dims])
+        bad = _law_witness(nonzero, m, den, _chunks(flat, euler_phi(m)),
+                           product(range(rank), repeat=2))
+        checks.append(_witness("dim-homomorphism", bad and bad[:2],
+                               "d_i*d_j != sum N_ij^k d_k at {}"))
         if dual is not None:
             bad = [i for i in range(rank) if dims[dual[i]] != dims[i]]
-            checks.append(
-                verdict("spherical", not bad, f"d_(i*) != d_i at {bad}" if bad else "")
-            )
+            checks.append(_witness("spherical", bad, "d_(i*) != d_i at {}"))
             total = global_dim(dims, dual)
             ok = not total.is_zero()
             checks.append(
-                verdict("global-dim-nonzero", ok, f"dim C = {total}" if ok else "")
+                verdict("global-dim-nonzero", ok, f"dim C = {inp.show(total)}" if ok else "")
             )
         else:
             checks.append(Check("spherical", "skip", "no duality involution"))
@@ -400,13 +457,7 @@ def _check_ring_axioms(inp: CategoryInput, fusion, nonzero, dims, checks: list[C
 def _check_char_table(nonzero, dims, dual, table: CycloMatrix, checks: list[Check]):
     rank = len(nonzero)
     bad = next((j for j in range(rank) if table.rows[0][j] != 1), None)
-    checks.append(
-        verdict(
-            "char-table-unit-row",
-            bad is None,
-            "" if bad is None else f"column {bad} does not send the unit to 1",
-        )
-    )
+    checks.append(_witness("char-table-unit-row", bad, "column {} does not send the unit to 1"))
 
     bad = _law_witness(nonzero, *flatten(table.rows))
     detail = "" if bad is None else (
@@ -423,21 +474,10 @@ def _check_char_table(nonzero, dims, dual, table: CycloMatrix, checks: list[Chec
     checks.append(_invertibility("char-table-invertible", table, certified))
 
     if dims is not None:
-        cols = [
-            j
-            for j in range(rank)
-            if all(table.rows[i][j] == dims[i] for i in range(rank))
-        ]
+        cols = [j for j, col in enumerate(zip(*table.rows)) if list(col) == list(dims)]
         ok = len(cols) == 1
-        checks.append(
-            verdict(
-                "char-table-dimension-column",
-                ok,
-                f"column {cols[0]}"
-                if ok
-                else f"columns equal to the dimension vector: {cols}",
-            )
-        )
+        detail = f"column {cols[0]}" if ok else f"columns equal to the dimension vector: {cols}"
+        checks.append(verdict("char-table-dimension-column", ok, detail))
 
 
 def validate_input(inp: CategoryInput) -> list[Check]:
@@ -445,23 +485,16 @@ def validate_input(inp: CategoryInput) -> list[Check]:
     checks = [verdict("labels-distinct", len(set(inp.labels)) == len(inp.labels))]
 
     if inp.kind == "modular":
-        s = inp.s_matrix
+        s = inp.s_field
         ok = s.rows[0][0] == 1
         checks.append(
-            verdict("s-unit-entry", ok, "" if ok else f"s_00 = {s.rows[0][0]}")
+            verdict("s-unit-entry", ok, "" if ok else f"s_00 = {inp.s_matrix.rows[0][0]}")
         )
         checks.append(verdict("s-symmetric", s.is_symmetric()))
         zero = [r for r in range(s.nrows) if s.rows[0][r].is_zero()]
-        checks.append(
-            verdict("dims-nonzero", not zero, f"s_0r = 0 at {zero}" if zero else "")
-        )
-        # s s = c P with c != 0 and P a permutation matrix proves s invertible;
-        # for modular data c = dim C and P is charge conjugation
-        hits = [[(j, v) for j, v in enumerate(row) if v] for row in matmul(s.rows, s.rows)]
-        certified = all(len(h) == 1 and h[0][1] == hits[0][0][1] for h in hits) and (
-            sorted(h[0][0] for h in hits) == list(range(s.nrows))
-        )
-        checks.append(_invertibility("s-invertible", s, certified))
+        checks.append(_witness("dims-nonzero", zero, "s_0r = 0 at {}"))
+        # for modular data s s = c P with c = dim C and P charge conjugation
+        checks.append(_invertibility("s-invertible", s, inp.s_square is not None))
 
         fusion = None
         if not zero:
@@ -474,18 +507,12 @@ def validate_input(inp: CategoryInput) -> list[Check]:
             checks.append(Check("verlinde-integral", "skip", "zero dimension"))
 
         if fusion is not None:
-            _check_ring_axioms(inp, fusion, _sparse_rows(fusion), list(s.rows[0]), checks)
+            _check_ring_axioms(inp, fusion, _sparse_rows(fusion), s.rows[0], checks)
         else:
-            for cid in (
-                "unit-axiom",
-                "duality-axiom",
-                "associativity",
-                "unit-dim",
-                "dim-homomorphism",
-                "spherical",
-                "global-dim-nonzero",
-            ):
-                checks.append(Check(cid, "skip", "fusion ring unavailable"))
+            checks += [Check(cid, "skip", "fusion ring unavailable") for cid in (
+                "unit-axiom", "duality-axiom", "associativity", "unit-dim",
+                "dim-homomorphism", "spherical", "global-dim-nonzero",
+            )]
 
         if inp.twists is not None:
             bad = None
@@ -519,8 +546,10 @@ def assemble_category(inp: CategoryInput) -> CategoryData:
     """Assemble already-validated input; callers must run validate_input first."""
     fusion, dual = inp.derived_ring
     if inp.kind == "modular":
-        dims = tuple(inp.s_matrix.rows[0])
-        modular = ModularData(s=inp.s_matrix, twists=inp.twists)
+        s = inp.s_field
+        dims = tuple(s.rows[0])
+        certified = inp.s_square == dual and s.is_symmetric()
+        modular = ModularData(s, inp.twists, inp.shown_conductor, fusion if certified else None)
         char_table = None
     else:
         dims = tuple(inp.dims)
@@ -547,25 +576,29 @@ _KIND_KEYS = {
 }
 
 
-def _parse_rational(text, where: str) -> Fraction:
+def _parse_rational(text, where: str, k=None) -> tuple[int, int]:
+    """(p, q) for the string 'p' or 'p/q' at where, or at where[k]."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+        where = where if k is None else f"{where}[{k}]"
         raise SchemaError(f"{where}: expected a rational string 'p' or 'p/q', got {text!r}")
-    return Fraction(text)
+    p, _, q = text.partition("/")
+    return int(p), int(q or 1)
 
 
 def _parse_value(obj, conductor: int, where: str) -> Cyclotomic:
+    want = euler_phi(conductor)
     if isinstance(obj, str):
-        return rational(_parse_rational(obj, where), conductor)
+        p, q = _parse_rational(obj, where)
+        return _make(conductor, [p] + [0] * (want - 1), q)
     if isinstance(obj, list):
-        want = euler_phi(conductor)
         if len(obj) != want:
             raise SchemaError(
                 f"{where}: coefficient array has length {len(obj)}, "
                 f"conductor {conductor} needs {want}"
             )
-        return Cyclotomic(
-            conductor, [_parse_rational(c, f"{where}[{k}]") for k, c in enumerate(obj)]
-        )
+        pairs = [_parse_rational(c, where, k) for k, c in enumerate(obj)]
+        den = lcm(*(q for _, q in pairs))
+        return _make(conductor, [p * (den // q) for p, q in pairs], den)
     raise SchemaError(f"{where}: expected rational string or coefficient array")
 
 
@@ -739,6 +772,7 @@ def category_to_input(data: CategoryData, kind: str | None = None) -> CategoryIn
 
 
 def _file_conductor(data: CategoryData, kind: str, table=None) -> int:
+    """The lcm of the conductors irrational values are shown at."""
     values: list[Cyclotomic] = []
     if kind == "modular":
         values.extend(v for row in data.modular.s.rows for v in row)
@@ -751,7 +785,7 @@ def _file_conductor(data: CategoryData, kind: str, table=None) -> int:
     n = 1
     for v in values:
         if not v.is_rational():
-            n = lcm(n, v.conductor)
+            n = lcm(n, data.show(v).conductor)
     return n
 
 

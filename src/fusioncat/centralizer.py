@@ -87,7 +87,8 @@ def centralizer_theorem(alg: CharacterAlgebra, subcat: FusionSubcategory, image=
             support.append(j)
         elif any(x):
             raise NotRibbonConsistentError(
-                f"transform of the cointegral has coefficient {image.coeffs[j]} at {j}; "
+                f"transform of the cointegral has coefficient "
+                f"{alg.data.show(image.coeffs[j])} at {j}; "
                 "expected a 0/1 vector"
             )
     return _route(alg, tuple(support), "support of the transformed cointegral"), image
@@ -165,11 +166,11 @@ def verify_main_identity(
         f"(D')' = {list(double.members)}",
     ))
 
-    d_inv = subcat_invariants(alg, subcat)
+    d_inv, show = subcat_invariants(alg, subcat), alg.data.show
     checks.append(verdict(
         "dim-product",
         d_inv.dim * prime_inv.dim == alg.dim,
-        f"dim D = {d_inv.dim}, dim D' = {prime_inv.dim}",
+        f"dim D = {show(d_inv.dim)}, dim D' = {show(prime_inv.dim)}",
     ))
 
     return checks

@@ -32,10 +32,12 @@ codegree f_j = sum_k alpha_kj alpha_{k*j}, n_j = f_j and F_0 = lambda.
 conjugacy() certifies the result by the character law of alpha's columns
 and F alpha = I, with no inverse taken.
 
-One integer routine, category._law_witness, checks every fusion law
-sum_k N_ij^k x_k = x_i x_j over a family of flat vectors: the character law
-of a table in validation and of alpha's rows in conjugacy(), the class-sum
-law and drinfeld-multiplicative.
+One integer routine, category._law_witness, checks each fusion law
+sum_k N_ij^k x_k = x_i x_j not already proved: in validation on a character
+table and on the dimensions; in conjugacy() on alpha's rows, unless
+validation's certificate (ModularData) names the fusion rules; and in the
+identity suite on drinfeld(chi_i) and on y_l only when the family differs
+from the rows conjugacy() proved the law for.
 
 identity_suite runs every exact identity the machinery promises and reports
 one Check per identity; on modular input all of them must pass.  One matmul
@@ -51,9 +53,9 @@ from functools import cached_property
 from itertools import product
 from math import gcd, lcm
 
-from .category import CategoryData, Check, _Frozen, _law_witness, verdict
+from .category import CategoryData, Check, _Frozen, _law_witness, _witness, verdict
 from .cyclotomic import (
-    Cyclotomic, CycloMatrix, _chunks, _make, bilinear, euler_phi, flatten, lift_nums, matmul,
+    Cyclotomic, CycloMatrix, _chunks, _make, bilinear, euler_phi, flatten, lift_nums,
     matmul_nums, pointwise_nums, rational,
 )
 from .errors import CapabilityError, InternalConsistencyError
@@ -65,13 +67,6 @@ __all__ = [
     "ClassSumProduct",
     "CharacterAlgebra",
 ]
-
-
-def _first_pair(rank: int, wrong):
-    """The first (i, j) in row-major order with wrong(i, j), or None."""
-    return next(
-        ((i, j) for i in range(rank) for j in range(rank) if wrong(i, j)), None
-    )
 
 
 class _Vector(_Frozen):
@@ -135,8 +130,8 @@ def _family(vectors, n: int = 1):
     flat numerator rows over one denominator."""
     n = lcm(n, *(v.n for v in vectors))
     den = lcm(*(v.den for v in vectors))
-    scales = [den // v.den for v in vectors]
-    return n, den, [[c * f for c in lift_nums(v.nums, v.n, n)] for v, f in zip(vectors, scales)]
+    rows = ((lift_nums(v.nums, v.n, n), den // v.den) for v in vectors)
+    return n, den, [list(x) if f == 1 else [c * f for c in x] for x, f in rows]
 
 
 def _mul(cls, a, b):
@@ -163,6 +158,28 @@ def _products(cls, xs, ys) -> list:
     n, dx, rows = _family(xs, lcm(*(v.n for v in ys)))
     n, dy, cols = _family(ys, n)
     return [_vec(cls, n, row, dx * dy) for row in matmul_nums(n, rows, cols)]
+
+
+_CLASS_CHECKS = (
+    "idempotent-orthogonality", "idempotent-complete", "class-size-pairing",
+    "dual-bases-exchange", "char-table-class-pairing", "class-sum-expansion",
+    "second-orthogonality",
+)
+_MODULAR_CHECKS = (
+    "integral-image", "char-table-symmetry", "drinfeld-class-sum", "counit-dimension",
+    "transparent-cointegral-unit", "class-size-dim-square", "class-sum-algebra",
+    "drinfeld-multiplicative", "drinfeld-idempotent-match",
+)
+
+
+def _first_pair(xs, ys):
+    """The first (i, j) in row-major order where coordinate j of xs[i] and of
+    ys[i] differ, or None: flat numerator rows over one denominator."""
+    n, _, rows = _family([*xs, *ys])
+    for i, (x, y) in enumerate(zip(rows, rows[len(xs):])):
+        if x != y:
+            return i, next(k for k, (a, b) in enumerate(zip(x, y)) if a != b) // euler_phi(n)
+    return None
 
 
 class ClassFunction(_Vector):
@@ -218,6 +235,7 @@ class CharacterAlgebra:
         self._dims_inv = tuple(d.inv() for d in self.dims)
         self._dim_terms = tuple(d * self.dims[k] for d, k in zip(self.dims, self.dual))
         self._conjugacy: ConjugacyData | None = None
+        self._law_rows = None  # a family conjugacy() proved the character law for
         self.n = lcm(*(d.conductor for d in self.dims))
         # weights of the pairing, fourier and fourier_inv, built once
         self._dims_vec = _Vector(self.dims)
@@ -262,12 +280,12 @@ class CharacterAlgebra:
         return _mul(CentralElement, a, b)
 
     def pairing(self, f: ClassFunction, a: CentralElement) -> Cyclotomic:
-        return self.pairings([f], [a])[0][0]
+        return self.pairings([f], [a])[0].coeffs[0]
 
-    def pairings(self, fs, elements) -> list[list[Cyclotomic]]:
-        """The matrix of <f, a> = sum_k f_k a_k d_k over fs and elements."""
+    def pairings(self, fs, elements) -> list[_Vector]:
+        """Row r is the vector of <fs[r], a> = sum_k f_k a_k d_k over elements."""
         weighted = [_mul(_Vector, a, self._dims_vec) for a in elements]
-        return [v.coeffs for v in _products(_Vector, fs, weighted)]
+        return _products(_Vector, fs, weighted)
 
     def trace(self, f: ClassFunction) -> Cyclotomic:
         return f.coeffs[0]
@@ -358,7 +376,8 @@ class CharacterAlgebra:
         """Class data from alpha (module docstring): F_l = (1/f_l) sum_i
         alpha_{i*l} chi_i, |C^l| = dim C / f_l, n_l = f_l.  Certified, each
         part raising InternalConsistencyError: N_ij = N_ji; sum_k N_ij^k
-        alpha_kl = alpha_il alpha_jl for j >= i, so for all i, j; f_l != 0;
+        alpha_kl = alpha_il alpha_jl for j >= i, so for all i, j (proved by
+        validation's certificate on modular data, ModularData); f_l != 0;
         F alpha = I.  Then alpha is invertible and phi(chi_i) = row i of alpha
         is an algebra isomorphism onto C^rank, unital as the law at (0, j),
         alpha_jl = alpha_0l alpha_jl, on a nonzero column makes alpha_0l = 1.
@@ -390,13 +409,17 @@ class CharacterAlgebra:
             alpha = CycloMatrix([[row[c] for c in column_order] for row in table.rows])
             rows = [_Vector(row) for row in alpha.rows]
 
-        bad = _first_pair(rank, lambda i, j: ring.fusion[i][j] != ring.fusion[j][i])
+        bad = next(((i, j) for i, j in product(range(rank), repeat=2)
+                    if ring.fusion[i][j] != ring.fusion[j][i]), None)
         if bad is not None:
             raise InternalConsistencyError(f"fusion rules do not commute at {bad}")
-        bad = _law_witness(ring.nonzero, *_family(rows))
-        if bad is not None:
-            i, j, l = bad
-            raise InternalConsistencyError(f"class {l} is not a character at ({i}, {j})")
+        modular = self.data.modular
+        if modular is None or modular.certified is not ring.fusion:
+            bad = _law_witness(ring.nonzero, *_family(rows))
+            if bad is not None:
+                i, j, l = bad
+                raise InternalConsistencyError(f"class {l} is not a character at ({i}, {j})")
+        self._law_rows = tuple(rows)
 
         columns = _transposed(rows)  # f_l = sum_k alpha_kl alpha_{k*l}
         codegrees = [_products(_Vector, [c], [_permuted(_Vector, c, dual)])[0].coeffs[0]
@@ -407,8 +430,8 @@ class CharacterAlgebra:
         idempotents = tuple(  # F_l on chi_i is alpha_{i*l} / f_l
             _permuted(ClassFunction, c, dual).scaled(inv) for c, inv in zip(columns, invs)
         )
-        values = [v.coeffs for v in _products(_Vector, idempotents, columns)]  # F_j on class l
-        bad = _first_pair(rank, lambda j, l: values[j][l] != int(j == l))
+        values = _products(_Vector, idempotents, columns)  # F_j on class l
+        bad = _first_pair(values, [self._basis(_Vector, (j,)) for j in range(rank)])
         if bad is not None:
             raise InternalConsistencyError(f"class idempotents do not invert alpha at {bad}")
 
@@ -449,204 +472,108 @@ class CharacterAlgebra:
 
     def identity_suite(self) -> list[Check]:
         """Run every promised exact identity; one Check per identity."""
-        checks: list[Check] = []
-        rank = self.rank
-        modular = self.data.modular is not None
-
-        checks.append(verdict(
-            "cointegral-normalized",
-            self.pairing(self.cointegral(), self.unit_central()) == 1,
-        ))
-
-        ok = all(
-            self.fourier_inv(self.fourier(self.idempotent(i))) == self.idempotent(i)
-            and self.fourier(self.fourier_inv(self.character(i))) == self.character(i)
-            for i in range(rank)
-        )
-        checks.append(verdict("fourier-roundtrip", ok))
-
-        lam = self.cointegral()
-        ok = all(
-            self.fourier(self.idempotent(i))
-            == self.act_arrow(lam, self.antipode(self.idempotent(i)))
-            for i in range(rank)
-        )
-        checks.append(verdict("fourier-action-consistency", ok))
-
+        rank, lam = self.rank, self.cointegral()
+        checks = [
+            verdict("cointegral-normalized", self.pairing(lam, self.unit_central()) == 1),
+            verdict("fourier-roundtrip", all(
+                self.fourier_inv(self.fourier(self.idempotent(i))) == self.idempotent(i)
+                and self.fourier(self.fourier_inv(self.character(i))) == self.character(i)
+                for i in range(rank)
+            )),
+            verdict("fourier-action-consistency", all(
+                self.fourier(self.idempotent(i))
+                == self.act_arrow(lam, self.antipode(self.idempotent(i)))
+                for i in range(rank)
+            )),
+        ]
+        no_s = [Check(cid, "skip", "needs an s-matrix") for cid in _MODULAR_CHECKS]
         try:
             conj = self.conjugacy()
         except CapabilityError as e:
-            for cid in (
-                "idempotent-orthogonality",
-                "idempotent-complete",
-                "class-size-pairing",
-                "dual-bases-exchange",
-                "char-table-class-pairing",
-                "class-sum-expansion",
-                "second-orthogonality",
-            ):
-                checks.append(Check(cid, "skip", str(e)))
-            conj = None
-        if conj is not None:
-            # Orthogonality and completeness were certified in conjugacy().
-            checks.append(verdict("idempotent-orthogonality", True))
-            checks.append(verdict("idempotent-complete", True))
+            return checks + [Check(cid, "skip", str(e)) for cid in _CLASS_CHECKS] + no_s
 
-            pairs = self.pairings(conj.idempotents, conj.class_sums)
-            bad = _first_pair(
-                rank,
-                lambda i, j: pairs[i][j] != (conj.sizes[i] if i == j else rational(0)),
-            )
-            checks.append(verdict(
-                "class-size-pairing",
-                bad is None,
-                "" if bad is None else f"<F_i, cbar_j> wrong at {bad}",
-            ))
-
-            exchange = [v.coeffs for v in _products(  # sum_i F_i[a] (n_i F_i[b])
-                _Vector,
-                _transposed(conj.idempotents),
-                _transposed([f.scaled(n) for n, f in zip(conj.multiplicities, conj.idempotents)]),
-            )]
-            bad = _first_pair(
-                rank,
-                lambda a, b: exchange[a][b] != rational(1 if b == self.dual[a] else 0),
-            )
-            checks.append(verdict(
-                "dual-bases-exchange",
-                bad is None,
-                "" if bad is None else f"sum_i n_i F_i (x) F_i wrong at {bad}",
-            ))
-
-            bad = _first_pair(  # alpha_ij = <chi_i, cbar_j> / |C^j|, times |C^j|
-                rank,
-                lambda i, j: conj.alpha.rows[i][j] * conj.sizes[j]
-                != conj.class_sums[j].coeffs[i] * self.dims[i],
-            )
-            checks.append(verdict(
-                "char-table-class-pairing",
-                bad is None,
-                "" if bad is None else f"alpha_ij != <chi_i, cbar_j>/|C^j| at {bad}",
-            ))
-
-            def wrong(i, j):
-                want = conj.sizes[i] * conj.alpha.rows[j][i] * self._dims_inv[j]
-                return conj.class_sums[i].coeffs[j] != want
-
-            bad = _first_pair(rank, wrong)
-            checks.append(verdict(
-                "class-sum-expansion",
-                bad is None,
-                "" if bad is None else f"cbar_i expansion wrong at {bad}",
-            ))
-
-            rows = conj.alpha.rows  # sum_j alpha_ji alpha_{j* l}
-            columns = matmul(list(zip(*rows)), [rows[self.dual[j]] for j in range(rank)])
-
-            def wrong(i, l):  # the diagonal dim C / |C^i|, times |C^i|
-                if i == l:
-                    return columns[i][i] * conj.sizes[i] != self.dim
-                return not columns[i][l].is_zero()
-
-            bad = _first_pair(rank, wrong)
-            checks.append(verdict(
-                "second-orthogonality",
-                bad is None,
-                "" if bad is None else f"column orthogonality wrong at {bad}",
-            ))
-
-        modular_checks = (
-            "integral-image",
-            "char-table-symmetry",
-            "drinfeld-class-sum",
-            "counit-dimension",
-            "transparent-cointegral-unit",
-            "class-size-dim-square",
-            "class-sum-algebra",
-            "drinfeld-multiplicative",
-            "drinfeld-idempotent-match",
+        basis = [self._basis(_Vector, (i,)) for i in range(rank)]
+        arows = [_Vector(row) for row in conj.alpha.rows]
+        acols = _transposed(arows)
+        exchange = _products(  # sum_i F_i[a] (n_i F_i[b])
+            _Vector,
+            _transposed(conj.idempotents),
+            _transposed([f.scaled(n) for n, f in zip(conj.multiplicities, conj.idempotents)]),
         )
-        if not modular:
-            for cid in modular_checks:
-                checks.append(Check(cid, "skip", "needs an s-matrix"))
-            return checks
-
-        fq = self._drinfeld_characters
-        conj = self.conjugacy()
-        images = _products(CentralElement, conj.idempotents, self._drinfeld_columns)
-
-        checks.append(verdict("integral-image", images[0] == self.idempotent(0)))
-
-        bad = _first_pair(
-            rank,
-            lambda i, j: conj.alpha.rows[i][j] * self.dims[j]
-            != self.dims[i] * conj.alpha.rows[j][i],
-        )
-        checks.append(verdict(
-            "char-table-symmetry",
-            bad is None,
-            "" if bad is None else f"d_j alpha_ij != d_i alpha_ji at {bad}",
-        ))
-
-        def wrong(i):  # drinfeld(chi_i) = (d_i / |C^i|) cbar_i, times |C^i|
-            return fq[i].scaled(conj.sizes[i]) != conj.class_sums[i].scaled(self.dims[i])
-
-        bad = next(filter(wrong, range(rank)), None)
-        checks.append(verdict(
-            "drinfeld-class-sum",
-            bad is None,
-            "" if bad is None else f"drinfeld(chi_i) != (d_i/|C^i|) cbar_i at i={bad}",
-        ))
-
-        checks.append(verdict(
-            "counit-dimension",
-            all(fq[i].coeffs[0] == self.dims[i] for i in range(rank)),
-        ))
-
-        transparent = self.transparent_members()
-        checks.append(verdict(
-            "transparent-cointegral-unit",
-            self.drinfeld(self.cointegral(transparent)) == self.unit_central(),
-            f"transparent objects: {list(transparent)}",
-        ))
-
-        bad = [
-            j
-            for j in range(rank)
-            if conj.sizes[j] != self.dims[j] * self.dims[j]
+        # sum_j alpha_ji alpha_{j* l} is 0 off the diagonal and dim C / |C^i| on
+        # it, where it is multiplied through by |C^i|
+        gram = _products(_Vector, acols, _transposed([arows[k] for k in self.dual]))
+        ones, sizes = self._basis(_Vector, range(rank)), _Vector(conj.sizes)
+        dims_inv = _Vector(self._dims_inv)
+        checks += [  # orthogonality and completeness were certified in conjugacy()
+            verdict("idempotent-orthogonality", True),
+            verdict("idempotent-complete", True),
+            _witness("class-size-pairing", _first_pair(
+                self.pairings(conj.idempotents, conj.class_sums),
+                [e.scaled(size) for e, size in zip(basis, conj.sizes)],
+            ), "<F_i, cbar_j> wrong at {}"),
+            _witness("dual-bases-exchange", _first_pair(exchange, [basis[k] for k in self.dual]),
+                     "sum_i n_i F_i (x) F_i wrong at {}"),
+            _witness("char-table-class-pairing", _first_pair(  # times |C^j|
+                [_mul(_Vector, a, sizes) for a in arows],
+                [c.scaled(d) for c, d in zip(_transposed(conj.class_sums), self.dims)],
+            ), "alpha_ij != <chi_i, cbar_j>/|C^j| at {}"),
+            _witness("class-sum-expansion", _first_pair(conj.class_sums, [  # |C^i| alpha_ji / d_j
+                _mul(_Vector, a, dims_inv).scaled(size) for a, size in zip(acols, conj.sizes)
+            ]), "cbar_i expansion wrong at {}"),
+            _witness("second-orthogonality", _first_pair(
+                [_mul(_Vector, g, ones + e.scaled(size - 1))
+                 for g, e, size in zip(gram, basis, conj.sizes)],
+                [e.scaled(self.dim) for e in basis],
+            ), "column orthogonality wrong at {}"),
         ]
-        checks.append(verdict(
-            "class-size-dim-square",
-            not bad,
-            "" if not bad else f"|C^j| != d_j^2 at {bad}",
-        ))
+        if self.data.modular is None:
+            return checks + no_s
 
-        # conjugacy() certified N_ij = N_ji, so each law fails at (i, j) iff at
-        # (j, i), and its first failing pair in row-major order has j >= i
-        bad_sums = _law_witness(self.data.ring.nonzero, *_family(self._scaled_class_sums))
-        bad = _law_witness(self.data.ring.nonzero, *_family(fq))
+        fq, law, nonzero = self._drinfeld_characters, self._law_rows, self.data.ring.nonzero
+        images = _products(CentralElement, conj.idempotents, self._drinfeld_columns)
+        transparent = self.transparent_members()
+        # Each family is certified when it equals the rows conjugacy() proved the
+        # character law for: y_l = drinfeld(chi_l) follows from drinfeld-class-sum
+        # and class-size-dim-square.  Else the law runs; conjugacy() certified
+        # N_ij = N_ji, so a law fails at (i, j) iff at (j, i), and its first
+        # failing pair in row-major order has j >= i.
+        sums = self._scaled_class_sums
+        bad_sums = None if sums == law else _law_witness(nonzero, *_family(sums))
+        bad = None if fq == law else _law_witness(nonzero, *_family(fq))
         if bad_sums is not None:
             detail = f"class sum product {bad_sums[:2]} does not match its expansion"
         elif all(
             (self.dims[i] * self.dims[j] * self._dims_inv[l]).is_rational()
             for i, j in product(range(rank), repeat=2)
-            for l, _ in self.data.ring.nonzero[i][j]
+            for l, _ in nonzero[i][j]
         ):
             detail = "all structure constants rational"
         else:
             detail = "verified; some constants irrational"
-        checks.append(verdict("class-sum-algebra", bad_sums is None, detail))
-        checks.append(verdict(
-            "drinfeld-multiplicative",
-            bad is None,
-            "" if bad is None else f"drinfeld map not multiplicative at {bad[:2]}",
-        ))
-
-        bad = [j for j in range(rank) if images[j] != self.idempotent(j)]
-        checks.append(verdict(
-            "drinfeld-idempotent-match",
-            not bad,
-            "" if not bad else f"drinfeld(F_j) != E_j at {bad}",
-        ))
-
-        return checks
+        return checks + [
+            verdict("integral-image", images[0] == self.idempotent(0)),
+            _witness("char-table-symmetry", _first_pair(
+                [_mul(_Vector, a, self._dims_vec) for a in arows],
+                [a.scaled(d) for a, d in zip(acols, self.dims)],
+            ), "d_j alpha_ij != d_i alpha_ji at {}"),
+            _witness("drinfeld-class-sum", next((  # times |C^i|
+                i for i in range(rank)
+                if fq[i].scaled(conj.sizes[i]) != conj.class_sums[i].scaled(self.dims[i])
+            ), None), "drinfeld(chi_i) != (d_i/|C^i|) cbar_i at i={}"),
+            verdict("counit-dimension", all(fq[i].coeffs[0] == self.dims[i] for i in range(rank))),
+            verdict(
+                "transparent-cointegral-unit",
+                self.drinfeld(self.cointegral(transparent)) == self.unit_central(),
+                f"transparent objects: {list(transparent)}",
+            ),
+            _witness("class-size-dim-square", [
+                j for j in range(rank) if conj.sizes[j] != self.dims[j] * self.dims[j]
+            ], "|C^j| != d_j^2 at {}"),
+            verdict("class-sum-algebra", bad_sums is None, detail),
+            _witness("drinfeld-multiplicative", bad and bad[:2],
+                     "drinfeld map not multiplicative at {}"),
+            _witness("drinfeld-idempotent-match", [
+                j for j in range(rank) if images[j] != self.idempotent(j)
+            ], "drinfeld(F_j) != E_j at {}"),
+        ]

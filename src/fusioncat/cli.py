@@ -5,6 +5,9 @@ requested computation and renders one deterministic report, either as
 aligned text or as a single JSON object.  Every cyclotomic value appears
 exactly (rational string or coefficient array, the same encoding the input
 schema uses) and numerically (embedding rounded to six significant digits).
+Each value is printed through the `show` of the category reported on
+(CategoryData.show), so it appears at the conductor the s-matrix was given
+at, whatever field it was computed in.
 
 Exit codes:
     0   success, all checks passed
@@ -66,34 +69,40 @@ class Section:
 
 
 class Report:
-    __slots__ = ("command", "category", "sections", "checks")
+    __slots__ = ("command", "category", "sections", "checks", "show")
 
-    def __init__(self, command: str, category: str, sections: list, checks: list):
+    def __init__(self, command: str, source, sections: list, checks: list):
+        """source is the CategoryData or CategoryInput reported on, or None:
+        its name heads the report and its show prints the values of cells."""
         self.command = command
-        self.category = category
+        self.category = source.name if source is not None else ""
         self.sections = sections
         self.checks = checks
+        self.show = source.show if source is not None else lambda v: v
 
 
-def _cell_text(v) -> str:
+def _cell_text(v, show) -> str:
     """Text form of a cell: str, int, Fraction, Cyclotomic, or a list of
-    cells.  Irrational values carry their numeric embedding."""
+    cells, with irrational values printed through show.  Irrational values
+    carry their numeric embedding."""
     if isinstance(v, Cyclotomic):
         if v.is_rational():
             q = v.rational_value
             return str(q) if q.denominator == 1 else f"{q} ≈ {v.approx_str()}"
+        v = show(v)
         return f"{v} ≈ {v.approx_str()}"
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_cell_text(x) for x in v) + "]"
+        return "[" + ", ".join(_cell_text(x, show) for x in v) + "]"
     return str(v)
 
 
-def _cell_json(v):
+def _cell_json(v, show):
     if isinstance(v, Cyclotomic):
         if v.is_rational():
             return {"exact": str(v.rational_value), "approx": v.approx_str()}
+        v = show(v)
         return {
             "exact": [str(c) for c in v.coeffs],
             "conductor": v.conductor,
@@ -102,7 +111,7 @@ def _cell_json(v):
     if isinstance(v, Fraction):
         return {"exact": str(v), "approx": f"{float(v):.6g}"}
     if isinstance(v, (list, tuple)):
-        return [_cell_json(x) for x in v]
+        return [_cell_json(x, show) for x in v]
     return v
 
 
@@ -118,7 +127,7 @@ def render_text(report: Report) -> str:
             continue
         width = max(len(str(k)) for k, _ in sec.rows)
         for key, value in sec.rows:
-            out.append(f"  {str(key):<{width}}  {_cell_text(value)}")
+            out.append(f"  {str(key):<{width}}  {_cell_text(value, report.show)}")
     if report.checks:
         out.append("")
         out.append("checks")
@@ -141,7 +150,7 @@ def render_json(report: Report) -> str:
         "command": report.command,
         "category": report.category,
         "sections": [
-            {"title": sec.title, "rows": [[k, _cell_json(v)] for k, v in sec.rows]}
+            {"title": sec.title, "rows": [[k, _cell_json(v, report.show)] for k, v in sec.rows]}
             for sec in report.sections
         ],
         "checks": [
@@ -186,10 +195,9 @@ def _cmd_catalog(args) -> Report:
     rows = []
     for name in catalog_names():
         data = catalog_get(name)
-        rows.append(
-            (name, f"{data.kind}, rank {data.rank}, dim {_cell_text(data.dim)}")
-        )
-    return Report("catalog", "", [Section("built-in categories", rows)], [])
+        dim = _cell_text(data.dim, data.show)
+        rows.append((name, f"{data.kind}, rank {data.rank}, dim {dim}"))
+    return Report("catalog", None, [Section("built-in categories", rows)], [])
 
 
 def _cmd_validate(args) -> Report:
@@ -206,7 +214,7 @@ def _cmd_validate(args) -> Report:
             ],
         )
     ]
-    return Report("validate", inp.name, sections, validate_input(inp))
+    return Report("validate", inp, sections, validate_input(inp))
 
 
 def _cmd_info(args) -> Report:
@@ -234,7 +242,7 @@ def _cmd_info(args) -> Report:
                 [(lab, data.modular.twists[i]) for i, lab in enumerate(labels)],
             )
         )
-    return Report("info", data.name, sections, [])
+    return Report("info", data, sections, [])
 
 
 def _cmd_subcats(args) -> Report:
@@ -260,7 +268,7 @@ def _cmd_subcats(args) -> Report:
             [(k, list(inv.integral.coeffs)) for k, inv in keyed],
         ),
     ]
-    return Report("subcats", data.name, sections, [])
+    return Report("subcats", data, sections, [])
 
 
 def _cmd_centralizer(args) -> Report:
@@ -287,7 +295,7 @@ def _cmd_centralizer(args) -> Report:
             ],
         )
     ]
-    return Report("centralizer", data.name, sections, checks)
+    return Report("centralizer", data, sections, checks)
 
 
 def _cmd_classes(args) -> Report:
@@ -313,7 +321,7 @@ def _cmd_classes(args) -> Report:
     if data.modular is not None:
         transparent = [labels[j] for j in alg.transparent_members()]
         sections.append(Section("transparent objects", [("members", transparent)]))
-    return Report("classes", data.name, sections, [])
+    return Report("classes", data, sections, [])
 
 
 def _cmd_grading(args) -> Report:
@@ -346,7 +354,7 @@ def _cmd_grading(args) -> Report:
             ],
         ),
     ]
-    report = Report("grading", data.name, sections, [])
+    report = Report("grading", data, sections, [])
     prime = prime_index_check(alg)
     if prime.applicable:
         report.sections.append(
@@ -392,7 +400,7 @@ def _cmd_verify(args) -> Report:
     ]
     if not any(c.status == "fail" for c in checks):
         checks = checks + full_suite(CharacterAlgebra(assemble_category(inp)))
-    return Report("verify", inp.name, sections, checks)
+    return Report("verify", inp, sections, checks)
 
 
 _HANDLERS = {

@@ -8,10 +8,13 @@ den == 1, and equality at a fixed conductor is a plain (nums, den)
 comparison.  Every operation works on the integers and builds its result
 through the trusted constructor `_make`, which restores the canonical form;
 the public constructor accepts any rationals and is meant for boundaries.
-Mixed-conductor arithmetic coerces both operands to the lcm conductor;
-results are never descended to a smaller field (a value that happens to be
-rational still reports is_rational() exactly, because the canonical
-representative of a rational is the constant vector).
+Mixed-conductor arithmetic coerces both operands to the lcm conductor, and
+no operation descends its result to a smaller field (a value that happens
+to be rational still reports is_rational() exactly, because the canonical
+representative of a rational is the constant vector).  Descent is explicit:
+CycloMatrix.descended rewrites a matrix at the least conductor m that holds
+its entries (least_field) when phi(m) < phi(n), so that everything computed
+from it runs there, and `shown` lifts a value back for display.
 
 Products and sums of products go through one packed kernel (Kronecker
 substitution).  A numerator vector (c_0, ..., c_{phi-1}) at conductor n is
@@ -42,6 +45,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import cache
+from itertools import takewhile
 from math import gcd, lcm, prod
 from operator import add, mul
 from struct import unpack
@@ -59,6 +63,8 @@ __all__ = [
     "matmul",
     "flatten",
     "lift_nums",
+    "least_field",
+    "shown",
     "pointwise_nums",
     "matmul_nums",
 ]
@@ -224,6 +230,46 @@ def lift_nums(nums, m: int, n: int):
     if m == n:
         return nums
     return [c for x in _chunks(nums, euler_phi(m)) for c in _permute_nums(n, x, n // m)]
+
+
+def _descend_nums(n: int, p: int, nums):
+    """Numerators at m = n/p of the value with numerators nums at n, or None
+    when the value is not in Q(zeta_m).  If p divides m, Phi_n(x) =
+    Phi_m(x^p), so Q(zeta_m) holds exactly the values on every p-th power.
+    Else zeta_n = zeta_m^u zeta_p^v for u p + v m = 1 writes the value as
+    sum_r A_r zeta_p^r, r < p, with each A_r in Q(zeta_m); over Q(zeta_m)
+    the zeta_p^r, r < p - 1, are a basis and all p powers sum to 0, so the
+    value is A_0 - A_(p-1), and lies in Q(zeta_m) iff A_r = A_(p-1) for
+    0 < r < p - 1."""
+    m = n // p
+    if m % p == 0:
+        return None if any(nums[i] for i in range(len(nums)) if i % p) else list(nums[::p])
+    u = pow(p, -1, m)
+    v = (1 - u * p) // m
+    parts = [[0] * m for _ in range(p)]
+    for i, c in enumerate(nums):
+        parts[v * i % p][u * i % m] += c
+    first, *rest, last = (_reduce_buckets(b, m) for b in parts)
+    if any(a != last for a in rest):
+        return None
+    return [a - b for a, b in zip(first, last)]
+
+
+def least_field(values, n: int):
+    """(m, nums): the least m dividing n such that every value (each at a
+    conductor dividing n) lies in Q(zeta_m), and the numerators of each value
+    at m.  Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so the least
+    such field exists, and dividing n by one prime at a time while every
+    value stays inside reaches it."""
+    nums = [lift_nums(v.nums, v.conductor, n) for v in values]
+    m = n
+    for p in (d for d in _divisors(n)[1:] if euler_phi(d) == d - 1):
+        while m % p == 0:
+            down = list(takewhile(lambda x: x is not None, (_descend_nums(m, p, x) for x in nums)))
+            if len(down) < len(nums):
+                break
+            m, nums = m // p, down
+    return m, nums
 
 
 def pointwise_nums(n: int, xs, ys) -> list[int]:
@@ -534,6 +580,12 @@ def rational(q, conductor: int = 1) -> Cyclotomic:
     return Cyclotomic.from_rational(q, conductor)
 
 
+def shown(v: Cyclotomic, n: int) -> Cyclotomic:
+    """v as displayed where values are shown at conductor n: lifted to
+    lcm(conductor, n) unless it is rational."""
+    return v if v.is_rational() else v.lift(lcm(v.conductor, n))
+
+
 def flatten(rows, n: int = 1):
     """(n, den, flat): Cyclotomic rows lifted to the lcm conductor n of their
     entries (and of n) over one denominator den; flat[i] lists the
@@ -563,29 +615,19 @@ def matmul(a_rows, b_rows) -> list[list[Cyclotomic]]:
 
 def bilinear(xs, ys, table) -> list[Cyclotomic]:
     """z_k = the sum of xs[i] ys[j] t over i, j and the pairs (k, t) of
-    integers in table[i][j], for k < len(xs).  The nonzero entries are lifted
-    to one conductor and each vector is put over one denominator; every z_k
-    is one packed sum, unpacked once."""
-    size = len(xs)
-    xs, ys = ([(i, v) for i, v in enumerate(vs) if any(v.nums)] for vs in (xs, ys))
-    terms = sum(abs(t) for i, _ in xs for j, _ in ys for _, t in table[i][j])
-    n = lcm(*(v.conductor for _, v in (*xs, *ys)))
-    (_, dx, (fx,)), (_, dy, (fy,)) = (flatten([[v for _, v in vs]], n) for vs in (xs, ys))
+    integers in table[i][j], each k < len(xs): with w_ki the sum of t ys[j]
+    over the pairs (k, t) in table[i][j], z_k = sum_i xs[i] w_ki, one
+    matmul_nums over one conductor and one denominator per vector."""
+    n = lcm(*(v.conductor for v in (*xs, *ys)))
+    (_, dx, (fx,)), (_, dy, (fy,)) = flatten([xs], n), flatten([ys], n)
     phi = euler_phi(n)
-    w = _width(terms, phi, max(map(abs, fx), default=0), max(map(abs, fy), default=0))
-    px, py = ([_pack(x, w) for x in _chunks(f, phi)] for f in (fx, fy))
-    acc = {}
-    for (i, _), p in zip(xs, px):
-        row = table[i]
-        for (j, _), q in zip(ys, py):
-            pq = p * q
-            for k, t in row[j]:
-                acc[k] = acc.get(k, 0) + t * pq
-    zero = rational(0)
-    return [
-        _make(n, _unpack(n, acc[k], w, 2 * phi - 1), dx * dy) if k in acc else zero
-        for k in range(size)
-    ]
+    w = [[0] * len(fx) for _ in xs]
+    for i, row in enumerate(table[:len(xs)]):
+        at = slice(i * phi, (i + 1) * phi)
+        for y, pairs in zip(_chunks(fy, phi), row):
+            for k, t in pairs:
+                w[k][at] = [a + t * c for a, c in zip(w[k][at], y)]
+    return [_make(n, z, dx * dy) for z in _chunks(matmul_nums(n, [fx], w)[0], phi)]
 
 
 class CycloMatrix:
@@ -647,6 +689,18 @@ class CycloMatrix:
         return CycloMatrix(
             [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
         )
+
+    def descended(self) -> "CycloMatrix":
+        """The matrix at the least conductor m holding its entries
+        (least_field) when phi(m) < phi(conductor), else the matrix itself."""
+        if euler_phi(self.conductor) == 1:
+            return self
+        entries = [v for row in self.rows for v in row]
+        m, nums = least_field(entries, self.conductor)
+        if euler_phi(m) == euler_phi(self.conductor):
+            return self
+        values = [_make(m, x, v.den) for x, v in zip(nums, entries)]
+        return CycloMatrix(_chunks(values, self.ncols))
 
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and all(

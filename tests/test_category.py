@@ -2,7 +2,9 @@
 
 import json
 import random
+import re
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -22,9 +24,10 @@ from fusioncat import (
     validate_input,
     verlinde_fusion,
 )
+from fusioncat import category
 from fusioncat.category import category_to_input, input_to_json
 from fusioncat.cli import run
-from fusioncat.cyclotomic import CycloMatrix, rational, zeta
+from fusioncat.cyclotomic import CycloMatrix, Cyclotomic, least_field, rational, shown, zeta
 from fusioncat.errors import MalformedFusionError, NotModularError
 
 XOR4 = tuple(
@@ -126,6 +129,63 @@ def test_verlinde_reports_its_first_witness_on_su2_5(corrupt, detail):
         "fail",
         detail,
     )
+
+
+# the least field of each catalog s-matrix, from the conductor the entry declares
+LEAST_FIELD = {
+    "trivial": 1, "vec_z2": 1, "vec_z3": 3, "vec_z4": 4, "vec_z5": 5, "vec_z6": 3,
+    "vec_z7": 7, "vec_z8": 8, "semion": 1, "double_semion": 1, "toric_code": 1,
+    "ising": 8, "fibonacci": 5,
+}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_s_matrices_in_their_least_field(name):
+    inp = catalog_input(name)
+    m, _ = least_field([v for row in inp.s_matrix.rows for v in row], inp.conductor)
+    assert m == LEAST_FIELD[name]
+    data = catalog_get(name)
+    assert data.modular.s.conductor == m
+    assert data.modular.conductor == inp.conductor
+    assert data.modular.s == inp.s_matrix
+
+
+@pytest.mark.parametrize("k, m", [(2, 8), (5, 7), (7, 9), (20, 44)])
+def test_su2_s_is_computed_at_twice_k_plus_2_or_its_odd_half(k, m):
+    n = 4 * (k + 2)
+    s = CycloMatrix(_su2_s_rows(k))
+    assert least_field([v for row in s.rows for v in row], n)[0] == m
+    field = s.descended()
+    assert field.conductor == m
+    for row, given in zip(field.rows, s.rows):
+        for v, w in zip(row, given):
+            back = v.lift(n)
+            assert (back.nums, back.den) == (w.nums, w.den)
+    if k == 5:  # validation runs at m and shows every value at n
+        inp = CategoryInput(name="su2_5", kind="modular", conductor=n,
+                            labels=tuple(map(str, range(6))), s_matrix=s)
+        data = build_category(inp)
+        assert (data.modular.s.conductor, data.modular.conductor) == (m, n)
+        assert data.modular.certified is data.ring.fusion
+        dim = {c.check_id: c for c in validate_input(inp)}["global-dim-nonzero"].detail
+        assert dim == f"dim C = {shown(data.dim, n)}" and "ζ28" in dim
+        # written back, s is lifted to the conductor it was given at
+        assert input_to_json(category_to_input(data)) == input_to_json(inp)
+        again = build_category(category_to_input(data))
+        assert (again.modular.s.conductor, again.modular.conductor) == (m, n)
+
+
+@pytest.mark.parametrize("block", [1, 4, 21])
+def test_verlinde_does_not_depend_on_the_block_size(block, monkeypatch):
+    # the pairs (i, j >= i) run in blocks: the witness at (1, 1) is the 7th
+    # pair, past the first block when blocks are small
+    want = verlinde_fusion(CycloMatrix(_su2_s_rows(5)))
+    rows = _su2_s_rows(5)
+    _negate_row_and_column_2(rows)
+    monkeypatch.setattr(category, "VERLINDE_BLOCK", block)
+    assert verlinde_fusion(CycloMatrix(_su2_s_rows(5))) == want
+    with pytest.raises(NotModularError, match=r"at \(i=1, j=1, k=2\) is -1,"):
+        verlinde_fusion(CycloMatrix(rows))
 
 
 def test_corrupted_s_fails_validation():
@@ -495,3 +555,52 @@ def test_associativity_reports_the_dense_first_witness(name):
         )
         failures += want is not None
     assert failures
+
+
+def _dim_homomorphism_witness(fusion, dims):
+    """First (i, j) with sum_k N_ij^k d_k != d_i d_j, by Cyclotomic sums."""
+    rank = len(fusion)
+    for i in range(rank):
+        for j in range(rank):
+            total = sum((fusion[i][j][k] * dims[k] for k in range(rank)), rational(0))
+            if total != dims[i] * dims[j]:
+                return (i, j)
+    return None
+
+
+@pytest.mark.parametrize("name", ["toric_code", "ising", "fibonacci", "vec_z6"])
+def test_dim_homomorphism_reports_the_first_witness(name):
+    inp = category_to_input(catalog_get(name), "fusion_ring")
+    rng = random.Random(name)
+    failures = 0
+    for _ in range(12):
+        fusion = [[list(row) for row in plane] for plane in inp.fusion]
+        for _ in range(rng.randint(1, 3)):
+            i, j, k = (rng.randrange(inp.rank) for _ in range(3))
+            fusion[i][j][k] = rng.randrange(3)
+        want = _dim_homomorphism_witness(fusion, inp.dims)
+        got = {c.check_id: c for c in validate_input(_with_fusion(inp, fusion))}
+        assert (got["dim-homomorphism"].status, got["dim-homomorphism"].detail) == (
+            ("pass", "") if want is None else ("fail", f"d_i*d_j != sum N_ij^k d_k at {want}")
+        )
+        failures += want is not None
+    assert failures
+
+
+@pytest.mark.parametrize("text, where", [
+    ("1.5", "s_matrix[0][1]"), ("1/0", "s_matrix[0][1]"),
+    (["0", "x", "0", "0"], "s_matrix[0][1][1]"), (["0", 1, "0", "0"], "s_matrix[0][1][1]"),
+])
+def test_schema_names_the_bad_coefficient(text, where):
+    obj = input_to_json(catalog_input("fibonacci"))  # conductor 5, phi = 4
+    obj["s_matrix"][0][1] = text
+    with pytest.raises(SchemaError, match=rf"^{re.escape(where)}: expected a rational string"):
+        parse_category(obj)
+
+
+def test_schema_reads_rationals_in_canonical_form():
+    obj = input_to_json(catalog_input("fibonacci"))
+    obj["s_matrix"][0][1] = ["-6/4", "+0", "10/15", "007"]
+    value = parse_category(obj).s_matrix.rows[0][1]
+    want = Cyclotomic(5, [Fraction(-3, 2), 0, Fraction(2, 3), 7])
+    assert (value.nums, value.den) == (want.nums, want.den) == ((-9, 0, 4, 42), 6)

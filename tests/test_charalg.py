@@ -17,11 +17,13 @@ from fusioncat import (
     CharacterAlgebra,
     ClassFunction,
     catalog_get,
+    catalog_input,
     catalog_names,
 )
+from fusioncat import charalg
 from fusioncat.category import (
-    _law_witness, assemble_category, build_category, category_to_input, input_to_json,
-    parse_category,
+    ModularData, _law_witness, assemble_category, build_category, category_to_input,
+    input_to_json, parse_category,
 )
 from fusioncat.cyclotomic import (
     CycloMatrix, Cyclotomic, bilinear, euler_phi, flatten, rational, zeta,
@@ -366,6 +368,58 @@ def test_conjugacy_rejects_a_table_of_non_characters(corrupt, message):
     alg = CharacterAlgebra(assemble_category(inp))  # no validation
     with pytest.raises(InternalConsistencyError, match=message):
         alg.conjugacy()
+
+
+def _count_laws(monkeypatch, allowed=True) -> list:
+    calls = []
+
+    def counted(*args):
+        if not allowed:
+            raise AssertionError("validation's certificate proves every law here")
+        calls.append(args[0])
+        return _law_witness(*args)
+
+    monkeypatch.setattr(charalg, "_law_witness", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_valid_modular_input_runs_no_fusion_law_after_validation(name, monkeypatch):
+    _count_laws(monkeypatch, allowed=False)
+    alg = CharacterAlgebra(catalog_get(name))
+    alg.conjugacy()
+    assert [c.status for c in alg.identity_suite()] == ["pass"] * len(SUITE_IDS)
+
+
+def test_conjugacy_runs_the_law_on_rules_the_certificate_does_not_name(monkeypatch):
+    calls = _count_laws(monkeypatch)
+    data = catalog_get("toric_code")
+    copied = replaced(data.ring, fusion=tuple(plane for plane in data.ring.fusion))
+    uncertified = replaced(data, modular=ModularData(data.modular.s, data.modular.twists))
+    for same in (replaced(data, ring=copied), uncertified):
+        CharacterAlgebra(same).conjugacy()
+    assert len(calls) == 2
+    # Z/4 fusion rules under the toric code s-matrix: chi_1^2 = chi_2, but the
+    # row of chi_1 squares to 1 while the row of chi_2 is (1, -1, 1, -1)
+    z4 = tuple(tuple(tuple(int(k == (i + j) % 4) for k in range(4)) for j in range(4))
+               for i in range(4))
+    alg = CharacterAlgebra(replaced(data, ring=replaced(data.ring, fusion=z4)))
+    with pytest.raises(InternalConsistencyError, match=r"class 1 is not a character at \(1, 1\)"):
+        alg.conjugacy()
+    assert len(calls) == 3
+
+
+def test_conjugacy_checks_the_law_on_data_assembled_without_a_certificate(monkeypatch):
+    # the Ising s-matrix with columns 1 and 2 swapped: the Verlinde sum runs
+    # over the columns in any order, so the fusion rules are Ising's and the
+    # columns are still characters, but s is no longer symmetric
+    calls = _count_laws(monkeypatch)
+    inp = catalog_input("ising")
+    rows = [(a, c, b) for a, b, c in inp.s_matrix.rows]
+    data = assemble_category(replaced(inp, s_matrix=CycloMatrix(rows)))  # no validation
+    assert data.modular.certified is None and data.ring.fusion == catalog_get("ising").ring.fusion
+    CharacterAlgebra(data).conjugacy()
+    assert len(calls) == 1
 
 
 def test_conjugacy_rejects_non_commutative_fusion_rules():

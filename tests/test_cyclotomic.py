@@ -12,8 +12,10 @@ from fusioncat.cyclotomic import (
     Cyclotomic,
     _mul_nums,
     bilinear,
+    _make,
     cyclotomic_polynomial,
     euler_phi,
+    least_field,
     matmul,
     rational,
     zeta,
@@ -523,3 +525,39 @@ def test_bilinear_matches_plain_accumulation(case):
             for i in range(size) for j in range(size) for kk, t in table[i][j] if kk == k
         ]
         assert got[k] == _ref_sum(n, terms)
+
+
+# -- descent to the least field ------------------------------------------------
+
+
+def _least_field_by_galois(values, n):
+    """The least m dividing n such that every sigma_t with t = 1 mod m fixes
+    every value: the Galois group of Q(zeta_n) over Q(zeta_m)."""
+    return min(
+        m for m in range(1, n + 1) if n % m == 0 and all(
+            v.galois(t) == v for v in values for t in range(1, n, m) if gcd(t, n) == 1
+        )
+    )
+
+
+@pytest.mark.parametrize("n", (8, 12, 15, 16, 20, 28, 30, 36, 44))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_least_field_matches_the_galois_oracle_and_round_trips(n, data):
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    drawn = data.draw(st.lists(cyclotomics(divisors), min_size=1, max_size=3))
+    values = [v.lift(n) for v in drawn]
+    m, nums = least_field(values, n)
+    assert m == _least_field_by_galois(values, n)
+    for v, x in zip(values, nums):
+        back = _make(m, x, v.den).lift(n)
+        assert (back.nums, back.den) == (v.nums, v.den)
+
+
+def test_an_odd_power_of_zeta_16_keeps_conductor_16():
+    one, z = rational(1, 16), zeta(16, 3)
+    s = CycloMatrix([[one, z], [z, -one]])
+    assert least_field([v for row in s.rows for v in row], 16)[0] == 16
+    assert s.descended() is s
+    even = CycloMatrix([[one, zeta(16, 6)], [zeta(16, 6), -one]]).descended()
+    assert even.conductor == 8 and even.rows[0][1].nums == zeta(8, 3).nums
