@@ -26,7 +26,7 @@ from __future__ import annotations
 from .category import Check, _Frozen, verdict
 from .charalg import CentralElement, CharacterAlgebra, _products
 from .cyclotomic import _chunks, euler_phi
-from .errors import CapabilityError, NotRibbonConsistentError
+from .errors import CapabilityError, InternalConsistencyError, NotRibbonConsistentError
 from .lattice import (
     FusionSubcategory, _close, _invariants, _ring_masks, enumerate_subcats, subcat_invariants,
 )
@@ -193,11 +193,14 @@ def centralizer_suite(alg: CharacterAlgebra) -> list[Check]:
         return [Check(cid, "skip", "needs an s-matrix") for cid in _LAWS]
     try:
         subcats = enumerate_subcats(alg)
+        results = _results(alg, subcats)
     except CapabilityError as e:
         return [Check(cid, "skip", str(e)) for cid in _LAWS]
+    except InternalConsistencyError as e:
+        return [verdict(cid, False, str(e)) for cid in _LAWS]
 
     merged: dict[str, Check] = {}
-    for d, result in zip(subcats, _results(alg, subcats)):
+    for d, result in zip(subcats, results):
         for c in verify_main_identity(alg, d, result):
             prev = merged.get(c.check_id)
             if prev is None or (prev.status != "fail" and c.status == "fail"):

@@ -281,7 +281,7 @@ def _cmd_centralizer(args) -> Report:
         raise SchemaError(f"unknown object label {unknown[0]!r}; have {', '.join(labels)}")
     subcat = generate_subcat(alg, [data.ring.index_of(lab) for lab in names])
     result = centralizer(alg, subcat)
-    checks = verify_main_identity(alg, subcat)
+    checks = verify_main_identity(alg, subcat, result)
     sections = [
         Section(
             "centralizer",

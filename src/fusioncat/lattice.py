@@ -6,12 +6,12 @@ under taking constituents of tensor products.  Inside this module a set
 of objects is an int mask, bit i for object i, and the one closure routine
 _close grows a closed mask by new bits over a table of product supports.
 Enumeration is the join closure of the principal subcategories <i>
-(stopped past SUBCATEGORY_LIMIT), listed in exact order of dimension; the
-joins D v <i> it forms give every other join.  Listing every closed mask
-by Ganter's NextClosure, at most rank - 1 closures each, is kept only as
-lattice_suite's independent oracle.  The subcategories,
-invariants, grading and support table of an algebra are memoized in this
-module, keyed weakly by it.
+(stopped past SUBCATEGORY_LIMIT), listed in exact order of dimension; it
+keeps the join table D v <i>, on which the lattice laws are decided.
+Listing every closed mask by Ganter's NextClosure, at most rank - 1
+closures each, is kept only as lattice_suite's independent oracle.  The
+subcategories, invariants, grading, product supports and join table of an
+algebra are memoized in this module, keyed weakly by it.
 
 Every subcategory D owns a small bundle of invariants:
 
@@ -23,10 +23,9 @@ Every subcategory D owns a small bundle of invariants:
     index       dim C / dim D, also the counit of ell_D and the class
                 sizes summed over the support.
 
-The lattice laws tie these together: cointegrals multiply along joins
-(symmetric, so checked once per unordered pair), and the support map is an
-inclusion-reversing bijection onto its image.  Both are decided on int
-masks of members and supports, as lattice_suite proves.
+The lattice laws tie these together: cointegrals multiply along joins, and
+the support map is an inclusion-reversing bijection onto its image.  As
+lattice_suite proves, both are decided on int masks, on the joins D v <i>.
 
 The universal grading comes from the adjoint subcategory (generated by all
 i (x) i*): its components partition the simples and multiply like a finite
@@ -64,7 +63,7 @@ __all__ = [
     "lattice_suite",
 ]
 
-SUBCATEGORY_LIMIT = 4096  # most subcategories: L^2 = 16.8e6 ordered pairs
+SUBCATEGORY_LIMIT = 4096  # enumeration and its oracle make up to L rank closures each
 
 
 class FusionSubcategory(_Frozen):
@@ -160,7 +159,7 @@ def _close(masks, closed: int, new: int) -> int:
     """The smallest closed mask holding the closed mask `closed` (bit 0 set)
     and the bits of `new`.  One worklist pass: each new member a is multiplied
     with itself and the members taken before it, by masks[a][b]."""
-    members = [b for b in range(closed.bit_length()) if closed >> b & 1]
+    members = [b for b, bit in enumerate(bin(closed)[:1:-1]) if bit == "1"]
     todo = new & ~closed
     while todo:
         a = (todo & -todo).bit_length() - 1
@@ -193,13 +192,6 @@ def _joins(atoms, close) -> set[int]:
                     raise CapabilityError(f"subcategory enumeration stopped past "
                                           f"SUBCATEGORY_LIMIT = {SUBCATEGORY_LIMIT} subcategories")
     return found
-
-
-def _fold(joins, closed: int, atoms) -> int:
-    """closed v A_1 v A_2 v ..., read off the joins D v A of enumerate_subcats."""
-    for atom in atoms:
-        closed = joins[closed, atom]
-    return closed
 
 
 def _closed_masks(masks, rank: int) -> list[int]:
@@ -235,15 +227,13 @@ def enumerate_subcats(alg: CharacterAlgebra) -> tuple[FusionSubcategory, ...]:
     These are the joins of the principal subcategories <i> generated by one
     simple object.  Proof: for i in D, <i> lies in D, so the join J of the <i>
     over i in D lies in D; each i in D lies in <i>, so D lies in J.  So D = J.
-    The memo keeps every join formed, joins[D, <i>], and gens[D], atoms joining to D.
+    The memo keeps the join table, joins[D, <i>] for every D and every <i>.
     """
-    masks, memo = _ring_masks(alg), _MEMOS[alg]
+    masks, joins = _ring_masks(alg), _MEMOS[alg].setdefault("joins", {})
     atoms = {_close(masks, 1, 1 << i) for i in range(alg.rank)}
-    joins, gens = memo.setdefault("joins", {}), memo.setdefault("gens", {a: (a,) for a in atoms})
 
     def close(closed, atom):
         joins[closed, atom] = joined = _close(masks, closed, atom)
-        gens.setdefault(joined, gens[closed] + (atom,))
         return joined
 
     found = {_members(m) for m in _joins(atoms, close)}
@@ -492,8 +482,15 @@ def prime_index_check(alg: CharacterAlgebra) -> PrimeIndexReport:
     )
 
 
+def _antitone_witness(masks, supports):
+    """The first (a, b), row-major, where D_a >= D_b and s(D_a) <= s(D_b) disagree, or None."""
+    rows = list(enumerate(zip(masks, supports)))
+    return next(((a, b) for a, (ma, sa) in rows for b, (mb, sb) in rows
+                 if (ma & mb == mb) != (sa & sb == sa)), None)
+
+
 def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
-    """Exact lattice and grading laws over every pair of subcategories.
+    """Exact lattice and grading laws over the subcategory lattice.
 
     The oracle is Ganter's NextClosure (1984).  Order masks lectically:
     A < B when the lowest bit where they differ is in B.  From bit 0 alone,
@@ -504,25 +501,29 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
     A below i <= A + i <= B as sets, so A + i agrees with A below i, holds i
     and lies inside B: A < A + i <= B, so A + i = B.  A larger such j would
     give A < A + j < B, as A + j lacks i.  So L closed masks cost at most
-    L (rank - 1) closures, not 2^(rank-1).  Once it matches, every join is
-    enumerated, and none is closed here: D v E = cl(D | E) = cl(D | gens E),
-    as E = cl(gens E), and closing an atom at a time is the same closure, so
-    D v E is _fold of the joins D v A that enumerate_subcats kept.  The pairs
-    number L^2: past SUBCATEGORY_LIMIT = 4096 the laws are skipped.
+    L (rank - 1) closures, not 2^(rank-1).  Once it matches, nothing is closed
+    here: enumerate_subcats kept D v A for every D and atom A = <i>.
 
-    The pair laws run on int masks of members and supports.  The join law
-    lambda_D lambda_E = lambda_{D v E} holds iff supp(D v E) = supp D & supp E.
-    Proof: conjugacy() certifies F alpha = I, so the F_j are orthogonal
-    idempotents, F_j F_k = delta_jk F_j, and linearly independent;
-    _invariants checks lambda_D = sum_{j in supp D} F_j.  So
-    lambda_D lambda_E = sum_{j in supp D & supp E} F_j, and two indicator sums
-    of independent F_j are equal iff their index sets are.  The law is
-    symmetric, so it runs over d <= e.  The meet law (ell_D dim D)(ell_E dim E)
-    = dim C ell_{D ^ E} dim(D ^ E) is not checked, as it cannot fail once
-    _invariants passes: that certifies ell_D dim D = dim C 1_D, so both
-    sides are dim C^2 1_{D & E}, and D & E is closed, as closed sets of a
-    closure are closed under intersection.  Each law reports its first
-    failing pair in row-major order.
+    The laws run on int masks of members and supports.  The join law lambda_D
+    lambda_E = lambda_{D v E} holds iff s(D v E) = s(D) & s(E), s the support
+    map.  Proof: conjugacy() certifies F alpha = I, so the F_j are orthogonal
+    idempotents, F_j F_k = delta_jk F_j, and linearly independent; _invariants
+    checks lambda_D = sum_{j in s(D)} F_j.  So lambda_D lambda_E = sum_{j in
+    s(D) & s(E)} F_j, and two indicator sums of independent F_j are equal iff
+    their index sets are.  For any map s, it holds on all pairs iff on every
+    (D, A): the law at (D, <0>) gives s(D) <= s(<0>), and folded along
+    E = <0> v A_1 v ... v A_k, A_i = <i> for i in E, it gives s(D v E) =
+    s(D) & S and s(E) = s(<0>) & S for S = s(A_1) & ... & s(A_k), so
+    s(D v E) = s(D) & s(E).  With distinct supports it gives support-antitone,
+    D >= E iff s(D) <= s(E): D >= E gives s(D) = s(D v E) = s(D) & s(E), and
+    s(D) <= s(E) gives s(D v E) = s(D), so D v E = D.  So the antitone scan
+    runs only when either fails, to find its first failing pair.  Each law
+    reports its first failure row-major, the join law's a (D, A) with atoms
+    in subcategory order.  The meet law (ell_D dim D)(ell_E dim E) = dim C
+    ell_{D ^ E} dim(D ^ E) is not checked, as it cannot fail once _invariants
+    passes: that certifies ell_D dim D = dim C 1_D, so both sides are
+    dim C^2 1_{D & E}, and D & E is closed, as closed sets of a closure are
+    closed under intersection.
     """
     checks: list[Check] = []
 
@@ -557,18 +558,14 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
         return checks
 
     supports = [sum(1 << j for j in invs[d.members].support) for d in subcats]
-    support_of, joins, gens = dict(zip(masks, supports)), _MEMOS[alg]["joins"], _MEMOS[alg]["gens"]
-    first = dict.fromkeys(("join-cointegral", "support-antitone"))
-    for a, (ma, sa) in enumerate(zip(masks, supports)):
-        if first["support-antitone"] is None:
-            wrong = [(ma & mb == mb) != (sa & sb == sa) for mb, sb in zip(masks, supports)]
-            first["support-antitone"] = (a, wrong.index(True)) if True in wrong else None
-        if first["join-cointegral"] is None:
-            first["join-cointegral"] = next((
-                (a, b) for b, mb in enumerate(masks[a:], a)
-                if support_of[_fold(joins, ma, gens[mb])] != sa & supports[b]
-            ), None)
-    for law, at in first.items():
+    support_of, joins = dict(zip(masks, supports)), _MEMOS[alg]["joins"]
+    # enumerate_subcats joined the trivial mask 1 with every atom and nothing else
+    atoms = [(b, mb, sb) for b, (mb, sb) in enumerate(zip(masks, supports)) if (1, mb) in joins]
+    join_at = next(((a, b) for a, (ma, sa) in enumerate(zip(masks, supports))
+                    for b, mb, sb in atoms if support_of[joins[ma, mb]] != sa & sb), None)
+    certified = join_at is None and len(set(supports)) == len(supports)
+    antitone_at = None if certified else _antitone_witness(masks, supports)
+    for law, at in (("join-cointegral", join_at), ("support-antitone", antitone_at)):
         detail = "" if at is None else f"failed at {tuple(subcats[x].members for x in at)}"
         checks.append(verdict(law, at is None, detail))
 
@@ -590,8 +587,7 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
             ))
         else:
             checks.append(Check("pointed-class-match", "skip", "needs an s-matrix"))
-    except InternalConsistencyError as e:
-        checks.append(verdict("adjoint-support", False, str(e)))
-
-    checks.extend(prime_index_check(alg).checks)
+        checks.extend(prime_index_check(alg).checks)
+    except InternalConsistencyError as e:  # from grading(), which prime_index_check reads too
+        checks += [verdict(cid, False, str(e)) for cid in ("adjoint-support", "prime-index")]
     return checks

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from conftest import replaced
+
 from fusioncat import (
     CentralElement,
     CharacterAlgebra,
@@ -117,6 +119,19 @@ def test_suite_skips_past_enumeration_limit(monkeypatch):
     assert skipped["enumeration"] == skipped["main-identity"]
     assert "past SUBCATEGORY_LIMIT = 3 subcategories" in skipped["dim-product"]
     assert any(c.check_id == "fourier-roundtrip" for c in checks)
+
+
+def test_suite_reports_invariants_that_fail_as_failed_laws():
+    # class sizes that miss the index fail the invariant bundles; every
+    # centralizer law then fails with that message, and full_suite still
+    # returns its report instead of raising
+    alg = CharacterAlgebra(catalog_get("toric_code"))
+    conj = alg.conjugacy()
+    alg._conjugacy = replaced(conj, sizes=tuple(z + 1 for z in conj.sizes))
+    checks = {c.check_id: (c.status, c.detail) for c in full_suite(alg)}
+    message = "index, counit of the integral and class sizes over the support disagree"
+    assert checks["subcat-invariants"] == ("fail", message)
+    assert [checks[cid] for cid in centralizer_module._LAWS] == [("fail", message)] * 7
 
 
 @pytest.mark.parametrize("name", catalog_names())

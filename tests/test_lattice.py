@@ -1,6 +1,7 @@
 """Fusion subcategory lattice, universal grading, prime-index correspondence."""
 
 import gc
+import random
 import weakref
 from itertools import permutations, product
 
@@ -26,7 +27,7 @@ from fusioncat import (
     prime_index_check,
     subcat_invariants,
 )
-from fusioncat.cyclotomic import rational, zeta
+from fusioncat.cyclotomic import CycloMatrix, rational, zeta
 from fusioncat.errors import CapabilityError, InternalConsistencyError
 
 # counts derived once by exhaustive closure over each entry and pinned
@@ -247,41 +248,61 @@ def test_lattice_suite_reports_class_sizes_that_miss_the_index():
     )
 
 
-def test_symmetric_laws_run_once_per_unordered_pair(monkeypatch):
-    # toric_code has 5 subcategories: 15 unordered pairs, 25 ordered ones.
-    # The pair loop reads every join off the joins enumerate_subcats kept, so
-    # it closes no mask; no law multiplies class functions or central
-    # elements, and no meet or join is formed.
+def test_pair_laws_read_only_the_atom_join_table(monkeypatch):
+    # toric_code has 5 subcategories and 4 atoms.  On passing input the
+    # pair laws read at most 5 * 4 entries of the join table that
+    # enumerate_subcats kept; they close no mask, multiply no class
+    # functions or central elements, form no meet or join, and run no
+    # antitone scan.
     alg = CharacterAlgebra(catalog_get("toric_code"))
-    enumerate_subcats(alg)
+    subcats = enumerate_subcats(alg)
     grading(alg)
     masks = lattice._ring_masks(alg)
     oracle = lattice._closed_masks(masks, alg.rank)
-    closures, folds = [], []
-    close, fold = lattice._close, lattice._fold
+    memo, closures, reads = lattice._MEMOS[alg], [], []
+    close = lattice._close
+
+    class CountedTable(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return dict.__getitem__(self, key)
+
+    memo["joins"] = CountedTable(memo["joins"])
+    atoms = {atom for _, atom in memo["joins"]}
 
     def counted_close(table, closed, new):
         if table is masks:
             closures.append((closed, new))
         return close(table, closed, new)
 
-    def counted_fold(joins, closed, atoms):
-        folds.append(closed)
-        return fold(joins, closed, atoms)
-
     def forbidden(*args):
         raise AssertionError("the pair laws run on support masks")
 
     alg.cf_mul = alg.ce_mul = forbidden
-    for name in ("meet", "join", "generate_subcat"):
+    for name in ("meet", "join", "generate_subcat", "_antitone_witness"):
         monkeypatch.setattr(lattice, name, forbidden)
     monkeypatch.setattr(lattice, "_closed_masks", lambda table, rank: oracle)
     monkeypatch.setattr(lattice, "_close", counted_close)
-    monkeypatch.setattr(lattice, "_fold", counted_fold)
     checks = lattice_suite(alg)
     assert [c.check_id for c in checks if c.status == "fail"] == []
     assert closures == []
-    assert len(folds) == 15
+    assert len(atoms) == 4
+    assert 0 < len(reads) <= len(subcats) * len(atoms)
+
+
+def test_lattice_suite_reports_a_grading_failure_instead_of_raising(monkeypatch):
+    # an ill-defined grading fails adjoint-support and the prime-index
+    # check with its message; neither raises
+    def broken(alg):
+        raise InternalConsistencyError("grading group is not associative")
+
+    monkeypatch.setattr(lattice, "grading", broken)
+    checks = lattice_suite(CharacterAlgebra(catalog_get("toric_code")))
+    failed = [(c.check_id, c.detail) for c in checks if c.status == "fail"]
+    assert failed == [
+        ("adjoint-support", "grading group is not associative"),
+        ("prime-index", "grading group is not associative"),
+    ]
 
 
 def test_lattice_memo_dies_with_its_algebra():
@@ -335,9 +356,10 @@ def test_enumeration_stops_when_the_oracle_disagrees(monkeypatch):
 # -- group rings: join closure against the subset sweep ---------------------------
 
 
-def _group_ring(name, elements, mul):
+def _group_ring(name, elements, mul, character=None):
     """The group ring of a finite group as a conductor-1 fusion ring; the
-    identity must come first in elements."""
+    identity must come first in elements.  character(g, h), the character
+    of g at h for an abelian group, gives it a character table."""
     index = {g: i for i, g in enumerate(elements)}
     n = len(elements)
     table = [[index[mul(g, h)] for h in elements] for g in elements]
@@ -352,7 +374,9 @@ def _group_ring(name, elements, mul):
         labels=tuple(str(i) for i in range(n)),
         fusion=fusion,
         dims=tuple(rational(1) for _ in range(n)),
-        char_table=None,
+        char_table=None if character is None else CycloMatrix(
+            [[character(g, h) for h in elements] for g in elements]
+        ),
     )
     return CharacterAlgebra(build_category(inp)), table
 
@@ -526,17 +550,110 @@ def test_join_fold_matches_closure_on_group_rings(group):
 
 
 def _assert_join_fold_matches_closure(alg):
-    # D v E = cl(D | E) = cl(D | gens E), and closing in steps is the same
-    # closure: the fold over the joins D v A kept by enumerate_subcats
-    # equals _close on every ordered pair
+    # the join table enumerate_subcats keeps holds D v A for exactly the
+    # pairs (enumerated D, atom A = <i>), each the closure of D | A from its
+    # definition; so folding it along the atoms of E, as lattice_suite's
+    # proof does, gives D v E on every ordered pair
+    closure = [sum(1 << i for i in c) for c in _closures_from_scratch(alg)]
     masks = [sum(1 << i for i in d.members) for d in enumerate_subcats(alg)]
-    memo, table = lattice._MEMOS[alg], lattice._ring_masks(alg)
-    for mb in masks:
-        assert lattice._fold(memo["joins"], 1, memo["gens"][mb]) == mb
-        for ma in masks:
-            assert lattice._fold(memo["joins"], ma, memo["gens"][mb]) == (
-                lattice._close(table, ma, mb)
+    atoms = [closure[1 << i >> 1] for i in range(alg.rank)]  # bit 0 is the unit
+    joins = lattice._MEMOS[alg]["joins"]
+    assert set(joins) == set(product(masks, atoms))
+    for (d, atom), joined in joins.items():
+        assert joined == closure[(d | atom) >> 1]
+    for d, e in product(masks, repeat=2):
+        folded = d
+        for i in range(alg.rank):
+            if e >> i & 1:
+                folded = joins[folded, atoms[i]]
+        assert folded == closure[(d | e) >> 1]
+
+
+def _brute_force_laws(masks, supports, joined, atoms):
+    """The first failing pair of each law over all ordered pairs of indices,
+    row-major, from the definitions: the join law s(D v E) = s(D) & s(E),
+    with D v E = masks[joined[a, b]], and antitone, D >= E iff s(D) <= s(E);
+    for the join law also its first failing (D, A), A over the indices of
+    the atoms in increasing order."""
+    pairs = list(product(range(len(masks)), repeat=2))
+    join_at = next((
+        (a, b) for a, b in pairs if supports[joined[a, b]] != supports[a] & supports[b]
+    ), None)
+    atom_at = next((
+        (a, b) for a in range(len(masks)) for b in atoms
+        if supports[joined[a, b]] != supports[a] & supports[b]
+    ), None)
+    antitone_at = next((
+        (a, b) for a, b in pairs
+        if (masks[a] & masks[b] == masks[b]) != (supports[a] & supports[b] == supports[a])
+    ), None)
+    return join_at, atom_at, antitone_at
+
+
+def _random_supports(rng, masks, true, rank):
+    """A support mask per subcategory: a perturbed true map, a uniformly
+    random one, or s(D) = {x : D <= T_x} for random T_x, which satisfies the
+    join law and may repeat supports."""
+    mode = rng.randrange(3)
+    if mode == 0:
+        supports = list(true)
+        for _ in range(rng.randint(1, 2)):
+            supports[rng.randrange(len(masks))] = rng.getrandbits(rank)
+        return supports
+    if mode == 1:
+        return [rng.getrandbits(rank) for _ in masks]
+    tops = [rng.choice(masks) for _ in range(rank)]
+    return [sum(1 << x for x, t in enumerate(tops) if m & t == m) for m in masks]
+
+
+def _sign_character(g, h):
+    return rational((-1) ** sum(a * b for a, b in zip(g, h)))
+
+
+RANDOM_MAP_CASES = [(name, None) for name in catalog_names()] + [
+    ("z2^4", (*_abelian(2, 2, 2, 2), _sign_character))
+]
+
+
+@pytest.mark.parametrize("name,group", RANDOM_MAP_CASES, ids=[n for n, _ in RANDOM_MAP_CASES])
+def test_pair_laws_match_all_pairs_on_random_support_maps(monkeypatch, name, group):
+    # the statuses and first failures lattice_suite reports from the atom
+    # joins and its antitone certificate equal the all-pairs definitions,
+    # whatever support map it is given
+    alg = CharacterAlgebra(catalog_get(name)) if group is None else _group_ring(name, *group)[0]
+    subcats = enumerate_subcats(alg)
+    masks = [sum(1 << i for i in d.members) for d in subcats]
+    index = {m: x for x, m in enumerate(masks)}
+    closure = [sum(1 << i for i in c) for c in _closures_from_scratch(alg)]
+    joined = {(a, b): index[closure[(ma | mb) >> 1]]
+              for (a, ma), (b, mb) in product(enumerate(masks), repeat=2)}
+    atoms = sorted({index[closure[1 << i >> 1]] for i in range(alg.rank)})  # bit 0 is the unit
+    true = [sum(1 << j for j in subcat_invariants(alg, d).support) for d in subcats]
+    rng = random.Random(name)
+    current = {}
+
+    def corrupted(alg, subcat):
+        inv = subcat_invariants(alg, subcat)
+        mask = current[sum(1 << i for i in subcat.members)]
+        return replaced(inv, support=tuple(j for j in range(alg.rank) if mask >> j & 1))
+
+    monkeypatch.setattr(lattice, "subcat_invariants", corrupted)
+    outcomes = set()
+    for supports in [true] + [_random_supports(rng, masks, true, alg.rank) for _ in range(30)]:
+        current.clear()
+        current.update(zip(masks, supports))
+        join_at, atom_at, antitone_at = _brute_force_laws(masks, supports, joined, atoms)
+        assert (join_at is None) == (atom_at is None)
+        laws = {c.check_id: c for c in lattice_suite(alg)}
+        for law, at in (("join-cointegral", atom_at), ("support-antitone", antitone_at)):
+            detail = "" if at is None else f"failed at {tuple(subcats[x].members for x in at)}"
+            assert (laws[law].status, laws[law].detail) == (
+                "pass" if at is None else "fail", detail
             )
+        outcomes.add((join_at is None, antitone_at is None))
+    assert (True, True) in outcomes
+    if len(subcats) > 2:
+        assert (False, False) in outcomes
 
 
 @pytest.mark.parametrize("name", catalog_names())
