@@ -173,16 +173,19 @@ class ModularData(_Frozen):
 
 
 class CategoryData(_Frozen):
-    __slots__ = ("name", "ring", "pivotal", "modular", "char_table", "dim")
+    __slots__ = ("name", "ring", "pivotal", "modular", "char_table", "dim", "certified")
 
     def __init__(self, name: str, ring: FusionRing, pivotal: PivotalData,
-                 modular: ModularData | None, char_table: CycloMatrix | None, dim: Cyclotomic):
+                 modular: ModularData | None, char_table: CycloMatrix | None, dim: Cyclotomic,
+                 certified: tuple | None = None):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "pivotal", pivotal)
         object.__setattr__(self, "modular", modular)
         object.__setattr__(self, "char_table", char_table)
         object.__setattr__(self, "dim", dim)  # global dimension, sum_i d_i d_{i*}
+        # the rules char_table's columns were checked against (char_table_law), or None
+        object.__setattr__(self, "certified", certified)
 
     @property
     def rank(self) -> int:
@@ -371,6 +374,12 @@ class CategoryInput(_Frozen):
         return shown(v, self.shown_conductor)
 
     @cached_property
+    def char_table_law(self):
+        """_law_witness of the table's columns under the given rules, run once
+        per input: validation reports it and assembly reads it as a certificate."""
+        return _law_witness(_sparse_rows(self.fusion), *flatten(self.char_table.rows))
+
+    @cached_property
     def s_field(self) -> CycloMatrix:
         """The s-matrix in the least field that holds it (CycloMatrix.descended)."""
         return self.s_matrix.descended()
@@ -454,12 +463,12 @@ def _check_ring_axioms(inp: CategoryInput, fusion, nonzero, dims, checks: list[C
     return dual
 
 
-def _check_char_table(nonzero, dims, dual, table: CycloMatrix, checks: list[Check]):
-    rank = len(nonzero)
-    bad = next((j for j in range(rank) if table.rows[0][j] != 1), None)
+def _check_char_table(inp: CategoryInput, dual, checks: list[Check]):
+    table, dims = inp.char_table, inp.dims
+    bad = next((j for j in range(inp.rank) if table.rows[0][j] != 1), None)
     checks.append(_witness("char-table-unit-row", bad, "column {} does not send the unit to 1"))
 
-    bad = _law_witness(nonzero, *flatten(table.rows))
+    bad = inp.char_table_law
     detail = "" if bad is None else (
         f"column {bad[2]} is not an algebra character at (i,k)={bad[:2]}"
     )
@@ -529,7 +538,7 @@ def validate_input(inp: CategoryInput) -> list[Check]:
         nonzero = _sparse_rows(inp.fusion)
         dual = _check_ring_axioms(inp, inp.fusion, nonzero, inp.dims, checks)
         if inp.char_table is not None:
-            _check_char_table(nonzero, inp.dims, dual, inp.char_table, checks)
+            _check_char_table(inp, dual, checks)
 
     return checks
 
@@ -548,18 +557,19 @@ def assemble_category(inp: CategoryInput) -> CategoryData:
     if inp.kind == "modular":
         s = inp.s_field
         dims = tuple(s.rows[0])
-        certified = inp.s_square == dual and s.is_symmetric()
-        modular = ModularData(s, inp.twists, inp.shown_conductor, fusion if certified else None)
-        char_table = None
+        proved = inp.s_square == dual and s.is_symmetric()
+        modular = ModularData(s, inp.twists, inp.shown_conductor, fusion if proved else None)
+        char_table = certified = None
     else:
         dims = tuple(inp.dims)
         modular = None
         char_table = inp.char_table
+        certified = fusion if char_table is not None and inp.char_table_law is None else None
 
     ring = FusionRing(labels=inp.labels, fusion=fusion, dual=dual)
     return CategoryData(
         name=inp.name, ring=ring, pivotal=PivotalData(dims=dims), modular=modular,
-        char_table=char_table, dim=global_dim(dims, dual),
+        char_table=char_table, dim=global_dim(dims, dual), certified=certified,
     )
 
 

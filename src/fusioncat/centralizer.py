@@ -17,8 +17,9 @@ ell_{D'} = (dim C / dim D') drinfeld(lambda_D), the support law
 support(D') = members(D), the duality (D')' = D and dim D * dim D' = dim C.
 
 centralizer_suite is one pass: drinfeld(lambda_D) for every D is one
-matmul and both routes are int masks; centralizer and verify_main_identity
-run the same code on one subcategory.
+matmul, both routes are int masks, and _laws decides each law over the
+lattice at once; centralizer and verify_main_identity run the same code
+on one subcategory.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from .category import Check, _Frozen, verdict
 from .charalg import CentralElement, CharacterAlgebra, _products
 from .cyclotomic import _chunks, euler_phi
 from .errors import CapabilityError, InternalConsistencyError, NotRibbonConsistentError
-from .lattice import (
-    FusionSubcategory, _close, _invariants, _ring_masks, enumerate_subcats, subcat_invariants,
-)
+from .lattice import FusionSubcategory, _close, _invariants, _ring_masks, enumerate_subcats
 
 __all__ = [
     "CentralizerResult",
@@ -121,59 +120,8 @@ def verify_main_identity(
 ) -> list[Check]:
     """All exact centralizer laws for one subcategory, from its entry of
     _results (computed when not given)."""
-    result = result or _results(alg, [subcat])[0]
-    if isinstance(result, NotRibbonConsistentError):
-        return [verdict("centralizer-route-agreement", False, str(result))]
-
-    checks = [verdict(
-        "centralizer-route-agreement",
-        result.agreed,
-        f"D' = {list(result.members)}"
-        if result.agreed
-        else f"s-route {list(result.smatrix_route.members)} != "
-        f"transform route {list(result.transform_route.members)}",
-    )]
-    prime = result.transform_route
-    prime_inv = subcat_invariants(alg, prime)
-
-    lhs = alg.fourier(result.image)
-    rhs = prime_inv.cointegral.scaled(prime_inv.dim * alg.dim_inv)
-    checks.append(verdict(
-        "main-identity",
-        lhs == rhs,
-        "fourier(drinfeld(lambda_D)) = (dim D'/dim C) lambda_D'",
-    ))
-
-    checks.append(verdict(
-        "integral-transfer",
-        prime_inv.integral == result.image.scaled(prime_inv.index),
-        "ell_D' = (dim C/dim D') drinfeld(lambda_D)",
-    ))
-
-    # centralizer_theorem lets only a 0/1 image through, and c^2 = c on {0, 1}
-    checks.append(verdict("centralizer-idempotent", True))
-
-    checks.append(verdict(
-        "centralizer-support",
-        prime_inv.support == subcat.members,
-        f"support(D') = {list(prime_inv.support)}, members(D) = {list(subcat.members)}",
-    ))
-
-    double = centralizer_smatrix(alg, prime)
-    checks.append(verdict(
-        "double-centralizer",
-        double.members == subcat.members,
-        f"(D')' = {list(double.members)}",
-    ))
-
-    d_inv, show = subcat_invariants(alg, subcat), alg.data.show
-    checks.append(verdict(
-        "dim-product",
-        d_inv.dim * prime_inv.dim == alg.dim,
-        f"dim D = {show(d_inv.dim)}, dim D' = {show(prime_inv.dim)}",
-    ))
-
-    return checks
+    laws = _laws(alg, [subcat], [result or _results(alg, [subcat])[0]])
+    return [verdict(law, at is None, detail(0)) for law, at, detail in laws]
 
 
 _LAWS = (
@@ -187,8 +135,63 @@ _LAWS = (
 )
 
 
+def _laws(alg: CharacterAlgebra, subcats, results) -> list:
+    """(law, at, detail) per law of _LAWS that applies: at is the first index
+    of subcats where the law fails, None where it holds for all, and
+    detail(x) its detail at index x.  One pass over the lattice per law.
+    Route agreement fails where a route raised; the other laws run where
+    both routes returned, and apply only when one did.  D'' is read from the
+    row of D' in results, or taken by the s-matrix route when D' has none."""
+    ok = [x for x, r in enumerate(results) if isinstance(r, CentralizerResult)]
+
+    def agreement(x):
+        r = results[x]
+        if not isinstance(r, CentralizerResult):
+            return str(r)
+        if r.agreed:
+            return f"D' = {list(r.members)}"
+        return (f"s-route {list(r.smatrix_route.members)} != "
+                f"transform route {list(r.transform_route.members)}")
+
+    laws = [("centralizer-route-agreement", next((
+        x for x, r in enumerate(results) if not (isinstance(r, CentralizerResult) and r.agreed)
+    ), None), agreement)]
+    if not ok:
+        return laws
+    primes = dict(zip(ok, _invariants(alg, [results[x].transform_route for x in ok])))
+    invs, rows, doubles = _invariants(alg, subcats), dict(zip(subcats, results)), {}
+    for x in ok:
+        prime = results[x].transform_route
+        row = rows.get(prime)
+        doubles[x] = (row.smatrix_route if isinstance(row, CentralizerResult)
+                      else centralizer_smatrix(alg, prime))
+
+    def first(holds):
+        return next((x for x in ok if not holds(x)), None)
+
+    show = alg.data.show
+    return laws + [
+        ("main-identity", first(lambda x: alg.fourier(results[x].image)
+                                == primes[x].cointegral.scaled(primes[x].dim * alg.dim_inv)),
+         lambda x: "fourier(drinfeld(lambda_D)) = (dim D'/dim C) lambda_D'"),
+        ("integral-transfer", first(
+            lambda x: primes[x].integral == results[x].image.scaled(primes[x].index)),
+         lambda x: "ell_D' = (dim C/dim D') drinfeld(lambda_D)"),
+        # centralizer_theorem lets only a 0/1 image through, and c^2 = c on {0, 1}
+        ("centralizer-idempotent", None, lambda x: ""),
+        ("centralizer-support", first(lambda x: primes[x].support == subcats[x].members),
+         lambda x: f"support(D') = {list(primes[x].support)}, "
+                   f"members(D) = {list(subcats[x].members)}"),
+        ("double-centralizer", first(lambda x: doubles[x].members == subcats[x].members),
+         lambda x: f"(D')' = {list(doubles[x].members)}"),
+        ("dim-product", first(lambda x: invs[x].dim * primes[x].dim == alg.dim),
+         lambda x: f"dim D = {show(invs[x].dim)}, dim D' = {show(primes[x].dim)}"),
+    ]
+
+
 def centralizer_suite(alg: CharacterAlgebra) -> list[Check]:
-    """Centralizer laws over every fusion subcategory, folded per law."""
+    """Centralizer laws over every fusion subcategory, each decided in one
+    pass; a failing law names its first subcategory."""
     if alg.data.modular is None:
         return [Check(cid, "skip", "needs an s-matrix") for cid in _LAWS]
     try:
@@ -198,17 +201,8 @@ def centralizer_suite(alg: CharacterAlgebra) -> list[Check]:
         return [Check(cid, "skip", str(e)) for cid in _LAWS]
     except InternalConsistencyError as e:
         return [verdict(cid, False, str(e)) for cid in _LAWS]
-
-    merged: dict[str, Check] = {}
-    for d, result in zip(subcats, results):
-        for c in verify_main_identity(alg, d, result):
-            prev = merged.get(c.check_id)
-            if prev is None or (prev.status != "fail" and c.status == "fail"):
-                detail = ""
-                if c.status == "fail":
-                    detail = f"D = {list(d.members)}: {c.detail}"
-                merged[c.check_id] = Check(c.check_id, c.status, detail)
     return [
-        Check(c.check_id, c.status, c.detail or f"all {len(subcats)} subcategories")
-        for c in merged.values()
+        Check(law, "pass", f"all {len(subcats)} subcategories") if at is None
+        else Check(law, "fail", f"D = {list(subcats[at].members)}: {detail(at)}")
+        for law, at, detail in _laws(alg, subcats, results)
     ]

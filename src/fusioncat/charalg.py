@@ -34,8 +34,8 @@ and F alpha = I, with no inverse taken.
 
 One integer routine, category._law_witness, checks each fusion law
 sum_k N_ij^k x_k = x_i x_j not already proved: in validation on a character
-table and on the dimensions; in conjugacy() on alpha's rows, unless
-validation's certificate (ModularData) names the fusion rules; and in the
+table and on the dimensions; in conjugacy() on alpha's rows, unless a
+certificate (ModularData, CategoryData.certified) names the rules; and in the
 identity suite on drinfeld(chi_i) and on y_l only when the family differs
 from the rows conjugacy() proved the law for.
 
@@ -103,8 +103,7 @@ class _Vector(_Frozen):
         c = c if isinstance(c, Cyclotomic) else rational(c)
         if c.is_rational():
             return _vec(type(self), self.n, [c.nums[0] * x for x in self.nums], self.den * c.den)
-        rank = len(self.nums) // euler_phi(self.n)
-        return _mul(type(self), self, _vec(_Vector, c.conductor, c.nums * rank, c.den))
+        return _mul(type(self), self, _vec(_Vector, c.conductor, c.nums, c.den))
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -135,15 +134,21 @@ def _family(vectors, n: int = 1):
 
 
 def _mul(cls, a, b):
-    """The coordinatewise product of two vectors, as a cls."""
+    """The coordinatewise product of two vectors, as a cls; a factor with
+    fewer coordinates repeats, so that it multiplies each block of a stack."""
     n, den, (x, y) = _family((a, b))
+    if len(x) != len(y):
+        x, y = (x * (len(y) // len(x)), y) if len(x) < len(y) else (x, y * (len(x) // len(y)))
     return _vec(cls, n, pointwise_nums(n, x, y), den * den)
 
 
 def _permuted(cls, v, perm):
-    """The cls with coordinate i = coordinate perm[i] of v."""
-    chunks = _chunks(v.nums, euler_phi(v.n))
-    return _vec(cls, v.n, [c for i in perm for c in chunks[i]], v.den)
+    """The cls with coordinate i = coordinate perm[i] of v, in each block of
+    len(perm) coordinates when v stacks several vectors."""
+    phi = euler_phi(v.n)
+    at = [i * phi + m for i in perm for m in range(phi)]
+    nums = v.nums
+    return _vec(cls, v.n, [nums[b + k] for b in range(0, len(nums), len(at)) for k in at], v.den)
 
 
 def _transposed(vectors) -> list[_Vector]:
@@ -233,7 +238,8 @@ class CharacterAlgebra:
         self.dim = data.dim
         self.dim_inv = data.dim.inv()
         self._dims_inv = tuple(d.inv() for d in self.dims)
-        self._dim_terms = tuple(d * self.dims[k] for d, k in zip(self.dims, self.dual))
+        # flat numerators of the d_i d_{i*}, which subset_dim sums
+        self._dim_terms = flatten([[d * self.dims[k] for d, k in zip(self.dims, self.dual)]])
         self._conjugacy: ConjugacyData | None = None
         self._law_rows = None  # a family conjugacy() proved the character law for
         self.n = lcm(*(d.conductor for d in self.dims))
@@ -248,9 +254,11 @@ class CharacterAlgebra:
 
     def _basis(self, cls, ones):
         """The cls with coordinate 1 at the indices in ones, else 0."""
-        phi, ones = euler_phi(self.n), set(ones)
-        return _vec(cls, self.n, [int(m == 0 and k in ones) for k in range(self.rank)
-                                  for m in range(phi)])
+        phi = euler_phi(self.n)
+        nums = [0] * (self.rank * phi)
+        for k in ones:
+            nums[k * phi] = 1
+        return _vec(cls, self.n, nums)
 
     def cf_zero(self) -> ClassFunction:
         return self._basis(ClassFunction, ())
@@ -302,7 +310,9 @@ class CharacterAlgebra:
     # -- cointegrals ----------------------------------------------------------
 
     def subset_dim(self, members) -> Cyclotomic:
-        return sum((self._dim_terms[i] for i in members), rational(0))
+        n, den, (terms,) = self._dim_terms
+        phi = euler_phi(n)
+        return _make(n, [sum(terms[i * phi + m] for i in members) for m in range(phi)], den)
 
     def cointegral(self, members=None) -> ClassFunction:
         """tau-normalized cointegral of the full category, or of the fusion
@@ -376,8 +386,9 @@ class CharacterAlgebra:
         """Class data from alpha (module docstring): F_l = (1/f_l) sum_i
         alpha_{i*l} chi_i, |C^l| = dim C / f_l, n_l = f_l.  Certified, each
         part raising InternalConsistencyError: N_ij = N_ji; sum_k N_ij^k
-        alpha_kl = alpha_il alpha_jl for j >= i, so for all i, j (proved by
-        validation's certificate on modular data, ModularData); f_l != 0;
+        alpha_kl = alpha_il alpha_jl for j >= i, so for all i, j (or proved by
+        validation: ModularData, or CategoryData.certified for a table, as the
+        law holds column by column and columns are only reordered); f_l != 0;
         F alpha = I.  Then alpha is invertible and phi(chi_i) = row i of alpha
         is an algebra isomorphism onto C^rank, unital as the law at (0, j),
         alpha_jl = alpha_0l alpha_jl, on a nonzero column makes alpha_0l = 1.
@@ -414,7 +425,7 @@ class CharacterAlgebra:
         if bad is not None:
             raise InternalConsistencyError(f"fusion rules do not commute at {bad}")
         modular = self.data.modular
-        if modular is None or modular.certified is not ring.fusion:
+        if (self.data if modular is None else modular).certified is not ring.fusion:
             bad = _law_witness(ring.nonzero, *_family(rows))
             if bad is not None:
                 i, j, l = bad
@@ -473,18 +484,15 @@ class CharacterAlgebra:
     def identity_suite(self) -> list[Check]:
         """Run every promised exact identity; one Check per identity."""
         rank, lam = self.rank, self.cointegral()
+        # every basis vector at once, as the maps act on each block of a stack
+        eye = [c for i in range(rank) for c in self._basis(_Vector, (i,)).nums]
+        e, chi = _vec(CentralElement, self.n, eye), _vec(ClassFunction, self.n, eye)
+        fe = self.fourier(e)
         checks = [
             verdict("cointegral-normalized", self.pairing(lam, self.unit_central()) == 1),
-            verdict("fourier-roundtrip", all(
-                self.fourier_inv(self.fourier(self.idempotent(i))) == self.idempotent(i)
-                and self.fourier(self.fourier_inv(self.character(i))) == self.character(i)
-                for i in range(rank)
-            )),
-            verdict("fourier-action-consistency", all(
-                self.fourier(self.idempotent(i))
-                == self.act_arrow(lam, self.antipode(self.idempotent(i)))
-                for i in range(rank)
-            )),
+            verdict("fourier-roundtrip", self.fourier_inv(fe) == e
+                    and self.fourier(self.fourier_inv(chi)) == chi),
+            verdict("fourier-action-consistency", fe == self.act_arrow(lam, self.antipode(e))),
         ]
         no_s = [Check(cid, "skip", "needs an s-matrix") for cid in _MODULAR_CHECKS]
         try:
@@ -543,7 +551,7 @@ class CharacterAlgebra:
         bad = None if fq == law else _law_witness(nonzero, *_family(fq))
         if bad_sums is not None:
             detail = f"class sum product {bad_sums[:2]} does not match its expansion"
-        elif all(
+        elif all(d.is_rational() for d in self.dims) or all(
             (self.dims[i] * self.dims[j] * self._dims_inv[l]).is_rational()
             for i, j in product(range(rank), repeat=2)
             for l, _ in nonzero[i][j]

@@ -10,8 +10,8 @@ Enumeration is the join closure of the principal subcategories <i>
 keeps the join table D v <i>, on which the lattice laws are decided.
 Listing every closed mask by Ganter's NextClosure, at most rank - 1
 closures each, is kept only as lattice_suite's independent oracle.  The
-subcategories, invariants, grading, product supports and join table of an
-algebra are memoized in this module, keyed weakly by it.
+subcategories, dimensions, invariants, grading, product supports and join
+table of an algebra are memoized in this module, keyed weakly by it.
 
 Every subcategory D owns a small bundle of invariants:
 
@@ -32,19 +32,21 @@ i (x) i*): its components partition the simples and multiply like a finite
 group.  For integral categories the index-p subcategories, p the smallest
 prime dividing dim C, are exactly the preimages of index-p (automatically
 normal) subgroups of that group, and all of them contain the adjoint; the
-prime_index_check report exhibits the bijection.
+prime_index_check report exhibits the bijection (subgroups from G/G'G^p).
 """
 
 from __future__ import annotations
 
 import weakref
-from functools import cmp_to_key, partial, wraps
+from functools import cmp_to_key, wraps
+from itertools import compress, count, product
+from operator import mul
 
 from .category import Check, _Frozen, verdict
 from .charalg import (
-    CentralElement, CharacterAlgebra, ClassFunction, _family, _mul, _products, _vec, _Vector,
+    CentralElement, CharacterAlgebra, ClassFunction, _family, _mul, _transposed, _vec, _Vector,
 )
-from .cyclotomic import Cyclotomic, _chunks, euler_phi, rational
+from .cyclotomic import Cyclotomic, _chunks, _make, euler_phi
 from .errors import CapabilityError, InternalConsistencyError
 
 __all__ = [
@@ -157,10 +159,13 @@ def _ring_masks(alg: CharacterAlgebra) -> tuple[tuple[int, ...], ...]:
 
 def _close(masks, closed: int, new: int) -> int:
     """The smallest closed mask holding the closed mask `closed` (bit 0 set)
-    and the bits of `new`.  One worklist pass: each new member a is multiplied
-    with itself and the members taken before it, by masks[a][b]."""
-    members = [b for b, bit in enumerate(bin(closed)[:1:-1]) if bit == "1"]
+    and the bits of `new`; `closed` itself when new adds no bit.  One worklist
+    pass: each new member a is multiplied with itself and the members taken
+    before it, by masks[a][b]."""
     todo = new & ~closed
+    if not todo:
+        return closed
+    members = [b for b, bit in enumerate(bin(closed)[:1:-1]) if bit == "1"]
     while todo:
         a = (todo & -todo).bit_length() - 1
         closed |= 1 << a
@@ -237,16 +242,20 @@ def enumerate_subcats(alg: CharacterAlgebra) -> tuple[FusionSubcategory, ...]:
         return joined
 
     found = {_members(m) for m in _joins(atoms, close)}
-    dims = {m: alg.subset_dim(m) for m in found}
+    dims = {m: _dim(alg, m) for m in found}
+    rounded = {m: _rounded(v) for m, v in dims.items()}
+    # |x - dim D| < bound, so a gap past both bounds orders a pair; certify
+    # the float order pair by pair, else compare exactly
+    order = sorted(found, key=lambda m: (rounded[m][0], m))
+    if all(rounded[b][0] - rounded[a][0] > rounded[a][1] + rounded[b][1] or dims[a] == dims[b]
+           for a, b in zip(order, order[1:])):
+        return tuple(map(FusionSubcategory, order))
 
     def by_dim(a, b):
         gap = dims[a] - dims[b]
         if gap.is_zero():
             return (a > b) - (a < b)
-        # |embed() - gap| < bound: each of the phi(n) terms c_k zeta^k and each
-        # addition rounds by a few units of 2^-53 times sum |c_k|.
-        x = gap.embed().real
-        bound = 2.0**-40 * len(gap.nums) * sum(map(abs, gap.nums)) / gap.den
+        x, bound = _rounded(gap)
         if abs(x) > bound:
             return 1 if x > 0 else -1
         raise InternalConsistencyError(
@@ -255,6 +264,17 @@ def enumerate_subcats(alg: CharacterAlgebra) -> tuple[FusionSubcategory, ...]:
         )
 
     return tuple(FusionSubcategory(m) for m in sorted(found, key=cmp_to_key(by_dim)))
+
+
+@_memoized
+def _dim(alg: CharacterAlgebra, members: tuple[int, ...]) -> Cyclotomic:
+    return alg.subset_dim(members)  # once per subcategory
+
+
+def _rounded(v: Cyclotomic) -> tuple[float, float]:
+    """(x, bound) with |x - Re v| < bound: each of the phi(n) terms c_k zeta^k
+    and each addition rounds by a few units of 2^-53 times sum |c_k|."""
+    return v.embed().real, 2.0**-40 * len(v.nums) * sum(map(abs, v.nums)) / v.den
 
 
 def subcat_invariants(alg: CharacterAlgebra, subcat: FusionSubcategory) -> SubcatInvariants:
@@ -268,39 +288,46 @@ def _invariants(alg: CharacterAlgebra, subcats) -> list[SubcatInvariants]:
     fourier_inv is a permutation times a weight per coordinate, ell_D =
     fourier_inv(lambda_D) = u 1_D / dim D for u = fourier_inv(sum_i d_{i*}
     chi_i), which is index 1_D iff u_k = dim C on D; then <F_j, ell_D> =
-    index <F_j d, 1_D>, one matmul over every j and D."""
+    index <F_j d, 1_D>.  That and sum_{j in supp D} of F_j and of |C^j| are
+    products of 0/1 indicator matrices with flat rows (_sums), for every D."""
     memo = _MEMOS.setdefault(alg, {})
     todo = [d for d in subcats if ("subcat_invariants", d) not in memo]
     if todo:
         rank, conj = alg.rank, alg.conjugacy()
         u = alg.fourier_inv(alg._codims).coeffs
         good = sum(1 << k for k in range(rank) if u[k] == alg.dim)
-        indicators = [alg._basis(_Vector, d.members) for d in todo]
-        pairs = _products(_Vector, [_mul(_Vector, f, alg._dims_vec) for f in conj.idempotents],
-                          indicators)
-        nonzero = [[any(x) for x in _chunks(p.nums, euler_phi(p.n))] for p in pairs]
-        n, den, rows = _family(conj.idempotents)
-        for x, (d, one) in enumerate(zip(todo, indicators)):
-            dim_d = alg.subset_dim(d.members)
+        weighted = _transposed([_mul(_Vector, f, alg._dims_vec) for f in conj.idempotents])
+        n, _, pairs = _sums(weighted, [d.members for d in todo])
+        supports = [tuple(compress(count(), map(any, _chunks(r, euler_phi(n))))) for r in pairs]
+        n, den, lams = _sums(conj.idempotents, supports)
+        m, den_m, sizes = _sums([_Vector((z,)) for z in conj.sizes], supports)
+        for d, support, lam_sum, size_sum in zip(todo, supports, lams, sizes):
+            dim_d = _dim(alg, d.members)
             index = alg.dim * (dim_inv := dim_d.inv())
             if sum(1 << i for i in d.members) & ~good:
                 raise InternalConsistencyError(
                     "integral of the subcategory disagrees with its closed form"
                 )
-            support = tuple(j for j in range(rank) if nonzero[j][x])
-            lam = _mul(ClassFunction, one, alg._codims).scaled(dim_inv)
-            total = list(map(sum, zip([0] * len(rows[0]), *(rows[j] for j in support))))
-            if _vec(ClassFunction, n, total, den) != lam:
+            lam = _mul(ClassFunction, alg._basis(_Vector, d.members), alg._codims).scaled(dim_inv)
+            if _vec(ClassFunction, n, lam_sum, den) != lam:
                 raise InternalConsistencyError(
                     "cointegral is not the sum of the idempotents in its support"
                 )
-            if 0 not in d or sum((conj.sizes[j] for j in support), rational(0)) != index:
+            if 0 not in d or _make(m, size_sum, den_m) != index:
                 raise InternalConsistencyError(
                     "index, counit of the integral and class sizes over the support disagree"
                 )
             memo["subcat_invariants", d] = SubcatInvariants(
                 d, dim_d, index, lam, alg._basis(CentralElement, d.members).scaled(index), support)
     return [memo["subcat_invariants", d] for d in subcats]
+
+
+def _sums(vectors, selections):
+    """(n, den, rows): row s is the sum of vectors[k] over k in selections[s],
+    as flat numerators over den; the 0/1 selection matrix times the vectors."""
+    n, den, rows = _family(vectors)
+    zero = [0] * len(rows[0])
+    return n, den, [list(map(sum, zip(zero, *(rows[k] for k in sel)))) for sel in selections]
 
 
 def meet(alg: CharacterAlgebra, a: FusionSubcategory, b: FusionSubcategory) -> FusionSubcategory:
@@ -397,26 +424,42 @@ def _smallest_prime_factor(n: int) -> int:
 
 def _subgroups_of_index(table, p: int) -> list[tuple[int, ...]]:
     """Index-p normal subgroups of the group with this multiplication table
-    (identity 0).  As for subcategories, the subgroups are the joins of the
-    cyclic <g>, closed as in the fusion ring with N_ab^c = 1 iff c = ab."""
+    (identity 0), sorted: the kernels of the nonzero functionals on G/N,
+    N = G'G^p, one functional per line (proof in prime_index_check)."""
     order = len(table)
     if order % p:
         return []
-    inv = [row.index(0) for row in table]
+    inv, powers = [row.index(0) for row in table], list(range(order))
+    for _ in range(p - 1):
+        powers = [table[x][g] for g, x in enumerate(powers)]
+    new = {table[table[g][h]][table[inv[g]][inv[h]]] for g in range(order) for h in range(order)}
+    # N closes as in the fusion ring with N_ab^c = 1 iff c = ab
     masks = _product_masks([[((c, 1),) for c in row] for row in table], inv)
-    close = partial(_close, masks)
-    subgroups = _joins({close(1, 1 << g) for g in range(order)}, close)
-    return [
-        sub
-        for sub in sorted(map(_members, subgroups))
-        if len(sub) == order // p
-        and all(table[g][table[h][inv[g]]] in sub for g in range(order) for h in sub)
-    ]
+    coords = dict.fromkeys(_members(_close(masks, 1, sum(1 << x for x in new.union(powers)))), ())
+    for b in range(order):  # a greedy basis b_1..b_r: g in N b_1^c_1 ... b_r^c_r has coords c
+        if b not in coords:  # G/N is abelian of exponent p: p cosets of the span so far
+            layer = list(coords.items())
+            coords = {g: (*c, 0) for g, c in layer}
+            for k in range(1, p):
+                layer = [(table[g][b], c) for g, c in layer]
+                coords.update((g, (*c, k)) for g, c in layer)
+    lines = (f for f in product(range(p), repeat=len(coords[0])) if next(filter(None, f), 0) == 1)
+    return sorted(tuple(g for g in range(order) if not sum(map(mul, f, coords[g])) % p)
+                  for f in lines)
 
 
 def prime_index_check(alg: CharacterAlgebra) -> PrimeIndexReport:
     """For integral categories: index-p subcategories, p the smallest prime
-    dividing dim C, against index-p normal subgroups of the grading group."""
+    dividing dim C, against index-p normal subgroups of the grading group G.
+
+    The index-p normal subgroups H are the kernels of the nonzero F_p-linear
+    functionals on G/N, N = G'G^p generated by the commutators and p-th
+    powers, one kernel per line of functionals.  Proof: H normal of index p
+    makes G/H of order p, so Z/p, abelian of exponent p: N <= H.  Conversely
+    H >= N >= G' is normal, as g h g^-1 = [g, h] h.  G/N is abelian of
+    exponent p, an F_p-space whose subgroups are its subspaces, so the H
+    are the preimages of the hyperplanes, each the kernel of one line.
+    """
 
     def na(reason):
         return PrimeIndexReport(
@@ -432,48 +475,23 @@ def prime_index_check(alg: CharacterAlgebra) -> PrimeIndexReport:
 
     p = _smallest_prime_factor(dim_c)
     target = dim_c // p
-    subcats = tuple(
-        d
-        for d in enumerate_subcats(alg)
-        if alg.subset_dim(d.members) == target
-    )
+    subcats = tuple(d for d in enumerate_subcats(alg) if _dim(alg, d.members) == target)
 
     grade = grading(alg)
     subgroups = tuple(_subgroups_of_index(grade.table, p))
-    by_subgroup = [
-        tuple(sorted(i for g in sub for i in grade.components[g])) for sub in subgroups
-    ]
+    by_subgroup = [tuple(sorted(i for g in sub for i in grade.components[g])) for sub in subgroups]
 
-    checks = []
-    count_ok = len(subcats) == len(subgroups)
-    checks.append(
-        verdict(
-            "prime-index-count",
-            count_ok,
-            f"{len(subcats)} index-{p} subcategories, "
-            f"{len(subgroups)} index-{p} normal subgroups",
-        )
-    )
-    bij_ok = sorted(by_subgroup) == sorted(d.members for d in subcats)
-    checks.append(
-        verdict(
-            "prime-index-bijection",
-            bij_ok,
-            "subgroup preimages match the subcategories"
-            if bij_ok
-            else "subgroup preimages differ from the subcategories",
-        )
-    )
-    adj_ok = all(set(grade.adjoint.members) <= set(d.members) for d in subcats)
-    checks.append(
-        verdict(
-            "prime-index-adjoint",
-            adj_ok,
-            "every such subcategory contains the adjoint"
-            if adj_ok
-            else "an index-p subcategory misses the adjoint",
-        )
-    )
+    bijection = sorted(by_subgroup) == sorted(d.members for d in subcats)
+    adjoint = all(set(grade.adjoint.members) <= set(d.members) for d in subcats)
+    checks = [
+        verdict("prime-index-count", len(subcats) == len(subgroups),
+                f"{len(subcats)} index-{p} subcategories, "
+                f"{len(subgroups)} index-{p} normal subgroups"),
+        verdict("prime-index-bijection", bijection,
+                f"subgroup preimages {'match' if bijection else 'differ from'} the subcategories"),
+        verdict("prime-index-adjoint", adjoint, "every such subcategory contains the adjoint"
+                if adjoint else "an index-p subcategory misses the adjoint"),
+    ]
 
     pairs = tuple(zip(subgroups, by_subgroup))
     return PrimeIndexReport(
@@ -547,8 +565,7 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
         return checks
 
     try:
-        _invariants(alg, subcats)
-        invs = {d.members: subcat_invariants(alg, d) for d in subcats}
+        invs = _invariants(alg, subcats)
         checks.append(verdict("subcat-invariants", True, "closed forms and supports agree"))
     except CapabilityError as e:
         checks.append(Check("subcat-invariants", "skip", str(e)))
@@ -557,7 +574,7 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
         checks.append(verdict("subcat-invariants", False, str(e)))
         return checks
 
-    supports = [sum(1 << j for j in invs[d.members].support) for d in subcats]
+    supports = [sum(1 << j for j in inv.support) for inv in invs]
     support_of, joins = dict(zip(masks, supports)), _MEMOS[alg]["joins"]
     # enumerate_subcats joined the trivial mask 1 with every atom and nothing else
     atoms = [(b, mb, sb) for b, (mb, sb) in enumerate(zip(masks, supports)) if (1, mb) in joins]
@@ -572,7 +589,7 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
     try:
         grade = grading(alg)
         conj = alg.conjugacy()
-        adj_support = set(invs[grade.adjoint.members].support)
+        adj_support = set(invs[subcats.index(grade.adjoint)].support)
         size_one = {j for j in range(alg.rank) if conj.sizes[j] == 1}
         checks.append(verdict(
             "adjoint-support",

@@ -173,3 +173,107 @@ def test_non_closed_member_set_rejected(algs):
     alg = algs["toric_code"]
     with pytest.raises(NotRibbonConsistentError):
         centralizer_theorem(alg, FusionSubcategory((0, 1, 2)))
+
+
+def _toric2():
+    """toric_code (x) toric_code: modular, with the fusion rules of the
+    group ring of Z/2^4; 67 subcategories."""
+    toric = catalog_get("toric_code").modular.s.rows
+    inp = CategoryInput(name="tc2", kind="modular", conductor=1,
+                        labels=tuple(f"x{i}" for i in range(16)),
+                        s_matrix=CycloMatrix(_kron(toric, toric)))
+    return CharacterAlgebra(build_category(inp))
+
+
+def _z2_4_ring():
+    """The group ring of Z/2^4 with its sign characters: no s-matrix."""
+    elements = [tuple(g >> b & 1 for b in range(4)) for g in range(16)]
+    index = {g: i for i, g in enumerate(elements)}
+    fusion = tuple(tuple(tuple(int(k == index[tuple((a + b) % 2 for a, b in zip(g, h))])
+                               for k in range(16)) for h in elements) for g in elements)
+    table = CycloMatrix([[rational((-1) ** sum(a * b for a, b in zip(g, h))) for h in elements]
+                         for g in elements])
+    inp = CategoryInput(name="z2^4", kind="fusion_ring", conductor=1,
+                        labels=tuple(map(str, range(16))), fusion=fusion,
+                        dims=tuple(rational(1) for _ in range(16)), char_table=table)
+    return CharacterAlgebra(build_category(inp))
+
+
+_INVARIANTS_MESSAGE = "cointegral is not the sum of the idempotents in its support"
+_MAIN = "fourier(drinfeld(lambda_D)) = (dim D'/dim C) lambda_D'"
+# Every failing check of full_suite with one subcategory D corrupted: D's
+# transform image doubled, its s-route replaced by [0], the dimension in its
+# invariant bundle doubled, or alg.subset_dim doubled at D, which every
+# bundle is built from.  Each failing law names the first subcategory, in
+# enumeration order, where it fails.  toric_code's D = [0, 2] is its own
+# centralizer; in toric_code^2 the centralizer of D = [0, 3, 13, 14] is
+# D' = [0, 7, 11, 12], and a law checked at D' that reads D's s-route or
+# bundle names D'.
+BATCHED_LAW_CASES = {
+    ("toric_code", 2, "image"): {
+        "main-identity": f"D = [0, 2]: {_MAIN}",
+        "integral-transfer": "D = [0, 2]: ell_D' = (dim C/dim D') drinfeld(lambda_D)",
+    },
+    ("toric_code", 2, "s-route"): {
+        "centralizer-route-agreement": "D = [0, 2]: s-route [0] != transform route [0, 2]",
+        "double-centralizer": "D = [0, 2]: (D')' = [0]",
+    },
+    ("toric_code", 2, "bundle dim"): {
+        "main-identity": f"D = [0, 2]: {_MAIN}",
+        "dim-product": "D = [0, 2]: dim D = 4, dim D' = 4",
+    },
+    ("toric_code", 2, "subset_dim"): dict.fromkeys(
+        ("subcat-invariants", *centralizer_module._LAWS), _INVARIANTS_MESSAGE
+    ),
+    ("toric_code^2", 34, "image"): {
+        "main-identity": f"D = [0, 3, 13, 14]: {_MAIN}",
+        "integral-transfer": "D = [0, 3, 13, 14]: ell_D' = (dim C/dim D') drinfeld(lambda_D)",
+    },
+    ("toric_code^2", 34, "s-route"): {
+        "centralizer-route-agreement":
+            "D = [0, 3, 13, 14]: s-route [0] != transform route [0, 7, 11, 12]",
+        "double-centralizer": "D = [0, 7, 11, 12]: (D')' = [0]",
+    },
+    ("toric_code^2", 34, "bundle dim"): {
+        "main-identity": f"D = [0, 7, 11, 12]: {_MAIN}",
+        "dim-product": "D = [0, 3, 13, 14]: dim D = 8, dim D' = 4",
+    },
+    ("toric_code^2", 34, "subset_dim"): dict.fromkeys(
+        ("subcat-invariants", *centralizer_module._LAWS), _INVARIANTS_MESSAGE
+    ),
+    ("z2^4 ring", 33, "subset_dim"): {"subcat-invariants": _INVARIANTS_MESSAGE},
+}
+
+
+@pytest.mark.parametrize("name,at,how", list(BATCHED_LAW_CASES))
+def test_batched_laws_name_the_first_failing_subcategory(monkeypatch, name, at, how):
+    make = {"toric_code": lambda: CharacterAlgebra(catalog_get("toric_code")),
+            "toric_code^2": _toric2, "z2^4 ring": _z2_4_ring}[name]
+    alg = make()
+    d = enumerate_subcats(alg)[at]
+    if how == "image":
+        results = centralizer_module._results
+        monkeypatch.setattr(centralizer_module, "_results", lambda alg, subcats: [
+            replaced(r, image=r.image.scaled(2)) if e == d else r
+            for e, r in zip(subcats, results(alg, subcats))
+        ])
+    elif how == "s-route":
+        smatrix = centralizer_module.centralizer_smatrix
+        monkeypatch.setattr(centralizer_module, "centralizer_smatrix", lambda alg, e: (
+            FusionSubcategory((0,)) if e == d else smatrix(alg, e)
+        ))
+    elif how == "bundle dim":
+        invariants = lattice._invariants
+
+        def doubled(alg, subcats):
+            return [replaced(inv, dim=inv.dim * 2) if inv.subcat == d else inv
+                    for inv in invariants(alg, subcats)]
+
+        monkeypatch.setattr(lattice, "_invariants", doubled)
+        monkeypatch.setattr(centralizer_module, "_invariants", doubled)
+    else:  # a fresh algebra, so that enumeration and the bundles read the doubled dimension
+        alg = make()
+        subset_dim = alg.subset_dim
+        alg.subset_dim = lambda members: subset_dim(members) * (2 if members == d.members else 1)
+    failed = {c.check_id: c.detail for c in full_suite(alg) if c.status == "fail"}
+    assert failed == BATCHED_LAW_CASES[name, at, how]

@@ -28,7 +28,7 @@ from fusioncat.category import (
 from fusioncat.cyclotomic import (
     CycloMatrix, Cyclotomic, bilinear, euler_phi, flatten, rational, zeta,
 )
-from fusioncat.errors import InternalConsistencyError
+from fusioncat.errors import CapabilityError, InternalConsistencyError
 
 GOLDEN = -zeta(5, 2) - zeta(5, 3)
 
@@ -420,6 +420,61 @@ def test_conjugacy_checks_the_law_on_data_assembled_without_a_certificate(monkey
     assert data.modular.certified is None and data.ring.fusion == catalog_get("ising").ring.fusion
     CharacterAlgebra(data).conjugacy()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("move", [0, 1])
+def test_ring_input_proves_the_character_law_once(move, monkeypatch):
+    # validation checks the table's columns against the fusion rules, and
+    # conjugacy() reads that result through CategoryData.certified, also when
+    # it moves the dimension column from the end of the table to the front
+    inp = category_to_input(catalog_get("ising"), kind="fusion_ring")
+    if move:
+        rows = [row[1:] + row[:1] for row in inp.char_table.rows]
+        inp = replaced(inp, char_table=CycloMatrix(rows))
+    calls = _count_laws(monkeypatch)
+    data = build_category(inp)
+    assert data.certified is data.ring.fusion
+    assert CharacterAlgebra(data).conjugacy().column_order[0] == (2 if move else 0)
+    assert calls == []
+    # without the certificate the law runs, once
+    CharacterAlgebra(replaced(data, certified=None)).conjugacy()
+    assert len(calls) == 1
+
+
+def _fourier_verdicts(alg):
+    """fourier-roundtrip and fourier-action-consistency, one basis vector at a time."""
+    lam, basis = alg.cointegral(), range(alg.rank)
+    return (
+        all(alg.fourier_inv(alg.fourier(alg.idempotent(i))) == alg.idempotent(i)
+            and alg.fourier(alg.fourier_inv(alg.character(i))) == alg.character(i) for i in basis),
+        all(alg.fourier(alg.idempotent(i)) == alg.act_arrow(lam, alg.antipode(alg.idempotent(i)))
+            for i in basis),
+    )
+
+
+@pytest.mark.parametrize("corrupt", ["none", "fourier weight", "inverse weight", "duality"])
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "toric_code", "vec_z4"])
+def test_fourier_checks_on_the_stacked_basis_match_each_basis_vector(name, corrupt):
+    alg = CharacterAlgebra(catalog_get(name))
+    one = alg._basis(charalg._Vector, (1,))
+    if corrupt == "fourier weight":
+        alg._fourier_weights = alg._fourier_weights + one
+    elif corrupt == "inverse weight":
+        alg._fourier_inv_weights = alg._fourier_inv_weights + one
+    elif corrupt == "duality":  # a permutation of the objects that is not the duality
+        alg.dual = alg.dual[1:] + alg.dual[:1]
+
+    def no_classes():
+        raise CapabilityError("the first block only")
+
+    alg.conjugacy = no_classes
+    checks = {c.check_id: c.status == "pass" for c in alg.identity_suite()}
+    want = _fourier_verdicts(alg)
+    assert (checks["fourier-roundtrip"], checks["fourier-action-consistency"]) == want
+    if corrupt == "none":
+        assert want == (True, True)
+    elif corrupt != "duality":  # a changed weight breaks the roundtrip at its coordinate
+        assert not want[0]
 
 
 def test_conjugacy_rejects_non_commutative_fusion_rules():

@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from functools import partial
 from itertools import permutations, product
 
 import pytest
@@ -29,6 +30,8 @@ from fusioncat import (
 )
 from fusioncat.cyclotomic import CycloMatrix, rational, zeta
 from fusioncat.errors import CapabilityError, InternalConsistencyError
+
+INVARIANTS = lattice._invariants  # unpatched, for the corruptions below
 
 # counts derived once by exhaustive closure over each entry and pinned
 SUBCAT_COUNTS = {
@@ -190,11 +193,11 @@ def _laws_with_support(monkeypatch, members, support):
     """lattice_suite on toric_code, reading the given support for the
     subcategory with these members; every closed form stays true."""
 
-    def corrupted(alg, subcat):
-        inv = subcat_invariants(alg, subcat)
-        return replaced(inv, support=support) if subcat.members == members else inv
+    def corrupted(alg, subcats):
+        return [replaced(inv, support=support) if inv.subcat.members == members else inv
+                for inv in INVARIANTS(alg, subcats)]
 
-    monkeypatch.setattr(lattice, "subcat_invariants", corrupted)
+    monkeypatch.setattr(lattice, "_invariants", corrupted)
     checks = lattice_suite(CharacterAlgebra(catalog_get("toric_code")))
     return {c.check_id: (c.status, c.detail) for c in checks}
 
@@ -499,6 +502,81 @@ def test_subgroups_of_index_keeps_only_normal_subgroups():
     assert lattice._subgroups_of_index(table, 3) == []
 
 
+def _subgroups_by_listing(table, p):
+    """The oracle for _subgroups_of_index: list every subgroup as a join of
+    cyclic ones, then keep those of index p that are normal."""
+    order = len(table)
+    if order % p:
+        return []
+    inv = [row.index(0) for row in table]
+    masks = lattice._product_masks([[((c, 1),) for c in row] for row in table], inv)
+    close = partial(lattice._close, masks)
+    subgroups = lattice._joins({close(1, 1 << g) for g in range(order)}, close)
+    return [
+        sub
+        for sub in sorted(map(lattice._members, subgroups))
+        if len(sub) == order // p
+        and all(table[g][table[h][inv[g]]] in sub for g in range(order) for h in sub)
+    ]
+
+
+def _table(elements, mul):
+    index = {g: i for i, g in enumerate(elements)}
+    return [[index[mul(g, h)] for h in elements] for g in elements]
+
+
+def _quaternion(a, b):
+    (w, x, y, z), (p, q, r, s) = a, b
+    return (w * p - x * q - y * r - z * s, w * q + x * p + y * s - z * r,
+            w * r - x * s + y * p + z * q, w * s + x * r - y * q + z * p)
+
+
+UNITS = [(1, 0, 0, 0)] + [u for u in product((-1, 0, 1), repeat=4)
+                          if sum(map(abs, u)) == 1 and u != (1, 0, 0, 0)]
+GROUPS = {  # D4 = Z/4 x| Z/2, (a, s)(b, t) = (a + (-1)^s b, s + t); Q8 the unit quaternions
+    "s3": S3,
+    "d4": (list(product(range(4), range(2))),
+           lambda g, h: ((g[0] + (-1) ** g[1] * h[0]) % 4, (g[1] + h[1]) % 2)),
+    "q8": (UNITS, _quaternion),
+    "z12": _abelian(12),
+    "z3^2": _abelian(3, 3),
+    "z6xz2": _abelian(6, 2),
+    "z2^4": _abelian(2, 2, 2, 2),
+    "f2^5": _abelian(2, 2, 2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_hyperplanes_match_the_subgroup_listing(name, p):
+    # the kernels of the functionals on G/G'G^p are the index-p normal
+    # subgroups that listing every subgroup finds, in the same order
+    table = _table(*GROUPS[name])
+    assert lattice._subgroups_of_index(table, p) == _subgroups_by_listing(table, p)
+
+
+@pytest.mark.parametrize("name", ["d4", "q8"])
+def test_hyperplanes_of_a_group_with_nontrivial_commutators(name):
+    # G' = G^2 = {1, z} for the central z of order 2, so G/G'G^2 = F_2^2 has
+    # three lines of functionals, three normal subgroups of order 4
+    table = _table(*GROUPS[name])
+    found = lattice._subgroups_of_index(table, 2)
+    assert len(found) == 3 and all(len(sub) == 4 for sub in found)
+
+
+def test_sixty_three_index_two_subgroups_of_f2_6():
+    table = [[g ^ h for h in range(64)] for g in range(64)]
+    found = lattice._subgroups_of_index(table, 2)
+    assert len(found) == len(set(found)) == 63
+    assert all(len(sub) == 32 for sub in found)
+
+
+def test_close_returns_the_closed_mask_when_new_adds_nothing():
+    # no product table is read: None in its place would raise
+    assert lattice._close(None, 0b1011, 0b0011) == 0b1011
+    assert lattice._close(None, 1, 0) == 1
+
+
 def _z17():
     n = 17
     fusion = tuple(
@@ -632,12 +710,12 @@ def test_pair_laws_match_all_pairs_on_random_support_maps(monkeypatch, name, gro
     rng = random.Random(name)
     current = {}
 
-    def corrupted(alg, subcat):
-        inv = subcat_invariants(alg, subcat)
-        mask = current[sum(1 << i for i in subcat.members)]
-        return replaced(inv, support=tuple(j for j in range(alg.rank) if mask >> j & 1))
+    def corrupted(alg, subcats):
+        return [replaced(inv, support=tuple(
+            j for j in range(alg.rank) if current[sum(1 << i for i in inv.subcat.members)] >> j & 1
+        )) for inv in INVARIANTS(alg, subcats)]
 
-    monkeypatch.setattr(lattice, "subcat_invariants", corrupted)
+    monkeypatch.setattr(lattice, "_invariants", corrupted)
     outcomes = set()
     for supports in [true] + [_random_supports(rng, masks, true, alg.rank) for _ in range(30)]:
         current.clear()
@@ -661,14 +739,19 @@ def test_batched_invariants_match_the_formulas(name):
     # each bundle from one _invariants pass over every subcategory against
     # the Cyclotomic formulas, one subcategory at a time: dim D =
     # sum d_i d_{i*}, lambda_D = sum_{i in D} d_{i*} chi_i / dim D,
-    # ell_D = index 1_D, and supp D = {j : <F_j, ell_D> != 0}
+    # ell_D = index 1_D, and supp D = {j : <F_j, ell_D> != 0}; the
+    # dimension is the one enumeration ordered by, and prime_index_check
+    # selects the D of dimension dim C / p
     alg = CharacterAlgebra(catalog_get(name))
     subcats = enumerate_subcats(alg)
     d, dual, rank = alg.dims, alg.dual, alg.rank
     zero = rational(0)
     conj = alg.conjugacy()
+    dims = []
     for sub, inv in zip(subcats, lattice._invariants(alg, subcats)):
         dim = sum((d[i] * d[dual[i]] for i in sub.members), zero)
+        dims.append(dim)
+        assert inv.dim is lattice._dim(alg, sub.members)
         index = alg.dim * dim.inv()
         lam = [d[dual[i]] * dim.inv() if i in sub else zero for i in range(rank)]
         ell = [index if i in sub else zero for i in range(rank)]
@@ -680,3 +763,10 @@ def test_batched_invariants_match_the_formulas(name):
         assert list(inv.cointegral.coeffs) == lam
         assert list(inv.integral.coeffs) == ell
         assert inv is subcat_invariants(alg, sub)
+    assert [x.embed().real for x in dims] == sorted(x.embed().real for x in dims)
+    report = prime_index_check(alg)
+    if report.applicable:
+        dim_c = int(alg.dim.rational_value)
+        assert report.subcategories == tuple(
+            sub for sub, dim in zip(subcats, dims) if dim == dim_c // report.prime
+        )
