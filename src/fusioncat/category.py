@@ -149,30 +149,30 @@ class PivotalData(_Frozen):
 class ModularData(_Frozen):
     """Unnormalized s-matrix, in its least field when built from input, and
     `conductor`, the one its values are shown at (CategoryInput); twists are
-    stored if given but only checked to be roots of unity.  `certified` is
-    the fusion rules N for which validation's certificate proves the
-    character law sum_k N_ij^k alpha_kl = alpha_il alpha_jl of alpha_il =
-    s_il / d_l, or None.
+    stored if given but only checked to be roots of unity."""
 
-    The certificate: s symmetric, s s = c P with c != 0 and P the permutation
-    matrix of the duality k -> k* derived with N by the Verlinde sum
-    N_ij^k = (1/c') sum_r s_ir s_jr s_{k* r} / d_r, c' = sum_r d_r^2,
-    d_r = s_0r.  Proof: s commutes with s s = c P, so s P = P s, that is
-    s_{r k*} = s_{r* k}.  With symmetry, sum_k s_{k* r} s_kl =
-    sum_k s_{r* k} s_kl = (s s)_{r* l} = c delta_rl, and c = (s s)_00 = c'
-    as 0* = 0.  So sum_k N_ij^k s_kl = s_il s_jl / d_l; divide by d_l."""
-
-    __slots__ = ("s", "twists", "conductor", "certified")
+    __slots__ = ("s", "twists", "conductor")
 
     def __init__(self, s: CycloMatrix, twists: tuple[Cyclotomic, ...] | None = None,
-                 conductor: int | None = None, certified: tuple | None = None):
+                 conductor: int | None = None):
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "twists", twists)
         object.__setattr__(self, "conductor", conductor or s.conductor)
-        object.__setattr__(self, "certified", certified)
 
 
 class CategoryData(_Frozen):
+    """An assembled category.  `certified` is the fusion rules N for which
+    validation proved the character law sum_k N_ij^k alpha_kl = alpha_il
+    alpha_jl of conjugacy()'s alpha, or None.  On a character table,
+    char_table_law checked it column by column.  On modular input alpha_il =
+    s_il / d_l, and the certificate is: s symmetric, s s = c P with c != 0
+    and P the permutation matrix of the duality k -> k* derived with N by
+    the Verlinde sum N_ij^k = (1/c') sum_r s_ir s_jr s_{k* r} / d_r,
+    c' = sum_r d_r^2, d_r = s_0r.  Proof: s commutes with s s = c P, so
+    s P = P s, that is s_{r k*} = s_{r* k}.  With symmetry, sum_k s_{k* r}
+    s_kl = sum_k s_{r* k} s_kl = (s s)_{r* l} = c delta_rl, and c = (s s)_00
+    = c' as 0* = 0.  So sum_k N_ij^k s_kl = s_il s_jl / d_l; divide by d_l."""
+
     __slots__ = ("name", "ring", "pivotal", "modular", "char_table", "dim", "certified")
 
     def __init__(self, name: str, ring: FusionRing, pivotal: PivotalData,
@@ -184,7 +184,6 @@ class CategoryData(_Frozen):
         object.__setattr__(self, "modular", modular)
         object.__setattr__(self, "char_table", char_table)
         object.__setattr__(self, "dim", dim)  # global dimension, sum_i d_i d_{i*}
-        # the rules char_table's columns were checked against (char_table_law), or None
         object.__setattr__(self, "certified", certified)
 
     @property
@@ -557,19 +556,19 @@ def assemble_category(inp: CategoryInput) -> CategoryData:
     if inp.kind == "modular":
         s = inp.s_field
         dims = tuple(s.rows[0])
+        modular = ModularData(s, inp.twists, inp.shown_conductor)
+        char_table = None
         proved = inp.s_square == dual and s.is_symmetric()
-        modular = ModularData(s, inp.twists, inp.shown_conductor, fusion if proved else None)
-        char_table = certified = None
     else:
         dims = tuple(inp.dims)
         modular = None
         char_table = inp.char_table
-        certified = fusion if char_table is not None and inp.char_table_law is None else None
+        proved = char_table is not None and inp.char_table_law is None
 
     ring = FusionRing(labels=inp.labels, fusion=fusion, dual=dual)
     return CategoryData(
         name=inp.name, ring=ring, pivotal=PivotalData(dims=dims), modular=modular,
-        char_table=char_table, dim=global_dim(dims, dual), certified=certified,
+        char_table=char_table, dim=global_dim(dims, dual), certified=fusion if proved else None,
     )
 
 

@@ -34,8 +34,8 @@ and F alpha = I, with no inverse taken.
 
 One integer routine, category._law_witness, checks each fusion law
 sum_k N_ij^k x_k = x_i x_j not already proved: in validation on a character
-table and on the dimensions; in conjugacy() on alpha's rows, unless a
-certificate (ModularData, CategoryData.certified) names the rules; and in the
+table and on the dimensions; in conjugacy() on alpha's rows, unless
+validation's certificate, CategoryData.certified, names the rules; and in the
 identity suite on drinfeld(chi_i) and on y_l only when the family differs
 from the rows conjugacy() proved the law for.
 
@@ -387,11 +387,11 @@ class CharacterAlgebra:
         alpha_{i*l} chi_i, |C^l| = dim C / f_l, n_l = f_l.  Certified, each
         part raising InternalConsistencyError: N_ij = N_ji; sum_k N_ij^k
         alpha_kl = alpha_il alpha_jl for j >= i, so for all i, j (or proved by
-        validation: ModularData, or CategoryData.certified for a table, as the
-        law holds column by column and columns are only reordered); f_l != 0;
-        F alpha = I.  Then alpha is invertible and phi(chi_i) = row i of alpha
-        is an algebra isomorphism onto C^rank, unital as the law at (0, j),
-        alpha_jl = alpha_0l alpha_jl, on a nonzero column makes alpha_0l = 1.
+        validation, CategoryData.certified, as the law holds column by column
+        and columns are only reordered); f_l != 0; F alpha = I.  Then alpha is
+        invertible and phi(chi_i) = row i of alpha is an algebra isomorphism
+        onto C^rank, unital as the law at (0, j), alpha_jl = alpha_0l
+        alpha_jl, on a nonzero column makes alpha_0l = 1.
         phi(F_j) = row j of F alpha = e_j, so the F_j are the primitive
         idempotents, summing to chi_0, with tau(F_l) = alpha_0l / f_l = 1 / f_l.
         Column 0 holds the d_i (s is symmetric), so f_0 = dim C, F_0 = lambda.
@@ -424,8 +424,7 @@ class CharacterAlgebra:
                     if ring.fusion[i][j] != ring.fusion[j][i]), None)
         if bad is not None:
             raise InternalConsistencyError(f"fusion rules do not commute at {bad}")
-        modular = self.data.modular
-        if (self.data if modular is None else modular).certified is not ring.fusion:
+        if self.data.certified is not ring.fusion:
             bad = _law_witness(ring.nonzero, *_family(rows))
             if bad is not None:
                 i, j, l = bad

@@ -556,13 +556,13 @@ class Cyclotomic:
                 parts.append(term)
         return "".join(parts)
 
-    def approx_str(self, digits: int = 6) -> str:
+    def approx_str(self) -> str:
         z = self.embed()
-        re = f"{0.0 if abs(z.real) < 1e-12 else z.real:.{digits}g}"
+        re = f"{0.0 if abs(z.real) < 1e-12 else z.real:.6g}"
         if abs(z.imag) < 1e-12:
             return re
         sign = "+" if z.imag >= 0 else "-"
-        return f"{re}{sign}{abs(z.imag):.{digits}g}i"
+        return f"{re}{sign}{abs(z.imag):.6g}i"
 
 
 # Slot setters that bypass the immutability guard, for `_make` only.

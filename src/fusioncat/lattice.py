@@ -6,12 +6,12 @@ under taking constituents of tensor products.  Inside this module a set
 of objects is an int mask, bit i for object i, and the one closure routine
 _close grows a closed mask by new bits over a table of product supports.
 Enumeration is the join closure of the principal subcategories <i>
-(stopped past SUBCATEGORY_LIMIT), listed in exact order of dimension; it
-keeps the join table D v <i>, on which the lattice laws are decided.
-Listing every closed mask by Ganter's NextClosure, at most rank - 1
-closures each, is kept only as lattice_suite's independent oracle.  The
-subcategories, dimensions, invariants, grading, product supports and join
-table of an algebra are memoized in this module, keyed weakly by it.
+(stopped past SUBCATEGORY_LIMIT) in exact order of dimension; its record
+keeps the masks, the atoms <i> and the join table D v <i> by index, on
+which the lattice laws are decided.  Ganter's NextClosure lists every
+closed mask, at most rank - 1 closures each, as lattice_suite's
+independent oracle.  That record, dimensions, invariants, grading and
+product supports of an algebra are memoized in this module, keyed weakly.
 
 Every subcategory D owns a small bundle of invariants:
 
@@ -181,24 +181,6 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _joins(atoms, close) -> set[int]:
-    """Every join (close of the union) of one or more masks in atoms: each
-    mask found is joined with every atom, reaching k atoms from k - 1."""
-    found = set(atoms)
-    todo = list(found)
-    while todo:
-        joined = todo.pop()
-        for atom in atoms:
-            j = close(joined, atom)
-            if j not in found:
-                found.add(j)
-                todo.append(j)
-                if len(found) > SUBCATEGORY_LIMIT:
-                    raise CapabilityError(f"subcategory enumeration stopped past "
-                                          f"SUBCATEGORY_LIMIT = {SUBCATEGORY_LIMIT} subcategories")
-    return found
-
-
 def _closed_masks(masks, rank: int) -> list[int]:
     """Every closed mask, once each, in lectic order (Ganter's NextClosure),
     with at most rank - 1 closures per mask; proof in lattice_suite."""
@@ -225,37 +207,47 @@ def generate_subcat(alg: CharacterAlgebra, generators) -> FusionSubcategory:
     return FusionSubcategory(_members(_close(_ring_masks(alg), 1, new)))
 
 
-@_memoized
 def enumerate_subcats(alg: CharacterAlgebra) -> tuple[FusionSubcategory, ...]:
     """All fusion subcategories, sorted by (dimension, members).
 
     These are the joins of the principal subcategories <i> generated by one
     simple object.  Proof: for i in D, <i> lies in D, so the join J of the <i>
     over i in D lies in D; each i in D lies in <i>, so D lies in J.  So D = J.
-    The memo keeps the join table, joins[D, <i>] for every D and every <i>.
     """
-    masks, joins = _ring_masks(alg), _MEMOS[alg].setdefault("joins", {})
-    atoms = {_close(masks, 1, 1 << i) for i in range(alg.rank)}
+    return _lattice(alg)[0]
 
-    def close(closed, atom):
-        joins[closed, atom] = joined = _close(masks, closed, atom)
-        return joined
 
-    found = {_members(m) for m in _joins(atoms, close)}
-    dims = {m: _dim(alg, m) for m in found}
-    rounded = {m: _rounded(v) for m, v in dims.items()}
-    # |x - dim D| < bound, so a gap past both bounds orders a pair; certify
-    # the float order pair by pair, else compare exactly
-    order = sorted(found, key=lambda m: (rounded[m][0], m))
-    if all(rounded[b][0] - rounded[a][0] > rounded[a][1] + rounded[b][1] or dims[a] == dims[b]
-           for a, b in zip(order, order[1:])):
-        return tuple(map(FusionSubcategory, order))
+@_memoized
+def _lattice(alg: CharacterAlgebra) -> tuple:
+    """(subcats, masks, atoms, joins) in subcategory order: the member masks,
+    the indices of the distinct principal subcategories <i>, and joins[a][k],
+    the index of D_a v D_{atoms[k]}.  Each subcategory found is joined with
+    every atom, reaching the joins of k atoms from those of k - 1."""
+    products = _ring_masks(alg)
+    atoms = list(dict.fromkeys(_close(products, 1, 1 << i) for i in range(alg.rank)))
+    rows, todo = dict.fromkeys(atoms), list(atoms)
+    while todo:
+        closed = todo.pop()
+        rows[closed] = row = [_close(products, closed, atom) for atom in atoms]
+        for joined in row:
+            if joined not in rows:
+                rows[joined] = None
+                todo.append(joined)
+                if len(rows) > SUBCATEGORY_LIMIT:
+                    raise CapabilityError(f"subcategory enumeration stopped past "
+                                          f"SUBCATEGORY_LIMIT = {SUBCATEGORY_LIMIT} subcategories")
+    mask_of = {_members(m): m for m in rows}
+    dims = {m: _dim(alg, m) for m in mask_of}
+    keys = {m: _rounded(v) for m, v in dims.items()}
 
     def by_dim(a, b):
-        gap = dims[a] - dims[b]
-        if gap.is_zero():
+        # |x - dim D| < bound, so a gap past both bounds orders a pair
+        (x, e), (y, f) = keys[a], keys[b]
+        if abs(x - y) > e + f:
+            return 1 if x > y else -1
+        if dims[a] == dims[b]:
             return (a > b) - (a < b)
-        x, bound = _rounded(gap)
+        x, bound = _rounded(dims[a] - dims[b])
         if abs(x) > bound:
             return 1 if x > 0 else -1
         raise InternalConsistencyError(
@@ -263,7 +255,13 @@ def enumerate_subcats(alg: CharacterAlgebra) -> tuple[FusionSubcategory, ...]:
             f"differ by {x:.3g}, within the rounding bound {bound:.3g}"
         )
 
-    return tuple(FusionSubcategory(m) for m in sorted(found, key=cmp_to_key(by_dim)))
+    order = sorted(set(mask_of), key=cmp_to_key(by_dim))
+    masks = [mask_of[m] for m in order]
+    index = {m: x for x, m in enumerate(masks)}
+    by_atom = sorted(range(len(atoms)), key=lambda k: index[atoms[k]])
+    return (tuple(map(FusionSubcategory, order)), tuple(masks),
+            tuple(index[atoms[k]] for k in by_atom),
+            tuple(tuple(index[rows[m][k]] for k in by_atom) for m in masks))
 
 
 @_memoized
@@ -303,12 +301,12 @@ def _invariants(alg: CharacterAlgebra, subcats) -> list[SubcatInvariants]:
         m, den_m, sizes = _sums([_Vector((z,)) for z in conj.sizes], supports)
         for d, support, lam_sum, size_sum in zip(todo, supports, lams, sizes):
             dim_d = _dim(alg, d.members)
-            index = alg.dim * (dim_inv := dim_d.inv())
+            index = alg.dim * dim_d.inv()
             if sum(1 << i for i in d.members) & ~good:
                 raise InternalConsistencyError(
                     "integral of the subcategory disagrees with its closed form"
                 )
-            lam = _mul(ClassFunction, alg._basis(_Vector, d.members), alg._codims).scaled(dim_inv)
+            lam = alg.cointegral(d.members)
             if _vec(ClassFunction, n, lam_sum, den) != lam:
                 raise InternalConsistencyError(
                     "cointegral is not the sum of the idempotents in its support"
@@ -520,7 +518,7 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
     and lies inside B: A < A + i <= B, so A + i = B.  A larger such j would
     give A < A + j < B, as A + j lacks i.  So L closed masks cost at most
     L (rank - 1) closures, not 2^(rank-1).  Once it matches, nothing is closed
-    here: enumerate_subcats kept D v A for every D and atom A = <i>.
+    here: the lattice record holds D v A for every D and atom A = <i>.
 
     The laws run on int masks of members and supports.  The join law lambda_D
     lambda_E = lambda_{D v E} holds iff s(D v E) = s(D) & s(E), s the support
@@ -552,7 +550,7 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
 
     # The independent oracle: every closed set, by NextClosure.
     by_subsets = set(_closed_masks(_ring_masks(alg), alg.rank))
-    masks = [sum(1 << i for i in d.members) for d in subcats]
+    _, masks, atoms, joins = _lattice(alg)
     match = by_subsets == set(masks)
     checks.append(verdict(
         "enumeration-generator-match",
@@ -575,11 +573,8 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
         return checks
 
     supports = [sum(1 << j for j in inv.support) for inv in invs]
-    support_of, joins = dict(zip(masks, supports)), _MEMOS[alg]["joins"]
-    # enumerate_subcats joined the trivial mask 1 with every atom and nothing else
-    atoms = [(b, mb, sb) for b, (mb, sb) in enumerate(zip(masks, supports)) if (1, mb) in joins]
-    join_at = next(((a, b) for a, (ma, sa) in enumerate(zip(masks, supports))
-                    for b, mb, sb in atoms if support_of[joins[ma, mb]] != sa & sb), None)
+    join_at = next(((a, atoms[k]) for a, row in enumerate(joins) for k, j in enumerate(row)
+                    if supports[j] != supports[a] & supports[atoms[k]]), None)
     certified = join_at is None and len(set(supports)) == len(supports)
     antitone_at = None if certified else _antitone_witness(masks, supports)
     for law, at in (("join-cointegral", join_at), ("support-antitone", antitone_at)):

@@ -166,7 +166,7 @@ def test_su2_s_is_computed_at_twice_k_plus_2_or_its_odd_half(k, m):
                             labels=tuple(map(str, range(6))), s_matrix=s)
         data = build_category(inp)
         assert (data.modular.s.conductor, data.modular.conductor) == (m, n)
-        assert data.modular.certified is data.ring.fusion
+        assert data.certified is data.ring.fusion
         dim = {c.check_id: c for c in validate_input(inp)}["global-dim-nonzero"].detail
         assert dim == f"dim C = {shown(data.dim, n)}" and "ζ28" in dim
         # written back, s is lifted to the conductor it was given at

@@ -274,6 +274,8 @@ def test_batched_laws_name_the_first_failing_subcategory(monkeypatch, name, at, 
     else:  # a fresh algebra, so that enumeration and the bundles read the doubled dimension
         alg = make()
         subset_dim = alg.subset_dim
-        alg.subset_dim = lambda members: subset_dim(members) * (2 if members == d.members else 1)
+        alg.subset_dim = lambda members: (
+            subset_dim(members) * (2 if tuple(members) == d.members else 1)
+        )
     failed = {c.check_id: c.detail for c in full_suite(alg) if c.status == "fail"}
     assert failed == BATCHED_LAW_CASES[name, at, how]

@@ -22,7 +22,7 @@ from fusioncat import (
 )
 from fusioncat import charalg
 from fusioncat.category import (
-    ModularData, _law_witness, assemble_category, build_category, category_to_input,
+    _law_witness, assemble_category, build_category, category_to_input,
     input_to_json, parse_category,
 )
 from fusioncat.cyclotomic import (
@@ -395,7 +395,7 @@ def test_conjugacy_runs_the_law_on_rules_the_certificate_does_not_name(monkeypat
     calls = _count_laws(monkeypatch)
     data = catalog_get("toric_code")
     copied = replaced(data.ring, fusion=tuple(plane for plane in data.ring.fusion))
-    uncertified = replaced(data, modular=ModularData(data.modular.s, data.modular.twists))
+    uncertified = replaced(data, certified=None)
     for same in (replaced(data, ring=copied), uncertified):
         CharacterAlgebra(same).conjugacy()
     assert len(calls) == 2
@@ -417,7 +417,7 @@ def test_conjugacy_checks_the_law_on_data_assembled_without_a_certificate(monkey
     inp = catalog_input("ising")
     rows = [(a, c, b) for a, b, c in inp.s_matrix.rows]
     data = assemble_category(replaced(inp, s_matrix=CycloMatrix(rows)))  # no validation
-    assert data.modular.certified is None and data.ring.fusion == catalog_get("ising").ring.fusion
+    assert data.certified is None and data.ring.fusion == catalog_get("ising").ring.fusion
     CharacterAlgebra(data).conjugacy()
     assert len(calls) == 1
 

@@ -1,6 +1,7 @@
 """Fusion subcategory lattice, universal grading, prime-index correspondence."""
 
 import gc
+import math
 import random
 import weakref
 from functools import partial
@@ -253,25 +254,28 @@ def test_lattice_suite_reports_class_sizes_that_miss_the_index():
 
 def test_pair_laws_read_only_the_atom_join_table(monkeypatch):
     # toric_code has 5 subcategories and 4 atoms.  On passing input the
-    # pair laws read at most 5 * 4 entries of the join table that
-    # enumerate_subcats kept; they close no mask, multiply no class
-    # functions or central elements, form no meet or join, and run no
-    # antitone scan.
+    # pair laws read at most 5 * 4 entries of the join table in the lattice
+    # record; they close no mask, multiply no class functions or central
+    # elements, form no meet or join, and run no antitone scan.
     alg = CharacterAlgebra(catalog_get("toric_code"))
     subcats = enumerate_subcats(alg)
     grading(alg)
     masks = lattice._ring_masks(alg)
     oracle = lattice._closed_masks(masks, alg.rank)
-    memo, closures, reads = lattice._MEMOS[alg], [], []
-    close = lattice._close
+    closures, reads, close = [], [], lattice._close
+    record = lattice._lattice(alg)
 
-    class CountedTable(dict):
-        def __getitem__(self, key):
-            reads.append(key)
-            return dict.__getitem__(self, key)
+    class CountedRow(tuple):
+        def __getitem__(self, k):
+            reads.append(k)
+            return tuple.__getitem__(self, k)
 
-    memo["joins"] = CountedTable(memo["joins"])
-    atoms = {atom for _, atom in memo["joins"]}
+        def __iter__(self):
+            for k in range(len(self)):
+                yield self[k]
+
+    counted = (*record[:3], tuple(map(CountedRow, record[3])))
+    monkeypatch.setattr(lattice, "_lattice", lambda alg: counted)
 
     def counted_close(table, closed, new):
         if table is masks:
@@ -289,8 +293,8 @@ def test_pair_laws_read_only_the_atom_join_table(monkeypatch):
     checks = lattice_suite(alg)
     assert [c.check_id for c in checks if c.status == "fail"] == []
     assert closures == []
-    assert len(atoms) == 4
-    assert 0 < len(reads) <= len(subcats) * len(atoms)
+    assert len(record[2]) == 4
+    assert 0 < len(reads) <= len(subcats) * len(record[2])
 
 
 def test_lattice_suite_reports_a_grading_failure_instead_of_raising(monkeypatch):
@@ -329,8 +333,43 @@ def test_enumeration_refuses_an_uncertified_dimension_order():
     gap = rational(p) - q * (zeta(8) - zeta(8, 3))
     alg = CharacterAlgebra(catalog_get("toric_code"))
     alg.subset_dim = lambda members: rational(1) + gap * (len(members) - 1)
-    with pytest.raises(InternalConsistencyError, match="cannot order subcategories"):
+    with pytest.raises(InternalConsistencyError) as refused:
         enumerate_subcats(alg)
+    assert str(refused.value) == (
+        "cannot order subcategories (0, 1, 2, 3) and (0, 2): their dimensions "
+        "differ by 1.5e-06, within the rounding bound 1.17e-05"
+    )
+
+
+@pytest.mark.parametrize("name", ["z2^4", "fibonacci", "ising"])
+def test_exact_differences_alone_give_the_same_order(monkeypatch, name):
+    # with every per-dimension float key abstaining (an infinite rounding
+    # bound), each pair of distinct dimensions is ordered by its exact
+    # difference, and the order is the one the float keys give
+    def make():
+        if name == "z2^4":
+            return _group_ring(name, *_abelian(2, 2, 2, 2))[0]
+        return CharacterAlgebra(catalog_get(name))
+
+    want = [d.members for d in enumerate_subcats(make())]
+    dim, rounded, dims, gaps = lattice._dim, lattice._rounded, set(), []
+
+    def recorded(alg, members):
+        v = dim(alg, members)
+        dims.add(id(v))
+        return v
+
+    def abstaining(v):
+        x, bound = rounded(v)
+        if id(v) in dims:
+            return x, math.inf
+        gaps.append(v)
+        return x, bound
+
+    monkeypatch.setattr(lattice, "_dim", recorded)
+    monkeypatch.setattr(lattice, "_rounded", abstaining)
+    assert [d.members for d in enumerate_subcats(make())] == want
+    assert len(dims) == len(want) and gaps
 
 
 def test_enumeration_orders_equal_dimensions_by_members():
@@ -345,10 +384,13 @@ def test_enumeration_orders_equal_dimensions_by_members():
 def test_enumeration_stops_when_the_oracle_disagrees(monkeypatch):
     # a join closure that loses one subcategory must fail the match check
     # and stop there, not run the pair laws over an incomplete set
-    joins = lattice._joins
-    monkeypatch.setattr(
-        lattice, "_joins", lambda atoms, close: set(sorted(joins(atoms, close))[1:])
-    )
+    build = lattice._lattice
+
+    def lossy(alg):
+        subcats, masks, atoms, joins = build(alg)
+        return subcats[1:], masks[1:], atoms, joins
+
+    monkeypatch.setattr(lattice, "_lattice", lossy)
     checks = lattice_suite(CharacterAlgebra(catalog_get("toric_code")))
     assert [(c.check_id, c.status) for c in checks] == [
         ("enumeration-generator-match", "fail")
@@ -511,7 +553,14 @@ def _subgroups_by_listing(table, p):
     inv = [row.index(0) for row in table]
     masks = lattice._product_masks([[((c, 1),) for c in row] for row in table], inv)
     close = partial(lattice._close, masks)
-    subgroups = lattice._joins({close(1, 1 << g) for g in range(order)}, close)
+    cyclic = {close(1, 1 << g) for g in range(order)}
+    subgroups, todo = set(cyclic), list(cyclic)
+    while todo:  # each join found is joined with every cyclic subgroup
+        joined = todo.pop()
+        for c in cyclic:
+            if (j := close(joined, c)) not in subgroups:
+                subgroups.add(j)
+                todo.append(j)
     return [
         sub
         for sub in sorted(map(lattice._members, subgroups))
@@ -628,23 +677,28 @@ def test_join_fold_matches_closure_on_group_rings(group):
 
 
 def _assert_join_fold_matches_closure(alg):
-    # the join table enumerate_subcats keeps holds D v A for exactly the
-    # pairs (enumerated D, atom A = <i>), each the closure of D | A from its
-    # definition; so folding it along the atoms of E, as lattice_suite's
-    # proof does, gives D v E on every ordered pair
+    # the lattice record holds the member masks in subcategory order, the
+    # distinct atoms A = <i> in that order, and joins[a][k], the index of
+    # D_a v A_k, each the closure of D | A from its definition; so
+    # folding the table along the atoms of E, as lattice_suite's proof
+    # does, gives D v E on every ordered pair
     closure = [sum(1 << i for i in c) for c in _closures_from_scratch(alg)]
     masks = [sum(1 << i for i in d.members) for d in enumerate_subcats(alg)]
-    atoms = [closure[1 << i >> 1] for i in range(alg.rank)]  # bit 0 is the unit
-    joins = lattice._MEMOS[alg]["joins"]
-    assert set(joins) == set(product(masks, atoms))
-    for (d, atom), joined in joins.items():
-        assert joined == closure[(d | atom) >> 1]
-    for d, e in product(masks, repeat=2):
+    principal = [closure[1 << i >> 1] for i in range(alg.rank)]  # bit 0 is the unit
+    _, kept, atoms, joins = lattice._lattice(alg)
+    atoms = [masks[x] for x in atoms]
+    assert list(kept) == masks
+    assert atoms == sorted(set(principal), key=masks.index)
+    assert [len(row) for row in joins] == [len(atoms)] * len(masks)
+    for d, row in zip(masks, joins):
+        for atom, joined in zip(atoms, row):
+            assert masks[joined] == closure[(d | atom) >> 1]
+    for d, e in product(range(len(masks)), repeat=2):
         folded = d
         for i in range(alg.rank):
-            if e >> i & 1:
-                folded = joins[folded, atoms[i]]
-        assert folded == closure[(d | e) >> 1]
+            if masks[e] >> i & 1:
+                folded = joins[folded][atoms.index(principal[i])]
+        assert masks[folded] == closure[(masks[d] | masks[e]) >> 1]
 
 
 def _brute_force_laws(masks, supports, joined, atoms):

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run end to end against the package."""
 
 import hashlib
+import importlib
 import os
 import re
 import subprocess
@@ -57,3 +58,27 @@ def test_output_digest_of_the_catalog_is_unchanged():
     assert proc.returncode == 0, proc.stderr
     want = (ROOT / "tests" / "catalog_digest.txt").read_text(encoding="utf-8")
     assert proc.stdout.splitlines() == want.splitlines()
+
+
+def test_output_digest_of_generated_inputs_is_unchanged(tmp_path, monkeypatch):
+    # Every command's output on the benchmark's seed-1 toric_code^2
+    # (lattice-rank16) and SU(2)_7, in modular and fusion-ring form, byte
+    # for byte; only the --file lines are kept, with the directory dropped
+    # from each path.  One small catalog entry is named, as the script
+    # digests the whole catalog when none is.  A change that alters this
+    # output on purpose writes the lines this test computes to
+    # generated_digest.txt.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    gen = importlib.import_module("gen")
+    files = []
+    for cat in (gen.deligne_power(gen.toric_code(), 2, "toric_code2"), gen.su2(7)):
+        cat = gen.relabel(cat, gen.relabel_perm(cat.rank, 1, cat.name))
+        for obj in (gen.modular_json(cat), gen.ring_json(cat)):
+            files += ["--file", str(tmp_path / f"{obj['name']}.json")]
+            gen.write_json(obj, files[-1])
+    proc = _python(str(ROOT / "scripts" / "output_digest.py"), "semion", *files)
+    assert proc.returncode == 0, proc.stderr
+    got = [line.replace(f"{tmp_path}{os.sep}", "")
+           for line in proc.stdout.splitlines() if " --file " in line]
+    want = (ROOT / "tests" / "generated_digest.txt").read_text(encoding="utf-8")
+    assert got == want.splitlines()
