@@ -738,8 +738,8 @@ def load_category(path) -> CategoryData:
 
 def _value_to_json(v: Cyclotomic, conductor: int):
     if v.is_rational():
-        return str(v.coeffs[0])
-    return [str(c) for c in v.lift(conductor).coeffs]
+        return str(v)
+    return v.lift(conductor).coeff_strs()
 
 
 def category_to_input(data: CategoryData, kind: str | None = None) -> CategoryInput:

@@ -314,16 +314,17 @@ class CharacterAlgebra:
         phi = euler_phi(n)
         return _make(n, [sum(terms[i * phi + m] for i in members) for m in range(phi)], den)
 
-    def cointegral(self, members=None) -> ClassFunction:
+    def cointegral(self, members=None, dim_inv=None) -> ClassFunction:
         """tau-normalized cointegral of the full category, or of the fusion
-        subcategory spanned by a dual-closed member set."""
-        if members is None:
-            members = range(self.rank)
-        members = sorted(set(members))
-        dim_d = self.subset_dim(members)
-        if dim_d.is_zero():
-            raise InternalConsistencyError("subcategory dimension is zero")
-        return _mul(ClassFunction, self._basis(_Vector, members), self._codims).scaled(dim_d.inv())
+        subcategory spanned by a dual-closed member set; dim_inv, when the
+        caller has it, is the inverse of that subcategory's dimension."""
+        members = sorted(set(range(self.rank) if members is None else members))
+        if dim_inv is None:
+            dim_d = self.subset_dim(members)
+            if dim_d.is_zero():
+                raise InternalConsistencyError("subcategory dimension is zero")
+            dim_inv = dim_d.inv()
+        return _mul(ClassFunction, self._basis(_Vector, members), self._codims).scaled(dim_inv)
 
     # -- Fourier transform ----------------------------------------------------
 

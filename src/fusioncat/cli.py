@@ -19,15 +19,13 @@ Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
-from fractions import Fraction
+from types import SimpleNamespace
 
 from .catalog import catalog_get, catalog_input, catalog_names
 from .category import (
-    CategoryData,
-    CategoryInput,
     Check,
     assemble_category,
     load_category,
@@ -82,17 +80,14 @@ class Report:
 
 
 def _cell_text(v, show) -> str:
-    """Text form of a cell: str, int, Fraction, Cyclotomic, or a list of
-    cells, with irrational values printed through show.  Irrational values
+    """Text form of a cell: str, int, Cyclotomic, or a list of cells, with
+    irrational values printed through show.  Values other than integers
     carry their numeric embedding."""
     if isinstance(v, Cyclotomic):
-        if v.is_rational():
-            q = v.rational_value
-            return str(q) if q.denominator == 1 else f"{q} ≈ {v.approx_str()}"
+        if v.is_integer():
+            return str(v)
         v = show(v)
         return f"{v} ≈ {v.approx_str()}"
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_cell_text(x, show) for x in v) + "]"
     return str(v)
@@ -101,15 +96,9 @@ def _cell_text(v, show) -> str:
 def _cell_json(v, show):
     if isinstance(v, Cyclotomic):
         if v.is_rational():
-            return {"exact": str(v.rational_value), "approx": v.approx_str()}
+            return {"exact": str(v), "approx": v.approx_str()}
         v = show(v)
-        return {
-            "exact": [str(c) for c in v.coeffs],
-            "conductor": v.conductor,
-            "approx": v.approx_str(),
-        }
-    if isinstance(v, Fraction):
-        return {"exact": str(v), "approx": f"{float(v):.6g}"}
+        return {"exact": v.coeff_strs(), "conductor": v.conductor, "approx": v.approx_str()}
     if isinstance(v, (list, tuple)):
         return [_cell_json(x, show) for x in v]
     return v
@@ -137,11 +126,9 @@ def render_text(report: Report) -> str:
             if c.detail:
                 line += f"  {c.detail}"
             out.append(line.rstrip())
-        passed = sum(1 for c in report.checks if c.status == "pass")
-        failed = sum(1 for c in report.checks if c.status == "fail")
-        skipped = sum(1 for c in report.checks if c.status == "skip")
+        counts = [sum(c.status == s for c in report.checks) for s in ("pass", "fail", "skip")]
         out.append("")
-        out.append(f"result: {passed} passed, {failed} failed, {skipped} skipped")
+        out.append("result: {} passed, {} failed, {} skipped".format(*counts))
     return "\n".join(out) + "\n"
 
 
@@ -165,22 +152,14 @@ def render_json(report: Report) -> str:
 # input plumbing
 
 
-def _get_input(args) -> CategoryInput:
-    if args.catalog is not None:
-        try:
-            return catalog_input(args.catalog)
-        except KeyError as e:
-            raise SchemaError(e.args[0]) from e
-    return load_input(args.file)
-
-
-def _get_category(args) -> CategoryData:
-    if args.catalog is not None:
-        try:
-            return catalog_get(args.catalog)
-        except KeyError as e:
-            raise SchemaError(e.args[0]) from e
-    return load_category(args.file)
+def _source(args, from_catalog, from_file):
+    """The category (as raw input or as built data) that args name."""
+    if args.catalog is None:
+        return from_file(args.file)
+    try:
+        return from_catalog(args.catalog)
+    except KeyError as e:
+        raise SchemaError(e.args[0]) from e
 
 
 def _members_str(labels, members) -> str:
@@ -201,7 +180,7 @@ def _cmd_catalog(args) -> Report:
 
 
 def _cmd_validate(args) -> Report:
-    inp = _get_input(args)
+    inp = _source(args, catalog_input, load_input)
     sections = [
         Section(
             "input",
@@ -218,7 +197,7 @@ def _cmd_validate(args) -> Report:
 
 
 def _cmd_info(args) -> Report:
-    data = _get_category(args)
+    data = _source(args, catalog_get, load_category)
     labels = data.ring.labels
     sections = [
         Section(
@@ -230,23 +209,16 @@ def _cmd_info(args) -> Report:
                 ("global dim", data.dim),
             ],
         ),
-        Section("dims", [(lab, data.dims[i]) for i, lab in enumerate(labels)]),
-        Section(
-            "duals", [(lab, labels[data.ring.dual[i]]) for i, lab in enumerate(labels)]
-        ),
+        Section("dims", list(zip(labels, data.dims))),
+        Section("duals", [(lab, labels[d]) for lab, d in zip(labels, data.ring.dual)]),
     ]
     if data.modular is not None and data.modular.twists is not None:
-        sections.append(
-            Section(
-                "twists",
-                [(lab, data.modular.twists[i]) for i, lab in enumerate(labels)],
-            )
-        )
+        sections.append(Section("twists", list(zip(labels, data.modular.twists))))
     return Report("info", data, sections, [])
 
 
 def _cmd_subcats(args) -> Report:
-    data = _get_category(args)
+    data = _source(args, catalog_get, load_category)
     alg = CharacterAlgebra(data)
     labels = data.ring.labels
     subcats = enumerate_subcats(alg)
@@ -272,7 +244,7 @@ def _cmd_subcats(args) -> Report:
 
 
 def _cmd_centralizer(args) -> Report:
-    data = _get_category(args)
+    data = _source(args, catalog_get, load_category)
     alg = CharacterAlgebra(data)
     labels = data.ring.labels
     names = [lab.strip() for lab in args.subcat.split(",")]
@@ -299,24 +271,15 @@ def _cmd_centralizer(args) -> Report:
 
 
 def _cmd_classes(args) -> Report:
-    data = _get_category(args)
+    data = _source(args, catalog_get, load_category)
     alg = CharacterAlgebra(data)
     labels = data.ring.labels
     conj = alg.conjugacy()
     sections = [
-        Section("class sizes", [(lab, conj.sizes[j]) for j, lab in enumerate(labels)]),
-        Section(
-            "class multiplicities",
-            [(lab, conj.multiplicities[j]) for j, lab in enumerate(labels)],
-        ),
-        Section(
-            "class sums",
-            [(lab, list(conj.class_sums[j].coeffs)) for j, lab in enumerate(labels)],
-        ),
-        Section(
-            "character table",
-            [(lab, list(conj.alpha.rows[i])) for i, lab in enumerate(labels)],
-        ),
+        Section("class sizes", list(zip(labels, conj.sizes))),
+        Section("class multiplicities", list(zip(labels, conj.multiplicities))),
+        Section("class sums", [(lab, list(e.coeffs)) for lab, e in zip(labels, conj.class_sums)]),
+        Section("character table", [(lab, list(r)) for lab, r in zip(labels, conj.alpha.rows)]),
     ]
     if data.modular is not None:
         transparent = [labels[j] for j in alg.transparent_members()]
@@ -325,7 +288,7 @@ def _cmd_classes(args) -> Report:
 
 
 def _cmd_grading(args) -> Report:
-    data = _get_category(args)
+    data = _source(args, catalog_get, load_category)
     alg = CharacterAlgebra(data)
     labels = data.ring.labels
     grade = grading(alg)
@@ -339,20 +302,9 @@ def _cmd_grading(args) -> Report:
                 ("group order", len(grade.components)),
             ],
         ),
-        Section(
-            "components",
-            [
-                (names[k], [labels[i] for i in comp])
-                for k, comp in enumerate(grade.components)
-            ],
-        ),
-        Section(
-            "group table",
-            [
-                (names[k], [names[v] for v in row])
-                for k, row in enumerate(grade.table)
-            ],
-        ),
+        Section("components", [(g, [labels[i] for i in comp])
+                               for g, comp in zip(names, grade.components)]),
+        Section("group table", [(g, [names[v] for v in r]) for g, r in zip(names, grade.table)]),
     ]
     report = Report("grading", data, sections, [])
     prime = prime_index_check(alg)
@@ -390,7 +342,7 @@ def full_suite(alg: CharacterAlgebra) -> list[Check]:
 
 
 def _cmd_verify(args) -> Report:
-    inp = _get_input(args)
+    inp = _source(args, catalog_input, load_input)
     checks = validate_input(inp)
     sections = [
         Section(
@@ -403,86 +355,167 @@ def _cmd_verify(args) -> Report:
     return Report("verify", inp, sections, checks)
 
 
-_HANDLERS = {
-    "catalog": _cmd_catalog,
-    "validate": _cmd_validate,
-    "info": _cmd_info,
-    "subcats": _cmd_subcats,
-    "centralizer": _cmd_centralizer,
-    "classes": _cmd_classes,
-    "grading": _cmd_grading,
-    "verify": _cmd_verify,
-}
-
-
 # ---------------------------------------------------------------------------
-# argument parsing; argparse exits with its own codes, so trap errors
+# argument parsing: one fixed grammar, read and reported as argparse did at
+# 80 columns (unique prefixes, --opt=value, the last repeated value wins)
+
+_COMMANDS = {  # command: (handler, help)
+    "validate": (_cmd_validate, "check the input against the schema and category axioms"),
+    "info": (_cmd_info, "objects, dims, duals and twists"),
+    "subcats": (_cmd_subcats, "enumerate fusion subcategories with their invariants"),
+    "centralizer": (_cmd_centralizer, "centralizer of the subcategory generated by --subcat"),
+    "classes": (_cmd_classes, "conjugacy class sizes, multiplicities and class sums"),
+    "grading": (_cmd_grading, "universal grading group and adjoint subcategory"),
+    "verify": (_cmd_verify, "run every identity check and report pass/fail"),
+    "catalog": (_cmd_catalog, "list built-in categories"),
+}
+_OPTIONS = {  # name: (option strings, metavar or None for a flag, usage part, help)
+    "help": (("-h", "--help"), None, "[-h]", "show this help message and exit"),
+    "file": (("--file",), "FILE", "(--file FILE | --catalog CATALOG)", "category file (JSON)"),
+    "catalog": (("--catalog",), "CATALOG", "", "built-in catalog entry name"),
+    "json": (("--json",), None, "[--json]", "machine readable output"),
+    "subcat": (("--subcat",), "LABELS", "--subcat LABELS", "comma separated generator labels"),
+}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 class _UsageError(Exception):
-    def __init__(self, usage: str, message: str):
-        self.usage = usage
-        super().__init__(message)
+    """A usage error, carrying its whole report: usage line and message."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(self.format_usage(), message)
+def _names(command) -> list:
+    """The options of a command, or of the main parser for None, in order."""
+    if command is None:
+        return ["help"]
+    rest = ["json"] if command == "catalog" else ["file", "catalog", "json"]
+    return ["help", *rest] + ["subcat"] * (command == "centralizer")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="fusioncat", description=__doc__.split("\n\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+def _usage(command) -> str:
+    head = "usage: fusioncat" + (f" {command}" if command else "")
+    lines = [head]
+    parts = [_OPTIONS[n][2] for n in _names(command)] + ["COMMAND ..."] * (command is None)
+    for part in filter(None, parts):
+        if len(lines[-1]) + 1 + len(part) > 78:
+            lines.append(" " * len(head))
+        lines[-1] += " " + part
+    return "\n".join(lines) + "\n"
 
-    def add(name, help_text, needs_input=True):
-        p = sub.add_parser(name, help=help_text)
-        if needs_input:
-            g = p.add_mutually_exclusive_group(required=True)
-            g.add_argument("--file", help="category file (JSON)")
-            g.add_argument("--catalog", help="built-in catalog entry name")
-        p.add_argument("--json", action="store_true", help="machine readable output")
-        return p
 
-    add("validate", "check the input against the schema and category axioms")
-    add("info", "objects, dims, duals and twists")
-    add("subcats", "enumerate fusion subcategories with their invariants")
-    p = add("centralizer", "centralizer of the subcategory generated by --subcat")
-    p.add_argument(
-        "--subcat",
-        required=True,
-        metavar="LABELS",
-        help="comma separated generator labels",
-    )
-    add("classes", "conjugacy class sizes, multiplicities and class sums")
-    add("grading", "universal grading group and adjoint subcategory")
-    add("verify", "run every identity check and report pass/fail")
-    add("catalog", "list built-in categories", needs_input=False)
-    return parser
+def _help(command) -> str:
+    rows = [(2, ", ".join(s) if m is None else f"{s[0]} {m}", h)
+            for s, m, _, h in map(_OPTIONS.get, _names(command))]
+    sections, text = [("options:", rows)], _usage(command)
+    if command is None:
+        text += "\n" + __doc__.split("\n\n")[0] + "\n"
+        rows = [(2, "COMMAND", "")] + [(4, c, h) for c, (_, h) in _COMMANDS.items()]
+        sections.insert(0, ("positional arguments:", rows))
+    at = min(24, 4 + max(len(inv) for _, rows in sections for _, inv, _ in rows))
+    for title, rows in sections:
+        text += f"\n{title}\n"
+        for indent, inv, h in rows:
+            lead = " " * indent + inv
+            if h:  # after the option, or on a line of its own where it does not fit
+                lead = f"{lead:<{at}}{h}" if len(lead) + 2 <= at else f"{lead}\n{'':<{at}}{h}"
+            text += lead + "\n"
+    return text
+
+
+def _optional(arg: str, table: dict, usage: str):
+    """argparse's reading of one argument against a table {option string:
+    name}: None for a positional, else (name, or None for an unknown
+    option, option string, explicit value or None)."""
+    head, eq, value = arg.partition("=")
+    if arg in table or eq and head in table:
+        return table[head], head, value if eq else None
+    if arg[:1] != "-" or len(arg) < 2:
+        return None
+    if arg[1] == "-":
+        found = [(table[s], s, value if eq else None) for s in table if s.startswith(head)]
+    else:
+        found = [(table[s], s, arg[2:]) for s in table if s == arg[:2]]
+    if len(found) > 1:
+        matches = ", ".join(s for _, s, _ in found)
+        raise _UsageError(f"{usage}error: ambiguous option: {arg} could match {matches}")
+    return found[0] if found else None if _NEGATIVE.match(arg) or " " in arg else (None, arg, None)
+
+
+def _option_error(usage: str, name: str, message: str) -> _UsageError:
+    return _UsageError(f"{usage}error: argument {'/'.join(_OPTIONS[name][0])}: {message}")
+
+
+def _parse(argv: list):
+    """The args argparse made of argv, or the help text it printed; a usage
+    error raises _UsageError.  The main parser reads options up to the first
+    positional, the command, whose parser reads the rest."""
+    args = SimpleNamespace(command=None, file=None, catalog=None, json=False, subcat=None)
+    extras = []
+    while True:
+        command, usage = args.command, _usage(args.command)
+        table = {s: n for n in _names(command) for s in _OPTIONS[n][0]}
+        cut = argv.index("--") if "--" in argv else len(argv)  # all after it is positional
+        kinds = [_optional(a, table, usage) for a in argv[:cut]] + [None] * (len(argv) - cut)
+        k = 0
+        # the main parser stops at the command: a positional, or '--' with one after it
+        while k < len(argv) and (command or kinds[k] or k == cut == len(argv) - 1):
+            if kinds[k] is None or kinds[k][0] is None:
+                extras.append(argv[k])
+                k += 1
+                continue
+            name, string, value = kinds[k]
+            if value is not None and _OPTIONS[name][1] is None:
+                # a flag takes no value; -h is the one single-dash option, and -hh is -h twice
+                rest = value.lstrip("h") if string == "-h" else value
+                if rest or not value:
+                    raise _option_error(usage, name, f"ignored explicit argument {rest!r}")
+                value = None
+            if _OPTIONS[name][1] is not None and value is None:
+                if k + 1 == cut or kinds[k + 1] is not None:
+                    raise _option_error(usage, name, "expected one argument")
+                k, value = k + 1, argv[k + 1]
+            k += 1
+            if name == "help":
+                return _help(command)
+            other = {"file": "catalog", "catalog": "file"}.get(name)
+            if other and getattr(args, other) is not None:
+                raise _option_error(usage, name, f"not allowed with argument --{other}")
+            setattr(args, name, True if value is None else value)
+        if command:
+            break
+        if k == len(argv):
+            raise _UsageError(f"{usage}error: the following arguments are required: COMMAND")
+        if argv[k] not in _COMMANDS:
+            choices = ", ".join(map(repr, _COMMANDS))
+            raise _UsageError(f"{usage}error: argument COMMAND: invalid choice: {argv[k]!r} "
+                              f"(choose from {choices})")
+        args.command, argv = argv[k], argv[k + 1:]
+    if command == "centralizer" and args.subcat is None:
+        raise _UsageError(f"{usage}error: the following arguments are required: --subcat")
+    if "--file" in table and args.file is None and args.catalog is None:
+        raise _UsageError(f"{usage}error: one of the arguments --file --catalog is required")
+    if extras:
+        raise _UsageError(f"{_usage(None)}error: unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+# the exit code of each error a handler may raise (see the module docstring)
+_EXIT_CODES = {SchemaError: 3, CapabilityError: 4, InvalidCategoryError: 1,
+               NotRibbonConsistentError: 2, InternalConsistencyError: 2}
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return 0
+        report = _COMMANDS[args.command][0](args)
     except _UsageError as e:
-        sys.stderr.write(e.usage)
-        sys.stderr.write(f"error: {e}\n")
+        sys.stderr.write(f"{e}\n")
         return 3
-
-    try:
-        report = _HANDLERS[args.command](args)
-    except SchemaError as e:
+    except tuple(_EXIT_CODES) as e:
         sys.stderr.write(f"error: {e}\n")
-        return 3
-    except CapabilityError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 4
-    except InvalidCategoryError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
-    except (NotRibbonConsistentError, InternalConsistencyError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(e, kind))
 
     sys.stdout.write(render_json(report) if args.json else render_text(report))
     if any(c.status == "fail" for c in report.checks):

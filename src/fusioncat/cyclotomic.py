@@ -43,7 +43,6 @@ checks only; nothing downstream branches on floats.
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
 from functools import cache
 from itertools import takewhile
 from math import gcd, lcm, prod
@@ -303,6 +302,12 @@ def matmul_nums(n: int, rows, cols) -> list[list[int]]:
     return [[c for y in py for c in _unpack(n, sum(map(mul, x, y)), w, 2 * phi - 1)] for x in px]
 
 
+def _fraction():
+    """The Fraction class, imported only once a Fraction is handed in or asked for."""
+    from fractions import Fraction
+    return Fraction
+
+
 def _make(n: int, nums, den: int = 1) -> "Cyclotomic":
     """Trusted constructor: `nums` are phi(n) integers and `den` > 0.  No
     validation; divides out gcd(den, *nums) to keep the form canonical."""
@@ -325,7 +330,7 @@ class Cyclotomic:
     __hash__ = None  # equality coerces across conductors, so no stable hash
 
     def __new__(cls, conductor: int, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [c if isinstance(c, int) else _fraction()(c) for c in coeffs]
         if len(coeffs) != euler_phi(conductor):
             raise ValueError(
                 f"need {euler_phi(conductor)} coefficients at conductor "
@@ -338,16 +343,16 @@ class Cyclotomic:
         raise AttributeError("Cyclotomic is immutable")
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The power-basis coefficients as Fractions (a read-only view)."""
-        return tuple(Fraction(c, self.den) for c in self.nums)
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as Fractions, built on request."""
+        return tuple(_fraction()(c, self.den) for c in self.nums)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(q, conductor: int = 1) -> "Cyclotomic":
-        if not isinstance(q, (int, Fraction)):
-            q = Fraction(q)
+        if not isinstance(q, int):
+            q = _fraction()(q)
         nums = [0] * euler_phi(conductor)
         nums[0] = q.numerator
         return _make(conductor, nums, q.denominator)
@@ -371,10 +376,11 @@ class Cyclotomic:
         return not any(self.nums[1:])
 
     @property
-    def rational_value(self) -> Fraction:
+    def rational_value(self):
+        """The value as a Fraction, built on request."""
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.nums[0], self.den)
+        return _fraction()(self.nums[0], self.den)
 
     def is_integer(self) -> bool:
         return self.den == 1 and self.is_rational()
@@ -399,7 +405,7 @@ class Cyclotomic:
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or isinstance(other, _fraction()):
             return Cyclotomic.from_rational(other, self.conductor)
         return NotImplemented
 
@@ -463,7 +469,7 @@ class Cyclotomic:
             raise ZeroDivisionError("inverse of zero cyclotomic value")
         n, nums, den = self.conductor, self.nums, self.den
         if self.is_rational():
-            return Cyclotomic.from_rational(Fraction(den, nums[0]), n)
+            return _make(n, [den if nums[0] > 0 else -den] + [0] * (len(nums) - 1), abs(nums[0]))
         conj = None
         for t in range(2, n):
             if gcd(t, n) == 1:
@@ -515,8 +521,8 @@ class Cyclotomic:
     def embed(self) -> complex:
         n = self.conductor
         return sum(
-            float(c) * cmath.exp(2j * cmath.pi * k / n)
-            for k, c in enumerate(self.coeffs)
+            c / self.den * cmath.exp(2j * cmath.pi * k / n)
+            for k, c in enumerate(self.nums)
             if c
         ) or complex(0)
 
@@ -529,32 +535,25 @@ class Cyclotomic:
         a, b = Cyclotomic._common(self, other)
         return a.den == b.den and a.nums == b.nums
 
+    def coeff_strs(self) -> list[str]:
+        """The power-basis coefficients as str(Fraction) writes them: "-1/2"."""
+        d = self.den
+        return [str(c // g) if (g := gcd(c, d)) == d else f"{c // g}/{d // g}" for c in self.nums]
+
     def __repr__(self):
-        return f"Cyclotomic({self.conductor}, {[str(c) for c in self.coeffs]})"
+        return f"Cyclotomic({self.conductor}, {self.coeff_strs()})"
 
     def __str__(self):
+        texts = self.coeff_strs()
         if self.is_rational():
-            return str(self.coeffs[0])
-        n = self.conductor
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-                continue
-            power = f"ζ{n}" if k == 1 else f"ζ{n}^{k}"
-            if c == 1:
-                term = power
-            elif c == -1:
-                term = f"-{power}"
-            else:
-                term = f"{c}*{power}"
-            if parts and not term.startswith("-"):
-                parts.append("+" + term)
-            else:
-                parts.append(term)
-        return "".join(parts)
+            return texts[0]
+        out = texts[0] if self.nums[0] else ""
+        for k, (c, text) in enumerate(zip(self.nums[1:], texts[1:]), 1):
+            if c:
+                power = f"ζ{self.conductor}" + (f"^{k}" if k > 1 else "")
+                term = f"{text}*{power}" if abs(c) != self.den else power if c > 0 else f"-{power}"
+                out += term if not out or term[0] == "-" else "+" + term
+        return out
 
     def approx_str(self) -> str:
         z = self.embed()

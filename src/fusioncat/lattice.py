@@ -301,12 +301,13 @@ def _invariants(alg: CharacterAlgebra, subcats) -> list[SubcatInvariants]:
         m, den_m, sizes = _sums([_Vector((z,)) for z in conj.sizes], supports)
         for d, support, lam_sum, size_sum in zip(todo, supports, lams, sizes):
             dim_d = _dim(alg, d.members)
-            index = alg.dim * dim_d.inv()
+            dim_inv = dim_d.inv()  # a zero dimension raises here, first
+            index = alg.dim * dim_inv
             if sum(1 << i for i in d.members) & ~good:
                 raise InternalConsistencyError(
                     "integral of the subcategory disagrees with its closed form"
                 )
-            lam = alg.cointegral(d.members)
+            lam = alg.cointegral(d.members, dim_inv)
             if _vec(ClassFunction, n, lam_sum, den) != lam:
                 raise InternalConsistencyError(
                     "cointegral is not the sum of the idempotents in its support"
@@ -467,7 +468,7 @@ def prime_index_check(alg: CharacterAlgebra) -> PrimeIndexReport:
 
     if not alg.data.is_integral:
         return na("not applicable: category has non-integral dimensions")
-    dim_c = int(alg.dim.rational_value)
+    dim_c = alg.dim.nums[0]  # integral, so dim C is an integer
     if dim_c <= 1:
         return na("not applicable: global dimension 1 has no prime factor")
 

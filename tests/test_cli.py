@@ -1,11 +1,15 @@
-"""Command line behavior: rendering, exit codes, determinism."""
+"""Command line behavior: rendering, exit codes, determinism, parsing."""
 
+import argparse
+import contextlib
+import io
 import json
+import random
 import time
 
 import pytest
 
-from fusioncat import catalog_get, catalog_input, catalog_names, lattice, save_category
+from fusioncat import catalog_get, catalog_input, catalog_names, cli, lattice, save_category
 from fusioncat.category import CONDUCTOR_LIMIT, category_to_input, input_to_json
 from fusioncat.cli import run
 
@@ -255,3 +259,148 @@ def test_input_files_not_modified(tmp_path, capsys):
     before = path.read_bytes()
     invoke(capsys, "verify", "--file", str(path))
     assert path.read_bytes() == before
+
+
+# -- the parser against the argparse front end it replaced --------------------
+
+
+class _ArgparseParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise cli._UsageError(f"{self.format_usage()}error: {message}")
+
+
+def _build_parser() -> _ArgparseParser:
+    """The argparse parser the command line used to build, the reference for
+    cli._parse."""
+    parser = _ArgparseParser(prog="fusioncat", description=cli.__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def add(name, help_text, needs_input=True):
+        p = sub.add_parser(name, help=help_text)
+        if needs_input:
+            g = p.add_mutually_exclusive_group(required=True)
+            g.add_argument("--file", help="category file (JSON)")
+            g.add_argument("--catalog", help="built-in catalog entry name")
+        p.add_argument("--json", action="store_true", help="machine readable output")
+        return p
+
+    add("validate", "check the input against the schema and category axioms")
+    add("info", "objects, dims, duals and twists")
+    add("subcats", "enumerate fusion subcategories with their invariants")
+    p = add("centralizer", "centralizer of the subcategory generated by --subcat")
+    p.add_argument(
+        "--subcat",
+        required=True,
+        metavar="LABELS",
+        help="comma separated generator labels",
+    )
+    add("classes", "conjugacy class sizes, multiplicities and class sums")
+    add("grading", "universal grading group and adjoint subcategory")
+    add("verify", "run every identity check and report pass/fail")
+    add("catalog", "list built-in categories", needs_input=False)
+    return parser
+
+
+def _argparse_parse(argv):
+    """cli._parse's contract kept by argparse: the parsed args, or the help
+    text it printed, or a raised cli._UsageError."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return _build_parser().parse_args(argv)
+    except SystemExit:
+        return out.getvalue()
+
+
+_COMMAND_NAMES = ["validate", "info", "subcats", "centralizer", "classes", "grading", "verify"]
+PARSER_CORPUS = [
+    # every command in canonical form
+    ["catalog"],
+    ["catalog", "--json"],
+    *[[c, "--catalog", "semion"] for c in _COMMAND_NAMES if c != "centralizer"],
+    ["centralizer", "--catalog", "toric_code", "--subcat", "e"],
+    ["info", "--file", "no/such/file.json", "--json"],
+    # = forms, unique prefixes, a repeated option (the last value wins)
+    ["info", "--catalog=fibonacci"],
+    ["info", "--cat", "fibonacci", "--j"],
+    ["centralizer", "--ca=toric_code", "--sub=e,m", "--js"],
+    ["info", "--catalog", "nope", "--catalog", "semion"],
+    ["verify", "--json", "--catalog", "semion", "--json"],
+    ["info", "--catalog", "-1"],
+    ["info", "--catalog=-x"],
+    # help, from the main parser and from each command
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["-hh"],
+    ["--zzz", "-h"],
+    *[[c, "-h"] for c in _COMMAND_NAMES + ["catalog"]],
+    ["centralizer", "--help"],
+    ["info", "--catalog", "semion", "--h"],
+    # usage errors
+    [],
+    ["frobnicate"],
+    ["-a b", "info"],
+    ["--", "info"],
+    ["--"],
+    ["info"],
+    ["info", "--json"],
+    ["info", "--file", "a", "--catalog", "b"],
+    ["info", "--catalog", "b", "--file=a"],
+    ["centralizer", "--catalog", "toric_code"],
+    ["centralizer"],
+    ["info", "--catalog"],
+    ["info", "--catalog", "--json"],
+    ["info", "--catalog", "semion", "extra"],
+    ["catalog", "--catalog", "semion"],
+    ["--zzz", "info", "--catalog", "semion"],
+    ["info", "--catalog", "semion", "--", "--json"],
+    ["info", "--=x"],
+    ["centralizer", "--=x"],
+    ["--=x"],
+    ["info", "--catalog", "-x"],
+    ["info", "--catalog", "--", "semion"],
+    ["info", "--json=1", "--catalog", "semion"],
+    ["info", "-hx"],
+    ["info", "-h="],
+    ["info", "-x", "--catalog", "semion"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_parser_matches_argparse(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    ours = invoke(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse", _argparse_parse)
+    assert invoke(capsys, *argv) == ours
+
+
+def _parsed(parse, argv):
+    try:
+        args = parse(list(argv))
+    except cli._UsageError as e:
+        return "error", str(e)
+    if isinstance(args, str):
+        return "help", args
+    return "args", {k: v for k, v in vars(args).items() if v not in (None, False)}
+
+
+def test_parser_matches_argparse_on_random_argv(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    tokens = [*_COMMAND_NAMES, "catalog", "--file", "--catalog", "--json", "--subcat", "-h",
+              "--help", "--he", "--f", "--c", "--cat=x", "--j", "--s", "--sub=e", "--json=",
+              "-hh", "-hx", "-h=", "--=x", "--", "-", "", "-1", "-.5", "-x", "x", "-a b", "--zz",
+              "--zz=1", "---", "-hh=x", "bogus"]
+    rng = random.Random(20)
+    for _ in range(300):
+        argv = [rng.choice(tokens) for _ in range(rng.randrange(6))]
+        if argv and rng.random() < 0.7:
+            argv[0] = rng.choice(_COMMAND_NAMES + ["catalog"])
+        assert _parsed(cli._parse, argv) == _parsed(_argparse_parse, argv), argv
+
+
+def test_help_returns_zero_from_run(capsys):
+    code, out, err = invoke(capsys, "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: fusioncat [-h] COMMAND ...\n")
+    code, out, err = invoke(capsys, "info", "-h")
+    assert (code, err) == (0, "") and out.startswith("usage: fusioncat info [-h]")

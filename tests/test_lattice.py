@@ -824,3 +824,20 @@ def test_batched_invariants_match_the_formulas(name):
         assert report.subcategories == tuple(
             sub for sub, dim in zip(subcats, dims) if dim == dim_c // report.prime
         )
+
+
+def test_cointegral_takes_the_inverse_dimension_it_is_handed(algs):
+    for name in ("toric_code", "ising", "fibonacci"):
+        alg = algs[name]
+        for d in enumerate_subcats(alg):
+            dim_inv = alg.subset_dim(d.members).inv()
+            assert alg.cointegral(d.members, dim_inv) == alg.cointegral(d.members)
+            assert subcat_invariants(alg, d).cointegral == alg.cointegral(d.members)
+
+
+def test_zero_subcategory_dimension_raises_before_the_cointegral(monkeypatch):
+    alg = CharacterAlgebra(catalog_get("toric_code"))
+    d = enumerate_subcats(alg)[1]
+    monkeypatch.setattr(lattice, "_dim", lambda alg, members: rational(0))
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        subcat_invariants(alg, d)

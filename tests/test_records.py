@@ -55,6 +55,24 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--catalog", "toric_code", "--json"],
+    ["info", "--catalog", "fibonacci"],
+])
+def test_cold_command_leaves_out_argparse_and_fractions(argv):
+    """A cold command imports neither the argument parser of the standard
+    library nor fractions, nor what they import in turn."""
+    src = Path(fusioncat.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "fusioncat", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 0
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()}
+    assert "fusioncat.cli" in loaded
+    assert loaded & {"argparse", "gettext", "locale", "fractions", "decimal", "numbers"} == set()
+
+
 def test_keyword_construction_with_defaults():
     check = Check(check_id="unit-axiom", status="pass")
     assert (check.check_id, check.status, check.detail) == ("unit-axiom", "pass", "")
