@@ -26,8 +26,7 @@ values are printed at the one s was given at (CategoryData.show).
 
 from __future__ import annotations
 
-import json
-import re
+import sys
 from functools import cached_property
 from itertools import product
 from math import lcm
@@ -576,8 +575,6 @@ def assemble_category(inp: CategoryInput) -> CategoryData:
 # JSON schema
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-
 _COMMON_KEYS = {"schema_version", "name", "kind", "conductor", "rank", "labels"}
 _KIND_KEYS = {
     "modular": {"s_matrix": True, "twists": False},
@@ -586,12 +583,21 @@ _KIND_KEYS = {
 
 
 def _parse_rational(text, where: str, k=None) -> tuple[int, int]:
-    """(p, q) for the string 'p' or 'p/q' at where, or at where[k]."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
-        where = where if k is None else f"{where}[{k}]"
-        raise SchemaError(f"{where}: expected a rational string 'p' or 'p/q', got {text!r}")
-    p, _, q = text.partition("/")
-    return int(p), int(q or 1)
+    r"""(p, q) for the string 'p' or 'p/q' at where, or at where[k].  The string
+    must match ^[+-]?\d+(/[1-9]\d*)?$, where \d is any decimal digit and $ also
+    matches before a final newline."""
+    body = text[:-1] if isinstance(text, str) and text.endswith("\n") else text
+    p, slash, q = body.partition("/") if isinstance(body, str) else ("", "", "")
+    digits = p[1:] if p.startswith(("+", "-")) else p
+    if digits.isdecimal() and (not slash or q[:1] in "123456789" and q.isdecimal()):
+        try:
+            return int(p), int(q or 1)
+        except ValueError:  # past the interpreter's limit on int/str conversion
+            problem = (f"a number of {max(len(digits), len(q))} digits, past the limit of "
+                       f"{sys.get_int_max_str_digits()}")
+    else:
+        problem = f"expected a rational string 'p' or 'p/q', got {text!r}"
+    raise SchemaError(f"{where if k is None else f'{where}[{k}]'}: {problem}")
 
 
 def _parse_value(obj, conductor: int, where: str) -> Cyclotomic:
@@ -722,13 +728,19 @@ def parse_category(obj) -> CategoryInput:
 
 
 def load_input(path) -> CategoryInput:
+    import json  # here, so that a command on the built-in catalog never loads the decoder
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"cannot read {path}: not UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid JSON in {path}: {e}") from e
+    except RecursionError as e:
+        raise SchemaError(f"invalid JSON in {path}: nested too deeply") from e
     return parse_category(obj)
 
 
@@ -827,6 +839,8 @@ def input_to_json(inp: CategoryInput) -> dict:
 
 
 def save_category(data: CategoryData, path, kind: str | None = None) -> None:
+    import json
+
     obj = input_to_json(category_to_input(data, kind))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=1, sort_keys=True)

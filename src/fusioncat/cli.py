@@ -19,8 +19,6 @@ Exit codes:
 
 from __future__ import annotations
 
-import json
-import re
 import sys
 from types import SimpleNamespace
 
@@ -32,8 +30,6 @@ from .category import (
     load_input,
     validate_input,
 )
-from .centralizer import centralizer, verify_main_identity, centralizer_suite
-from .charalg import CharacterAlgebra
 from .cyclotomic import Cyclotomic
 from .errors import (
     CapabilityError,
@@ -41,14 +37,6 @@ from .errors import (
     InvalidCategoryError,
     NotRibbonConsistentError,
     SchemaError,
-)
-from .lattice import (
-    enumerate_subcats,
-    generate_subcat,
-    grading,
-    lattice_suite,
-    prime_index_check,
-    subcat_invariants,
 )
 
 __all__ = ["main", "run", "full_suite", "Report", "Section"]
@@ -145,7 +133,40 @@ def render_json(report: Report) -> str:
             for c in report.checks
         ],
     }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _json(obj, "\n") + "\n"
+
+
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+            "\b": "\\b", "\f": "\\f"}
+
+
+def _json_char(c: str) -> str:
+    n = ord(c)
+    if c in _ESCAPES or " " <= c < "\x7f":
+        return _ESCAPES.get(c, c)
+    if n > 0xFFFF:  # a surrogate pair, as UTF-16 writes it
+        return "\\u%04x\\u%04x" % (0xD800 | (n - 0x10000) >> 10, 0xDC00 | n & 0x3FF)
+    return "\\u%04x" % n
+
+
+def _json(obj, indent: str) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) with indent the newline and
+    indentation obj starts at, for the types of a report: str, int, bool,
+    None, and lists (or tuples) and dicts with str keys of them."""
+    if isinstance(obj, str):
+        if obj.isascii() and obj.isprintable() and '"' not in obj and "\\" not in obj:
+            return f'"{obj}"'
+        return '"' + "".join(map(_json_char, obj)) + '"'
+    if obj is None or isinstance(obj, bool):
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{_json(k, inner)}: {_json(v, inner)}" for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    items = [_json(v, inner) for v in obj]
+    return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +239,8 @@ def _cmd_info(args) -> Report:
 
 
 def _cmd_subcats(args) -> Report:
+    from .charalg import CharacterAlgebra
+    from .lattice import enumerate_subcats, subcat_invariants
     data = _source(args, catalog_get, load_category)
     alg = CharacterAlgebra(data)
     labels = data.ring.labels
@@ -244,6 +267,9 @@ def _cmd_subcats(args) -> Report:
 
 
 def _cmd_centralizer(args) -> Report:
+    from .centralizer import centralizer, verify_main_identity
+    from .charalg import CharacterAlgebra
+    from .lattice import generate_subcat, subcat_invariants
     data = _source(args, catalog_get, load_category)
     alg = CharacterAlgebra(data)
     labels = data.ring.labels
@@ -271,6 +297,7 @@ def _cmd_centralizer(args) -> Report:
 
 
 def _cmd_classes(args) -> Report:
+    from .charalg import CharacterAlgebra
     data = _source(args, catalog_get, load_category)
     alg = CharacterAlgebra(data)
     labels = data.ring.labels
@@ -288,6 +315,8 @@ def _cmd_classes(args) -> Report:
 
 
 def _cmd_grading(args) -> Report:
+    from .charalg import CharacterAlgebra
+    from .lattice import grading, prime_index_check
     data = _source(args, catalog_get, load_category)
     alg = CharacterAlgebra(data)
     labels = data.ring.labels
@@ -335,6 +364,8 @@ def _cmd_grading(args) -> Report:
 
 def full_suite(alg: CharacterAlgebra) -> list[Check]:
     """Every identity check the engine knows, in one deterministic list."""
+    from .centralizer import centralizer_suite
+    from .lattice import lattice_suite
     checks = list(alg.identity_suite())
     checks.extend(lattice_suite(alg))
     checks.extend(centralizer_suite(alg))
@@ -351,6 +382,7 @@ def _cmd_verify(args) -> Report:
         )
     ]
     if not any(c.status == "fail" for c in checks):
+        from .charalg import CharacterAlgebra
         checks = checks + full_suite(CharacterAlgebra(assemble_category(inp)))
     return Report("verify", inp, sections, checks)
 
@@ -376,7 +408,15 @@ _OPTIONS = {  # name: (option strings, metavar or None for a flag, usage part, h
     "json": (("--json",), None, "[--json]", "machine readable output"),
     "subcat": (("--subcat",), "LABELS", "--subcat LABELS", "comma separated generator labels"),
 }
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _negative(arg: str) -> bool:
+    r"""Whether argparse reads arg as a negative number: ^-\d+$|^-\d*\.\d+$, where
+    \d is any decimal digit and $ also matches before a final newline."""
+    body = arg[1:-1] if arg.endswith("\n") else arg[1:]
+    whole, _, frac = body.partition(".")
+    return arg[:1] == "-" and (body.isdecimal()
+                               or (not whole or whole.isdecimal()) and frac.isdecimal())
 
 
 class _UsageError(Exception):
@@ -437,7 +477,7 @@ def _optional(arg: str, table: dict, usage: str):
     if len(found) > 1:
         matches = ", ".join(s for _, s, _ in found)
         raise _UsageError(f"{usage}error: ambiguous option: {arg} could match {matches}")
-    return found[0] if found else None if _NEGATIVE.match(arg) or " " in arg else (None, arg, None)
+    return found[0] if found else None if _negative(arg) or " " in arg else (None, arg, None)
 
 
 def _option_error(usage: str, name: str, message: str) -> _UsageError:

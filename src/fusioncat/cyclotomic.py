@@ -42,10 +42,9 @@ checks only; nothing downstream branches on floats.
 
 from __future__ import annotations
 
-import cmath
 from functools import cache
 from itertools import takewhile
-from math import gcd, lcm, prod
+from math import cos, gcd, lcm, pi, prod, sin
 from operator import add, mul
 from struct import unpack
 
@@ -520,11 +519,8 @@ class Cyclotomic:
 
     def embed(self) -> complex:
         n = self.conductor
-        return sum(
-            c / self.den * cmath.exp(2j * cmath.pi * k / n)
-            for k, c in enumerate(self.nums)
-            if c
-        ) or complex(0)
+        angles = ((c, 2 * pi * k / n) for k, c in enumerate(self.nums) if c)
+        return sum(c / self.den * complex(cos(t), sin(t)) for c, t in angles) or complex(0)
 
     # -- comparison and display --------------------------------------------
 

@@ -5,13 +5,17 @@ import contextlib
 import io
 import json
 import random
+import re
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fusioncat import catalog_get, catalog_input, catalog_names, cli, lattice, save_category
-from fusioncat.category import CONDUCTOR_LIMIT, category_to_input, input_to_json
+from fusioncat.category import CONDUCTOR_LIMIT, _parse_rational, category_to_input, input_to_json
 from fusioncat.cli import run
+from fusioncat.errors import SchemaError
 
 
 def invoke(capsys, *argv):
@@ -167,6 +171,35 @@ def test_exit_unknown_catalog(capsys):
     assert "available" in err
 
 
+def _hostile_file_exits_3(capsys, path, *needles):
+    """The file ends in exit 3 and one line on stderr, with no traceback."""
+    for command in ("validate", "verify", "info"):
+        code, out, err = invoke(capsys, command, "--file", str(path))
+        assert (code, out, err.count("\n")) == (3, "", 1), command
+        assert err.startswith("error: ") and all(n in err for n in needles), err
+
+
+def test_exit_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(input_to_json(catalog_input("semion"))).encode("latin-1")
+                     .replace(b'"semion"', b'"s\xe9mion"'))
+    _hostile_file_exits_3(capsys, path, str(path), "not UTF-8")
+
+
+def test_exit_deep_nesting(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    _hostile_file_exits_3(capsys, path, str(path), "nested too deeply")
+
+
+def test_exit_coefficient_past_digit_limit(tmp_path, capsys):
+    obj = input_to_json(catalog_input("toric_code"))
+    obj["s_matrix"][1][2] = "1" * 4401
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    _hostile_file_exits_3(capsys, path, "s_matrix[1][2]", "4401 digits")
+
+
 def test_exit_usage_errors(capsys):
     assert invoke(capsys, "frobnicate")[0] == 3
     assert invoke(capsys, "verify")[0] == 3
@@ -259,6 +292,70 @@ def test_input_files_not_modified(tmp_path, capsys):
     before = path.read_bytes()
     invoke(capsys, "verify", "--file", str(path))
     assert path.read_bytes() == before
+
+
+# -- the JSON encoder against the json package ---------------------------------
+
+
+_JSON_CHARS = st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80 aé€ζ𝔽😀\U0010ffff\ud800'),
+    st.characters(),
+)
+_JSON_TEXT = st.text(_JSON_CHARS, max_size=8)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([10**40, -(10**40), -1, 0]),
+    _JSON_TEXT,
+)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+@example([])
+@example({})
+@example({"a": [], "b": {}, "": [[{}]]})
+def test_json_encoder_matches_json_dumps(obj):
+    assert cli._json(obj, "\n") == json.dumps(obj, indent=2, sort_keys=True)
+
+
+# -- string tests against the patterns they replaced ---------------------------
+
+
+_OLD_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's negative-number matcher
+_OLD_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")  # the rational string of the schema
+
+
+def _rational_or_none(text):
+    try:
+        return _parse_rational(text, "x")
+    except SchemaError as e:
+        assert str(e).startswith("x: expected a rational string"), e
+        return None
+
+
+def _check_string_tests(text):
+    assert cli._negative(text) == bool(_OLD_NEGATIVE.match(text)), text
+    p, _, q = text.partition("/")
+    old = (int(p), int(q or 1)) if _OLD_RATIONAL.match(text) else None
+    assert _rational_or_none(text) == old, text
+
+
+@pytest.mark.parametrize("text", ["-1\n", "1\n", "-١٢", "²", "+0/1", "1/0", "-.5", "", "-", "+",
+                                  "-5.", "-.", "1/", "/1", "+-1", "1/01", "1/1\n\n", "\n", "-\n",
+                                  "-1.2.3", " 1", "1_0", "1/١", "1/1١", "-1.5\n", "٣/7", "-²",
+                                  "-².5", "-.²", "-1²", "1/²"])
+def test_string_tests_match_old_patterns_on_hand_cases(text):
+    _check_string_tests(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(st.sampled_from("0123456789+-./\n ١٢²_") | st.characters(), max_size=8))
+def test_string_tests_match_old_patterns(text):
+    _check_string_tests(text)
 
 
 # -- the parser against the argparse front end it replaced --------------------

@@ -58,10 +58,12 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 @pytest.mark.parametrize("argv", [
     ["verify", "--catalog", "toric_code", "--json"],
     ["info", "--catalog", "fibonacci"],
+    ["catalog", "--json"],
 ])
 def test_cold_command_leaves_out_argparse_and_fractions(argv):
     """A cold command imports neither the argument parser of the standard
-    library nor fractions, nor what they import in turn."""
+    library nor fractions, nor json, re and enum, nor what they import in
+    turn; info and catalog also leave out the modules of the suites."""
     src = Path(fusioncat.__file__).resolve().parent.parent
     out = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", "-m", "fusioncat", *argv],
@@ -71,6 +73,36 @@ def test_cold_command_leaves_out_argparse_and_fractions(argv):
     loaded = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()}
     assert "fusioncat.cli" in loaded
     assert loaded & {"argparse", "gettext", "locale", "fractions", "decimal", "numbers"} == set()
+    assert loaded & {"json", "json.decoder", "json.encoder", "re", "enum"} == set()
+    suites = {"fusioncat.charalg", "fusioncat.lattice", "fusioncat.centralizer"}
+    assert loaded & suites == (suites if argv[0] == "verify" else set())
+
+
+def test_lazy_package_resolves_every_public_name():
+    """In a fresh interpreter, importing the submodule fusioncat.centralizer
+    before the name still leaves the package name centralizer on the
+    function, every public name is the object its defining module holds,
+    and a submodule is an attribute of the package on first use."""
+    src = Path(fusioncat.__file__).resolve().parent.parent
+    probe = "\n".join([
+        "import importlib, sys, fusioncat",
+        "assert fusioncat.charalg is sys.modules['fusioncat.charalg']",
+        "import fusioncat.centralizer",
+        "from fusioncat import centralizer",
+        "assert callable(centralizer) and centralizer.__module__ == 'fusioncat.centralizer'",
+        "for name in fusioncat.__all__:",
+        "    obj = getattr(fusioncat, name)",
+        "    assert obj is getattr(importlib.import_module(obj.__module__), name), name",
+        "try:",
+        "    fusioncat.no_such_name",
+        "except AttributeError:",
+        "    print(len(fusioncat.__all__), fusioncat.__version__)",
+    ])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout == "55 0.1.0\n"
 
 
 def test_keyword_construction_with_defaults():
