@@ -76,9 +76,37 @@ VERLINDE_BLOCK = 256
 
 
 class _Frozen:
-    """Read-only record: __init__ sets each slot via object.__setattr__; writes raise."""
+    """Read-only record.  Its fields are its __slots__ in order, less a
+    "__dict__" slot, which only holds cached properties; the field tuple is
+    read once per class, and no code is generated.  The one constructor takes
+    the fields by position or by name, an optional one from the class's
+    _defaults.  A bad call raises TypeError, a write AttributeError."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(f for f in cls.__dict__.get("__slots__", ()) if f != "__dict__")
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bound(args, kwargs)
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+
+    @classmethod
+    def _bound(cls, args: tuple, kwargs: dict) -> list:
+        """Every field's value for the call cls(*args, **kwargs), in order."""
+        fields, given = cls._fields, dict(zip(cls._fields, args))
+        wrong = [f for f in kwargs if f not in fields or f in given]
+        given = {**cls._defaults, **given, **kwargs}
+        missing = [f for f in fields if f not in given]
+        if len(args) > len(fields) or wrong or missing:
+            raise TypeError(f"{cls.__name__}() takes the fields {fields}: {len(args)} given by "
+                            f"position, {wrong} unknown or repeated, {missing} missing")
+        return [given[f] for f in fields]
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is read-only")
@@ -89,12 +117,8 @@ class _Frozen:
 class Check(_Frozen):
     """Outcome of one named invariant check."""
 
-    __slots__ = ("check_id", "status", "detail")
-
-    def __init__(self, check_id: str, status: str, detail: str = ""):
-        object.__setattr__(self, "check_id", check_id)
-        object.__setattr__(self, "status", status)  # "pass" | "fail" | "skip"
-        object.__setattr__(self, "detail", detail)
+    __slots__ = ("check_id", "status", "detail")  # status: "pass" | "fail" | "skip"
+    _defaults = {"detail": ""}
 
 
 def verdict(check_id: str, ok: bool, detail: str = "") -> Check:
@@ -113,12 +137,8 @@ class FusionRing(_Frozen):
     """Fusion coefficients N[i][j][k] with the derived duality involution.
     Index 0 is always the unit object."""
 
-    __slots__ = ("labels", "fusion", "dual", "__dict__")  # __dict__ holds nonzero
-
-    def __init__(self, labels: tuple[str, ...], fusion: tuple, dual: tuple[int, ...]):
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "fusion", fusion)  # tuple[tuple[tuple[int, ...], ...], ...]
-        object.__setattr__(self, "dual", dual)
+    # fusion[i][j][k] = N_ij^k, as nested tuples; __dict__ holds nonzero
+    __slots__ = ("labels", "fusion", "dual", "__dict__")
 
     @property
     def rank(self) -> int:
@@ -141,9 +161,6 @@ class PivotalData(_Frozen):
 
     __slots__ = ("dims",)
 
-    def __init__(self, dims: tuple[Cyclotomic, ...]):
-        object.__setattr__(self, "dims", dims)
-
 
 class ModularData(_Frozen):
     """Unnormalized s-matrix, in its least field when built from input, and
@@ -152,11 +169,8 @@ class ModularData(_Frozen):
 
     __slots__ = ("s", "twists", "conductor")
 
-    def __init__(self, s: CycloMatrix, twists: tuple[Cyclotomic, ...] | None = None,
-                 conductor: int | None = None):
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "twists", twists)
-        object.__setattr__(self, "conductor", conductor or s.conductor)
+    def __init__(self, s: CycloMatrix, twists: tuple | None = None, conductor: int | None = None):
+        super().__init__(s, twists, conductor or s.conductor)
 
 
 class CategoryData(_Frozen):
@@ -172,18 +186,9 @@ class CategoryData(_Frozen):
     s_kl = sum_k s_{r* k} s_kl = (s s)_{r* l} = c delta_rl, and c = (s s)_00
     = c' as 0* = 0.  So sum_k N_ij^k s_kl = s_il s_jl / d_l; divide by d_l."""
 
+    # dim is the global dimension, sum_i d_i d_{i*}
     __slots__ = ("name", "ring", "pivotal", "modular", "char_table", "dim", "certified")
-
-    def __init__(self, name: str, ring: FusionRing, pivotal: PivotalData,
-                 modular: ModularData | None, char_table: CycloMatrix | None, dim: Cyclotomic,
-                 certified: tuple | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "pivotal", pivotal)
-        object.__setattr__(self, "modular", modular)
-        object.__setattr__(self, "char_table", char_table)
-        object.__setattr__(self, "dim", dim)  # global dimension, sum_i d_i d_{i*}
-        object.__setattr__(self, "certified", certified)
+    _defaults = {"certified": None}
 
     @property
     def rank(self) -> int:
@@ -266,10 +271,7 @@ def dual_involution(fusion) -> tuple[int, ...]:
 
 
 def global_dim(dims, dual) -> Cyclotomic:
-    total = rational(0)
-    for i, d in enumerate(dims):
-        total = total + d * dims[dual[i]]
-    return total
+    return sum((d * dims[dual[i]] for i, d in enumerate(dims)), rational(0))
 
 
 def verlinde_fusion(s: CycloMatrix, show=lambda v: v):
@@ -288,9 +290,7 @@ def verlinde_fusion(s: CycloMatrix, show=lambda v: v):
     for r, d in enumerate(dims):
         if d.is_zero():
             raise DegenerateError(f"s_0{r} = 0, zero dimension")
-    dim_c = rational(0)
-    for d in dims:
-        dim_c = dim_c + d * d
+    dim_c = sum((d * d for d in dims), rational(0))
     if dim_c.is_zero():
         raise DegenerateError("global dimension is zero")
     dim_inv = dim_c.inv()
@@ -331,22 +331,10 @@ def verlinde_fusion(s: CycloMatrix, show=lambda v: v):
 class CategoryInput(_Frozen):
     """Parsed but not yet trusted category description."""
 
+    # kind is "modular" | "fusion_ring"; __dict__ holds derived_ring
     __slots__ = ("name", "kind", "conductor", "labels", "s_matrix", "twists", "fusion",
-                 "dims", "char_table", "__dict__")  # __dict__ holds derived_ring
-
-    def __init__(self, name: str, kind: str, conductor: int, labels: tuple[str, ...],
-                 s_matrix: CycloMatrix | None = None, twists: tuple[Cyclotomic, ...] | None = None,
-                 fusion: tuple | None = None, dims: tuple[Cyclotomic, ...] | None = None,
-                 char_table: CycloMatrix | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "kind", kind)  # "modular" | "fusion_ring"
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "s_matrix", s_matrix)
-        object.__setattr__(self, "twists", twists)
-        object.__setattr__(self, "fusion", fusion)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "char_table", char_table)
+                 "dims", "char_table", "__dict__")
+    _defaults = dict.fromkeys(("s_matrix", "twists", "fusion", "dims", "char_table"))
 
     @property
     def rank(self) -> int:

@@ -41,14 +41,8 @@ __all__ = [
 
 
 class CentralizerResult(_Frozen):
+    # image is drinfeld(lambda_D)
     __slots__ = ("subcat", "smatrix_route", "transform_route", "image")
-
-    def __init__(self, subcat: FusionSubcategory, smatrix_route: FusionSubcategory,
-                 transform_route: FusionSubcategory, image: CentralElement):
-        object.__setattr__(self, "subcat", subcat)
-        object.__setattr__(self, "smatrix_route", smatrix_route)
-        object.__setattr__(self, "transform_route", transform_route)
-        object.__setattr__(self, "image", image)  # drinfeld(lambda_D)
 
     @property
     def agreed(self) -> bool:

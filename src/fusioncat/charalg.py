@@ -82,6 +82,8 @@ class _Vector(_Frozen):
         n, den, (nums,) = flatten([coeffs])
         return _vec(cls, n, nums, den)
 
+    __init__ = object.__init__  # built in __new__, not by _Frozen's constructor
+
     @property
     def coeffs(self) -> tuple[Cyclotomic, ...]:
         if not hasattr(self, "_coeffs"):
@@ -200,27 +202,20 @@ class CentralElement(_Vector):
 
 
 class ConjugacyData(_Frozen):
-    __slots__ = ("alpha", "idempotents", "class_sums", "sizes", "multiplicities", "column_order")
-
-    def __init__(self, alpha: CycloMatrix, idempotents: tuple[ClassFunction, ...],
-                 class_sums: tuple[CentralElement, ...], sizes: tuple[Cyclotomic, ...],
-                 multiplicities: tuple[Cyclotomic, ...], column_order: tuple[int, ...]):
-        object.__setattr__(self, "alpha", alpha)  # alpha_ij = chi_i on the class of j
-        object.__setattr__(self, "idempotents", idempotents)  # F_j
-        object.__setattr__(self, "class_sums", class_sums)  # cbar_j = F^{-1}(F_j)
-        object.__setattr__(self, "sizes", sizes)  # |C^j| = dim(C) tau(F_j) = dim(C) / f_j
-        object.__setattr__(self, "multiplicities", multiplicities)  # n_j = f_j, formal codegree
-        object.__setattr__(self, "column_order", column_order)  # table column behind class j
+    __slots__ = (
+        "alpha",  # alpha_ij = chi_i on the class of j
+        "idempotents",  # F_j
+        "class_sums",  # cbar_j = F^{-1}(F_j)
+        "sizes",  # |C^j| = dim(C) tau(F_j) = dim(C) / f_j
+        "multiplicities",  # n_j = f_j, formal codegree
+        "column_order",  # table column behind class j
+    )
 
 
 class ClassSumProduct(_Frozen):
     """cbar_i cbar_j = sum_l c_ij^l cbar_l with c_ij^l = (d_i d_j / d_l) N_ij^l."""
 
     __slots__ = ("constants", "rational_flags")
-
-    def __init__(self, constants: tuple[Cyclotomic, ...], rational_flags: tuple[bool, ...]):
-        object.__setattr__(self, "constants", constants)
-        object.__setattr__(self, "rational_flags", rational_flags)
 
     @property
     def all_rational(self) -> bool:

@@ -183,6 +183,13 @@ def _source(args, from_catalog, from_file):
         raise SchemaError(e.args[0]) from e
 
 
+def _algebra(args):
+    """(data, its CharacterAlgebra, its labels) for the category args name."""
+    from .charalg import CharacterAlgebra
+    data = _source(args, catalog_get, load_category)
+    return data, CharacterAlgebra(data), data.ring.labels
+
+
 def _members_str(labels, members) -> str:
     return "{" + ", ".join(labels[i] for i in members) + "}"
 
@@ -239,11 +246,8 @@ def _cmd_info(args) -> Report:
 
 
 def _cmd_subcats(args) -> Report:
-    from .charalg import CharacterAlgebra
     from .lattice import enumerate_subcats, subcat_invariants
-    data = _source(args, catalog_get, load_category)
-    alg = CharacterAlgebra(data)
-    labels = data.ring.labels
+    data, alg, labels = _algebra(args)
     subcats = enumerate_subcats(alg)
     invs = [subcat_invariants(alg, d) for d in subcats]
     keyed = [(_members_str(labels, d.members), inv) for d, inv in zip(subcats, invs)]
@@ -268,11 +272,8 @@ def _cmd_subcats(args) -> Report:
 
 def _cmd_centralizer(args) -> Report:
     from .centralizer import centralizer, verify_main_identity
-    from .charalg import CharacterAlgebra
     from .lattice import generate_subcat, subcat_invariants
-    data = _source(args, catalog_get, load_category)
-    alg = CharacterAlgebra(data)
-    labels = data.ring.labels
+    data, alg, labels = _algebra(args)
     names = [lab.strip() for lab in args.subcat.split(",")]
     unknown = [lab for lab in names if lab not in labels]
     if unknown:
@@ -297,10 +298,7 @@ def _cmd_centralizer(args) -> Report:
 
 
 def _cmd_classes(args) -> Report:
-    from .charalg import CharacterAlgebra
-    data = _source(args, catalog_get, load_category)
-    alg = CharacterAlgebra(data)
-    labels = data.ring.labels
+    data, alg, labels = _algebra(args)
     conj = alg.conjugacy()
     sections = [
         Section("class sizes", list(zip(labels, conj.sizes))),
@@ -315,11 +313,8 @@ def _cmd_classes(args) -> Report:
 
 
 def _cmd_grading(args) -> Report:
-    from .charalg import CharacterAlgebra
     from .lattice import grading, prime_index_check
-    data = _source(args, catalog_get, load_category)
-    alg = CharacterAlgebra(data)
-    labels = data.ring.labels
+    data, alg, labels = _algebra(args)
     grade = grading(alg)
     names = [f"g{k}" for k in range(len(grade.components))]
     sections = [

@@ -40,6 +40,7 @@ from __future__ import annotations
 import weakref
 from functools import cmp_to_key, wraps
 from itertools import compress, count, product
+from math import isqrt
 from operator import mul
 
 from .category import Check, _Frozen, verdict
@@ -73,9 +74,6 @@ class FusionSubcategory(_Frozen):
 
     __slots__ = ("members",)
 
-    def __init__(self, members: tuple[int, ...]):
-        object.__setattr__(self, "members", members)
-
     def __eq__(self, other):
         return type(other) is FusionSubcategory and self.members == other.members
 
@@ -92,39 +90,15 @@ class FusionSubcategory(_Frozen):
 class SubcatInvariants(_Frozen):
     __slots__ = ("subcat", "dim", "index", "cointegral", "integral", "support")
 
-    def __init__(self, subcat: FusionSubcategory, dim: Cyclotomic, index: Cyclotomic,
-                 cointegral: ClassFunction, integral: CentralElement, support: tuple[int, ...]):
-        object.__setattr__(self, "subcat", subcat)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "cointegral", cointegral)
-        object.__setattr__(self, "integral", integral)
-        object.__setattr__(self, "support", support)
-
 
 class Grading(_Frozen):
+    # components: the partition, 0 holding the unit; table: the universal grading group
     __slots__ = ("adjoint", "pointed", "components", "table")
-
-    def __init__(self, adjoint: FusionSubcategory, pointed: FusionSubcategory,
-                 components: tuple[tuple[int, ...], ...], table: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "adjoint", adjoint)
-        object.__setattr__(self, "pointed", pointed)
-        object.__setattr__(self, "components", components)  # partition; 0 holds the unit
-        object.__setattr__(self, "table", table)  # universal grading group
 
 
 class PrimeIndexReport(_Frozen):
+    # the index-p subcategories and normal subgroups; pairs: (subgroup, members of its preimage)
     __slots__ = ("applicable", "reason", "prime", "subcategories", "subgroups", "pairs", "checks")
-
-    def __init__(self, applicable: bool, reason: str, prime: int | None, subcategories: tuple,
-                 subgroups: tuple, pairs: tuple, checks: tuple[Check, ...]):
-        object.__setattr__(self, "applicable", applicable)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "subcategories", subcategories)  # index-p subcategories
-        object.__setattr__(self, "subgroups", subgroups)  # index-p normal subgroups
-        object.__setattr__(self, "pairs", pairs)  # (subgroup, members of its preimage)
-        object.__setattr__(self, "checks", checks)
 
 
 _MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -287,18 +261,16 @@ def _invariants(alg: CharacterAlgebra, subcats) -> list[SubcatInvariants]:
     fourier_inv(lambda_D) = u 1_D / dim D for u = fourier_inv(sum_i d_{i*}
     chi_i), which is index 1_D iff u_k = dim C on D; then <F_j, ell_D> =
     index <F_j d, 1_D>.  That and sum_{j in supp D} of F_j and of |C^j| are
-    products of 0/1 indicator matrices with flat rows (_sums), for every D."""
+    products of 0/1 indicator matrices with flat rows (_sums), for every D;
+    the rows do not depend on D, so _invariant_rows builds them once."""
     memo = _MEMOS.setdefault(alg, {})
     todo = [d for d in subcats if ("subcat_invariants", d) not in memo]
     if todo:
-        rank, conj = alg.rank, alg.conjugacy()
-        u = alg.fourier_inv(alg._codims).coeffs
-        good = sum(1 << k for k in range(rank) if u[k] == alg.dim)
-        weighted = _transposed([_mul(_Vector, f, alg._dims_vec) for f in conj.idempotents])
+        good, weighted, idempotents, class_sizes = _invariant_rows(alg)
         n, _, pairs = _sums(weighted, [d.members for d in todo])
         supports = [tuple(compress(count(), map(any, _chunks(r, euler_phi(n))))) for r in pairs]
-        n, den, lams = _sums(conj.idempotents, supports)
-        m, den_m, sizes = _sums([_Vector((z,)) for z in conj.sizes], supports)
+        n, den, lams = _sums(idempotents, supports)
+        m, den_m, sizes = _sums(class_sizes, supports)
         for d, support, lam_sum, size_sum in zip(todo, supports, lams, sizes):
             dim_d = _dim(alg, d.members)
             dim_inv = dim_d.inv()  # a zero dimension raises here, first
@@ -321,10 +293,22 @@ def _invariants(alg: CharacterAlgebra, subcats) -> list[SubcatInvariants]:
     return [memo["subcat_invariants", d] for d in subcats]
 
 
-def _sums(vectors, selections):
-    """(n, den, rows): row s is the sum of vectors[k] over k in selections[s],
-    as flat numerators over den; the 0/1 selection matrix times the vectors."""
-    n, den, rows = _family(vectors)
+@_memoized
+def _invariant_rows(alg: CharacterAlgebra) -> tuple:
+    """(good, weighted, idempotents, sizes): the mask of the k with u_k = dim
+    C, and as _family rows the transpose of the F_j d, the F_j and the |C^j|."""
+    conj = alg.conjugacy()
+    u = alg.fourier_inv(alg._codims).coeffs
+    good = sum(1 << k for k in range(alg.rank) if u[k] == alg.dim)
+    weighted = _transposed([_mul(_Vector, f, alg._dims_vec) for f in conj.idempotents])
+    sizes = [_Vector((z,)) for z in conj.sizes]
+    return good, *(_family(v) for v in (weighted, conj.idempotents, sizes))
+
+
+def _sums(family, selections):
+    """(n, den, rows): row s is the sum of the rows k of the _family over k in
+    selections[s]; the 0/1 selection matrix times the vectors."""
+    n, den, rows = family
     zero = [0] * len(rows[0])
     return n, den, [list(map(sum, zip(zero, *(rows[k] for k in sel)))) for sel in selections]
 
@@ -355,8 +339,7 @@ def grading(alg: CharacterAlgebra) -> Grading:
     seed = {k for i in range(rank) for k, _ in nonzero[i][ring.dual[i]]}
     adjoint = generate_subcat(alg, seed)
 
-    assigned = {}
-    components = []
+    assigned, components = {}, []  # object: its component
     for j in range(rank):
         if j in assigned:
             continue
@@ -365,10 +348,8 @@ def grading(alg: CharacterAlgebra) -> Grading:
             raise InternalConsistencyError(
                 "adjoint translates do not partition the simple objects"
             )
-        idx = len(components)
+        assigned.update(dict.fromkeys(comp, len(components)))
         components.append(comp)
-        for i in comp:
-            assigned[i] = idx
 
     order = len(components)
     if components[0] != adjoint.members:
@@ -410,15 +391,6 @@ def grading(alg: CharacterAlgebra) -> Grading:
         adjoint=adjoint, pointed=FusionSubcategory(pointed_members),
         components=tuple(components), table=table,
     )
-
-
-def _smallest_prime_factor(n: int) -> int:
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 1
-    return n
 
 
 def _subgroups_of_index(table, p: int) -> list[tuple[int, ...]]:
@@ -472,7 +444,7 @@ def prime_index_check(alg: CharacterAlgebra) -> PrimeIndexReport:
     if dim_c <= 1:
         return na("not applicable: global dimension 1 has no prime factor")
 
-    p = _smallest_prime_factor(dim_c)
+    p = next((q for q in range(2, isqrt(dim_c) + 1) if not dim_c % q), dim_c)  # least prime factor
     target = dim_c // p
     subcats = tuple(d for d in enumerate_subcats(alg) if _dim(alg, d.members) == target)
 

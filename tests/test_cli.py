@@ -200,6 +200,26 @@ def test_exit_coefficient_past_digit_limit(tmp_path, capsys):
     _hostile_file_exits_3(capsys, path, "s_matrix[1][2]", "4401 digits")
 
 
+@pytest.mark.parametrize("digits", [4000, 4300])
+@pytest.mark.parametrize("at", [(1, 1), (1, 2)], ids=["diagonal", "off-diagonal"])
+def test_derived_value_past_digit_limit_fails_verlinde(digits, at, tmp_path, capsys):
+    """An s entry that parses, but whose Verlinde coefficient is too long for
+    str(int), gives a failing verlinde-integral, not a traceback."""
+    obj = input_to_json(catalog_input("toric_code"))
+    i, j = at
+    obj["s_matrix"][i][j] = obj["s_matrix"][j][i] = "1" * digits
+    path = tmp_path / "derived.json"
+    path.write_text(json.dumps(obj))
+    for command, expected in (("validate", 1), ("verify", 2)):
+        code, out, err = invoke(capsys, command, "--file", str(path))
+        assert (code, err) == (expected, ""), command
+        assert re.search(r"^  fail  verlinde-integral ", out, re.M), command
+        code, out, err = invoke(capsys, command, "--file", str(path), "--json")
+        assert (code, err) == (expected, ""), command
+        statuses = {c["id"]: c["status"] for c in json.loads(out)["checks"]}
+        assert statuses["verlinde-integral"] == "fail", command
+
+
 def test_exit_usage_errors(capsys):
     assert invoke(capsys, "frobnicate")[0] == 3
     assert invoke(capsys, "verify")[0] == 3

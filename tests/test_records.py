@@ -2,7 +2,8 @@
 
 Every record is a plain slotted class, not a dataclass, which keeps the
 package's import free of per-class code generation and of the dataclasses
-and inspect modules.
+and inspect modules.  All but the vectors share _Frozen's one constructor
+over their __slots__.
 """
 
 import dataclasses
@@ -16,11 +17,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import replaced
+
 import fusioncat
-from fusioncat import catalog_get
-from fusioncat.category import CategoryInput, Check, ModularData
+from fusioncat import catalog_get, catalog_input
+from fusioncat.category import CategoryInput, Check, ModularData, _Frozen
 from fusioncat.centralizer import centralizer
-from fusioncat.charalg import CentralElement, CharacterAlgebra, ClassFunction
+from fusioncat.charalg import CentralElement, CharacterAlgebra, ClassFunction, _Vector
 from fusioncat.lattice import (
     FusionSubcategory,
     enumerate_subcats,
@@ -110,7 +113,7 @@ def test_keyword_construction_with_defaults():
     assert (check.check_id, check.status, check.detail) == ("unit-axiom", "pass", "")
     s = catalog_get("semion").modular.s
     modular = ModularData(s=s)
-    assert modular.s is s and modular.twists is None
+    assert modular.s is s and modular.twists is None and modular.conductor == s.conductor
 
 
 def test_category_input_keeps_field_order_and_defaults():
@@ -180,3 +183,65 @@ def test_vectors_are_unhashable(toric):
     for vector in (toric.character(1), toric.idempotent(1)):
         with pytest.raises(TypeError):
             hash(vector)
+
+
+def _record_classes():
+    """Every _Frozen subclass in the package."""
+    for info in pkgutil.iter_modules(fusioncat.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"fusioncat.{info.name}")
+    found, todo = set(), [_Frozen]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            found.add(cls)
+            todo.append(cls)
+    return found
+
+
+def test_one_record_constructor():
+    """Only ModularData, whose conductor defaults to its s-matrix's, and the
+    vectors, which are built in __new__, define an __init__ of their own."""
+    assert {cls.__name__ for cls in _record_classes() if "__init__" in vars(cls)} == {
+        "ModularData", "_Vector"
+    }
+
+
+def _sample_records(alg):
+    """One record of every class with the shared constructor."""
+    data, subcat = alg.data, enumerate_subcats(alg)[1]
+    return [
+        Check("x", "pass"), data.ring, data.pivotal, data.modular, data,
+        catalog_input("toric_code"), alg.conjugacy(), alg.class_sum_product(1, 1), subcat,
+        subcat_invariants(alg, subcat), grading(alg), prime_index_check(alg),
+        centralizer(alg, subcat),
+    ]
+
+
+def test_record_contract(toric):
+    records = _sample_records(toric)
+    classes = {cls for cls in _record_classes() if not issubclass(cls, _Vector)}
+    assert {type(r) for r in records} == classes  # a new record needs a sample here
+    for record in records:
+        cls, fields = type(record), type(record)._fields
+        assert fields == tuple(f for f in cls.__slots__ if f != "__dict__"), cls
+        values = [getattr(record, f) for f in fields]
+        named = dict(zip(fields, values))
+        for built in (cls(*values), cls(**named), replaced(record)):
+            assert all(getattr(built, f) is v for f, v in named.items()), cls
+        required = {f: v for f, v in named.items() if f not in cls._defaults}
+        built = cls(**required)
+        assert all(getattr(built, f) == v for f, v in cls._defaults.items()), cls
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        bad_calls = [
+            lambda: cls(*values, None),  # too many positionals
+            lambda: cls(*values, no_such_field=None),  # an unknown name
+            lambda: cls(),  # a missing field
+            lambda: cls(*values, **{fields[0]: values[0]}),  # a field given twice
+        ]
+        for call in bad_calls:
+            with pytest.raises(TypeError):
+                call()
