@@ -32,7 +32,7 @@ from itertools import product
 from math import lcm
 
 from .cyclotomic import (
-    Cyclotomic, CycloMatrix, _chunks, _make, euler_phi, flatten, matmul, matmul_nums,
+    Cyclotomic, CycloMatrix, _chunks, _Frozen, _make, euler_phi, flatten, matmul, matmul_nums,
     pointwise_nums, rational, shown,
 )
 from .errors import (
@@ -70,48 +70,12 @@ SCHEMA_VERSION = 1
 # Largest conductor a file may declare: the first sum at conductor n builds an
 # n * phi(n)-entry monomial table, which takes seconds from about n = 10000.
 CONDUCTOR_LIMIT = 1000
+# Largest rank a file may declare: validation grows about as rank^3.2 and
+# takes 8 s at rank 128, so rank 500 would take about ten minutes.
+RANK_LIMIT = 128
 # Pairs (i, j) per Verlinde matmul: one packing of the columns serves them
 # all, and the products held at once stay below 256 rank phi numerators.
 VERLINDE_BLOCK = 256
-
-
-class _Frozen:
-    """Read-only record.  Its fields are its __slots__ in order, less a
-    "__dict__" slot, which only holds cached properties; the field tuple is
-    read once per class, and no code is generated.  The one constructor takes
-    the fields by position or by name, an optional one from the class's
-    _defaults.  A bad call raises TypeError, a write AttributeError."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-    _defaults: dict = {}
-
-    def __init_subclass__(cls):
-        cls._fields += tuple(f for f in cls.__dict__.get("__slots__", ()) if f != "__dict__")
-
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bound(args, kwargs)
-        for field, value in zip(fields, args):
-            object.__setattr__(self, field, value)
-
-    @classmethod
-    def _bound(cls, args: tuple, kwargs: dict) -> list:
-        """Every field's value for the call cls(*args, **kwargs), in order."""
-        fields, given = cls._fields, dict(zip(cls._fields, args))
-        wrong = [f for f in kwargs if f not in fields or f in given]
-        given = {**cls._defaults, **given, **kwargs}
-        missing = [f for f in fields if f not in given]
-        if len(args) > len(fields) or wrong or missing:
-            raise TypeError(f"{cls.__name__}() takes the fields {fields}: {len(args)} given by "
-                            f"position, {wrong} unknown or repeated, {missing} missing")
-        return [given[f] for f in fields]
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is read-only")
-
-    __delattr__ = __setattr__
 
 
 class Check(_Frozen):
@@ -657,6 +621,8 @@ def parse_category(obj) -> CategoryInput:
     rank = obj["rank"]
     if rank != len(labels):
         raise SchemaError(f"rank: {rank!r} does not match {len(labels)} labels")
+    if rank > RANK_LIMIT:
+        raise CapabilityError(f"rank {rank} is past the limit {RANK_LIMIT}")
 
     if kind == "modular":
         s = _parse_matrix(obj["s_matrix"], rank, conductor, "s_matrix")

@@ -24,9 +24,9 @@ on one subcategory.
 
 from __future__ import annotations
 
-from .category import Check, _Frozen, verdict
+from .category import Check, verdict
 from .charalg import CentralElement, CharacterAlgebra, _products
-from .cyclotomic import _chunks, euler_phi
+from .cyclotomic import _chunks, _Frozen, euler_phi
 from .errors import CapabilityError, InternalConsistencyError, NotRibbonConsistentError
 from .lattice import FusionSubcategory, _close, _invariants, _ring_masks, enumerate_subcats
 
@@ -73,7 +73,7 @@ def centralizer_theorem(alg: CharacterAlgebra, subcat: FusionSubcategory, image=
     drinfeld(lambda_D), computed when not given."""
     if image is None:
         image = alg.drinfeld(alg.cointegral(subcat.members))
-    chunks = _chunks(image.nums, euler_phi(image.n))
+    chunks = _chunks(image.nums, euler_phi(image.conductor))
     one, support = (image.den,) + (0,) * (len(chunks[0]) - 1), []
     for j, x in enumerate(chunks):
         if x == one:
@@ -135,7 +135,8 @@ def _laws(alg: CharacterAlgebra, subcats, results) -> list:
     detail(x) its detail at index x.  One pass over the lattice per law.
     Route agreement fails where a route raised; the other laws run where
     both routes returned, and apply only when one did.  D'' is read from the
-    row of D' in results, or taken by the s-matrix route when D' has none."""
+    row of D' in results, or taken by the s-matrix route when D' has none;
+    where that route raises, double-centralizer fails with its message."""
     ok = [x for x, r in enumerate(results) if isinstance(r, CentralizerResult)]
 
     def agreement(x):
@@ -154,11 +155,15 @@ def _laws(alg: CharacterAlgebra, subcats, results) -> list:
         return laws
     primes = dict(zip(ok, _invariants(alg, [results[x].transform_route for x in ok])))
     invs, rows, doubles = _invariants(alg, subcats), dict(zip(subcats, results)), {}
-    for x in ok:
+    for x in ok:  # (members of D'' or None, detail)
         prime = results[x].transform_route
         row = rows.get(prime)
-        doubles[x] = (row.smatrix_route if isinstance(row, CentralizerResult)
-                      else centralizer_smatrix(alg, prime))
+        try:
+            double = (row.smatrix_route if isinstance(row, CentralizerResult)
+                      else centralizer_smatrix(alg, prime)).members
+            doubles[x] = double, f"(D')' = {list(double)}"
+        except NotRibbonConsistentError as e:
+            doubles[x] = None, str(e)
 
     def first(holds):
         return next((x for x in ok if not holds(x)), None)
@@ -176,8 +181,8 @@ def _laws(alg: CharacterAlgebra, subcats, results) -> list:
         ("centralizer-support", first(lambda x: primes[x].support == subcats[x].members),
          lambda x: f"support(D') = {list(primes[x].support)}, "
                    f"members(D) = {list(subcats[x].members)}"),
-        ("double-centralizer", first(lambda x: doubles[x].members == subcats[x].members),
-         lambda x: f"(D')' = {list(doubles[x].members)}"),
+        ("double-centralizer", first(lambda x: doubles[x][0] == subcats[x].members),
+         lambda x: doubles[x][1]),
         ("dim-product", first(lambda x: invs[x].dim * primes[x].dim == alg.dim),
          lambda x: f"dim D = {show(invs[x].dim)}, dim D' = {show(primes[x].dim)}"),
     ]

@@ -51,12 +51,12 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 
-from .category import CategoryData, Check, _Frozen, _law_witness, _witness, verdict
+from .category import CategoryData, Check, _law_witness, _witness, verdict
 from .cyclotomic import (
-    Cyclotomic, CycloMatrix, _chunks, _make, bilinear, euler_phi, flatten, lift_nums,
-    matmul_nums, pointwise_nums, rational,
+    Cyclotomic, CycloMatrix, _chunks, _Flat, _Frozen, _make, bilinear, euler_phi, flatten,
+    lift_nums, matmul_nums, pointwise_nums, rational,
 )
 from .errors import CapabilityError, InternalConsistencyError
 
@@ -69,26 +69,24 @@ __all__ = [
 ]
 
 
-class _Vector(_Frozen):
+class _Vector(_Flat):
     """Coefficient vector over a basis; the subclass names the basis, and
     vectors over different bases never compare equal.  Unhashable.  Stored
-    as the conductor n, one positive denominator den and the flat tuple nums
-    of phi(n) integer numerators per coordinate, with gcd(den, *nums) = 1;
-    coeffs builds the Cyclotomic coordinates once, when first read."""
+    flat as a Cyclotomic is, with phi(n) numerators per coordinate; coeffs
+    builds the Cyclotomic coordinates once, when first read."""
 
-    __slots__ = ("n", "den", "nums", "_coeffs")
+    __slots__ = ("_coeffs",)
 
     def __new__(cls, coeffs: tuple[Cyclotomic, ...]):
         n, den, (nums,) = flatten([coeffs])
-        return _vec(cls, n, nums, den)
-
-    __init__ = object.__init__  # built in __new__, not by _Frozen's constructor
+        return _make(n, nums, den, cls)
 
     @property
     def coeffs(self) -> tuple[Cyclotomic, ...]:
         if not hasattr(self, "_coeffs"):
-            chunks = _chunks(self.nums, euler_phi(self.n))
-            _set_coeffs(self, tuple(_make(self.n, x, self.den) for x in chunks))
+            n = self.conductor
+            coeffs = tuple(_make(n, x, self.den) for x in _chunks(self.nums, euler_phi(n)))
+            object.__setattr__(self, "_coeffs", coeffs)
         return self._coeffs
 
     def __repr__(self):
@@ -96,7 +94,7 @@ class _Vector(_Frozen):
 
     def __add__(self, other, sign=1):
         n, den, (x, y) = _family((self, other))
-        return _vec(type(self), n, [a + sign * b for a, b in zip(x, y)], den)
+        return _make(n, [a + sign * b for a, b in zip(x, y)], den, type(self))
 
     def __sub__(self, other):
         return self.__add__(other, -1)
@@ -104,8 +102,9 @@ class _Vector(_Frozen):
     def scaled(self, c):
         c = c if isinstance(c, Cyclotomic) else rational(c)
         if c.is_rational():
-            return _vec(type(self), self.n, [c.nums[0] * x for x in self.nums], self.den * c.den)
-        return _mul(type(self), self, _vec(_Vector, c.conductor, c.nums, c.den))
+            nums = [c.nums[0] * x for x in self.nums]
+            return _make(self.conductor, nums, self.den * c.den, type(self))
+        return _mul(type(self), self, c)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -114,24 +113,12 @@ class _Vector(_Frozen):
         return self.den == other.den and x == y
 
 
-_set_n, _set_den, _set_nums, _set_coeffs = (getattr(_Vector, f).__set__ for f in _Vector.__slots__)
-
-
-def _vec(cls, n: int, nums, den: int = 1):
-    """Trusted constructor, as cyclotomic._make: divides out gcd(den, *nums)."""
-    g, v = gcd(den, *nums), object.__new__(cls)
-    _set_n(v, n)
-    _set_den(v, den // g)
-    _set_nums(v, tuple(nums) if g == 1 else tuple(c // g for c in nums))
-    return v
-
-
 def _family(vectors, n: int = 1):
-    """(n, den, rows): the vectors at the lcm of their conductors and n, as
-    flat numerator rows over one denominator."""
-    n = lcm(n, *(v.n for v in vectors))
+    """(n, den, rows): the vectors (a Cyclotomic is one coordinate) at the lcm
+    of their conductors and n, as flat numerator rows over one denominator."""
+    n = lcm(n, *(v.conductor for v in vectors))
     den = lcm(*(v.den for v in vectors))
-    rows = ((lift_nums(v.nums, v.n, n), den // v.den) for v in vectors)
+    rows = ((lift_nums(v.nums, v.conductor, n), den // v.den) for v in vectors)
     return n, den, [list(x) if f == 1 else [c * f for c in x] for x, f in rows]
 
 
@@ -141,30 +128,30 @@ def _mul(cls, a, b):
     n, den, (x, y) = _family((a, b))
     if len(x) != len(y):
         x, y = (x * (len(y) // len(x)), y) if len(x) < len(y) else (x, y * (len(x) // len(y)))
-    return _vec(cls, n, pointwise_nums(n, x, y), den * den)
+    return _make(n, pointwise_nums(n, x, y), den * den, cls)
 
 
 def _permuted(cls, v, perm):
     """The cls with coordinate i = coordinate perm[i] of v, in each block of
     len(perm) coordinates when v stacks several vectors."""
-    phi = euler_phi(v.n)
+    phi = euler_phi(v.conductor)
     at = [i * phi + m for i in perm for m in range(phi)]
-    nums = v.nums
-    return _vec(cls, v.n, [nums[b + k] for b in range(0, len(nums), len(at)) for k in at], v.den)
+    nums = [v.nums[b + k] for b in range(0, len(v.nums), len(at)) for k in at]
+    return _make(v.conductor, nums, v.den, cls)
 
 
 def _transposed(vectors) -> list[_Vector]:
     """The columns of the matrix with the vectors as rows."""
     n, den, rows = _family(vectors)
     cols = zip(*(_chunks(row, euler_phi(n)) for row in rows))
-    return [_vec(_Vector, n, [c for x in col for c in x], den) for col in cols]
+    return [_make(n, [c for x in col for c in x], den, _Vector) for col in cols]
 
 
 def _products(cls, xs, ys) -> list:
     """Row a is the cls with coordinate b = sum_k xs[a]_k ys[b]_k: one matmul."""
-    n, dx, rows = _family(xs, lcm(*(v.n for v in ys)))
+    n, dx, rows = _family(xs, lcm(*(v.conductor for v in ys)))
     n, dy, cols = _family(ys, n)
-    return [_vec(cls, n, row, dx * dy) for row in matmul_nums(n, rows, cols)]
+    return [_make(n, row, dx * dy, cls) for row in matmul_nums(n, rows, cols)]
 
 
 _CLASS_CHECKS = (
@@ -203,7 +190,7 @@ class CentralElement(_Vector):
 
 class ConjugacyData(_Frozen):
     __slots__ = (
-        "alpha",  # alpha_ij = chi_i on the class of j
+        "alpha",  # row i: alpha_ij = chi_i on the class of j, the rows the law was proved for
         "idempotents",  # F_j
         "class_sums",  # cbar_j = F^{-1}(F_j)
         "sizes",  # |C^j| = dim(C) tau(F_j) = dim(C) / f_j
@@ -236,7 +223,6 @@ class CharacterAlgebra:
         # flat numerators of the d_i d_{i*}, which subset_dim sums
         self._dim_terms = flatten([[d * self.dims[k] for d, k in zip(self.dims, self.dual)]])
         self._conjugacy: ConjugacyData | None = None
-        self._law_rows = None  # a family conjugacy() proved the character law for
         self.n = lcm(*(d.conductor for d in self.dims))
         # weights of the pairing, fourier and fourier_inv, built once
         self._dims_vec = _Vector(self.dims)
@@ -253,7 +239,7 @@ class CharacterAlgebra:
         nums = [0] * (self.rank * phi)
         for k in ones:
             nums[k * phi] = 1
-        return _vec(cls, self.n, nums)
+        return _make(self.n, nums, cls=cls)
 
     def cf_zero(self) -> ClassFunction:
         return self._basis(ClassFunction, ())
@@ -397,7 +383,6 @@ class CharacterAlgebra:
         rank, dual, ring = self.rank, self.dual, self.data.ring
         if self.data.modular is not None:
             rows = self._drinfeld_characters
-            alpha = CycloMatrix([e.coeffs for e in rows])
             column_order = tuple(range(rank))
         else:
             table = self.data.char_table
@@ -413,8 +398,7 @@ class CharacterAlgebra:
                     f"found {dim_cols}"
                 )
             column_order = (dim_cols[0], *(j for j in range(rank) if j != dim_cols[0]))
-            alpha = CycloMatrix([[row[c] for c in column_order] for row in table.rows])
-            rows = [_Vector(row) for row in alpha.rows]
+            rows = tuple(_Vector([row[c] for c in column_order]) for row in table.rows)
 
         bad = next(((i, j) for i, j in product(range(rank), repeat=2)
                     if ring.fusion[i][j] != ring.fusion[j][i]), None)
@@ -425,7 +409,6 @@ class CharacterAlgebra:
             if bad is not None:
                 i, j, l = bad
                 raise InternalConsistencyError(f"class {l} is not a character at ({i}, {j})")
-        self._law_rows = tuple(rows)
 
         columns = _transposed(rows)  # f_l = sum_k alpha_kl alpha_{k*l}
         codegrees = [_products(_Vector, [c], [_permuted(_Vector, c, dual)])[0].coeffs[0]
@@ -442,7 +425,7 @@ class CharacterAlgebra:
             raise InternalConsistencyError(f"class idempotents do not invert alpha at {bad}")
 
         self._conjugacy = ConjugacyData(
-            alpha=alpha,
+            alpha=rows,
             idempotents=idempotents,
             class_sums=tuple(self.fourier_inv(f) for f in idempotents),
             sizes=tuple(self.dim * z for z in invs),
@@ -481,7 +464,7 @@ class CharacterAlgebra:
         rank, lam = self.rank, self.cointegral()
         # every basis vector at once, as the maps act on each block of a stack
         eye = [c for i in range(rank) for c in self._basis(_Vector, (i,)).nums]
-        e, chi = _vec(CentralElement, self.n, eye), _vec(ClassFunction, self.n, eye)
+        e, chi = _make(self.n, eye, cls=CentralElement), _make(self.n, eye, cls=ClassFunction)
         fe = self.fourier(e)
         checks = [
             verdict("cointegral-normalized", self.pairing(lam, self.unit_central()) == 1),
@@ -496,8 +479,7 @@ class CharacterAlgebra:
             return checks + [Check(cid, "skip", str(e)) for cid in _CLASS_CHECKS] + no_s
 
         basis = [self._basis(_Vector, (i,)) for i in range(rank)]
-        arows = [_Vector(row) for row in conj.alpha.rows]
-        acols = _transposed(arows)
+        arows, acols = conj.alpha, _transposed(conj.alpha)
         exchange = _products(  # sum_i F_i[a] (n_i F_i[b])
             _Vector,
             _transposed(conj.idempotents),
@@ -533,7 +515,7 @@ class CharacterAlgebra:
         if self.data.modular is None:
             return checks + no_s
 
-        fq, law, nonzero = self._drinfeld_characters, self._law_rows, self.data.ring.nonzero
+        fq, nonzero = self._drinfeld_characters, self.data.ring.nonzero
         images = _products(CentralElement, conj.idempotents, self._drinfeld_columns)
         transparent = self.transparent_members()
         # Each family is certified when it equals the rows conjugacy() proved the
@@ -542,8 +524,8 @@ class CharacterAlgebra:
         # N_ij = N_ji, so a law fails at (i, j) iff at (j, i), and its first
         # failing pair in row-major order has j >= i.
         sums = self._scaled_class_sums
-        bad_sums = None if sums == law else _law_witness(nonzero, *_family(sums))
-        bad = None if fq == law else _law_witness(nonzero, *_family(fq))
+        bad_sums = None if sums == arows else _law_witness(nonzero, *_family(sums))
+        bad = None if fq == arows else _law_witness(nonzero, *_family(fq))
         if bad_sums is not None:
             detail = f"class sum product {bad_sums[:2]} does not match its expansion"
         elif all(d.is_rational() for d in self.dims) or all(

@@ -304,7 +304,7 @@ def _cmd_classes(args) -> Report:
         Section("class sizes", list(zip(labels, conj.sizes))),
         Section("class multiplicities", list(zip(labels, conj.multiplicities))),
         Section("class sums", [(lab, list(e.coeffs)) for lab, e in zip(labels, conj.class_sums)]),
-        Section("character table", [(lab, list(r)) for lab, r in zip(labels, conj.alpha.rows)]),
+        Section("character table", [(lab, list(r.coeffs)) for lab, r in zip(labels, conj.alpha)]),
     ]
     if data.modular is not None:
         transparent = [labels[j] for j in alg.transparent_members()]

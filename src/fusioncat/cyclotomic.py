@@ -307,25 +307,60 @@ def _fraction():
     return Fraction
 
 
-def _make(n: int, nums, den: int = 1) -> "Cyclotomic":
-    """Trusted constructor: `nums` are phi(n) integers and `den` > 0.  No
-    validation; divides out gcd(den, *nums) to keep the form canonical."""
-    g = gcd(den, *nums)
-    if g != 1:
-        den //= g
-        nums = [c // g for c in nums]
-    v = _new(Cyclotomic)
-    _set_conductor(v, n)
-    _set_nums(v, tuple(nums))
-    _set_den(v, den)
-    return v
+class _Frozen:
+    """Read-only record.  Its fields are its __slots__ in order, less a
+    "__dict__" slot, which only holds cached properties; the field tuple is
+    read once per class, and no code is generated.  The one constructor takes
+    the fields by position or by name, an optional one from the class's
+    _defaults.  A bad call raises TypeError, a write or a del AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(f for f in cls.__dict__.get("__slots__", ()) if f != "__dict__")
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bound(args, kwargs)
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+
+    @classmethod
+    def _bound(cls, args: tuple, kwargs: dict) -> list:
+        """Every field's value for the call cls(*args, **kwargs), in order."""
+        fields, given = cls._fields, dict(zip(cls._fields, args))
+        wrong = [f for f in kwargs if f not in fields or f in given]
+        given = {**cls._defaults, **given, **kwargs}
+        missing = [f for f in fields if f not in given]
+        if len(args) > len(fields) or wrong or missing:
+            raise TypeError(f"{cls.__name__}() takes the fields {fields}: {len(args)} given by "
+                            f"position, {wrong} unknown or repeated, {missing} missing")
+        return [given[f] for f in fields]
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
 
 
-class Cyclotomic:
+class _Flat(_Frozen):
+    """Flat storage of a value or a vector of values at one conductor n:
+    phi(n) integer numerators per coordinate in the tuple `nums`, over one
+    positive denominator `den`, with gcd(den, *nums) == 1.  Built by `_make`
+    only; a subclass's public constructor is its __new__."""
+
+    __slots__ = ("conductor", "nums", "den")
+    __init__ = object.__init__  # built in __new__, not by _Frozen's constructor
+
+
+class Cyclotomic(_Flat):
     """An element of Q(zeta_n) in reduced power-basis form: integer
     numerators `nums` over the positive denominator `den`."""
 
-    __slots__ = ("conductor", "nums", "den")
+    __slots__ = ()
     __hash__ = None  # equality coerces across conductors, so no stable hash
 
     def __new__(cls, conductor: int, coeffs):
@@ -337,9 +372,6 @@ class Cyclotomic:
             )
         den = lcm(*(c.denominator for c in coeffs))
         return _make(conductor, [c.numerator * (den // c.denominator) for c in coeffs], den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cyclotomic is immutable")
 
     @property
     def coeffs(self) -> tuple:
@@ -560,11 +592,24 @@ class Cyclotomic:
         return f"{re}{sign}{abs(z.imag):.6g}i"
 
 
-# Slot setters that bypass the immutability guard, for `_make` only.
+# Slot setters past the read-only guard, for `_make` only.
 _new = object.__new__
-_set_conductor = Cyclotomic.conductor.__set__
-_set_nums = Cyclotomic.nums.__set__
-_set_den = Cyclotomic.den.__set__
+_set_conductor, _set_nums, _set_den = (getattr(_Flat, f).__set__ for f in _Flat.__slots__)
+
+
+def _make(n: int, nums, den: int = 1, cls=Cyclotomic):
+    """Trusted constructor of a cls (a Cyclotomic or a vector): `nums` are
+    integers, phi(n) per coordinate, and `den` > 0.  No validation; divides
+    out gcd(den, *nums) to keep the form canonical."""
+    g = gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [c // g for c in nums]
+    v = _new(cls)
+    _set_conductor(v, n)
+    _set_nums(v, tuple(nums))
+    _set_den(v, den)
+    return v
 
 
 def zeta(n: int, k: int = 1) -> Cyclotomic:
@@ -625,8 +670,8 @@ def bilinear(xs, ys, table) -> list[Cyclotomic]:
     return [_make(n, z, dx * dy) for z in _chunks(matmul_nums(n, [fx], w)[0], phi)]
 
 
-class CycloMatrix:
-    """Immutable matrix over a cyclotomic field, all entries at one conductor."""
+class CycloMatrix(_Frozen):
+    """Read-only matrix over a cyclotomic field, all entries at one conductor."""
 
     __slots__ = ("nrows", "ncols", "rows", "conductor")
     __hash__ = None
@@ -645,13 +690,7 @@ class CycloMatrix:
                     raise TypeError("matrix entries must be Cyclotomic")
                 n = lcm(n, v.conductor)
         rows = tuple(tuple(v.lift(n) for v in r) for r in rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "conductor", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycloMatrix is immutable")
+        super().__init__(len(rows), ncols, rows, n)
 
     @staticmethod
     def identity(k: int, conductor: int = 1) -> "CycloMatrix":

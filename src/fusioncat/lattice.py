@@ -43,11 +43,11 @@ from itertools import compress, count, product
 from math import isqrt
 from operator import mul
 
-from .category import Check, _Frozen, verdict
+from .category import Check, verdict
 from .charalg import (
-    CentralElement, CharacterAlgebra, ClassFunction, _family, _mul, _transposed, _vec, _Vector,
+    CentralElement, CharacterAlgebra, ClassFunction, _family, _mul, _transposed, _Vector,
 )
-from .cyclotomic import Cyclotomic, _chunks, _make, euler_phi
+from .cyclotomic import Cyclotomic, _chunks, _Frozen, _make, euler_phi
 from .errors import CapabilityError, InternalConsistencyError
 
 __all__ = [
@@ -280,7 +280,7 @@ def _invariants(alg: CharacterAlgebra, subcats) -> list[SubcatInvariants]:
                     "integral of the subcategory disagrees with its closed form"
                 )
             lam = alg.cointegral(d.members, dim_inv)
-            if _vec(ClassFunction, n, lam_sum, den) != lam:
+            if _make(n, lam_sum, den, ClassFunction) != lam:
                 raise InternalConsistencyError(
                     "cointegral is not the sum of the idempotents in its support"
                 )
@@ -301,8 +301,7 @@ def _invariant_rows(alg: CharacterAlgebra) -> tuple:
     u = alg.fourier_inv(alg._codims).coeffs
     good = sum(1 << k for k in range(alg.rank) if u[k] == alg.dim)
     weighted = _transposed([_mul(_Vector, f, alg._dims_vec) for f in conj.idempotents])
-    sizes = [_Vector((z,)) for z in conj.sizes]
-    return good, *(_family(v) for v in (weighted, conj.idempotents, sizes))
+    return good, *(_family(v) for v in (weighted, conj.idempotents, conj.sizes))
 
 
 def _sums(family, selections):
@@ -327,8 +326,8 @@ def join(alg: CharacterAlgebra, a: FusionSubcategory, b: FusionSubcategory) -> F
 
 def kernel_of_object(alg: CharacterAlgebra, i: int) -> tuple[int, ...]:
     """Classes on which chi_i takes its maximal value d_i."""
-    alpha = alg.conjugacy().alpha
-    return tuple(j for j in range(alg.rank) if alpha.rows[i][j] == alg.dims[i])
+    row = alg.conjugacy().alpha[i].coeffs
+    return tuple(j for j in range(alg.rank) if row[j] == alg.dims[i])
 
 
 @_memoized

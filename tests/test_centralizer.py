@@ -21,7 +21,7 @@ from fusioncat import (
 )
 from fusioncat import lattice
 from fusioncat.category import CategoryInput, build_category, category_to_input, validate_input
-from fusioncat.cli import full_suite
+from fusioncat.cli import full_suite, run
 from fusioncat.cyclotomic import CycloMatrix, rational
 from fusioncat.errors import CapabilityError, NotRibbonConsistentError
 
@@ -279,3 +279,30 @@ def test_batched_laws_name_the_first_failing_subcategory(monkeypatch, name, at, 
         )
     failed = {c.check_id: c.detail for c in full_suite(alg) if c.status == "fail"}
     assert failed == BATCHED_LAW_CASES[name, at, how]
+
+
+def test_centralizer_suite_reports_a_route_failure_instead_of_raising(monkeypatch, capsys):
+    # with s_0f no longer read as degenerate, the s-route of D = <1> takes
+    # {1, e, m}, which is not fusion-closed; the whole category C has C' = <1>
+    # by the transform route, so C'' meets the same failure
+    masks = CharacterAlgebra._degenerate_masks.func
+    monkeypatch.setattr(CharacterAlgebra, "_degenerate_masks",
+                        property(lambda alg: (*masks(alg)[:3], masks(alg)[3] & ~1)))
+    alg = CharacterAlgebra(catalog_get("toric_code"))
+    message = "s-matrix centralizer is not fusion-closed"
+    unit, whole = FusionSubcategory((0,)), FusionSubcategory((0, 1, 2, 3))
+    with pytest.raises(NotRibbonConsistentError, match=message):
+        centralizer(alg, unit)
+    assert [(c.check_id, c.status, c.detail) for c in verify_main_identity(alg, unit)] == [
+        ("centralizer-route-agreement", "fail", message)
+    ]
+    failed = {c.check_id: c.detail for c in verify_main_identity(alg, whole) if c.status == "fail"}
+    assert failed == {"double-centralizer": message}
+    failed = {c.check_id: c.detail for c in centralizer_suite(alg) if c.status == "fail"}
+    assert failed == {
+        "centralizer-route-agreement": f"D = [0]: {message}",
+        "double-centralizer": "D = [0, 3]: (D')' = [0]",
+    }
+    assert run(["verify", "--catalog", "toric_code"]) == 2  # a report, not an error line
+    out, err = capsys.readouterr()
+    assert err == "" and "double-centralizer" in out and "integral-image" in out

@@ -13,7 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusioncat import catalog_get, catalog_input, catalog_names, cli, lattice, save_category
-from fusioncat.category import CONDUCTOR_LIMIT, _parse_rational, category_to_input, input_to_json
+from fusioncat.category import (
+    CONDUCTOR_LIMIT, RANK_LIMIT, _parse_rational, category_to_input, input_to_json, load_input,
+    validate_input,
+)
 from fusioncat.cli import run
 from fusioncat.errors import SchemaError
 
@@ -266,6 +269,54 @@ def test_conductor_past_limit_exits_4_at_once(tmp_path, capsys):
     assert (code, out) == (4, "")
     assert err == (
         f"error: conductor {CONDUCTOR_LIMIT + 1} is past the limit {CONDUCTOR_LIMIT}\n"
+    )
+
+
+def test_rank_past_limit_exits_4_at_once(tmp_path, capsys):
+    # the bound is read before any matrix: the s-matrix here is not even square
+    rank = RANK_LIMIT + 1
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "name": "wide", "kind": "modular", "conductor": 1,
+        "rank": rank, "labels": [f"x{i}" for i in range(rank)], "s_matrix": [["1"]],
+    }))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "validate", "--file", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (4, "", f"error: rank {rank} is past the limit {RANK_LIMIT}\n")
+
+
+def _zero_s01(obj):
+    obj["s_matrix"][0][1] = obj["s_matrix"][1][0] = "0"
+
+
+RING_CHECKS = ("unit-axiom", "duality-axiom", "associativity", "unit-dim", "dim-homomorphism",
+               "spherical", "global-dim-nonzero")
+
+
+@pytest.mark.parametrize("edit, want", [
+    (lambda obj: obj["twists"].__setitem__(0, "2"),
+     {"twists-roots-of-unity": ("fail", "twist of the unit is 2")}),
+    (lambda obj: obj["twists"].__setitem__(1, "2"),
+     {"twists-roots-of-unity": ("fail", "twist 1 is not a root of unity")}),
+    (_zero_s01, {
+        "dims-nonzero": ("fail", "s_0r = 0 at [1]"),
+        "verlinde-integral": ("skip", "zero dimension"),
+        **dict.fromkeys(RING_CHECKS, ("skip", "fusion ring unavailable")),
+    }),
+], ids=["unit-twist", "twist-not-a-root", "zero-dimension"])
+def test_bad_twists_and_a_zero_dimension_fail_validation(tmp_path, capsys, edit, want):
+    obj = input_to_json(category_to_input(catalog_get("toric_code")))
+    edit(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    checks = validate_input(load_input(path))
+    assert {c.check_id: (c.status, c.detail) for c in checks if c.status != "pass"} == want
+    code, out, _ = invoke(capsys, "validate", "--file", str(path))
+    assert code == 1 and all(f"  {detail}\n" in out for _, detail in want.values())
+    failed = ", ".join(cid for cid, (status, _) in want.items() if status == "fail")
+    assert invoke(capsys, "info", "--file", str(path)) == (
+        1, "", f"error: validation failed: {failed}\n"
     )
 
 

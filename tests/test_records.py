@@ -2,8 +2,9 @@
 
 Every record is a plain slotted class, not a dataclass, which keeps the
 package's import free of per-class code generation and of the dataclasses
-and inspect modules.  All but the vectors share _Frozen's one constructor
-over their __slots__.
+and inspect modules.  Every record and every value is read-only through
+_Frozen; all but CycloMatrix and the flat storage of values and vectors
+share its one constructor over their __slots__.
 """
 
 import dataclasses
@@ -21,9 +22,10 @@ from conftest import replaced
 
 import fusioncat
 from fusioncat import catalog_get, catalog_input
-from fusioncat.category import CategoryInput, Check, ModularData, _Frozen
+from fusioncat.category import CategoryInput, Check, ModularData
 from fusioncat.centralizer import centralizer
-from fusioncat.charalg import CentralElement, CharacterAlgebra, ClassFunction, _Vector
+from fusioncat.charalg import CentralElement, CharacterAlgebra, ClassFunction
+from fusioncat.cyclotomic import CycloMatrix, _Flat, _Frozen, zeta
 from fusioncat.lattice import (
     FusionSubcategory,
     enumerate_subcats,
@@ -136,6 +138,8 @@ def toric():
 def _read_only_records(alg):
     data = alg.data
     subcat = enumerate_subcats(alg)[1]
+    values = [zeta(5) / 2, CycloMatrix([[zeta(3)]]), alg.character(1), alg.idempotent(1)]
+    [vector.coeffs for vector in values[2:]]  # fills each vector's _coeffs slot
     return [
         (Check("x", "pass"), "status"),
         (data.ring, "labels"),
@@ -150,6 +154,7 @@ def _read_only_records(alg):
         (grading(alg), "table"),
         (prime_index_check(alg), "checks"),
         (centralizer(alg, subcat), "image"),
+        *((value, field) for value in values for field in type(value)._fields),
     ]
 
 
@@ -199,11 +204,26 @@ def _record_classes():
 
 
 def test_one_record_constructor():
-    """Only ModularData, whose conductor defaults to its s-matrix's, and the
-    vectors, which are built in __new__, define an __init__ of their own."""
+    """Only ModularData, whose conductor defaults to its s-matrix's,
+    CycloMatrix, which checks and lifts its rows, and the flat storage of
+    values and vectors, built in __new__, define an __init__ of their own."""
     assert {cls.__name__ for cls in _record_classes() if "__init__" in vars(cls)} == {
-        "ModularData", "_Vector"
+        "ModularData", "CycloMatrix", "_Flat"
     }
+
+
+def test_one_read_only_guard():
+    """_Frozen is the only class of the package with an instance __setattr__
+    or __delattr__, but for _Package, which guards the package's attributes."""
+    _record_classes()  # imports every module
+    found = {
+        cls.__name__
+        for name, module in sys.modules.items() if name.split(".")[0] == "fusioncat"
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == name
+        and {"__setattr__", "__delattr__"} & set(vars(cls))
+    }
+    assert found == {"_Frozen", "_Package"}
 
 
 def _sample_records(alg):
@@ -219,7 +239,7 @@ def _sample_records(alg):
 
 def test_record_contract(toric):
     records = _sample_records(toric)
-    classes = {cls for cls in _record_classes() if not issubclass(cls, _Vector)}
+    classes = {cls for cls in _record_classes() if not issubclass(cls, (_Flat, CycloMatrix))}
     assert {type(r) for r in records} == classes  # a new record needs a sample here
     for record in records:
         cls, fields = type(record), type(record)._fields
