@@ -70,12 +70,9 @@ SCHEMA_VERSION = 1
 # Largest conductor a file may declare: the first sum at conductor n builds an
 # n * phi(n)-entry monomial table, which takes seconds from about n = 10000.
 CONDUCTOR_LIMIT = 1000
-# Largest rank a file may declare: validation grows about as rank^3.2 and
-# takes 8 s at rank 128, so rank 500 would take about ten minutes.
+# Largest rank a file may declare: validation makes about rank^4/6 packed
+# products, 2.7 s at rank 128 in Q, 133 s at rank 127 in Q(zeta_127).
 RANK_LIMIT = 128
-# Pairs (i, j) per Verlinde matmul: one packing of the columns serves them
-# all, and the products held at once stay below 256 rank phi numerators.
-VERLINDE_BLOCK = 256
 
 
 class Check(_Frozen):
@@ -242,11 +239,13 @@ def verlinde_fusion(s: CycloMatrix, show=lambda v: v):
     """Derive (fusion, dual) from an s-matrix, or raise NotModularError /
     DegenerateError.  Duality is self-consistent: the first pass computes the
     raw sums T_ij^k = sum_r s_ir s_jr s_kr / (d_r dim C) (no dual applied),
-    as matmul_nums of the flat rows (s_ir s_jr), j >= i, VERLINDE_BLOCK pairs
-    at a time, against s_kr / (d_r dim C), and stops at the first
-    (i, j >= i, k) whose numerators are not a nonnegative integer over the
-    common denominator, printed through show; dual_involution reads duality
-    off T_ij^0, and then N_ij^k = T_ij^{k*}."""
+    symmetric in i, j, k, on sorted triples only: for each j, matmul_nums of
+    the flat rows s_ir, i <= j, against s_kr / (d_r dim C), k >= j, with s_jr
+    multiplied into the side with fewer vectors.  It raises at the row-major
+    least (i, j, k) whose numerators are not a nonnegative integer over the
+    common denominator, printed through show: the first failing entry of
+    all, as a failing entry's sorted triple fails too and comes no later.
+    dual_involution reads duality off T_ij^0, and then N_ij^k = T_ij^{k*}."""
     rank = s.nrows
     if rank != s.ncols:
         raise NotModularError("s-matrix is not square")
@@ -263,18 +262,23 @@ def verlinde_fusion(s: CycloMatrix, show=lambda v: v):
     n, den_s, rows = flatten(s.rows, n)
     den, phi = den_s * den_s * den_w, euler_phi(n)
     t = [[[None] * rank for _ in range(rank)] for _ in range(rank)]
-    pairs = [(i, j) for i in range(rank) for j in range(i, rank)]
-    for block in _chunks(pairs, VERLINDE_BLOCK):
-        products = [pointwise_nums(n, rows[i], rows[j]) for i, j in block]
-        for (i, j), row in zip(block, matmul_nums(n, products, columns)):
-            for k, x in enumerate(_chunks(row, phi)):
+    bad = None
+    for j in range(rank):
+        left, right = rows[:j + 1], columns[j:]
+        if 2 * j < rank:
+            left = [pointwise_nums(n, x, rows[j]) for x in left]
+        else:
+            right = [pointwise_nums(n, rows[j], y) for y in right]
+        for i, row in enumerate(matmul_nums(n, left, right)):
+            for k, x in enumerate(_chunks(row, phi), j):
                 q, r = divmod(x[0], den)
-                if r or q < 0 or any(x[1:]):
-                    raise NotModularError(
-                        f"Verlinde coefficient at (i={i}, j={j}, k={k}) is "
-                        f"{show(_make(n, x, den))}, not a nonnegative integer"
-                    )
-                t[i][j][k] = t[j][i][k] = q
+                if (r or q < 0 or any(x[1:])) and (bad is None or (i, j, k) < bad[:3]):
+                    bad = i, j, k, x
+                t[i][j][k] = t[j][i][k] = t[j][k][i] = t[k][j][i] = t[k][i][j] = t[i][k][j] = q
+    if bad is not None:
+        i, j, k, x = bad
+        raise NotModularError(f"Verlinde coefficient at (i={i}, j={j}, k={k}) is "
+                              f"{show(_make(n, x, den))}, not a nonnegative integer")
 
     try:
         dual = dual_involution(t)
@@ -338,8 +342,7 @@ class CategoryInput(_Frozen):
     def s_square(self) -> tuple[int, ...] | None:
         """P when s s = c P with c != 0 and P a permutation matrix, as the
         column of the one nonzero entry of each row; else None.  This proves s
-        invertible, and with s symmetric and P the derived duality it proves
-        the character law of alpha (ModularData)."""
+        invertible, and s_certified builds on it."""
         s = self.s_field
         hits = [[(j, v) for j, v in enumerate(row) if v] for row in matmul(s.rows, s.rows)]
         if not all(len(h) == 1 and h[0][1] == hits[0][0][1] for h in hits):
@@ -347,10 +350,42 @@ class CategoryInput(_Frozen):
         perm = tuple(h[0][0] for h in hits)
         return perm if sorted(perm) == list(range(s.nrows)) else None
 
+    @property
+    def s_certified(self) -> bool:
+        """s symmetric, s s = c P, P the derived duality: the certificate of CategoryData."""
+        return self.s_square == self.derived_ring[1] and self.s_field.is_symmetric()
+
+
+def _associativity_witness(fusion, nonzero):
+    """(L_i L_j) L_k against L_i (L_j L_k) for all k of one (i, j), on packed
+    rows m -> N_ab^m in w-bit slots (each slot sum is <= rank max(N)^2 < 2^w);
+    the first failing (i, j, k), and there the lowest differing slot m."""
+    rank = len(fusion)
+    w = (rank * max(n for plane in fusion for row in plane for n in row) ** 2).bit_length()
+    packed = [[sum(n << w * m for m, n in row) for row in rows] for rows in nonzero]
+    terms = [[(k, l, a) for k, row in enumerate(rows) for l, a in row] for rows in nonzero]
+    for i, j in product(range(rank), repeat=2):
+        lhs, rhs, row = [0] * rank, [0] * rank, packed[i]
+        for l, a in nonzero[i][j]:
+            lhs = [x + a * y for x, y in zip(lhs, packed[l])]
+        for k, l, a in terms[j]:
+            rhs[k] += a * row[l]
+        if lhs != rhs:
+            k = next(k for k in range(rank) if lhs[k] != rhs[k])
+            diff = lhs[k] ^ rhs[k]
+            return i, j, k, next(m for m in range(rank) if diff >> w * m & ((1 << w) - 1))
+    return None
+
 
 def _check_ring_axioms(inp: CategoryInput, fusion, nonzero, dims, checks: list[Check]):
     """Shared fusion-ring checks on the given or derived rules of inp, with
-    nonzero = _sparse_rows(fusion); returns the duality, or None."""
+    nonzero = _sparse_rows(fusion); returns the duality, or None.  On
+    inp.s_certified, associativity passes, and dim-homomorphism if d_0 = 1,
+    without running the law.  Proof: the characters alpha_ml = s_ml / d_l
+    satisfy sum_m N_ij^m alpha_ml = alpha_il alpha_jl (CategoryData), and
+    alpha = s diag(1/d) is invertible.  Through alpha, (L_i L_j) L_k and
+    L_i (L_j L_k) both give alpha_il alpha_jl alpha_kl, so they are equal;
+    alpha_i0 = s_i0 / s_00 = d_i, s being symmetric with s_00 = d_0 = 1."""
     rank = len(fusion)
     bad = next((
         (j, k) for j, k in product(range(rank), repeat=2)
@@ -365,24 +400,8 @@ def _check_ring_axioms(inp: CategoryInput, fusion, nonzero, dims, checks: list[C
         dual = None
         checks.append(verdict("duality-axiom", False, str(e)))
 
-    # (L_i L_j) L_k against L_i (L_j L_k) for all k of one (i, j), on packed
-    # rows m -> N_ab^m in w-bit slots (each slot sum is <= rank max(N)^2 < 2^w);
-    # the witness is the first (i, j, k), and there the lowest differing slot m.
-    w = (rank * max(n for plane in fusion for row in plane for n in row) ** 2).bit_length()
-    packed = [[sum(n << w * m for m, n in row) for row in rows] for rows in nonzero]
-    terms = [[(k, l, a) for k, row in enumerate(rows) for l, a in row] for rows in nonzero]
-    bad = None
-    for i, j in product(range(rank), repeat=2):
-        lhs, rhs, row = [0] * rank, [0] * rank, packed[i]
-        for l, a in nonzero[i][j]:
-            lhs = [x + a * y for x, y in zip(lhs, packed[l])]
-        for k, l, a in terms[j]:
-            rhs[k] += a * row[l]
-        if lhs != rhs:
-            k = next(k for k in range(rank) if lhs[k] != rhs[k])
-            diff = lhs[k] ^ rhs[k]
-            bad = (i, j, k, next(m for m in range(rank) if diff >> w * m & ((1 << w) - 1)))
-            break
+    certified = inp.kind == "modular" and inp.s_certified
+    bad = None if certified else _associativity_witness(fusion, nonzero)
     checks.append(_witness("associativity", bad, "violated at (i,j,k,m)={}"))
 
     if dims is not None:
@@ -395,8 +414,8 @@ def _check_ring_axioms(inp: CategoryInput, fusion, nonzero, dims, checks: list[C
             checks.append(_witness("dims-nonzero", zero, "zero dimension at {}"))
         # the fusion law of the one-coordinate vectors (d_k), at every (i, j)
         m, den, (flat,) = flatten([dims])
-        bad = _law_witness(nonzero, m, den, _chunks(flat, euler_phi(m)),
-                           product(range(rank), repeat=2))
+        bad = None if certified and ok else _law_witness(
+            nonzero, m, den, _chunks(flat, euler_phi(m)), product(range(rank), repeat=2))
         checks.append(_witness("dim-homomorphism", bad and bad[:2],
                                "d_i*d_j != sum N_ij^k d_k at {}"))
         if dual is not None:
@@ -509,7 +528,7 @@ def assemble_category(inp: CategoryInput) -> CategoryData:
         dims = tuple(s.rows[0])
         modular = ModularData(s, inp.twists, inp.shown_conductor)
         char_table = None
-        proved = inp.s_square == dual and s.is_symmetric()
+        proved = inp.s_certified
     else:
         dims = tuple(inp.dims)
         modular = None
@@ -591,7 +610,7 @@ def parse_category(obj) -> CategoryInput:
             f"schema_version: expected {SCHEMA_VERSION}, got {obj.get('schema_version')!r}"
         )
     kind = obj.get("kind")
-    if kind not in _KIND_KEYS:
+    if not isinstance(kind, str) or kind not in _KIND_KEYS:
         raise SchemaError(f"kind: expected 'modular' or 'fusion_ring', got {kind!r}")
     allowed = _COMMON_KEYS | set(_KIND_KEYS[kind])
     unknown = sorted(set(obj) - allowed)

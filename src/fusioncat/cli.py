@@ -19,6 +19,7 @@ Exit codes:
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
@@ -559,4 +560,12 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> None:
-    raise SystemExit(run(argv))
+    """Entry of `python -m fusioncat` and the `fusioncat` script: run, flush,
+    then os._exit, skipping teardown and atexit handlers; run is the API."""
+    code = run(argv)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # e.g. a closed pipe: exit as the interpreter does
+        raise SystemExit(code) from None
+    os._exit(code)

@@ -105,13 +105,20 @@ _MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _memoized(fn):
-    """fn(alg, *args), memoized in _MEMOS[alg], which dies with alg."""
+    """fn(alg, *args), memoized in _MEMOS[alg], which dies with alg.  So is a
+    CapabilityError, kept without its traceback, whose frames hold alg, and
+    raised anew on each call, so that a bound is reached once per algebra."""
     @wraps(fn)
     def cached(alg, *args):
         memo = _MEMOS.setdefault(alg, {})
         key = (fn.__name__, *args)
         if key not in memo:
-            memo[key] = fn(alg, *args)
+            try:
+                memo[key] = fn(alg, *args)
+            except CapabilityError as e:
+                memo[key] = e.with_traceback(None)
+        if isinstance(memo[key], CapabilityError):
+            raise type(memo[key])(*memo[key].args)
         return memo[key]
     return cached
 

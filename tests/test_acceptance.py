@@ -3,12 +3,16 @@ summary.  Everything is exact arithmetic; the only tolerances here are the
 wall-clock budgets, measured on the computation itself (the shared catalog
 is built once up front, like any other test fixture)."""
 
+import contextlib
+import importlib
+import io
 import json
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +35,7 @@ from fusioncat import (
     validate_input,
     verlinde_fusion,
 )
-from fusioncat.cli import full_suite
+from fusioncat.cli import full_suite, run
 from fusioncat.cyclotomic import Cyclotomic, CycloMatrix, euler_phi, rational, zeta
 from fusioncat.errors import NotModularError, SingularMatrixError
 
@@ -226,8 +230,11 @@ def test_criterion_08_verlinde_integrality(algs):
         fusion, dual = verlinde_fusion(data.modular.s)
         if fusion != data.ring.fusion or dual != data.ring.dual:
             ok = False
-    # corrupting any one of the 16 toric entries must be caught somewhere
+    # corrupting any one of the 16 toric entries must be caught somewhere;
+    # each fails verlinde-integral at (i=0, j=0, k) with this (k, value)
     inp = catalog_input("toric_code")
+    witness = {(0, 0): (1, "1/7"), (0, 1): (1, "1/7"), (0, 2): (1, "-1/7"), (0, 3): (1, "-1/7")}
+    witness.update({(i, j): (i, "1/4") for i in range(1, 4) for j in range(4)})
     detected = 0
     for i in range(4):
         for j in range(4):
@@ -241,8 +248,14 @@ def test_criterion_08_verlinde_integrality(algs):
                 s_matrix=CycloMatrix(rows),
                 twists=None,
             )
-            if any(c.status == "fail" for c in validate_input(bad)):
+            checks = validate_input(bad)
+            if any(c.status == "fail" for c in checks):
                 detected += 1
+            k, value = witness[i, j]
+            verlinde = next(c for c in checks if c.check_id == "verlinde-integral")
+            ok = ok and (verlinde.status, verlinde.detail) == ("fail", (
+                f"Verlinde coefficient at (i=0, j=0, k={k}) is {value}, not a nonnegative integer"
+            ))
     ok = ok and detected == 16
     # symmetric corruption falls through to Verlinde itself
     rows = [list(r) for r in inp.s_matrix.rows]
@@ -320,13 +333,19 @@ def test_criterion_09_exact_kernel(algs):
     assert ok
 
 
-def test_criterion_10_cli_determinism(tmp_path):
+def test_criterion_10_cli_determinism(tmp_path, monkeypatch):
     def cli(*argv):
         return subprocess.run(
             [sys.executable, "-m", "fusioncat", *argv],
             capture_output=True,
             timeout=120,
         )
+
+    def in_process(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(list(argv))
+        return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
 
     ok = True
     for name in catalog_names():
@@ -337,8 +356,6 @@ def test_criterion_10_cli_determinism(tmp_path):
 
     corrupt = tmp_path / "corrupt.json"
     corrupt.write_text("{not json")
-    if cli("verify", "--file", str(corrupt)).returncode != 3:
-        ok = False
 
     from fusioncat.category import category_to_input, input_to_json
 
@@ -346,8 +363,6 @@ def test_criterion_10_cli_determinism(tmp_path):
     obj["s_matrix"][1][2] = "2"
     bad_s = tmp_path / "bad_s.json"
     bad_s.write_text(json.dumps(obj))
-    if cli("verify", "--file", str(bad_s)).returncode != 2:
-        ok = False
 
     fr = tmp_path / "fusion_ring.json"
     fr.write_text(
@@ -355,8 +370,29 @@ def test_criterion_10_cli_determinism(tmp_path):
             input_to_json(category_to_input(catalog_get("toric_code"), kind="fusion_ring"))
         )
     )
-    if cli("centralizer", "--file", str(fr), "--subcat", "e").returncode != 4:
-        ok = False
+
+    # the process entry, which ends in os._exit, writes the bytes the
+    # in-process API writes: a 224 kB output of the rank-16 toric_code^2, and
+    # each exit code with its stderr line
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    gen = importlib.import_module("gen")
+    rank16 = tmp_path / "toric_code2.json"
+    gen.write_json(gen.modular_json(gen.deligne_power(gen.toric_code(), 2, "toric_code2")), rank16)
+    for argv, code, err in [
+        (("subcats", "--file", str(rank16), "--json"), 0, ""),
+        (("info", "--file", str(bad_s)), 1, "validation failed: s-symmetric, verlinde-integral"),
+        (("verify", "--file", str(bad_s)), 2, ""),
+        (("verify", "--file", str(corrupt)), 3, f"invalid JSON in {corrupt}: Expecting property "
+                                                "name enclosed in double quotes: line 1 column 2 "
+                                                "(char 1)"),
+        (("centralizer", "--file", str(fr), "--subcat", "e"), 4,
+         "toric_code: this computation needs an s-matrix, but the category was given as a "
+         "plain fusion ring"),
+    ]:
+        proc, want = cli(*argv), in_process(*argv)
+        ok = ok and (proc.returncode, proc.stdout, proc.stderr) == want
+        ok = ok and (want[0], want[2].decode("utf-8")) == (code, f"error: {err}\n" if err else "")
+        ok = ok and (code != 0 or len(proc.stdout) > 200_000)
 
     record_criterion(
         10, "cli determinism and exit codes", ok, "13 entries, byte-identical"

@@ -24,7 +24,6 @@ from fusioncat import (
     validate_input,
     verlinde_fusion,
 )
-from fusioncat import category
 from fusioncat.category import category_to_input, input_to_json
 from fusioncat.cli import run
 from fusioncat.cyclotomic import CycloMatrix, Cyclotomic, least_field, rational, shown, zeta
@@ -94,12 +93,14 @@ def _plus_one_at_1_2(rows):
     rows[1][2] = rows[2][1] = rows[1][2] + 1
 
 
-def _negate_row_and_column_2(rows):
-    # s'_ij = e_i e_j s_ij with e_2 = -1 stays symmetric and negates every
-    # T_ij^k with an odd number of indices equal to 2
-    for t in range(len(rows)):
-        rows[2][t] = -rows[2][t]
-        rows[t][2] = -rows[t][2]
+def _negate_row_and_column(e):
+    # s'_ij = e_i e_j s_ij with e_e = -1 stays symmetric and negates every
+    # T_ij^k with an odd number of indices equal to e
+    def corrupt(rows):
+        for t in range(len(rows)):
+            rows[e][t] = -rows[e][t]
+            rows[t][e] = -rows[t][e]
+    return corrupt
 
 
 @pytest.mark.parametrize(
@@ -111,8 +112,15 @@ def _negate_row_and_column_2(rows):
             "1/14*ζ28^4+1/14*ζ28^6-1/14*ζ28^8-1/14*ζ28^10, not a nonnegative integer",
         ),
         (
-            _negate_row_and_column_2,
+            _negate_row_and_column(2),
             "Verlinde coefficient at (i=1, j=1, k=2) is -1, not a nonnegative integer",
+        ),
+        # (2, 2, 4) fails too, and its j comes first in the sum's order, which
+        # takes the pairs i <= j for one j at a time; (1, 3, 4) is first in
+        # row-major order
+        (
+            _negate_row_and_column(4),
+            "Verlinde coefficient at (i=1, j=3, k=4) is -1, not a nonnegative integer",
         ),
     ],
 )
@@ -173,19 +181,6 @@ def test_su2_s_is_computed_at_twice_k_plus_2_or_its_odd_half(k, m):
         assert input_to_json(category_to_input(data)) == input_to_json(inp)
         again = build_category(category_to_input(data))
         assert (again.modular.s.conductor, again.modular.conductor) == (m, n)
-
-
-@pytest.mark.parametrize("block", [1, 4, 21])
-def test_verlinde_does_not_depend_on_the_block_size(block, monkeypatch):
-    # the pairs (i, j >= i) run in blocks: the witness at (1, 1) is the 7th
-    # pair, past the first block when blocks are small
-    want = verlinde_fusion(CycloMatrix(_su2_s_rows(5)))
-    rows = _su2_s_rows(5)
-    _negate_row_and_column_2(rows)
-    monkeypatch.setattr(category, "VERLINDE_BLOCK", block)
-    assert verlinde_fusion(CycloMatrix(_su2_s_rows(5))) == want
-    with pytest.raises(NotModularError, match=r"at \(i=1, j=1, k=2\) is -1,"):
-        verlinde_fusion(CycloMatrix(rows))
 
 
 def test_corrupted_s_fails_validation():
@@ -428,6 +423,35 @@ def test_an_uncertified_invertible_matrix_is_eliminated_once(kind, law, other, m
     assert calls == [inp.s_matrix if kind == "modular" else inp.char_table]
     assert (checks[law].status, checks[law].detail) == ("pass", "")
     assert checks[other].status == "fail"
+
+
+def _ring_law_cases():
+    """Modular inputs whose ring derives: Ising, certified; its s with
+    columns 1 and 2 swapped, which gives Ising's rules but is not symmetric,
+    so uncertified; and 2 s, certified but with d_0 = 2."""
+    inp = catalog_input("ising")
+    swapped = CycloMatrix([(a, c, b) for a, b, c in inp.s_matrix.rows])
+    doubled = CycloMatrix([[v * rational(2) for v in row] for row in inp.s_matrix.rows])
+    return {"certified": inp, "columns-swapped": replaced(inp, s_matrix=swapped),
+            "doubled": replaced(inp, s_matrix=doubled)}
+
+
+@pytest.mark.parametrize("case, runs, dim_law", [
+    ("certified", [0, 0], ("pass", "")),
+    ("columns-swapped", [1, 1], ("fail", "d_i*d_j != sum N_ij^k d_k at (1, 1)")),
+    ("doubled", [0, 1], ("fail", "d_i*d_j != sum N_ij^k d_k at (0, 0)")),
+])
+def test_modular_ring_laws_run_only_without_the_certificate(case, runs, dim_law, monkeypatch):
+    # associativity and dim-homomorphism pass on the s^2 certificate, the
+    # latter only when d_0 = 1; otherwise each law runs once
+    inp = _ring_law_cases()[case]
+    calls = _count_calls(monkeypatch, "_associativity_witness", "_law_witness")
+    checks = {c.check_id: (c.status, c.detail) for c in validate_input(inp)}
+    assert [calls["_associativity_witness"], calls["_law_witness"]] == runs
+    assert checks["verlinde-integral"] == checks["associativity"] == ("pass", "")
+    assert checks["dim-homomorphism"] == dim_law
+    assert (checks["s-symmetric"][0], checks["unit-dim"][0]) == (
+        "fail" if case == "columns-swapped" else "pass", "fail" if case == "doubled" else "pass")
 
 
 def test_singular_s_matrix_reports_its_rank():

@@ -2,11 +2,13 @@
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,8 @@ from fusioncat.category import (
 )
 from fusioncat.cli import run
 from fusioncat.errors import SchemaError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def invoke(capsys, *argv):
@@ -203,6 +207,13 @@ def test_exit_coefficient_past_digit_limit(tmp_path, capsys):
     _hostile_file_exits_3(capsys, path, "s_matrix[1][2]", "4401 digits")
 
 
+@pytest.mark.parametrize("kind", [[[]], {"a": 1}], ids=["list", "dict"])
+def test_exit_unhashable_kind(kind, tmp_path, capsys):
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": kind}))
+    _hostile_file_exits_3(capsys, path, f"kind: expected 'modular' or 'fusion_ring', got {kind!r}")
+
+
 @pytest.mark.parametrize("digits", [4000, 4300])
 @pytest.mark.parametrize("at", [(1, 1), (1, 2)], ids=["diagonal", "off-diagonal"])
 def test_derived_value_past_digit_limit_fails_verlinde(digits, at, tmp_path, capsys):
@@ -347,6 +358,30 @@ def test_subcategory_limit_skips_verify_and_exits_4_from_subcats(monkeypatch, ca
     assert code == 0
     assert skipped["enumeration"] == skipped["dim-product"] == why
     assert invoke(capsys, "subcats", "--catalog", "toric_code") == (4, "", f"error: {why}\n")
+
+
+def test_subcategory_limit_builds_the_lattice_once_per_algebra(tmp_path, monkeypatch, capsys):
+    # toric_code^2 has 67 subcategories; past a bound of 8 the lattice and the
+    # centralizer suite both skip on one enumeration attempt, whose error is
+    # kept and raised again.  Each build of the lattice starts by reading the
+    # product masks through the module's _ring_masks.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    gen = importlib.import_module("gen")
+    path = tmp_path / "toric_code2.json"
+    gen.write_json(gen.modular_json(gen.deligne_power(gen.toric_code(), 2, "toric_code2")), path)
+    builds = []
+    masks = lattice._ring_masks
+    monkeypatch.setattr(lattice, "_ring_masks", lambda alg: builds.append(alg) or masks(alg))
+    monkeypatch.setattr(lattice, "SUBCATEGORY_LIMIT", 8)
+    why = "subcategory enumeration stopped past SUBCATEGORY_LIMIT = 8 subcategories"
+    code, out, _ = invoke(capsys, "verify", "--file", str(path), "--json")
+    checks = json.loads(out)["checks"]
+    assert (code, len(builds)) == (0, 1)
+    assert {c["id"]: c["detail"] for c in checks if c["status"] == "skip"} == dict.fromkeys((
+        "enumeration", "centralizer-route-agreement", "main-identity", "integral-transfer",
+        "centralizer-idempotent", "centralizer-support", "double-centralizer", "dim-product",
+    ), why)
+    assert [c["status"] for c in checks].count("pass") == len(checks) - 8 == 33
 
 
 def test_verify_fusion_ring_skips_but_passes(tmp_path, capsys):

@@ -655,13 +655,21 @@ def test_z17_group_ring_enumerates_past_the_old_rank_cap():
 
 def test_enumeration_stops_past_the_subcategory_limit(monkeypatch):
     # toric_code has 5 subcategories; with a bound of 3 the enumeration
-    # stops and names the bound, and a later call enumerates afresh
+    # stops and names the bound.  The error is kept with the algebra, so a
+    # later call raises it again; the algebra still dies when dropped, and
+    # a new one enumerates afresh
     monkeypatch.setattr(lattice, "SUBCATEGORY_LIMIT", 3)
     alg = CharacterAlgebra(catalog_get("toric_code"))
-    with pytest.raises(CapabilityError, match="past SUBCATEGORY_LIMIT = 3 subcategories"):
-        enumerate_subcats(alg)
-    monkeypatch.setattr(lattice, "SUBCATEGORY_LIMIT", 5)
-    assert len(enumerate_subcats(alg)) == 5
+    why = "subcategory enumeration stopped past SUBCATEGORY_LIMIT = 3 subcategories"
+    for _ in range(2):
+        with pytest.raises(CapabilityError, match=f"^{why}$"):
+            enumerate_subcats(alg)
+        monkeypatch.setattr(lattice, "SUBCATEGORY_LIMIT", 5)
+    dropped = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert dropped() is None
+    assert len(enumerate_subcats(CharacterAlgebra(catalog_get("toric_code")))) == 5
 
 
 @pytest.mark.parametrize("name", catalog_names())
