@@ -100,6 +100,7 @@ def _negate_row_and_column(e):
         for t in range(len(rows)):
             rows[e][t] = -rows[e][t]
             rows[t][e] = -rows[t][e]
+    corrupt.__name__ = f"_negate_row_and_column_{e}"
     return corrupt
 
 
