@@ -32,7 +32,7 @@ from itertools import product
 from math import lcm
 
 from .cyclotomic import (
-    Cyclotomic, CycloMatrix, _chunks, _Frozen, _make, euler_phi, flatten, matmul, matmul_nums,
+    Cyclotomic, CycloMatrix, _chunks, _family, _Frozen, _make, _Vector, euler_phi, matmul_nums,
     pointwise_nums, rational, shown,
 )
 from .errors import (
@@ -258,8 +258,8 @@ def verlinde_fusion(s: CycloMatrix, show=lambda v: v):
         raise DegenerateError("global dimension is zero")
     dim_inv = dim_c.inv()
     weights = [d.inv() * dim_inv for d in dims]
-    n, den_w, columns = flatten([[v * w for v, w in zip(row, weights)] for row in s.rows])
-    n, den_s, rows = flatten(s.rows, n)
+    n, den_w, columns = _family([_Vector([v * w for v, w in zip(r, weights)]) for r in s.rows])
+    n, den_s, rows = _family(list(map(_Vector, s.rows)), n)
     den, phi = den_s * den_s * den_w, euler_phi(n)
     t = [[[None] * rank for _ in range(rank)] for _ in range(rank)]
     bad = None
@@ -331,7 +331,8 @@ class CategoryInput(_Frozen):
     def char_table_law(self):
         """_law_witness of the table's columns under the given rules, run once
         per input: validation reports it and assembly reads it as a certificate."""
-        return _law_witness(_sparse_rows(self.fusion), *flatten(self.char_table.rows))
+        rows = list(map(_Vector, self.char_table.rows))
+        return _law_witness(_sparse_rows(self.fusion), *_family(rows))
 
     @cached_property
     def s_field(self) -> CycloMatrix:
@@ -344,7 +345,7 @@ class CategoryInput(_Frozen):
         column of the one nonzero entry of each row; else None.  This proves s
         invertible, and s_certified builds on it."""
         s = self.s_field
-        hits = [[(j, v) for j, v in enumerate(row) if v] for row in matmul(s.rows, s.rows)]
+        hits = [[(j, v) for j, v in enumerate(row) if v] for row in (s @ s).rows]
         if not all(len(h) == 1 and h[0][1] == hits[0][0][1] for h in hits):
             return None
         perm = tuple(h[0][0] for h in hits)
@@ -413,9 +414,8 @@ def _check_ring_axioms(inp: CategoryInput, fusion, nonzero, dims, checks: list[C
             zero = [i for i, d in enumerate(dims) if d.is_zero()]
             checks.append(_witness("dims-nonzero", zero, "zero dimension at {}"))
         # the fusion law of the one-coordinate vectors (d_k), at every (i, j)
-        m, den, (flat,) = flatten([dims])
         bad = None if certified and ok else _law_witness(
-            nonzero, m, den, _chunks(flat, euler_phi(m)), product(range(rank), repeat=2))
+            nonzero, *_family(dims), product(range(rank), repeat=2))
         checks.append(_witness("dim-homomorphism", bad and bad[:2],
                                "d_i*d_j != sum N_ij^k d_k at {}"))
         if dual is not None:
@@ -445,9 +445,9 @@ def _check_char_table(inp: CategoryInput, dual, checks: list[Check]):
 
     # alpha^T P alpha = diag(f) with every f_j != 0, P the duality on rows,
     # proves alpha invertible: column orthogonality of a character table
-    gram = dual is not None and matmul(list(zip(*table.rows)), [table.rows[k] for k in dual])
+    gram = dual is not None and table.transpose() @ CycloMatrix([table.rows[k] for k in dual])
     certified = gram and all(
-        (j == l) != v.is_zero() for j, row in enumerate(gram) for l, v in enumerate(row)
+        (j == l) != v.is_zero() for j, row in enumerate(gram.rows) for l, v in enumerate(row)
     )
     checks.append(_invertibility("char-table-invertible", table, certified))
 
@@ -605,10 +605,9 @@ def parse_category(obj) -> CategoryInput:
     """Parse a JSON object (strict: unknown fields are errors)."""
     if not isinstance(obj, dict):
         raise SchemaError("top level: expected a JSON object")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaError(
-            f"schema_version: expected {SCHEMA_VERSION}, got {obj.get('schema_version')!r}"
-        )
+    version = obj.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise SchemaError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in _KIND_KEYS:
         raise SchemaError(f"kind: expected 'modular' or 'fusion_ring', got {kind!r}")
@@ -638,6 +637,8 @@ def parse_category(obj) -> CategoryInput:
     ):
         raise SchemaError("labels: expected a nonempty list of nonempty strings")
     rank = obj["rank"]
+    if type(rank) is not int:  # True == 1 and 1.0 == 1, but neither is a rank
+        raise SchemaError(f"rank: expected an integer, got {rank!r}")
     if rank != len(labels):
         raise SchemaError(f"rank: {rank!r} does not match {len(labels)} labels")
     if rank > RANK_LIMIT:
@@ -710,7 +711,7 @@ def load_input(path) -> CategoryInput:
         raise SchemaError(f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise SchemaError(f"cannot read {path}: not UTF-8: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an int literal past the digit limit
         raise SchemaError(f"invalid JSON in {path}: {e}") from e
     except RecursionError as e:
         raise SchemaError(f"invalid JSON in {path}: nested too deeply") from e

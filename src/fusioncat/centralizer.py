@@ -25,8 +25,8 @@ on one subcategory.
 from __future__ import annotations
 
 from .category import Check, verdict
-from .charalg import CentralElement, CharacterAlgebra, _products
-from .cyclotomic import _chunks, _Frozen, euler_phi
+from .charalg import CentralElement, CharacterAlgebra
+from .cyclotomic import _chunks, _Frozen, _products, euler_phi
 from .errors import CapabilityError, InternalConsistencyError, NotRibbonConsistentError
 from .lattice import FusionSubcategory, _close, _invariants, _ring_masks, enumerate_subcats
 

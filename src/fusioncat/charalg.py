@@ -1,12 +1,13 @@
 """The class algebra of a pivotal fusion category, exactly.
 
 Two companion commutative algebras are modelled by coefficient vectors,
-each stored flat: one conductor n, one denominator and phi(n) integer
-numerators per coordinate, kept canonical as a Cyclotomic is.  Sums, the
-coordinatewise product, the antipode (a permutation) and both Fourier maps
-(the duality permutation, then a weight vector built once per algebra) work
-on those integers; Cyclotomic coordinates are built only when .coeffs is
-read.  The two algebras are:
+each a cyclotomic._Vector, stored flat: one conductor n, one denominator and
+phi(n) integer numerators per coordinate, kept canonical as a Cyclotomic is.
+Sums, the coordinatewise product, the antipode (a permutation), both Fourier
+maps (the duality permutation, then a weight vector built once per algebra)
+and the products with the fusion rules work on those integers, through the
+row routines of cyclotomic; Cyclotomic coordinates are built only when
+.coeffs is read.  The two algebras are:
 
 * class functions, with basis the irreducible characters chi_0..chi_m and
   fusion product chi_i chi_j = sum_k N_ij^k chi_k;
@@ -55,8 +56,8 @@ from math import lcm
 
 from .category import CategoryData, Check, _law_witness, _witness, verdict
 from .cyclotomic import (
-    Cyclotomic, CycloMatrix, _chunks, _Flat, _Frozen, _make, bilinear, euler_phi, flatten,
-    lift_nums, matmul_nums, pointwise_nums, rational,
+    Cyclotomic, CycloMatrix, _chunks, _family, _Frozen, _make, _mul, _permuted, _products,
+    _sums, _transposed, _Vector, euler_phi, matmul_nums, rational,
 )
 from .errors import CapabilityError, InternalConsistencyError
 
@@ -67,91 +68,6 @@ __all__ = [
     "ClassSumProduct",
     "CharacterAlgebra",
 ]
-
-
-class _Vector(_Flat):
-    """Coefficient vector over a basis; the subclass names the basis, and
-    vectors over different bases never compare equal.  Unhashable.  Stored
-    flat as a Cyclotomic is, with phi(n) numerators per coordinate; coeffs
-    builds the Cyclotomic coordinates once, when first read."""
-
-    __slots__ = ("_coeffs",)
-
-    def __new__(cls, coeffs: tuple[Cyclotomic, ...]):
-        n, den, (nums,) = flatten([coeffs])
-        return _make(n, nums, den, cls)
-
-    @property
-    def coeffs(self) -> tuple[Cyclotomic, ...]:
-        if not hasattr(self, "_coeffs"):
-            n = self.conductor
-            coeffs = tuple(_make(n, x, self.den) for x in _chunks(self.nums, euler_phi(n)))
-            object.__setattr__(self, "_coeffs", coeffs)
-        return self._coeffs
-
-    def __repr__(self):
-        return f"{type(self).__name__}(coeffs={self.coeffs!r})"
-
-    def __add__(self, other, sign=1):
-        n, den, (x, y) = _family((self, other))
-        return _make(n, [a + sign * b for a, b in zip(x, y)], den, type(self))
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
-    def scaled(self, c):
-        c = c if isinstance(c, Cyclotomic) else rational(c)
-        if c.is_rational():
-            nums = [c.nums[0] * x for x in self.nums]
-            return _make(self.conductor, nums, self.den * c.den, type(self))
-        return _mul(type(self), self, c)
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        x, y = _family((self, other))[2]
-        return self.den == other.den and x == y
-
-
-def _family(vectors, n: int = 1):
-    """(n, den, rows): the vectors (a Cyclotomic is one coordinate) at the lcm
-    of their conductors and n, as flat numerator rows over one denominator."""
-    n = lcm(n, *(v.conductor for v in vectors))
-    den = lcm(*(v.den for v in vectors))
-    rows = ((lift_nums(v.nums, v.conductor, n), den // v.den) for v in vectors)
-    return n, den, [list(x) if f == 1 else [c * f for c in x] for x, f in rows]
-
-
-def _mul(cls, a, b):
-    """The coordinatewise product of two vectors, as a cls; a factor with
-    fewer coordinates repeats, so that it multiplies each block of a stack."""
-    n, den, (x, y) = _family((a, b))
-    if len(x) != len(y):
-        x, y = (x * (len(y) // len(x)), y) if len(x) < len(y) else (x, y * (len(x) // len(y)))
-    return _make(n, pointwise_nums(n, x, y), den * den, cls)
-
-
-def _permuted(cls, v, perm):
-    """The cls with coordinate i = coordinate perm[i] of v, in each block of
-    len(perm) coordinates when v stacks several vectors."""
-    phi = euler_phi(v.conductor)
-    at = [i * phi + m for i in perm for m in range(phi)]
-    nums = [v.nums[b + k] for b in range(0, len(v.nums), len(at)) for k in at]
-    return _make(v.conductor, nums, v.den, cls)
-
-
-def _transposed(vectors) -> list[_Vector]:
-    """The columns of the matrix with the vectors as rows."""
-    n, den, rows = _family(vectors)
-    cols = zip(*(_chunks(row, euler_phi(n)) for row in rows))
-    return [_make(n, [c for x in col for c in x], den, _Vector) for col in cols]
-
-
-def _products(cls, xs, ys) -> list:
-    """Row a is the cls with coordinate b = sum_k xs[a]_k ys[b]_k: one matmul."""
-    n, dx, rows = _family(xs, lcm(*(v.conductor for v in ys)))
-    n, dy, cols = _family(ys, n)
-    return [_make(n, row, dx * dy, cls) for row in matmul_nums(n, rows, cols)]
 
 
 _CLASS_CHECKS = (
@@ -220,8 +136,8 @@ class CharacterAlgebra:
         self.dim = data.dim
         self.dim_inv = data.dim.inv()
         self._dims_inv = tuple(d.inv() for d in self.dims)
-        # flat numerators of the d_i d_{i*}, which subset_dim sums
-        self._dim_terms = flatten([[d * self.dims[k] for d, k in zip(self.dims, self.dual)]])
+        # the d_i d_{i*} as a _family, one row each, which subset_dim sums
+        self._dim_terms = _family([d * self.dims[k] for d, k in zip(self.dims, self.dual)])
         self._conjugacy: ConjugacyData | None = None
         self.n = lcm(*(d.conductor for d in self.dims))
         # weights of the pairing, fourier and fourier_inv, built once
@@ -263,7 +179,17 @@ class CharacterAlgebra:
     # -- products, pairing, trace, antipode ----------------------------------
 
     def cf_mul(self, f: ClassFunction, g: ClassFunction) -> ClassFunction:
-        return ClassFunction(tuple(bilinear(f.coeffs, g.coeffs, self.data.ring.nonzero)))
+        """fg = sum_k (sum_i f_i w_ki) chi_k, one matmul_nums, with the integer
+        weight rows w_ki = sum_j N_ij^k g_j."""
+        n, den, (x, y) = _family((f, g))
+        phi = euler_phi(n)
+        w = [[0] * len(x) for _ in range(self.rank)]
+        for i, row in enumerate(self.data.ring.nonzero):
+            at = slice(i * phi, (i + 1) * phi)
+            for gj, pairs in zip(_chunks(y, phi), row):
+                for k, t in pairs:
+                    w[k][at] = [a + t * c for a, c in zip(w[k][at], gj)]
+        return _make(n, matmul_nums(n, [x], w)[0], den * den, ClassFunction)
 
     def ce_mul(self, a: CentralElement, b: CentralElement) -> CentralElement:
         return _mul(CentralElement, a, b)
@@ -291,9 +217,8 @@ class CharacterAlgebra:
     # -- cointegrals ----------------------------------------------------------
 
     def subset_dim(self, members) -> Cyclotomic:
-        n, den, (terms,) = self._dim_terms
-        phi = euler_phi(n)
-        return _make(n, [sum(terms[i * phi + m] for i in members) for m in range(phi)], den)
+        n, den, (terms,) = _sums(self._dim_terms, [members])
+        return _make(n, terms, den)
 
     def cointegral(self, members=None, dim_inv=None) -> ClassFunction:
         """tau-normalized cointegral of the full category, or of the fusion

@@ -32,9 +32,14 @@ carry crosses a slot, and each slot reads back exactly.  A single slot
 (phi = 1) is the value itself.
 
 A flat numerator vector holds several values at one conductor n over one
-denominator, phi(n) numerators per coordinate (`flatten`); `pointwise_nums`
-and `matmul_nums` are the kernel on that layout, with plain int products
-when phi(n) = 1 (n = 1 or 2).
+denominator, phi(n) numerators per coordinate; `pointwise_nums` and
+`matmul_nums` are the kernel on that layout, with plain int products when
+phi(n) = 1 (n = 1 or 2).  This module is the one home of the layout: a
+`_Vector` (the class algebra's two carriers subclass it) is stored in it,
+`_family` puts vectors or values at one conductor over one denominator as
+flat rows, one per vector, and the row routines `_sums`, `_mul`,
+`_permuted`, `_transposed` and `_products` (one matmul_nums, also behind
+CycloMatrix.@) build every other flat row.
 
 Numeric embedding (zeta_n -> exp(2*pi*i/n)) exists for display and sanity
 checks only; nothing downstream branches on floats.
@@ -57,9 +62,6 @@ __all__ = [
     "euler_phi",
     "zeta",
     "rational",
-    "bilinear",
-    "matmul",
-    "flatten",
     "lift_nums",
     "least_field",
     "shown",
@@ -290,8 +292,8 @@ def pointwise_nums(n: int, xs, ys) -> list[int]:
 
 def matmul_nums(n: int, rows, cols) -> list[list[int]]:
     """Flat numerator rows of the dot products sum_k x_k y_k of every flat
-    row x with every flat column y, all at conductor n: as in matmul, entry
-    (i, j) is one packed sum, unpacked once."""
+    row x with every flat column y, all at conductor n: entry (i, j) is one
+    packed sum, unpacked once."""
     phi = euler_phi(n)
     if phi == 1:
         return [[sum(map(mul, x, y)) for y in cols] for x in rows]
@@ -626,48 +628,97 @@ def shown(v: Cyclotomic, n: int) -> Cyclotomic:
     return v if v.is_rational() else v.lift(lcm(v.conductor, n))
 
 
-def flatten(rows, n: int = 1):
-    """(n, den, flat): Cyclotomic rows lifted to the lcm conductor n of their
-    entries (and of n) over one denominator den; flat[i] lists the
-    numerators of the entries of row i in turn, phi(n) each."""
-    n = lcm(n, *(v.conductor for row in rows for v in row))
-    den = lcm(*(v.den for row in rows for v in row))
-    return n, den, [
-        [c * (den // v.den) for v in row for c in lift_nums(v.nums, v.conductor, n)]
-        for row in rows
-    ]
+class _Vector(_Flat):
+    """Coefficient vector over a basis; the subclass names the basis, and
+    vectors over different bases never compare equal.  Unhashable.  Stored
+    flat as a Cyclotomic is, with phi(n) numerators per coordinate; coeffs
+    builds the Cyclotomic coordinates once, when first read."""
+
+    __slots__ = ("_coeffs",)
+
+    def __new__(cls, coeffs: tuple[Cyclotomic, ...]):
+        n, den, rows = _family(coeffs)
+        return _make(n, [c for x in rows for c in x], den, cls)
+
+    @property
+    def coeffs(self) -> tuple[Cyclotomic, ...]:
+        if not hasattr(self, "_coeffs"):
+            n = self.conductor
+            coeffs = tuple(_make(n, x, self.den) for x in _chunks(self.nums, euler_phi(n)))
+            object.__setattr__(self, "_coeffs", coeffs)
+        return self._coeffs
+
+    def __repr__(self):
+        return f"{type(self).__name__}(coeffs={self.coeffs!r})"
+
+    def __add__(self, other, sign=1):
+        n, den, (x, y) = _family((self, other))
+        return _make(n, [a + sign * b for a, b in zip(x, y)], den, type(self))
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def scaled(self, c):
+        c = c if isinstance(c, Cyclotomic) else rational(c)
+        if c.is_rational():
+            nums = [c.nums[0] * x for x in self.nums]
+            return _make(self.conductor, nums, self.den * c.den, type(self))
+        return _mul(type(self), self, c)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        x, y = _family((self, other))[2]
+        return self.den == other.den and x == y
 
 
-def matmul(a_rows, b_rows) -> list[list[Cyclotomic]]:
-    """The rows of A B for matrices given as rows of Cyclotomic values: all
-    entries are lifted to one conductor, each row of A and column of B is
-    put over one denominator, and entry (i, j) is one packed dot product."""
-    cols = list(zip(*b_rows))
-    n = lcm(*(v.conductor for vec in (*a_rows, *cols) for v in vec))
-    a, b = ([flatten([vec], n) for vec in vecs] for vecs in (a_rows, cols))
-    phi = euler_phi(n)
-    sums = matmul_nums(n, [x for _, _, (x,) in a], [y for _, _, (y,) in b])
-    return [
-        [_make(n, x, da * db) for x, (_, db, _) in zip(_chunks(row, phi), b)]
-        for (_, da, _), row in zip(a, sums)
-    ]
+def _family(vectors, n: int = 1):
+    """(n, den, rows): the vectors (a Cyclotomic is one coordinate) at the lcm
+    of their conductors and n, as flat numerator rows over one denominator."""
+    n = lcm(n, *(v.conductor for v in vectors))
+    den = lcm(*(v.den for v in vectors))
+    rows = ((lift_nums(v.nums, v.conductor, n), den // v.den) for v in vectors)
+    return n, den, [list(x) if f == 1 else [c * f for c in x] for x, f in rows]
 
 
-def bilinear(xs, ys, table) -> list[Cyclotomic]:
-    """z_k = the sum of xs[i] ys[j] t over i, j and the pairs (k, t) of
-    integers in table[i][j], each k < len(xs): with w_ki the sum of t ys[j]
-    over the pairs (k, t) in table[i][j], z_k = sum_i xs[i] w_ki, one
-    matmul_nums over one conductor and one denominator per vector."""
-    n = lcm(*(v.conductor for v in (*xs, *ys)))
-    (_, dx, (fx,)), (_, dy, (fy,)) = flatten([xs], n), flatten([ys], n)
-    phi = euler_phi(n)
-    w = [[0] * len(fx) for _ in xs]
-    for i, row in enumerate(table[:len(xs)]):
-        at = slice(i * phi, (i + 1) * phi)
-        for y, pairs in zip(_chunks(fy, phi), row):
-            for k, t in pairs:
-                w[k][at] = [a + t * c for a, c in zip(w[k][at], y)]
-    return [_make(n, z, dx * dy) for z in _chunks(matmul_nums(n, [fx], w)[0], phi)]
+def _sums(family, selections):
+    """(n, den, rows): row s is the sum of the rows k of the _family over k in
+    selections[s]; the 0/1 selection matrix times the vectors."""
+    n, den, rows = family
+    zero = [0] * len(rows[0])
+    return n, den, [list(map(sum, zip(zero, *(rows[k] for k in sel)))) for sel in selections]
+
+
+def _mul(cls, a, b):
+    """The coordinatewise product of two vectors, as a cls; a factor with
+    fewer coordinates repeats, so that it multiplies each block of a stack."""
+    n, den, (x, y) = _family((a, b))
+    if len(x) != len(y):
+        x, y = (x * (len(y) // len(x)), y) if len(x) < len(y) else (x, y * (len(x) // len(y)))
+    return _make(n, pointwise_nums(n, x, y), den * den, cls)
+
+
+def _permuted(cls, v, perm):
+    """The cls with coordinate i = coordinate perm[i] of v, in each block of
+    len(perm) coordinates when v stacks several vectors."""
+    phi = euler_phi(v.conductor)
+    at = [i * phi + m for i in perm for m in range(phi)]
+    nums = [v.nums[b + k] for b in range(0, len(v.nums), len(at)) for k in at]
+    return _make(v.conductor, nums, v.den, cls)
+
+
+def _transposed(vectors) -> list[_Vector]:
+    """The columns of the matrix with the vectors as rows."""
+    n, den, rows = _family(vectors)
+    cols = zip(*(_chunks(row, euler_phi(n)) for row in rows))
+    return [_make(n, [c for x in col for c in x], den, _Vector) for col in cols]
+
+
+def _products(cls, xs, ys) -> list:
+    """Row a is the cls with coordinate b = sum_k xs[a]_k ys[b]_k: one matmul_nums."""
+    n, dx, rows = _family(xs, lcm(*(v.conductor for v in ys)))
+    n, dy, cols = _family(ys, n)
+    return [_make(n, row, dx * dy, cls) for row in matmul_nums(n, rows, cols)]
 
 
 class CycloMatrix(_Frozen):
@@ -717,7 +768,8 @@ class CycloMatrix(_Frozen):
     def __matmul__(self, other: "CycloMatrix") -> "CycloMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        return CycloMatrix(matmul(self.rows, other.rows))
+        rows, cols = list(map(_Vector, self.rows)), list(map(_Vector, zip(*other.rows)))
+        return CycloMatrix([v.coeffs for v in _products(_Vector, rows, cols)])
 
     def transpose(self) -> "CycloMatrix":
         return CycloMatrix(

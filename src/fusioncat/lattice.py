@@ -44,10 +44,10 @@ from math import isqrt
 from operator import mul
 
 from .category import Check, verdict
-from .charalg import (
-    CentralElement, CharacterAlgebra, ClassFunction, _family, _mul, _transposed, _Vector,
+from .charalg import CentralElement, CharacterAlgebra, ClassFunction
+from .cyclotomic import (
+    Cyclotomic, _chunks, _family, _Frozen, _make, _mul, _sums, _transposed, _Vector, euler_phi,
 )
-from .cyclotomic import Cyclotomic, _chunks, _Frozen, _make, euler_phi
 from .errors import CapabilityError, InternalConsistencyError
 
 __all__ = [
@@ -309,14 +309,6 @@ def _invariant_rows(alg: CharacterAlgebra) -> tuple:
     good = sum(1 << k for k in range(alg.rank) if u[k] == alg.dim)
     weighted = _transposed([_mul(_Vector, f, alg._dims_vec) for f in conj.idempotents])
     return good, *(_family(v) for v in (weighted, conj.idempotents, conj.sizes))
-
-
-def _sums(family, selections):
-    """(n, den, rows): row s is the sum of the rows k of the _family over k in
-    selections[s]; the 0/1 selection matrix times the vectors."""
-    n, den, rows = family
-    zero = [0] * len(rows[0])
-    return n, den, [list(map(sum, zip(zero, *(rows[k] for k in sel)))) for sel in selections]
 
 
 def meet(alg: CharacterAlgebra, a: FusionSubcategory, b: FusionSubcategory) -> FusionSubcategory:

@@ -2,11 +2,14 @@
 
 import argparse
 import contextlib
+import copy
+import functools
 import importlib
 import io
 import json
 import random
 import re
+import signal
 import time
 from pathlib import Path
 
@@ -214,6 +217,17 @@ def test_exit_unhashable_kind(kind, tmp_path, capsys):
     _hostile_file_exits_3(capsys, path, f"kind: expected 'modular' or 'fusion_ring', got {kind!r}")
 
 
+@pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("field", ["rank", "schema_version"])
+def test_exit_non_integer_rank_or_version(field, value, tmp_path, capsys):
+    """True == 1 and 1.0 == 1 in Python, but neither is an integer field."""
+    obj = input_to_json(catalog_input("trivial"))
+    obj[field] = value
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(obj))
+    _hostile_file_exits_3(capsys, path, f"{field}: expected", repr(value))
+
+
 @pytest.mark.parametrize("digits", [4000, 4300])
 @pytest.mark.parametrize("at", [(1, 1), (1, 2)], ids=["diagonal", "off-diagonal"])
 def test_derived_value_past_digit_limit_fails_verlinde(digits, at, tmp_path, capsys):
@@ -232,6 +246,101 @@ def test_derived_value_past_digit_limit_fails_verlinde(digits, at, tmp_path, cap
         assert (code, err) == (expected, ""), command
         statuses = {c["id"]: c["status"] for c in json.loads(out)["checks"]}
         assert statuses["verlinde-integral"] == "fail", command
+
+
+def test_exit_int_literal_past_digit_limit(tmp_path, capsys):
+    path = tmp_path / "literal.json"
+    obj = input_to_json(catalog_input("trivial"))
+    path.write_text(json.dumps(obj).replace('"conductor": 1', '"conductor": ' + "9" * 5000))
+    _hostile_file_exits_3(capsys, path, str(path), "5000 digits")
+
+
+# -- mutated catalog files -------------------------------------------------------
+
+FUZZ_COMMANDS = ("validate", "info", "verify", "classes", "subcats", "grading")
+FUZZ_SWAPS = {  # values of the same JSON type: past the schema, into the checks
+    str: ("0", "-1", "1/3", "1/0", "x", "9" * 40),
+    int: (0, 2, -1, -(2**63), 2**64, 10**400),
+}
+FUZZ_RETYPES = (None, True, 1.0, "1", 1, [], {}, [["1"]])
+FUZZ_SECONDS = 10
+
+
+class _Overrun(BaseException):
+    """Raised by the alarm, past every handler of the program."""
+
+
+@functools.cache
+def _fuzz_seeds() -> tuple[str, ...]:
+    """Small catalog entries as file text, in modular and in fusion-ring form."""
+    return tuple(
+        json.dumps(input_to_json(category_to_input(catalog_get(name), kind)))
+        for name in ("semion", "fibonacci", "ising", "toric_code")
+        for kind in ("modular", "fusion_ring")
+    )
+
+
+def _paths(obj, at=()):
+    """(path, value) for every value below the top of a JSON object."""
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield at + (key,), value
+            yield from _paths(value, at + (key,))
+
+
+@st.composite
+def mutated_files(draw):
+    """A catalog file with one to three edits: a value swapped for another of
+    its type (a huge or negative int among them) or of another type, an
+    entry deleted or duplicated, or a list cut short."""
+    obj = json.loads(draw(st.sampled_from(_fuzz_seeds())))
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(("swap", "swap", "retype", "delete", "duplicate", "cut")))
+        paths = [p for p, v in _paths(obj) if edit != "swap" or type(v) in FUZZ_SWAPS]
+        if not paths:
+            break
+        *head, key = draw(st.sampled_from(paths))
+        parent = functools.reduce(lambda o, k: o[k], head, obj)
+        if edit == "delete":
+            del parent[key]
+        elif edit == "duplicate" and isinstance(parent, list):
+            parent.insert(key, parent[key])
+        elif edit == "cut" and isinstance(parent[key], list) and parent[key]:
+            parent[key] = parent[key][:draw(st.integers(0, len(parent[key]) - 1))]
+        else:
+            pool = FUZZ_SWAPS[type(parent[key])] if edit == "swap" else FUZZ_RETYPES
+            parent[key] = copy.deepcopy(draw(st.sampled_from(pool)))
+    return json.dumps(obj)
+
+
+@given(text=mutated_files())
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_mutated_files_end_in_an_exit_code(text, tmp_path_factory):
+    """Every command on a hostile file exits 0 to 4, with no exception out of
+    run and within FUZZ_SECONDS; exit 3 and 4 write one line on stderr."""
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(text)
+
+    def overrun(signum, frame):
+        raise _Overrun
+
+    handler = signal.signal(signal.SIGALRM, overrun)
+    try:
+        for command in FUZZ_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run([command, "--file", str(path)])
+            except _Overrun:
+                pytest.fail(f"{command} ran past {FUZZ_SECONDS} s on {text[:2000]}")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            assert code in range(5), (command, text)
+            if code >= 3:
+                assert err.getvalue().count("\n") == 1, (command, err.getvalue())
+    finally:
+        signal.signal(signal.SIGALRM, handler)
 
 
 def test_exit_usage_errors(capsys):

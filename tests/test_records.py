@@ -212,6 +212,34 @@ def test_one_record_constructor():
     }
 
 
+ROW_ROUTINES = ("_Vector", "_family", "_sums", "_mul", "_permuted", "_transposed", "_products")
+
+
+def test_one_flat_row_layer():
+    """cyclotomic is the one home of the flat numerator rows: the modules
+    above it import the vector class and the row routines and define none of
+    their own, and cyclotomic keeps no second set of row helpers.  The layer
+    costs a cold info or catalog no import of charalg."""
+    cyclotomic = importlib.import_module("fusioncat.cyclotomic")
+    assert {"flatten", "matmul", "bilinear"} & set(vars(cyclotomic)) == set()
+    for module in ("charalg", "lattice", "centralizer", "category"):
+        held = vars(importlib.import_module(f"fusioncat.{module}"))
+        for name in ROW_ROUTINES:
+            assert held.get(name, getattr(cyclotomic, name)) is getattr(cyclotomic, name), name
+    probe = (
+        "import contextlib, io, sys, fusioncat.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = cli.run(['info', '--catalog', 'fibonacci']), cli.run(['catalog'])\n"
+        "print(codes, 'fusioncat.charalg' in sys.modules)"
+    )
+    src = Path(fusioncat.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "(0, 0) False"
+
+
 def test_one_read_only_guard():
     """_Frozen is the only class of the package with an instance __setattr__
     or __delattr__, but for _Package, which guards the package's attributes."""
