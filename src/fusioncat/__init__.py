@@ -14,9 +14,9 @@ from types import ModuleType
 
 _EXPORTS = {  # module: the public names it defines
     "catalog": "catalog_get catalog_input catalog_names",
-    "category": "CategoryData CategoryInput Check FusionRing ModularData PivotalData "
-                "build_category global_dim load_category load_input parse_category "
-                "save_category validate_input verlinde_fusion",
+    "category": "CategoryData CategoryInput Check FusionRing build_category global_dim "
+                "load_category load_input parse_category save_category validate_input "
+                "verlinde_fusion",
     "centralizer": "CentralizerResult centralizer centralizer_smatrix centralizer_suite "
                    "centralizer_theorem verify_main_identity",
     "charalg": "CentralElement CharacterAlgebra ClassFunction ClassSumProduct ConjugacyData",

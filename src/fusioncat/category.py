@@ -21,7 +21,9 @@ validation checks and assembly reuses, so the Verlinde sum runs at most once.
 Everything derived from an s-matrix is computed in the least field that
 holds it (CategoryInput.s_field): SU(2)_k declares conductor 4(k+2) for its
 twists, but its s lies in Q(zeta_2(k+2)).  Twists keep their conductor, and
-values are printed at the one s was given at (CategoryData.show).
+values are printed at the one s was given at, shown_conductor, by the one
+show that CategoryInput and CategoryData share.  CategoryData is one flat
+record: the ring, the dimensions and, on modular input, s and the twists.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ __all__ = [
     "Check",
     "verdict",
     "FusionRing",
-    "PivotalData",
-    "ModularData",
     "CategoryData",
     "CategoryInput",
     "dual_involution",
@@ -117,27 +117,13 @@ class FusionRing(_Frozen):
             raise KeyError(f"no simple object labelled {label!r}") from None
 
 
-class PivotalData(_Frozen):
-    """Pivotal (quantum) dimensions of the simple objects."""
-
-    __slots__ = ("dims",)
-
-
-class ModularData(_Frozen):
-    """Unnormalized s-matrix, in its least field when built from input, and
-    `conductor`, the one its values are shown at (CategoryInput); twists are
-    stored if given but only checked to be roots of unity."""
-
-    __slots__ = ("s", "twists", "conductor")
-
-    def __init__(self, s: CycloMatrix, twists: tuple | None = None, conductor: int | None = None):
-        super().__init__(s, twists, conductor or s.conductor)
-
-
 class CategoryData(_Frozen):
-    """An assembled category.  `certified` is the fusion rules N for which
-    validation proved the character law sum_k N_ij^k alpha_kl = alpha_il
-    alpha_jl of conjugacy()'s alpha, or None.  On a character table,
+    """An assembled category.  `s` is the unnormalized s-matrix, in its least
+    field, and `twists` are stored if given but only checked to be roots of
+    unity; both are None on fusion-ring input.  `shown_conductor` is the one
+    values are shown at (CategoryInput).  `certified` is the fusion rules N
+    for which validation proved the character law sum_k N_ij^k alpha_kl =
+    alpha_il alpha_jl of conjugacy()'s alpha, or None.  On a character table,
     char_table_law checked it column by column.  On modular input alpha_il =
     s_il / d_l, and the certificate is: s symmetric, s s = c P with c != 0
     and P the permutation matrix of the duality k -> k* derived with N by
@@ -148,7 +134,8 @@ class CategoryData(_Frozen):
     = c' as 0* = 0.  So sum_k N_ij^k s_kl = s_il s_jl / d_l; divide by d_l."""
 
     # dim is the global dimension, sum_i d_i d_{i*}
-    __slots__ = ("name", "ring", "pivotal", "modular", "char_table", "dim", "certified")
+    __slots__ = ("name", "ring", "dims", "s", "twists", "shown_conductor", "char_table", "dim",
+                 "certified")
     _defaults = {"certified": None}
 
     @property
@@ -156,12 +143,8 @@ class CategoryData(_Frozen):
         return self.ring.rank
 
     @property
-    def dims(self) -> tuple[Cyclotomic, ...]:
-        return self.pivotal.dims
-
-    @property
     def kind(self) -> str:
-        return "modular" if self.modular is not None else "fusion_ring"
+        return "modular" if self.s is not None else "fusion_ring"
 
     @property
     def is_integral(self) -> bool:
@@ -170,8 +153,8 @@ class CategoryData(_Frozen):
     def show(self, v: Cyclotomic) -> Cyclotomic:
         """v as printed: s-derived values are computed in the least field of s
         but every one that is printed, in a report, a check or an error,
-        goes through here and is lifted to the conductor s was given at."""
-        return shown(v, self.modular.conductor if self.modular is not None else 1)
+        goes through here and is lifted to shown_conductor."""
+        return shown(v, self.shown_conductor)
 
 
 def _sparse_rows(fusion):
@@ -323,9 +306,7 @@ class CategoryInput(_Frozen):
         given s-matrix's if that is not a divisor of it; 1 without s."""
         return lcm(self.conductor, self.s_matrix.conductor) if self.s_matrix is not None else 1
 
-    def show(self, v: Cyclotomic) -> Cyclotomic:
-        """v as printed (CategoryData.show)."""
-        return shown(v, self.shown_conductor)
+    show = CategoryData.show
 
     @cached_property
     def char_table_law(self):
@@ -524,21 +505,16 @@ def assemble_category(inp: CategoryInput) -> CategoryData:
     """Assemble already-validated input; callers must run validate_input first."""
     fusion, dual = inp.derived_ring
     if inp.kind == "modular":
-        s = inp.s_field
-        dims = tuple(s.rows[0])
-        modular = ModularData(s, inp.twists, inp.shown_conductor)
-        char_table = None
-        proved = inp.s_certified
+        s, twists, table = inp.s_field, inp.twists, None
+        dims, proved = tuple(s.rows[0]), inp.s_certified
     else:
-        dims = tuple(inp.dims)
-        modular = None
-        char_table = inp.char_table
-        proved = char_table is not None and inp.char_table_law is None
-
-    ring = FusionRing(labels=inp.labels, fusion=fusion, dual=dual)
+        s = twists = None
+        table, dims = inp.char_table, tuple(inp.dims)
+        proved = table is not None and inp.char_table_law is None
     return CategoryData(
-        name=inp.name, ring=ring, pivotal=PivotalData(dims=dims), modular=modular,
-        char_table=char_table, dim=global_dim(dims, dual), certified=fusion if proved else None,
+        name=inp.name, ring=FusionRing(labels=inp.labels, fusion=fusion, dual=dual), dims=dims,
+        s=s, twists=twists, shown_conductor=inp.shown_conductor, char_table=table,
+        dim=global_dim(dims, dual), certified=fusion if proved else None,
     )
 
 
@@ -734,31 +710,28 @@ def category_to_input(data: CategoryData, kind: str | None = None) -> CategoryIn
     table alpha_ij = s_ij / d_j so the class algebra stays available."""
     kind = kind or data.kind
     if kind == "modular":
-        if data.modular is None:
+        if data.s is None:
             raise CapabilityError("no s-matrix to write")
         return CategoryInput(
             name=data.name,
             kind="modular",
-            conductor=_file_conductor(data, "modular"),
+            conductor=_file_conductor(data, data.s, data.twists or ()),
             labels=data.ring.labels,
-            s_matrix=data.modular.s,
-            twists=data.modular.twists,
+            s_matrix=data.s,
+            twists=data.twists,
         )
     if kind != "fusion_ring":
         raise ValueError(f"unknown kind {kind!r}")
     table = data.char_table
-    if table is None and data.modular is not None:
+    if table is None and data.s is not None:
         dim_inv = [d.inv() for d in data.dims]
         table = CycloMatrix(
-            [
-                [data.modular.s.rows[i][j] * dim_inv[j] for j in range(data.rank)]
-                for i in range(data.rank)
-            ]
+            [[data.s.rows[i][j] * dim_inv[j] for j in range(data.rank)] for i in range(data.rank)]
         )
     return CategoryInput(
         name=data.name,
         kind="fusion_ring",
-        conductor=_file_conductor(data, "fusion_ring", table),
+        conductor=_file_conductor(data, table, data.dims),
         labels=data.ring.labels,
         fusion=data.ring.fusion,
         dims=data.dims,
@@ -766,22 +739,11 @@ def category_to_input(data: CategoryData, kind: str | None = None) -> CategoryIn
     )
 
 
-def _file_conductor(data: CategoryData, kind: str, table=None) -> int:
-    """The lcm of the conductors irrational values are shown at."""
-    values: list[Cyclotomic] = []
-    if kind == "modular":
-        values.extend(v for row in data.modular.s.rows for v in row)
-        if data.modular.twists:
-            values.extend(data.modular.twists)
-    else:
-        values.extend(data.dims)
-        if table is not None:
-            values.extend(v for row in table.rows for v in row)
-    n = 1
-    for v in values:
-        if not v.is_rational():
-            n = lcm(n, data.show(v).conductor)
-    return n
+def _file_conductor(data: CategoryData, matrix, values) -> int:
+    """The lcm of the conductors the irrational entries of matrix (or None)
+    and values are shown at."""
+    rows = [*(matrix.rows if matrix is not None else ()), values]
+    return lcm(*(data.show(v).conductor for row in rows for v in row if not v.is_rational()))
 
 
 def input_to_json(inp: CategoryInput) -> dict:

@@ -191,7 +191,7 @@ def _laws(alg: CharacterAlgebra, subcats, results) -> list:
 def centralizer_suite(alg: CharacterAlgebra) -> list[Check]:
     """Centralizer laws over every fusion subcategory, each decided in one
     pass; a failing law names its first subcategory."""
-    if alg.data.modular is None:
+    if alg.data.s is None:
         return [Check(cid, "skip", "needs an s-matrix") for cid in _LAWS]
     try:
         subcats = enumerate_subcats(alg)

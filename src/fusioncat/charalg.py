@@ -118,7 +118,11 @@ class ConjugacyData(_Frozen):
 class ClassSumProduct(_Frozen):
     """cbar_i cbar_j = sum_l c_ij^l cbar_l with c_ij^l = (d_i d_j / d_l) N_ij^l."""
 
-    __slots__ = ("constants", "rational_flags")
+    __slots__ = ("constants",)
+
+    @property
+    def rational_flags(self) -> tuple[bool, ...]:
+        return tuple(c.is_rational() for c in self.constants)
 
     @property
     def all_rational(self) -> bool:
@@ -163,11 +167,17 @@ class CharacterAlgebra:
     def ce_zero(self) -> CentralElement:
         return self._basis(CentralElement, ())
 
+    def _object(self, i: int) -> int:
+        """i, if it is the index of a simple object; else KeyError."""
+        if not 0 <= i < self.rank:
+            raise KeyError(f"no simple object with index {i}")
+        return i
+
     def character(self, i: int) -> ClassFunction:
-        return self._basis(ClassFunction, (i,))
+        return self._basis(ClassFunction, (self._object(i),))
 
     def idempotent(self, i: int) -> CentralElement:
-        return self._basis(CentralElement, (i,))
+        return self._basis(CentralElement, (self._object(i),))
 
     def unit_central(self) -> CentralElement:
         return self._basis(CentralElement, range(self.rank))
@@ -248,12 +258,12 @@ class CharacterAlgebra:
 
     def require_s(self) -> CycloMatrix:
         """The s-matrix; CapabilityError when the category is a plain fusion ring."""
-        if self.data.modular is None:
+        if self.data.s is None:
             raise CapabilityError(
                 f"{self.data.name}: this computation needs an s-matrix, "
                 "but the category was given as a plain fusion ring"
             )
-        return self.data.modular.s
+        return self.data.s
 
     def drinfeld(self, f: ClassFunction) -> CentralElement:
         """drinfeld(chi_i) = sum_j (s_ij / d_j) E_j, extended linearly."""
@@ -306,7 +316,7 @@ class CharacterAlgebra:
         if self._conjugacy is not None:
             return self._conjugacy
         rank, dual, ring = self.rank, self.dual, self.data.ring
-        if self.data.modular is not None:
+        if self.data.s is not None:
             rows = self._drinfeld_characters
             column_order = tuple(range(rank))
         else:
@@ -372,6 +382,7 @@ class CharacterAlgebra:
     def class_sum_product(self, i: int, j: int) -> ClassSumProduct:
         """Structure constants of the class sums, verified against ce_mul
         through the fusion law of the y_l (one routine with the suite)."""
+        i, j = self._object(i), self._object(j)
         if _law_witness(self.data.ring.nonzero, *_family(self._scaled_class_sums), [(i, j)]):
             raise InternalConsistencyError(
                 f"class sum product ({i}, {j}) does not match its expansion"
@@ -380,7 +391,7 @@ class CharacterAlgebra:
         dij = self.dims[i] * self.dims[j]
         for l, n in self.data.ring.nonzero[i][j]:
             constants[l] = dij * self._dims_inv[l] * n
-        return ClassSumProduct(tuple(constants), tuple(c.is_rational() for c in constants))
+        return ClassSumProduct(tuple(constants))
 
     # -- identity suite -----------------------------------------------------------
 
@@ -437,7 +448,7 @@ class CharacterAlgebra:
                 [e.scaled(self.dim) for e in basis],
             ), "column orthogonality wrong at {}"),
         ]
-        if self.data.modular is None:
+        if self.data.s is None:
             return checks + no_s
 
         fq, nonzero = self._drinfeld_characters, self.data.ring.nonzero

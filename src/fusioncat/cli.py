@@ -31,7 +31,7 @@ from .category import (
     load_input,
     validate_input,
 )
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, _Frozen
 from .errors import (
     CapabilityError,
     InternalConsistencyError,
@@ -47,25 +47,22 @@ __all__ = ["main", "run", "full_suite", "Report", "Section"]
 # report model and rendering
 
 
-class Section:
-    __slots__ = ("title", "rows")
-
-    def __init__(self, title: str, rows: list):
-        self.title = title
-        self.rows = rows  # (key, value) pairs; values are cells, see below
+class Section(_Frozen):
+    __slots__ = ("title", "rows")  # rows: (key, value) pairs; values are cells, see below
 
 
-class Report:
-    __slots__ = ("command", "category", "sections", "checks", "show")
+class Report(_Frozen):
+    """source is the CategoryData or CategoryInput reported on, or None:
+    its name heads the report and its show prints the values of cells."""
 
-    def __init__(self, command: str, source, sections: list, checks: list):
-        """source is the CategoryData or CategoryInput reported on, or None:
-        its name heads the report and its show prints the values of cells."""
-        self.command = command
-        self.category = source.name if source is not None else ""
-        self.sections = sections
-        self.checks = checks
-        self.show = source.show if source is not None else lambda v: v
+    __slots__ = ("command", "source", "sections", "checks")
+
+    @property
+    def category(self) -> str:
+        return self.source.name if self.source is not None else ""
+
+    def show(self, v: Cyclotomic) -> Cyclotomic:
+        return self.source.show(v) if self.source is not None else v
 
 
 def _cell_text(v, show) -> str:
@@ -241,8 +238,8 @@ def _cmd_info(args) -> Report:
         Section("dims", list(zip(labels, data.dims))),
         Section("duals", [(lab, labels[d]) for lab, d in zip(labels, data.ring.dual)]),
     ]
-    if data.modular is not None and data.modular.twists is not None:
-        sections.append(Section("twists", list(zip(labels, data.modular.twists))))
+    if data.twists is not None:
+        sections.append(Section("twists", list(zip(labels, data.twists))))
     return Report("info", data, sections, [])
 
 
@@ -307,7 +304,7 @@ def _cmd_classes(args) -> Report:
         Section("class sums", [(lab, list(e.coeffs)) for lab, e in zip(labels, conj.class_sums)]),
         Section("character table", [(lab, list(r.coeffs)) for lab, r in zip(labels, conj.alpha)]),
     ]
-    if data.modular is not None:
+    if data.s is not None:
         transparent = [labels[j] for j in alg.transparent_members()]
         sections.append(Section("transparent objects", [("members", transparent)]))
     return Report("classes", data, sections, [])
@@ -331,31 +328,16 @@ def _cmd_grading(args) -> Report:
                                for g, comp in zip(names, grade.components)]),
         Section("group table", [(g, [names[v] for v in r]) for g, r in zip(names, grade.table)]),
     ]
-    report = Report("grading", data, sections, [])
     prime = prime_index_check(alg)
-    if prime.applicable:
-        report.sections.append(
-            Section(
-                "prime index",
-                [
-                    ("prime", prime.prime),
-                    (
-                        "subcategories",
-                        [_members_str(labels, d.members) for d in prime.subcategories],
-                    ),
-                    (
-                        "normal subgroups",
-                        [[names[g] for g in sub] for sub in prime.subgroups],
-                    ),
-                ],
-            )
-        )
-        report.checks = list(prime.checks)
-    else:
-        report.sections.append(
-            Section("prime index", [("not applicable", prime.reason)])
-        )
-    return report
+    if not prime.applicable:
+        sections.append(Section("prime index", [("not applicable", prime.reason)]))
+        return Report("grading", data, sections, [])
+    sections.append(Section("prime index", [
+        ("prime", prime.prime),
+        ("subcategories", [_members_str(labels, d.members) for d in prime.subcategories]),
+        ("normal subgroups", [[names[g] for g in sub] for sub in prime.subgroups]),
+    ]))
+    return Report("grading", data, sections, list(prime.checks))
 
 
 def full_suite(alg: CharacterAlgebra) -> list[Check]:

@@ -314,7 +314,8 @@ class _Frozen:
     "__dict__" slot, which only holds cached properties; the field tuple is
     read once per class, and no code is generated.  The one constructor takes
     the fields by position or by name, an optional one from the class's
-    _defaults.  A bad call raises TypeError, a write or a del AttributeError."""
+    _defaults.  A bad call raises TypeError, a write or a del AttributeError.
+    The repr names every field."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -346,6 +347,10 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is read-only")
 
     __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class _Flat(_Frozen):

@@ -182,9 +182,7 @@ def generate_subcat(alg: CharacterAlgebra, generators) -> FusionSubcategory:
     """Smallest fusion subcategory containing the given simple indices."""
     new = 0
     for i in generators:
-        if not 0 <= i < alg.rank:
-            raise KeyError(f"no simple object with index {i}")
-        new |= 1 << i
+        new |= 1 << alg._object(i)
     return FusionSubcategory(_members(_close(_ring_masks(alg), 1, new)))
 
 
@@ -325,7 +323,7 @@ def join(alg: CharacterAlgebra, a: FusionSubcategory, b: FusionSubcategory) -> F
 
 def kernel_of_object(alg: CharacterAlgebra, i: int) -> tuple[int, ...]:
     """Classes on which chi_i takes its maximal value d_i."""
-    row = alg.conjugacy().alpha[i].coeffs
+    row = alg.conjugacy().alpha[alg._object(i)].coeffs
     return tuple(j for j in range(alg.rank) if row[j] == alg.dims[i])
 
 
@@ -562,7 +560,7 @@ def lattice_suite(alg: CharacterAlgebra) -> list[Check]:
             adj_support == size_one,
             f"support {sorted(adj_support)}, size-one classes {sorted(size_one)}",
         ))
-        if alg.data.modular is not None:
+        if alg.data.s is not None:
             checks.append(verdict(
                 "pointed-class-match",
                 size_one == set(grade.pointed.members),

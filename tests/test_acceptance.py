@@ -227,7 +227,7 @@ def test_criterion_08_verlinde_integrality(algs):
     ok = True
     for name in catalog_names():
         data = catalog_get(name)
-        fusion, dual = verlinde_fusion(data.modular.s)
+        fusion, dual = verlinde_fusion(data.s)
         if fusion != data.ring.fusion or dual != data.ring.dual:
             ok = False
     # corrupting any one of the 16 toric entries must be caught somewhere;

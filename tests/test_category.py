@@ -57,14 +57,14 @@ def test_catalog_kind_and_dims(name):
 
 
 def test_verlinde_toric_code_is_xor_table():
-    s = catalog_get("toric_code").modular.s
+    s = catalog_get("toric_code").s
     fusion, dual = verlinde_fusion(s)
     assert fusion == XOR4
     assert dual == (0, 1, 2, 3)
 
 
 def test_verlinde_fibonacci():
-    s = catalog_get("fibonacci").modular.s
+    s = catalog_get("fibonacci").s
     fusion, dual = verlinde_fusion(s)
     assert fusion == (((1, 0), (0, 1)), ((0, 1), (1, 1)))
     assert dual == (0, 1)
@@ -154,9 +154,9 @@ def test_catalog_s_matrices_in_their_least_field(name):
     m, _ = least_field([v for row in inp.s_matrix.rows for v in row], inp.conductor)
     assert m == LEAST_FIELD[name]
     data = catalog_get(name)
-    assert data.modular.s.conductor == m
-    assert data.modular.conductor == inp.conductor
-    assert data.modular.s == inp.s_matrix
+    assert data.s.conductor == m
+    assert data.shown_conductor == inp.conductor
+    assert data.s == inp.s_matrix
 
 
 @pytest.mark.parametrize("k, m", [(2, 8), (5, 7), (7, 9), (20, 44)])
@@ -174,14 +174,14 @@ def test_su2_s_is_computed_at_twice_k_plus_2_or_its_odd_half(k, m):
         inp = CategoryInput(name="su2_5", kind="modular", conductor=n,
                             labels=tuple(map(str, range(6))), s_matrix=s)
         data = build_category(inp)
-        assert (data.modular.s.conductor, data.modular.conductor) == (m, n)
+        assert (data.s.conductor, data.shown_conductor) == (m, n)
         assert data.certified is data.ring.fusion
         dim = {c.check_id: c for c in validate_input(inp)}["global-dim-nonzero"].detail
         assert dim == f"dim C = {shown(data.dim, n)}" and "ζ28" in dim
         # written back, s is lifted to the conductor it was given at
         assert input_to_json(category_to_input(data)) == input_to_json(inp)
         again = build_category(category_to_input(data))
-        assert (again.modular.s.conductor, again.modular.conductor) == (m, n)
+        assert (again.s.conductor, again.shown_conductor) == (m, n)
 
 
 def test_corrupted_s_fails_validation():
@@ -286,7 +286,7 @@ def test_save_and_load_modular(tmp_path):
     save_category(catalog_get("toric_code"), path)
     data = load_category(path)
     assert data.name == "toric_code"
-    assert data.modular.s == catalog_get("toric_code").modular.s
+    assert data.s == catalog_get("toric_code").s
     assert data.ring.fusion == XOR4
 
 
@@ -295,7 +295,7 @@ def test_save_and_load_fusion_ring(tmp_path):
     save_category(catalog_get("toric_code"), path, kind="fusion_ring")
     data = load_category(path)
     assert data.kind == "fusion_ring"
-    assert data.modular is None
+    assert data.s is None
     assert data.char_table is not None
     assert data.ring.fusion == XOR4
     assert data.dims == catalog_get("toric_code").dims
@@ -325,7 +325,7 @@ def test_downgrade_preserves_class_data(tmp_path):
         for j in range(3):
             assert (
                 data.char_table.rows[i][j]
-                == ising.modular.s.rows[i][j] * ising.dims[j].inv()
+                == ising.s.rows[i][j] * ising.dims[j].inv()
             )
 
 

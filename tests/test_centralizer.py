@@ -139,7 +139,7 @@ def test_batched_images_match_the_formula(name):
     # drinfeld(lambda_D) for every D from one matmul, against
     # sum_i lambda_D[i] s_ij / d_j one subcategory at a time
     alg = CharacterAlgebra(catalog_get(name))
-    s, d = alg.data.modular.s.rows, alg.dims
+    s, d = alg.data.s.rows, alg.dims
     subcats = enumerate_subcats(alg)
     for sub, result in zip(subcats, centralizer_module._results(alg, subcats)):
         lam = alg.cointegral(sub.members).coeffs
@@ -155,8 +155,8 @@ def _kron(a, b):
 
 def test_rank_32_product_verifies_with_nothing_skipped():
     # toric_code (x) toric_code (x) semion: rank 32, past the old rank-16 cap
-    toric = catalog_get("toric_code").modular.s.rows
-    s = _kron(_kron(toric, toric), catalog_get("semion").modular.s.rows)
+    toric = catalog_get("toric_code").s.rows
+    s = _kron(_kron(toric, toric), catalog_get("semion").s.rows)
     inp = CategoryInput(name="tc2s", kind="modular", conductor=1,
                         labels=tuple(f"x{i}" for i in range(32)), s_matrix=CycloMatrix(s))
     assert [c.check_id for c in validate_input(inp) if c.status != "pass"] == []
@@ -178,7 +178,7 @@ def test_non_closed_member_set_rejected(algs):
 def _toric2():
     """toric_code (x) toric_code: modular, with the fusion rules of the
     group ring of Z/2^4; 67 subcategories."""
-    toric = catalog_get("toric_code").modular.s.rows
+    toric = catalog_get("toric_code").s.rows
     inp = CategoryInput(name="tc2", kind="modular", conductor=1,
                         labels=tuple(f"x{i}" for i in range(16)),
                         s_matrix=CycloMatrix(_kron(toric, toric)))

@@ -29,6 +29,7 @@ from fusioncat.cyclotomic import (
     CycloMatrix, Cyclotomic, _family, _Vector, euler_phi, rational, zeta,
 )
 from fusioncat.errors import CapabilityError, InternalConsistencyError
+from fusioncat.lattice import kernel_of_object
 
 GOLDEN = -zeta(5, 2) - zeta(5, 3)
 
@@ -498,6 +499,21 @@ def test_class_sum_product_fibonacci_irrational(algs):
     assert p.constants[1] == GOLDEN
     assert p.rational_flags == (False, False)
     assert not p.all_rational
+
+
+@pytest.mark.parametrize("call", [
+    lambda alg, i: alg.character(i),
+    lambda alg, i: alg.idempotent(i),
+    lambda alg, i: alg.class_sum_product(i, 0),
+    lambda alg, i: alg.class_sum_product(0, i),
+    lambda alg, i: kernel_of_object(alg, i),
+], ids=["character", "idempotent", "class_sum_product_i", "class_sum_product_j",
+        "kernel_of_object"])
+@pytest.mark.parametrize("index", [-1, 2])
+def test_object_index_out_of_range_is_a_key_error(call, index, algs):
+    # fibonacci has rank 2: -1 used to wrap round to tau, 2 to raise IndexError
+    with pytest.raises(KeyError, match=f"no simple object with index {index}"):
+        call(algs["fibonacci"], index)
 
 
 @pytest.mark.parametrize("name", ["toric_code", "ising", "fibonacci", "vec_z4"])

@@ -2,9 +2,10 @@
 
 Every record is a plain slotted class, not a dataclass, which keeps the
 package's import free of per-class code generation and of the dataclasses
-and inspect modules.  Every record and every value is read-only through
-_Frozen; all but CycloMatrix and the flat storage of values and vectors
-share its one constructor over their __slots__.
+and inspect modules.  Every record and every value, the CLI's Report and
+Section included, is read-only through _Frozen; all but CycloMatrix and the
+flat storage of values and vectors share its one constructor and its repr
+over their __slots__.
 """
 
 import dataclasses
@@ -22,9 +23,10 @@ from conftest import replaced
 
 import fusioncat
 from fusioncat import catalog_get, catalog_input
-from fusioncat.category import CategoryInput, Check, ModularData
+from fusioncat.category import CategoryInput, Check
 from fusioncat.centralizer import centralizer
 from fusioncat.charalg import CentralElement, CharacterAlgebra, ClassFunction
+from fusioncat.cli import Report, Section
 from fusioncat.cyclotomic import CycloMatrix, _Flat, _Frozen, zeta
 from fusioncat.lattice import (
     FusionSubcategory,
@@ -107,15 +109,12 @@ def test_lazy_package_resolves_every_public_name():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert out.stdout == "55 0.1.0\n"
+    assert out.stdout == "53 0.1.0\n"
 
 
 def test_keyword_construction_with_defaults():
     check = Check(check_id="unit-axiom", status="pass")
     assert (check.check_id, check.status, check.detail) == ("unit-axiom", "pass", "")
-    s = catalog_get("semion").modular.s
-    modular = ModularData(s=s)
-    assert modular.s is s and modular.twists is None and modular.conductor == s.conductor
 
 
 def test_category_input_keeps_field_order_and_defaults():
@@ -143,8 +142,8 @@ def _read_only_records(alg):
     return [
         (Check("x", "pass"), "status"),
         (data.ring, "labels"),
-        (data.pivotal, "dims"),
-        (data.modular, "twists"),
+        (data, "dims"),
+        (data, "s"),
         (data, "name"),
         (alg.character(0), "coeffs"),
         (alg.idempotent(0), "coeffs"),
@@ -204,11 +203,11 @@ def _record_classes():
 
 
 def test_one_record_constructor():
-    """Only ModularData, whose conductor defaults to its s-matrix's,
-    CycloMatrix, which checks and lifts its rows, and the flat storage of
-    values and vectors, built in __new__, define an __init__ of their own."""
+    """Only CycloMatrix, which checks and lifts its rows, and the flat
+    storage of values and vectors, built in __new__, define an __init__ of
+    their own."""
     assert {cls.__name__ for cls in _record_classes() if "__init__" in vars(cls)} == {
-        "ModularData", "CycloMatrix", "_Flat"
+        "CycloMatrix", "_Flat"
     }
 
 
@@ -257,12 +256,26 @@ def test_one_read_only_guard():
 def _sample_records(alg):
     """One record of every class with the shared constructor."""
     data, subcat = alg.data, enumerate_subcats(alg)[1]
+    section = Section("dims", list(zip(data.ring.labels, data.dims)))
     return [
-        Check("x", "pass"), data.ring, data.pivotal, data.modular, data,
-        catalog_input("toric_code"), alg.conjugacy(), alg.class_sum_product(1, 1), subcat,
-        subcat_invariants(alg, subcat), grading(alg), prime_index_check(alg),
-        centralizer(alg, subcat),
+        Check("x", "pass"), data.ring, data, catalog_input("toric_code"), alg.conjugacy(),
+        alg.class_sum_product(1, 1), subcat, subcat_invariants(alg, subcat), grading(alg),
+        prime_index_check(alg), centralizer(alg, subcat), section,
+        Report("info", data, [section], []),
     ]
+
+
+def test_record_repr_names_every_field(toric):
+    """A record's repr is its class and its fields by name, with their reprs;
+    values, vectors and matrices keep their own."""
+    assert repr(FusionSubcategory((0, 1))) == "FusionSubcategory(members=(0, 1))"
+    assert repr(Check("x", "fail", "at 0")) == "Check(check_id='x', status='fail', detail='at 0')"
+    for record in _sample_records(toric):
+        fields = ", ".join(f"{f}={getattr(record, f)!r}" for f in type(record)._fields)
+        assert repr(record) == f"{type(record).__name__}({fields})"
+    assert repr(zeta(4)) == "Cyclotomic(4, ['0', '1'])"
+    assert repr(CycloMatrix([[zeta(3)]])) == "CycloMatrix(1x1, conductor 3)"
+    assert repr(toric.character(1)) == f"ClassFunction(coeffs={toric.character(1).coeffs!r})"
 
 
 def test_record_contract(toric):

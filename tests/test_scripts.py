@@ -82,3 +82,28 @@ def test_output_digest_of_generated_inputs_is_unchanged(tmp_path, monkeypatch):
            for line in proc.stdout.splitlines() if " --file " in line]
     want = (ROOT / "tests" / "generated_digest.txt").read_text(encoding="utf-8")
     assert got == want.splitlines()
+
+
+def test_export_catalog_round_trips_through_the_cli(tmp_path, capsys):
+    # Every exported file, in modular and fusion-ring form, passes info,
+    # validate and verify, and each modular file reports exactly as its
+    # catalog entry does.
+    from fusioncat import catalog_names
+    from fusioncat.cli import run
+
+    proc = _python(str(ROOT / "scripts" / "export_catalog.py"), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    names = catalog_names()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{name}{form}.json" for name in names for form in ("", "_ring"))
+
+    def report(*argv):
+        code = run([*argv, "--json"])
+        return code, capsys.readouterr().out
+
+    for name in names:
+        for command in ("info", "validate", "verify"):
+            code, ring = report(command, "--file", str(tmp_path / f"{name}_ring.json"))
+            assert code == 0, (command, name, ring)
+            got = report(command, "--file", str(tmp_path / f"{name}.json"))
+            assert got == report(command, "--catalog", name) and got[0] == 0, (command, name)
