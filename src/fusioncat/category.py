@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import sys
 from functools import cached_property
-from itertools import product
-from math import lcm
+from itertools import compress, product
+from math import inf, lcm, nan
 
 from .cyclotomic import (
-    Cyclotomic, CycloMatrix, _chunks, _family, _Frozen, _make, _Vector, euler_phi, matmul_nums,
-    pointwise_nums, rational, shown,
+    Cyclotomic, CycloMatrix, _chunks, _family, _Frozen, _make, _matmul, _packed, _top,
+    _Vector, _width, euler_phi, matmul_nums, pointwise_nums, rational, shown,
 )
 from .errors import (
     CapabilityError,
@@ -98,17 +98,13 @@ class FusionRing(_Frozen):
     """Fusion coefficients N[i][j][k] with the derived duality involution.
     Index 0 is always the unit object."""
 
-    # fusion[i][j][k] = N_ij^k, as nested tuples; __dict__ holds nonzero
-    __slots__ = ("labels", "fusion", "dual", "__dict__")
+    # fusion[i][j][k] = N_ij^k, as nested tuples; nonzero[i][j] lists the
+    # pairs (k, N_ij^k) with N_ij^k != 0 (CategoryInput.nonzero)
+    __slots__ = ("labels", "fusion", "dual", "nonzero")
 
     @property
     def rank(self) -> int:
         return len(self.labels)
-
-    @cached_property
-    def nonzero(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-        """nonzero[i][j] lists the pairs (k, N_ij^k) with N_ij^k != 0."""
-        return _sparse_rows(self.fusion)
 
     def index_of(self, label: str) -> int:
         try:
@@ -159,10 +155,7 @@ class CategoryData(_Frozen):
 
 def _sparse_rows(fusion):
     """The pairs (k, N_ij^k) with N_ij^k != 0, for each (i, j)."""
-    return tuple(
-        tuple(tuple((k, n) for k, n in enumerate(row) if n) for row in rows)
-        for rows in fusion
-    )
+    return tuple(tuple(tuple(compress(enumerate(row), row)) for row in rows) for rows in fusion)
 
 
 def _law_witness(nonzero, n: int, den: int, rows, pairs=None):
@@ -222,12 +215,13 @@ def verlinde_fusion(s: CycloMatrix, show=lambda v: v):
     """Derive (fusion, dual) from an s-matrix, or raise NotModularError /
     DegenerateError.  Duality is self-consistent: the first pass computes the
     raw sums T_ij^k = sum_r s_ir s_jr s_kr / (d_r dim C) (no dual applied),
-    symmetric in i, j, k, on sorted triples only: for each j, matmul_nums of
-    the flat rows s_ir, i <= j, against s_kr / (d_r dim C), k >= j, with s_jr
-    multiplied into the side with fewer vectors.  It raises at the row-major
-    least (i, j, k) whose numerators are not a nonnegative integer over the
-    common denominator, printed through show: the first failing entry of
-    all, as a failing entry's sorted triple fails too and comes no later.
+    symmetric in i, j, k, on sorted triples k <= j <= i only: for each j the
+    rows (s_ir)_r, i >= j, against the first j + 1 columns
+    (s_kr / (d_r dim C))_r, with s_jr multiplied into the side with fewer
+    vectors.  The rows and the columns (one product with the weight vector)
+    are packed once, and again only if a later j needs wider slots; the
+    products alone are packed per j.  It raises at the least failing sorted
+    triple, the first failing entry of all, printed through show.
     dual_involution reads duality off T_ij^0, and then N_ij^k = T_ij^{k*}."""
     rank = s.nrows
     if rank != s.ncols:
@@ -240,38 +234,47 @@ def verlinde_fusion(s: CycloMatrix, show=lambda v: v):
     if dim_c.is_zero():
         raise DegenerateError("global dimension is zero")
     dim_inv = dim_c.inv()
-    weights = [d.inv() * dim_inv for d in dims]
-    n, den_w, columns = _family([_Vector([v * w for v, w in zip(r, weights)]) for r in s.rows])
-    n, den_s, rows = _family(list(map(_Vector, s.rows)), n)
-    den, phi = den_s * den_s * den_w, euler_phi(n)
-    t = [[[None] * rank for _ in range(rank)] for _ in range(rank)]
-    bad = None
-    for j in range(rank):
-        left, right = rows[:j + 1], columns[j:]
-        if 2 * j < rank:
-            left = [pointwise_nums(n, x, rows[j]) for x in left]
+    n, den_s, rows = s.flat()
+    n, den_w, (weights,) = _family([_Vector([d.inv() * dim_inv for d in dims])], n)
+    phi, den = euler_phi(n), den_s ** 3 * den_w
+    columns = _chunks(pointwise_nums(n, [c for x in rows for c in x], weights * rank), rank * phi)
+    tops, sizes = [_top([x]) for x in rows], [_top([y], phi) for y in columns]
+    low, bad, w, packed_at = [[None] * rank for _ in range(rank)], None, 1, 0
+    for j in range(rank):  # the rows i >= j against the columns k <= j
+        # s_jr goes into the side with fewer vectors; at phi = 1 into the rows, their own packing
+        by_rows = phi == 1 or rank - j <= j + 1
+        if by_rows:
+            product = [pointwise_nums(n, x, rows[j]) for x in rows[j:]]
+            w = max(w, _width(rank, _top(product), max(sizes[:j + 1])))
         else:
-            right = [pointwise_nums(n, rows[j], y) for y in right]
-        for i, row in enumerate(matmul_nums(n, left, right)):
-            for k, x in enumerate(_chunks(row, phi), j):
-                q, r = divmod(x[0], den)
-                if (r or q < 0 or any(x[1:])) and (bad is None or (i, j, k) < bad[:3]):
-                    bad = i, j, k, x
-                t[i][j][k] = t[j][i][k] = t[j][k][i] = t[k][j][i] = t[k][i][j] = t[i][k][j] = q
+            product = [pointwise_nums(n, rows[j], y) for y in columns[:j + 1]]
+            w = max(w, _width(rank, max(tops[j:]), _top(product, phi)))
+        if w != packed_at:  # widths only grow, so rows and columns are packed once per width
+            prows, pcols, packed_at = _packed(n, rows, w), _packed(n, columns, w, True), w
+        left, right = ((_packed(n, product, w), pcols) if by_rows
+                       else (prows[j:], _packed(n, product, w, True)))
+        for i, row in enumerate(_matmul(n, left, right, w, j + 1), j):
+            qs = low[i][j] = [c // den for c in row[::phi]]
+            if (min(qs) < 0 or [q * den for q in qs] != row[::phi]
+                    or any(any(row[m::phi]) for m in range(1, phi))):
+                first = next((k, j, i, x) for k, x in enumerate(_chunks(row, phi))
+                             if x[0] < 0 or x[0] % den or any(x[1:]))
+                bad = min(bad or first, first)
     if bad is not None:
         i, j, k, x = bad
         raise NotModularError(f"Verlinde coefficient at (i={i}, j={j}, k={k}) is "
                               f"{show(_make(n, x, den))}, not a nonnegative integer")
 
+    t = [[None] * rank for _ in range(rank)]  # T_ij^k for k > j from the sorted triples
+    for i, j in ((i, j) for i in range(rank) for j in range(i + 1)):
+        t[i][j] = t[j][i] = (low[i][j] + [low[i][k][j] for k in range(j + 1, i + 1)]
+                             + [low[k][i][j] for k in range(i + 1, rank)])
     try:
         dual = dual_involution(t)
     except MalformedFusionError as e:
         raise NotModularError(f"derived duality broken: {e}") from e
 
-    fusion = tuple(
-        tuple(tuple(t[i][j][dual[k]] for k in range(rank)) for j in range(rank))
-        for i in range(rank)
-    )
+    fusion = tuple(tuple(tuple(map(row.__getitem__, dual)) for row in plane) for plane in t)
     return fusion, dual
 
 
@@ -282,7 +285,7 @@ def verlinde_fusion(s: CycloMatrix, show=lambda v: v):
 class CategoryInput(_Frozen):
     """Parsed but not yet trusted category description."""
 
-    # kind is "modular" | "fusion_ring"; __dict__ holds derived_ring
+    # kind is "modular" | "fusion_ring"; __dict__ holds the derivations
     __slots__ = ("name", "kind", "conductor", "labels", "s_matrix", "twists", "fusion",
                  "dims", "char_table", "__dict__")
     _defaults = dict.fromkeys(("s_matrix", "twists", "fusion", "dims", "char_table"))
@@ -300,6 +303,11 @@ class CategoryInput(_Frozen):
             return verlinde_fusion(self.s_field, self.show)
         return self.fusion, dual_involution(self.fusion)
 
+    @cached_property
+    def nonzero(self):
+        """_sparse_rows of the given or derived rules, once per input."""
+        return _sparse_rows(self.fusion or self.derived_ring[0])
+
     @property
     def shown_conductor(self) -> int:
         """Where s-derived values are shown: the declared conductor, or the
@@ -312,8 +320,7 @@ class CategoryInput(_Frozen):
     def char_table_law(self):
         """_law_witness of the table's columns under the given rules, run once
         per input: validation reports it and assembly reads it as a certificate."""
-        rows = list(map(_Vector, self.char_table.rows))
-        return _law_witness(_sparse_rows(self.fusion), *_family(rows))
+        return _law_witness(self.nonzero, *self.char_table.flat())
 
     @cached_property
     def s_field(self) -> CycloMatrix:
@@ -321,21 +328,30 @@ class CategoryInput(_Frozen):
         return self.s_matrix.descended()
 
     @cached_property
+    def s_flat(self):
+        """(n, rows, columns): s_field as flat rows and as flat columns."""
+        n, _, rows = self.s_field.flat()
+        cols = zip(*(_chunks(row, euler_phi(n)) for row in rows))
+        return n, rows, [[c for x in col for c in x] for col in cols]
+
+    @cached_property
     def s_square(self) -> tuple[int, ...] | None:
         """P when s s = c P with c != 0 and P a permutation matrix, as the
         column of the one nonzero entry of each row; else None.  This proves s
-        invertible, and s_certified builds on it."""
-        s = self.s_field
-        hits = [[(j, v) for j, v in enumerate(row) if v] for row in (s @ s).rows]
+        invertible, and s_certified builds on it.  s s is one matmul_nums of
+        the flat rows of s with its flat columns."""
+        n, rows, cols = self.s_flat
+        hits = [[(j, x) for j, x in enumerate(_chunks(row, euler_phi(n))) if any(x)]
+                for row in matmul_nums(n, rows, cols)]
         if not all(len(h) == 1 and h[0][1] == hits[0][0][1] for h in hits):
             return None
         perm = tuple(h[0][0] for h in hits)
-        return perm if sorted(perm) == list(range(s.nrows)) else None
+        return perm if sorted(perm) == list(range(len(rows))) else None
 
     @property
     def s_certified(self) -> bool:
         """s symmetric, s s = c P, P the derived duality: the certificate of CategoryData."""
-        return self.s_square == self.derived_ring[1] and self.s_field.is_symmetric()
+        return self.s_square == self.derived_ring[1] and self.s_flat[1] == self.s_flat[2]
 
 
 def _associativity_witness(fusion, nonzero):
@@ -359,9 +375,9 @@ def _associativity_witness(fusion, nonzero):
     return None
 
 
-def _check_ring_axioms(inp: CategoryInput, fusion, nonzero, dims, checks: list[Check]):
+def _check_ring_axioms(inp: CategoryInput, fusion, dims, checks: list[Check]):
     """Shared fusion-ring checks on the given or derived rules of inp, with
-    nonzero = _sparse_rows(fusion); returns the duality, or None.  On
+    inp.nonzero; returns the duality, or None.  On
     inp.s_certified, associativity passes, and dim-homomorphism if d_0 = 1,
     without running the law.  Proof: the characters alpha_ml = s_ml / d_l
     satisfy sum_m N_ij^m alpha_ml = alpha_il alpha_jl (CategoryData), and
@@ -383,6 +399,7 @@ def _check_ring_axioms(inp: CategoryInput, fusion, nonzero, dims, checks: list[C
         checks.append(verdict("duality-axiom", False, str(e)))
 
     certified = inp.kind == "modular" and inp.s_certified
+    nonzero = inp.nonzero
     bad = None if certified else _associativity_witness(fusion, nonzero)
     checks.append(_witness("associativity", bad, "violated at (i,j,k,m)={}"))
 
@@ -449,7 +466,7 @@ def validate_input(inp: CategoryInput) -> list[Check]:
         checks.append(
             verdict("s-unit-entry", ok, "" if ok else f"s_00 = {inp.s_matrix.rows[0][0]}")
         )
-        checks.append(verdict("s-symmetric", s.is_symmetric()))
+        checks.append(verdict("s-symmetric", inp.s_flat[1] == inp.s_flat[2]))
         zero = [r for r in range(s.nrows) if s.rows[0][r].is_zero()]
         checks.append(_witness("dims-nonzero", zero, "s_0r = 0 at {}"))
         # for modular data s s = c P with c = dim C and P charge conjugation
@@ -466,7 +483,7 @@ def validate_input(inp: CategoryInput) -> list[Check]:
             checks.append(Check("verlinde-integral", "skip", "zero dimension"))
 
         if fusion is not None:
-            _check_ring_axioms(inp, fusion, _sparse_rows(fusion), s.rows[0], checks)
+            _check_ring_axioms(inp, fusion, s.rows[0], checks)
         else:
             checks += [Check(cid, "skip", "fusion ring unavailable") for cid in (
                 "unit-axiom", "duality-axiom", "associativity", "unit-dim",
@@ -485,8 +502,7 @@ def validate_input(inp: CategoryInput) -> list[Check]:
                         break
             checks.append(verdict("twists-roots-of-unity", bad is None, bad or ""))
     else:
-        nonzero = _sparse_rows(inp.fusion)
-        dual = _check_ring_axioms(inp, inp.fusion, nonzero, inp.dims, checks)
+        dual = _check_ring_axioms(inp, inp.fusion, inp.dims, checks)
         if inp.char_table is not None:
             _check_char_table(inp, dual, checks)
 
@@ -512,7 +528,7 @@ def assemble_category(inp: CategoryInput) -> CategoryData:
         table, dims = inp.char_table, tuple(inp.dims)
         proved = table is not None and inp.char_table_law is None
     return CategoryData(
-        name=inp.name, ring=FusionRing(labels=inp.labels, fusion=fusion, dual=dual), dims=dims,
+        name=inp.name, ring=FusionRing(inp.labels, fusion, dual, inp.nonzero), dims=dims,
         s=s, twists=twists, shown_conductor=inp.shown_conductor, char_table=table,
         dim=global_dim(dims, dual), certified=fusion if proved else None,
     )
@@ -547,11 +563,15 @@ def _parse_rational(text, where: str, k=None) -> tuple[int, int]:
     raise SchemaError(f"{where if k is None else f'{where}[{k}]'}: {problem}")
 
 
-def _parse_value(obj, conductor: int, where: str) -> Cyclotomic:
+def _parse_value(obj, conductor: int, where: str, seen: dict) -> Cyclotomic:
+    """The value of a rational string or coefficient array; seen maps each
+    string parsed so far to its value, which equal strings share."""
     want = euler_phi(conductor)
     if isinstance(obj, str):
-        p, q = _parse_rational(obj, where)
-        return _make(conductor, [p] + [0] * (want - 1), q)
+        if obj not in seen:
+            p, q = _parse_rational(obj, where)
+            seen[obj] = _make(conductor, [p] + [0] * (want - 1), q)
+        return seen[obj]
     if isinstance(obj, list):
         if len(obj) != want:
             raise SchemaError(
@@ -564,7 +584,7 @@ def _parse_value(obj, conductor: int, where: str) -> Cyclotomic:
     raise SchemaError(f"{where}: expected rational string or coefficient array")
 
 
-def _parse_matrix(obj, rank: int, conductor: int, where: str) -> CycloMatrix:
+def _parse_matrix(obj, rank: int, conductor: int, where: str, seen: dict) -> CycloMatrix:
     if not isinstance(obj, list) or len(obj) != rank:
         raise SchemaError(f"{where}: expected {rank} rows")
     rows = []
@@ -572,7 +592,7 @@ def _parse_matrix(obj, rank: int, conductor: int, where: str) -> CycloMatrix:
         if not isinstance(row, list) or len(row) != rank:
             raise SchemaError(f"{where}[{i}]: expected {rank} entries")
         rows.append(
-            [_parse_value(v, conductor, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
+            [_parse_value(v, conductor, f"{where}[{i}][{j}]", seen) for j, v in enumerate(row)]
         )
     return CycloMatrix(rows)
 
@@ -619,16 +639,17 @@ def parse_category(obj) -> CategoryInput:
         raise SchemaError(f"rank: {rank!r} does not match {len(labels)} labels")
     if rank > RANK_LIMIT:
         raise CapabilityError(f"rank {rank} is past the limit {RANK_LIMIT}")
+    seen = {}  # for _parse_value
 
     if kind == "modular":
-        s = _parse_matrix(obj["s_matrix"], rank, conductor, "s_matrix")
+        s = _parse_matrix(obj["s_matrix"], rank, conductor, "s_matrix", seen)
         twists = None
         if "twists" in obj:
             tw = obj["twists"]
             if not isinstance(tw, list) or len(tw) != rank:
                 raise SchemaError(f"twists: expected {rank} entries")
             twists = tuple(
-                _parse_value(v, conductor, f"twists[{i}]") for i, v in enumerate(tw)
+                _parse_value(v, conductor, f"twists[{i}]", seen) for i, v in enumerate(tw)
             )
         return CategoryInput(
             name=name,
@@ -661,11 +682,11 @@ def parse_category(obj) -> CategoryInput:
     if not isinstance(dims_obj, list) or len(dims_obj) != rank:
         raise SchemaError(f"dims: expected {rank} entries")
     dims = tuple(
-        _parse_value(v, conductor, f"dims[{i}]") for i, v in enumerate(dims_obj)
+        _parse_value(v, conductor, f"dims[{i}]", seen) for i, v in enumerate(dims_obj)
     )
     char_table = None
     if "char_table" in obj:
-        char_table = _parse_matrix(obj["char_table"], rank, conductor, "char_table")
+        char_table = _parse_matrix(obj["char_table"], rank, conductor, "char_table", seen)
     return CategoryInput(
         name=name,
         kind=kind,
@@ -677,12 +698,32 @@ def parse_category(obj) -> CategoryInput:
     )
 
 
-def load_input(path) -> CategoryInput:
-    import json  # here, so that a command on the built-in catalog never loads the decoder
+class _JSON:
+    """json's default decoder settings, as its C scanner reads them."""
 
+    strict, object_hook, object_pairs_hook, parse_float, parse_int = True, None, None, float, int
+    parse_constant = {"-Infinity": -inf, "Infinity": inf, "NaN": nan}.__getitem__
+
+
+def _decoded(text: str):
+    """json.loads(text) through the C scanner that json.loads runs, so that no
+    command loads json, re or enum; on a failure json.loads raises its error."""
+    from _json import make_scanner
+
+    try:  # the scanner raises its own errors only once json.decoder is loaded
+        obj, end = make_scanner(_JSON)(text, len(text) - len(text.lstrip(" \t\n\r")))
+    except (StopIteration, SystemError):
+        end = -1
+    if end != len(text.rstrip(" \t\n\r")):
+        import json
+        obj = json.loads(text)
+    return obj
+
+
+def load_input(path) -> CategoryInput:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = _decoded(fh.read())
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:

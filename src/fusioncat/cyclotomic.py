@@ -23,23 +23,26 @@ signed slots of b = 8w bits.  Integer products and sums of packed values are
 the packed products and sums of the polynomials, so a sum of T terms (one of
 integer multiplicity t counts |t| times), each a product of f vectors, is one
 big-int multiply-add per term, and its f(phi-1)+1 slots are unpacked, reduced
-mod Phi_n and built by `_make` once.  Slot bound: a coefficient of a product
-of f vectors sums at most phi^(f-1) products of numerators (the exponents of
-f-1 factors fix the last), so every unreduced slot has |c| <= B =
-T phi^(f-1) prod_m max|x_m|.  `_width` takes b >= bitlen(B) + 1, so
-|c| <= B < 2^(b-1): adding 2^(b-1) to every slot keeps each in [0, 2^b), no
-carry crosses a slot, and each slot reads back exactly.  A single slot
-(phi = 1) is the value itself.
+mod Phi_n and built by `_make` once.  Slot bound: the exponents of f-1
+factors fix the first, so a coefficient of a product of f vectors is at most
+max|x_1| prod_(m>1) |x_m|_1 in size, |x|_1 the sum of the sizes of the
+numerators, and every unreduced slot has |c| <= B = T max|x_1| prod_(m>1)
+|x_m|_1 <= T phi^(f-1) prod_m max|x_m|.  `_width` takes b >= bitlen(B) + 1,
+so |c| < 2^(b-1): adding 2^(b-1) to every slot keeps each in [0, 2^b), no
+carry crosses a slot, and each slot reads back exactly.
 
 A flat numerator vector holds several values at one conductor n over one
 denominator, phi(n) numerators per coordinate; `pointwise_nums` and
-`matmul_nums` are the kernel on that layout, with plain int products when
-phi(n) = 1 (n = 1 or 2).  This module is the one home of the layout: a
-`_Vector` (the class algebra's two carriers subclass it) is stored in it,
-`_family` puts vectors or values at one conductor over one denominator as
-flat rows, one per vector, and the row routines `_sums`, `_mul`,
-`_permuted`, `_transposed` and `_products` (one matmul_nums, also behind
-CycloMatrix.@) build every other flat row.
+`matmul_nums` are the kernel on that layout.  matmul_nums scans its operands
+once for the width and packs each once (`_packed`, `_matmul`, which the
+Verlinde sum drives itself); at phi(n) = 1 (n = 1 or 2) its columns are
+packed together, one int per coordinate, so a row costs one multiply-add
+per coordinate.  This module is the one home of the layout: a `_Vector`
+(the class algebra's two carriers subclass it) is stored in it, `_family`
+puts vectors or values at one conductor over one denominator as flat rows,
+one per vector, and the row routines `_sums`, `_mul`, `_permuted`,
+`_transposed` and `_products` (one matmul_nums, also behind CycloMatrix.@)
+build every other flat row.
 
 Numeric embedding (zeta_n -> exp(2*pi*i/n)) exists for display and sanity
 checks only; nothing downstream branches on floats.
@@ -51,7 +54,7 @@ from functools import cache
 from itertools import takewhile
 from math import cos, gcd, lcm, pi, prod, sin
 from operator import add, mul
-from struct import unpack
+from struct import Struct
 
 from .errors import SingularMatrixError
 
@@ -164,12 +167,12 @@ def _reduce_buckets(buckets: list[int], n: int) -> list[int]:
     return out
 
 
-def _width(terms: int, phi_n: int, *tops: int) -> int:
-    """Slot width w in bytes for a sum of `terms` products of vectors whose
-    numerators are at most tops[m] in size: 8w >= bitlen(B) + 1 for the bound
-    B of the module docstring, rounded up to 1, 2, 4 or 8 below 8 bytes so
-    that `_unpack` reads the slots with one `struct.unpack`."""
-    w = (terms * phi_n ** (len(tops) - 1) * prod(tops)).bit_length() // 8 + 1
+def _width(terms: int, top: int, *sizes: int) -> int:
+    """Slot width w in bytes for a sum of `terms` products of a vector with
+    numerators at most `top` in size and vectors with |x_m|_1 <= sizes[m]:
+    8w >= bitlen(B) + 1 for the bound B of the module docstring, rounded up
+    to 1, 2, 4 or 8 below 8 bytes for `struct.unpack`."""
+    w = (terms * top * prod(sizes)).bit_length() // 8 + 1
     return w if w > 8 else 1 << (w - 1).bit_length()
 
 
@@ -184,30 +187,31 @@ def _pack(nums, w: int) -> int:
 _INT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
-def _unpack(n: int, v: int, w: int, slots: int) -> list[int]:
-    """Numerators mod Phi_n of the packed polynomial v with `slots` signed
-    slots of w bytes: adding 2^(8w-1) to every slot makes each nonnegative,
-    and xor with the same offset leaves each slot in two's complement, read
-    from its bytes."""
-    if slots == 1:
-        return [v]
-    off = int.from_bytes((bytes(w - 1) + b"\x80") * slots, "little")
-    raw = ((v + off) ^ off).to_bytes(w * slots, "little")
+@cache
+def _slot_reader(w: int, slots: int):
+    """(2^(8w-1) in each of `slots` w-byte slots, their mask, a struct's
+    unpack or None), built once per (w, slots)."""
     code = _INT_CODES.get(w)
-    if code:
-        coeffs = list(unpack(f"<{slots}{code}", raw))
-    else:
-        coeffs = [int.from_bytes(raw[i:i + w], "little", signed=True)
-                  for i in range(0, len(raw), w)]
-    return _reduce_buckets(coeffs, n)
+    off = int.from_bytes((bytes(w - 1) + b"\x80") * slots, "little")
+    return off, (1 << 8 * w * slots) - 1, code and Struct(f"<{slots}{code}").unpack
+
+
+def _unpack(v: int, w: int, slots: int, n: int = 0) -> list[int]:
+    """The first `slots` signed w-byte slots of the packed polynomial v, mod
+    Phi_n if n is given: adding 2^(8w-1) to each makes it nonnegative, with no
+    borrow from above, and xor with it leaves the slot in two's complement."""
+    off, mask, read = _slot_reader(w, slots)
+    raw = (((v + off) ^ off) & mask).to_bytes(w * slots, "little")
+    coeffs = list(read(raw)) if read else [
+        int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)]
+    return _reduce_buckets(coeffs, n) if n else coeffs
 
 
 def _mul_nums(n: int, xs, ys) -> list[int]:
     """Numerators of the product of two numerator vectors at conductor n:
     one packed product, unpacked and reduced once."""
-    phi_n = len(xs)
-    w = _width(1, phi_n, max(map(abs, xs)), max(map(abs, ys)))
-    return _unpack(n, _pack(xs, w) * _pack(ys, w), w, 2 * phi_n - 1)
+    w = _width(1, max(map(abs, xs)), sum(map(abs, ys)))
+    return _unpack(_pack(xs, w) * _pack(ys, w), w, 2 * len(xs) - 1, n)
 
 
 def _permute_nums(n: int, nums, t: int) -> list[int]:
@@ -276,31 +280,62 @@ def pointwise_nums(n: int, xs, ys) -> list[int]:
     """Flat numerators of the coordinatewise product of two flat numerator
     vectors at conductor n: plain int products when phi(n) = 1, else per
     coordinate a scaling when one factor is rational, as in
-    Cyclotomic.__mul__, or one _mul_nums."""
+    Cyclotomic.__mul__, for monomials c zeta^a and c' zeta^b row a + b mod n
+    of _monomial_table times c c', or one _mul_nums."""
     phi = euler_phi(n)
     if phi == 1:
         return list(map(mul, xs, ys))
-    out = []
+    table, out = _monomial_table(n), []
     for x, y in zip(_chunks(xs, phi), _chunks(ys, phi)):
-        if any(x[1:]) and any(y[1:]):
-            out += _mul_nums(n, x, y)
-        else:
+        if not any(x[1:]) or not any(y[1:]):
             p, v = (x[0], y) if not any(x[1:]) else (y[0], x)
             out += [p * c for c in v]
+        elif x.count(0) == y.count(0) == phi - 1:
+            a, b = sum(x), sum(y)
+            row = dict(table[(x.index(a) + y.index(b)) % n])
+            out += [a * b * row.get(m, 0) for m in range(phi)]
+        else:
+            out += _mul_nums(n, x, y)
     return out
+
+
+def _top(vectors, phi: int = 1) -> int:
+    """The largest |numerator| of the flat vectors, or |x|_1 of a coordinate x with phi."""
+    if phi == 1:
+        return max((max(max(v), -min(v)) for v in vectors if v), default=0)
+    return max((sum(map(abs, v[k:k + phi])) for v in vectors for k in range(0, len(v), phi)),
+               default=0)
+
+
+def _packed(n: int, vectors, w: int, columns: bool = False) -> list:
+    """Flat vectors packed once for _matmul, each coordinate at x = 2^(8w); at
+    phi(n) = 1 a row is its own packing, and columns go in the packed-columns
+    form: one int per coordinate k, with coordinate k of column c in slot c."""
+    phi = euler_phi(n)
+    if phi > 1:
+        return [[_pack(x, w) for x in _chunks(v, phi)] for v in vectors]
+    return [_pack(c, w) for c in zip(*vectors)] if columns else vectors
+
+
+def _matmul(n: int, rows, cols, w: int, count: int) -> list[list[int]]:
+    """Flat rows of the dot products of packed rows with the first `count`
+    packed columns (_packed at width w): a multiply-add per row and
+    coordinate at phi(n) = 1, else per entry and coordinate, each entry
+    unpacked and reduced once."""
+    phi = euler_phi(n)
+    if phi == 1:
+        return [_unpack(sum(map(mul, x, cols)), w, count) for x in rows]
+    return [[c for y in cols[:count] for c in _unpack(sum(map(mul, x, y)), w, 2 * phi - 1, n)]
+            for x in rows]
 
 
 def matmul_nums(n: int, rows, cols) -> list[list[int]]:
     """Flat numerator rows of the dot products sum_k x_k y_k of every flat
-    row x with every flat column y, all at conductor n: entry (i, j) is one
-    packed sum, unpacked once."""
+    row x with every flat column y, all at conductor n: the numerators are
+    scanned once for the width, and each operand is packed once."""
     phi = euler_phi(n)
-    if phi == 1:
-        return [[sum(map(mul, x, y)) for y in cols] for x in rows]
-    tops = (max((abs(c) for v in vs for c in v), default=0) for vs in (rows, cols))
-    w = _width(len(rows[0]) // phi, phi, *tops)
-    px, py = ([[_pack(x, w) for x in _chunks(v, phi)] for v in vs] for vs in (rows, cols))
-    return [[c for y in py for c in _unpack(n, sum(map(mul, x, y)), w, 2 * phi - 1)] for x in px]
+    w = _width(len(rows[0]) // phi, _top(rows), phi * _top(cols))
+    return _matmul(n, _packed(n, rows, w), _packed(n, cols, w, True), w, len(cols))
 
 
 def _fraction():
@@ -759,6 +794,13 @@ class CycloMatrix(_Frozen):
     def __getitem__(self, i):
         return self.rows[i]
 
+    def flat(self):
+        """(n, den, rows): the rows as flat numerator rows over one
+        denominator, as _family gives them."""
+        den = lcm(*(v.den for row in self.rows for v in row))
+        rows = [[c * (den // v.den) for v in row for c in v.nums] for row in self.rows]
+        return self.conductor, den, rows
+
     def __eq__(self, other):
         if not isinstance(other, CycloMatrix):
             return NotImplemented
@@ -792,13 +834,6 @@ class CycloMatrix(_Frozen):
             return self
         values = [_make(m, x, v.den) for x, v in zip(nums, entries)]
         return CycloMatrix(_chunks(values, self.ncols))
-
-    def is_symmetric(self) -> bool:
-        return self.nrows == self.ncols and all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
 
     def inverse(self) -> "CycloMatrix":
         """Exact Gauss-Jordan; pivot is the first nonzero entry in the column

@@ -1,10 +1,12 @@
 """Schema parsing, validation checks, Verlinde-derived fusion, round trips."""
 
+import importlib
 import json
 import random
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ from fusioncat import (
     verlinde_fusion,
 )
 from fusioncat.category import category_to_input, input_to_json
+from fusioncat import cyclotomic
 from fusioncat.cli import run
 from fusioncat.cyclotomic import CycloMatrix, Cyclotomic, least_field, rational, shown, zeta
 from fusioncat.errors import MalformedFusionError, NotModularError
@@ -33,6 +36,9 @@ XOR4 = tuple(
     tuple(tuple(1 if k == i ^ j else 0 for k in range(4)) for j in range(4))
     for i in range(4)
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def no_failures(checks):
@@ -76,6 +82,26 @@ def test_verlinde_rejects_corrupted_entry():
     rows[1][1] = rows[1][1] + rational(1)  # keeps symmetry, breaks integrality
     with pytest.raises(NotModularError):
         verlinde_fusion(CycloMatrix(rows))
+
+
+def test_verlinde_packs_each_weighted_column_once(monkeypatch):
+    """One Verlinde sum at rank 16 packs the rows and the weighted columns
+    once each, and each product with s_j once.  At phi = 1 (toric_code^2)
+    the products go into the rows, their own packing, and the columns into
+    one packed int per coordinate; at phi = 8 (Z/16, whose s lies in
+    Q(zeta_16)) each coordinate of a row, a column or a product is packed
+    once."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    gen = importlib.import_module("gen")
+    pack, sizes = cyclotomic._pack, []
+    monkeypatch.setattr(cyclotomic, "_pack", lambda nums, w: sizes.append(len(nums)) or pack(nums, w))
+    products = sum(min(j + 1, 16 - j) for j in range(16))
+    for cat, want in ((gen.deligne_power(gen.toric_code(), 2, "toric_code2"), [16] * 16),
+                      (gen.vec_zn(16), [8] * (16 * (16 + 16 + products)))):
+        s = parse_category(gen.modular_json(cat)).s_field
+        sizes.clear()
+        verlinde_fusion(s)
+        assert (s.nrows, sizes) == (16, want)
 
 
 def _su2_s_rows(k):

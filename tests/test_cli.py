@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from fusioncat import catalog_get, catalog_input, catalog_names, cli, lattice, save_category
 from fusioncat.category import (
-    CONDUCTOR_LIMIT, RANK_LIMIT, _parse_rational, category_to_input, input_to_json, load_input,
-    validate_input,
+    CONDUCTOR_LIMIT, RANK_LIMIT, _decoded, _parse_rational, category_to_input, input_to_json,
+    load_input, parse_category, validate_input,
 )
 from fusioncat.cli import run
 from fusioncat.errors import SchemaError
@@ -253,6 +253,71 @@ def test_exit_int_literal_past_digit_limit(tmp_path, capsys):
     obj = input_to_json(catalog_input("trivial"))
     path.write_text(json.dumps(obj).replace('"conductor": 1', '"conductor": ' + "9" * 5000))
     _hostile_file_exits_3(capsys, path, str(path), "5000 digits")
+
+
+# -- the file decoder ----------------------------------------------------------
+
+
+def test_decoder_gives_the_object_json_loads_gives(tmp_path, monkeypatch):
+    # every catalog export, in modular and fusion-ring form, and every input
+    # the benchmark generates
+    paths = []
+    for name in catalog_names():
+        for kind in ("modular", "fusion_ring"):
+            paths.append(tmp_path / f"{name}_{kind}.json")
+            save_category(catalog_get(name), paths[-1], kind=kind)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for name in ("cyclotomic-ladder", "lattice-rank16"):
+        w = workloads.build(name, 1, tmp_path / name)
+        paths += sorted({Path(c.source[1]) for c in w.setup + w.round if c.source[0] == "--file"})
+    assert len(paths) == 2 * len(catalog_names()) + 7
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert repr(_decoded(text)) == repr(json.loads(text)), path
+
+
+def _malformed_texts():
+    obj = input_to_json(catalog_input("semion"))
+    text = json.dumps(obj, indent=1, sort_keys=True)
+    big = json.dumps({**obj, "rank": 0}).replace('"rank": 0', '"rank": ' + "9" * 5000)
+    return {
+        "empty": "",
+        "bom": "\ufeff" + text,
+        "trailing-data": text + "\n{}",
+        "nan": json.dumps({**obj, "conductor": float("nan")}),
+        "minus-infinity": json.dumps({**obj, "rank": float("-inf")}),
+        "unterminated-string": text[:text.index('"semion"') + 4],
+        "control-character": text.replace('"semion"', '"se\tmion"'),
+        "deep-nesting": "[" * 100_000 + "]" * 100_000,
+        "int-past-4300-digits": big,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_texts()))
+def test_malformed_files_fail_as_json_loads_fails(case, tmp_path, capsys):
+    """The decoder raises what json.loads raises, with the same message, and
+    every command exits 3 with the one line that decoding by json.loads
+    gives: its error, "nested too deeply" for a RecursionError, or the
+    schema's error on the object it decodes."""
+    text = _malformed_texts()[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(text, encoding="utf-8")
+    want = None
+    try:
+        parse_category(json.loads(text))
+    except RecursionError:
+        want = f"invalid JSON in {path}: nested too deeply"
+    except ValueError as e:
+        want = f"invalid JSON in {path}: {e}"
+        with pytest.raises(type(e)) as got:
+            _decoded(text)
+        assert str(got.value) == str(e)
+    except SchemaError as e:
+        want = str(e)
+        assert repr(_decoded(text)) == repr(json.loads(text))
+    for command in ("validate", "info", "verify"):
+        assert invoke(capsys, command, "--file", str(path)) == (3, "", f"error: {want}\n"), command
 
 
 # -- mutated catalog files -------------------------------------------------------

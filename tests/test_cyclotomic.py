@@ -10,13 +10,20 @@ from hypothesis import strategies as st
 from fusioncat.cyclotomic import (
     CycloMatrix,
     Cyclotomic,
+    _family,
     _make,
+    _matmul,
     _mul_nums,
+    _packed,
     _products,
+    _top,
     _Vector,
+    _width,
     cyclotomic_polynomial,
     euler_phi,
     least_field,
+    matmul_nums,
+    pointwise_nums,
     rational,
     zeta,
 )
@@ -267,8 +274,9 @@ def test_matrix_multiply_known():
 def test_matrix_transpose_symmetric():
     z = zeta(3)
     m = CycloMatrix([[rational(2), z], [z, rational(5)]])
-    assert m.is_symmetric()
     assert m.transpose() == m
+    a = CycloMatrix([[rational(2), z], [rational(0), rational(5)]])
+    assert a.transpose() != a and a.transpose().transpose() == a
 
 
 # -- the integer kernel against a Fraction reference -------------------------
@@ -486,9 +494,17 @@ TIGHT8 = 2**34  # at conductor 8: B = 2 * 4 * TIGHT8^2 = 2^71
 @settings(max_examples=80, deadline=None)
 @example(([[_constant(3, TIGHT3)] * 2], [[_constant(3, TIGHT3)]] * 2))
 @example(([[_constant(8, TIGHT8)] * 2], [[_constant(8, -TIGHT8)]] * 2))
+# phi = 1, negative entries, slots at a byte boundary: B = 2 * 127^2 has 15
+# bits, so 2-byte slots hold -B exactly, below a zero slot; B = 2 * 128^2 =
+# 2^15 needs 3 bytes (so 4), and a slot one bit short overflows at +B
+@example(([[rational(127)] * 2], [[rational(-127), rational(127)]] + [[rational(-127)] * 2]))
+@example(([[rational(128)] * 2], [[rational(128), rational(-128)]] * 2))
 def test_matmul_matches_plain_accumulation(case):
-    """CycloMatrix.@ and the row routine behind it, _products on vectors at
-    their own conductors, against a sum of reference products."""
+    """CycloMatrix.@, the row routine behind it (_products on vectors at
+    their own conductors) and matmul_nums against a sum of reference
+    products; then the kernel on operands packed once: the columns, packed
+    at the width for the widest rows, serve every row, every leading run of
+    columns, and rows formed as pointwise products and packed apart."""
     a, b = case
     n = lcm(*(v.conductor for row in a + b for v in row))
     product = (CycloMatrix(a) @ CycloMatrix(b)).rows
@@ -498,6 +514,17 @@ def test_matmul_matches_plain_accumulation(case):
     for i, row in enumerate(a):
         for j in range(len(b[0])):
             assert product[i][j] == _ref_sum(n, [(x, b[r][j]) for r, x in enumerate(row)])
+
+    phi = euler_phi(n)
+    xs = _family(list(map(_Vector, a)), n)[2]
+    ys = _family([_Vector(c) for c in zip(*b)], n)[2]
+    full = matmul_nums(n, xs, ys)
+    squares = [pointwise_nums(n, x, x) for x in xs]
+    w = _width(len(b), max(_top(xs), _top(squares)), _top(ys, phi))
+    columns = _packed(n, ys, w, True)
+    for count in range(1, len(ys) + 1):
+        assert _matmul(n, _packed(n, xs, w), columns, w, count) == [r[:count * phi] for r in full]
+    assert _matmul(n, _packed(n, squares, w), columns, w, len(ys)) == matmul_nums(n, squares, ys)
 
 
 # -- descent to the least field ------------------------------------------------

@@ -22,7 +22,7 @@ import pytest
 from conftest import replaced
 
 import fusioncat
-from fusioncat import catalog_get, catalog_input
+from fusioncat import catalog_get, catalog_input, save_category
 from fusioncat.category import CategoryInput, Check
 from fusioncat.centralizer import centralizer
 from fusioncat.charalg import CentralElement, CharacterAlgebra, ClassFunction
@@ -66,11 +66,16 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     ["verify", "--catalog", "toric_code", "--json"],
     ["info", "--catalog", "fibonacci"],
     ["catalog", "--json"],
+    ["info", "--file", "semion.json", "--json"],
 ])
-def test_cold_command_leaves_out_argparse_and_fractions(argv):
+def test_cold_command_leaves_out_argparse_and_fractions(argv, tmp_path):
     """A cold command imports neither the argument parser of the standard
     library nor fractions, nor json, re and enum, nor what they import in
-    turn; info and catalog also leave out the modules of the suites."""
+    turn, also when it decodes a file; info and catalog also leave out the
+    modules of the suites."""
+    if "--file" in argv:
+        save_category(catalog_get("semion"), tmp_path / argv[2])
+        argv = [*argv[:2], str(tmp_path / argv[2]), *argv[3:]]
     src = Path(fusioncat.__file__).resolve().parent.parent
     out = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", "-m", "fusioncat", *argv],
