@@ -34,8 +34,8 @@ from itertools import compress, product
 from math import inf, lcm, nan
 
 from .cyclotomic import (
-    Cyclotomic, CycloMatrix, _chunks, _family, _Frozen, _make, _matmul, _packed, _top,
-    _Vector, _width, euler_phi, matmul_nums, pointwise_nums, rational, shown,
+    Cyclotomic, CycloMatrix, _chunks, _family, _Frozen, _make, _Vector, euler_phi, matmul_nums,
+    pointwise_nums, rational, shown, triple_sums,
 )
 from .errors import (
     CapabilityError,
@@ -98,13 +98,17 @@ class FusionRing(_Frozen):
     """Fusion coefficients N[i][j][k] with the derived duality involution.
     Index 0 is always the unit object."""
 
-    # fusion[i][j][k] = N_ij^k, as nested tuples; nonzero[i][j] lists the
-    # pairs (k, N_ij^k) with N_ij^k != 0 (CategoryInput.nonzero)
-    __slots__ = ("labels", "fusion", "dual", "nonzero")
+    # fusion[i][j][k] = N_ij^k, as nested tuples; __dict__ holds nonzero
+    __slots__ = ("labels", "fusion", "dual", "__dict__")
 
     @property
     def rank(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def nonzero(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """nonzero[i][j] lists the pairs (k, N_ij^k) with N_ij^k != 0."""
+        return _sparse_rows(self.fusion)
 
     def index_of(self, label: str) -> int:
         try:
@@ -215,13 +219,10 @@ def verlinde_fusion(s: CycloMatrix, show=lambda v: v):
     """Derive (fusion, dual) from an s-matrix, or raise NotModularError /
     DegenerateError.  Duality is self-consistent: the first pass computes the
     raw sums T_ij^k = sum_r s_ir s_jr s_kr / (d_r dim C) (no dual applied),
-    symmetric in i, j, k, on sorted triples k <= j <= i only: for each j the
-    rows (s_ir)_r, i >= j, against the first j + 1 columns
-    (s_kr / (d_r dim C))_r, with s_jr multiplied into the side with fewer
-    vectors.  The rows and the columns (one product with the weight vector)
-    are packed once, and again only if a later j needs wider slots; the
-    products alone are packed per j.  It raises at the least failing sorted
-    triple, the first failing entry of all, printed through show.
+    symmetric in i, j, k, on sorted triples k <= j <= i only, as the
+    triple_sums of the flat rows of s with the weights 1 / (d_r dim C).  It
+    raises at the least failing sorted triple, the first failing entry of
+    all, printed through show.
     dual_involution reads duality off T_ij^0, and then N_ij^k = T_ij^{k*}."""
     rank = s.nrows
     if rank != s.ncols:
@@ -237,23 +238,9 @@ def verlinde_fusion(s: CycloMatrix, show=lambda v: v):
     n, den_s, rows = s.flat()
     n, den_w, (weights,) = _family([_Vector([d.inv() * dim_inv for d in dims])], n)
     phi, den = euler_phi(n), den_s ** 3 * den_w
-    columns = _chunks(pointwise_nums(n, [c for x in rows for c in x], weights * rank), rank * phi)
-    tops, sizes = [_top([x]) for x in rows], [_top([y], phi) for y in columns]
-    low, bad, w, packed_at = [[None] * rank for _ in range(rank)], None, 1, 0
-    for j in range(rank):  # the rows i >= j against the columns k <= j
-        # s_jr goes into the side with fewer vectors; at phi = 1 into the rows, their own packing
-        by_rows = phi == 1 or rank - j <= j + 1
-        if by_rows:
-            product = [pointwise_nums(n, x, rows[j]) for x in rows[j:]]
-            w = max(w, _width(rank, _top(product), max(sizes[:j + 1])))
-        else:
-            product = [pointwise_nums(n, rows[j], y) for y in columns[:j + 1]]
-            w = max(w, _width(rank, max(tops[j:]), _top(product, phi)))
-        if w != packed_at:  # widths only grow, so rows and columns are packed once per width
-            prows, pcols, packed_at = _packed(n, rows, w), _packed(n, columns, w, True), w
-        left, right = ((_packed(n, product, w), pcols) if by_rows
-                       else (prows[j:], _packed(n, product, w, True)))
-        for i, row in enumerate(_matmul(n, left, right, w, j + 1), j):
+    low, bad = [[None] * rank for _ in range(rank)], None
+    for j, sums in enumerate(triple_sums(n, rows, weights)):
+        for i, row in enumerate(sums, j):
             qs = low[i][j] = [c // den for c in row[::phi]]
             if (min(qs) < 0 or [q * den for q in qs] != row[::phi]
                     or any(any(row[m::phi]) for m in range(1, phi))):
@@ -305,7 +292,8 @@ class CategoryInput(_Frozen):
 
     @cached_property
     def nonzero(self):
-        """_sparse_rows of the given or derived rules, once per input."""
+        """_sparse_rows of the given or derived rules, once per input for
+        validation and char_table_law."""
         return _sparse_rows(self.fusion or self.derived_ring[0])
 
     @property
@@ -376,9 +364,9 @@ def _associativity_witness(fusion, nonzero):
 
 
 def _check_ring_axioms(inp: CategoryInput, fusion, dims, checks: list[Check]):
-    """Shared fusion-ring checks on the given or derived rules of inp, with
-    inp.nonzero; returns the duality, or None.  On
-    inp.s_certified, associativity passes, and dim-homomorphism if d_0 = 1,
+    """Shared fusion-ring checks on the given or derived rules of inp, which
+    read inp.nonzero only for a law they run; returns the duality, or None.
+    On inp.s_certified, associativity passes, and dim-homomorphism if d_0 = 1,
     without running the law.  Proof: the characters alpha_ml = s_ml / d_l
     satisfy sum_m N_ij^m alpha_ml = alpha_il alpha_jl (CategoryData), and
     alpha = s diag(1/d) is invertible.  Through alpha, (L_i L_j) L_k and
@@ -399,8 +387,7 @@ def _check_ring_axioms(inp: CategoryInput, fusion, dims, checks: list[Check]):
         checks.append(verdict("duality-axiom", False, str(e)))
 
     certified = inp.kind == "modular" and inp.s_certified
-    nonzero = inp.nonzero
-    bad = None if certified else _associativity_witness(fusion, nonzero)
+    bad = None if certified else _associativity_witness(fusion, inp.nonzero)
     checks.append(_witness("associativity", bad, "violated at (i,j,k,m)={}"))
 
     if dims is not None:
@@ -413,7 +400,7 @@ def _check_ring_axioms(inp: CategoryInput, fusion, dims, checks: list[Check]):
             checks.append(_witness("dims-nonzero", zero, "zero dimension at {}"))
         # the fusion law of the one-coordinate vectors (d_k), at every (i, j)
         bad = None if certified and ok else _law_witness(
-            nonzero, *_family(dims), product(range(rank), repeat=2))
+            inp.nonzero, *_family(dims), product(range(rank), repeat=2))
         checks.append(_witness("dim-homomorphism", bad and bad[:2],
                                "d_i*d_j != sum N_ij^k d_k at {}"))
         if dual is not None:
@@ -528,7 +515,7 @@ def assemble_category(inp: CategoryInput) -> CategoryData:
         table, dims = inp.char_table, tuple(inp.dims)
         proved = table is not None and inp.char_table_law is None
     return CategoryData(
-        name=inp.name, ring=FusionRing(inp.labels, fusion, dual, inp.nonzero), dims=dims,
+        name=inp.name, ring=FusionRing(labels=inp.labels, fusion=fusion, dual=dual), dims=dims,
         s=s, twists=twists, shown_conductor=inp.shown_conductor, char_table=table,
         dim=global_dim(dims, dual), certified=fusion if proved else None,
     )

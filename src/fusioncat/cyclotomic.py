@@ -32,15 +32,15 @@ so |c| < 2^(b-1): adding 2^(b-1) to every slot keeps each in [0, 2^b), no
 carry crosses a slot, and each slot reads back exactly.
 
 A flat numerator vector holds several values at one conductor n over one
-denominator, phi(n) numerators per coordinate; `pointwise_nums` and
-`matmul_nums` are the kernel on that layout.  matmul_nums scans its operands
-once for the width and packs each once (`_packed`, `_matmul`, which the
-Verlinde sum drives itself); at phi(n) = 1 (n = 1 or 2) its columns are
+denominator, phi(n) numerators per coordinate; `pointwise_nums`,
+`matmul_nums` and `triple_sums` (the Verlinde sum's) are the kernel on that
+layout.  The last two scan their operands once for the width and pack
+each once (`_packed`, `_matmul`); at phi(n) = 1 (n = 1 or 2) columns are
 packed together, one int per coordinate, so a row costs one multiply-add
-per coordinate.  This module is the one home of the layout: a `_Vector`
-(the class algebra's two carriers subclass it) is stored in it, `_family`
-puts vectors or values at one conductor over one denominator as flat rows,
-one per vector, and the row routines `_sums`, `_mul`, `_permuted`,
+per coordinate.  This module is the one home of the layout: a `_Vector` (the
+class algebra's two carriers subclass it) is stored in it, `_family` puts
+vectors or values at one conductor over one denominator as flat rows, one
+per vector, and the row routines `_sums`, `_mul`, `_permuted`,
 `_transposed` and `_products` (one matmul_nums, also behind CycloMatrix.@)
 build every other flat row.
 
@@ -70,6 +70,7 @@ __all__ = [
     "shown",
     "pointwise_nums",
     "matmul_nums",
+    "triple_sums",
 ]
 
 
@@ -280,22 +281,17 @@ def pointwise_nums(n: int, xs, ys) -> list[int]:
     """Flat numerators of the coordinatewise product of two flat numerator
     vectors at conductor n: plain int products when phi(n) = 1, else per
     coordinate a scaling when one factor is rational, as in
-    Cyclotomic.__mul__, for monomials c zeta^a and c' zeta^b row a + b mod n
-    of _monomial_table times c c', or one _mul_nums."""
+    Cyclotomic.__mul__, or one _mul_nums."""
     phi = euler_phi(n)
     if phi == 1:
         return list(map(mul, xs, ys))
-    table, out = _monomial_table(n), []
+    out = []
     for x, y in zip(_chunks(xs, phi), _chunks(ys, phi)):
-        if not any(x[1:]) or not any(y[1:]):
+        if any(x[1:]) and any(y[1:]):
+            out += _mul_nums(n, x, y)
+        else:
             p, v = (x[0], y) if not any(x[1:]) else (y[0], x)
             out += [p * c for c in v]
-        elif x.count(0) == y.count(0) == phi - 1:
-            a, b = sum(x), sum(y)
-            row = dict(table[(x.index(a) + y.index(b)) % n])
-            out += [a * b * row.get(m, 0) for m in range(phi)]
-        else:
-            out += _mul_nums(n, x, y)
     return out
 
 
@@ -336,6 +332,32 @@ def matmul_nums(n: int, rows, cols) -> list[list[int]]:
     phi = euler_phi(n)
     w = _width(len(rows[0]) // phi, _top(rows), phi * _top(cols))
     return _matmul(n, _packed(n, rows, w), _packed(n, cols, w, True), w, len(cols))
+
+
+def triple_sums(n: int, rows, weights):
+    """For each j, the flat rows i >= j of the sums sum_r x_ir x_jr x_kr w_r
+    over k <= j, for flat rows x and flat weights w at conductor n: the rows
+    against the first j + 1 weighted columns (x_kr w_r)_r, formed as one
+    pointwise product, with x_j multiplied into the side with fewer vectors
+    (at phi(n) = 1 into the rows, their own packing).  Per j only that
+    product is packed; the other side once, and again if wider slots come."""
+    phi, rank = euler_phi(n), len(rows)
+    columns = _chunks(pointwise_nums(n, [c for x in rows for c in x], weights * rank), rank * phi)
+    tops, sizes = [_top([x]) for x in rows], [_top([y], phi) for y in columns]
+    w, packed_as = 1, None
+    for j in range(rank):
+        by_rows = phi == 1 or rank - j <= j + 1  # false, then true from the middle on
+        if by_rows:
+            product = [pointwise_nums(n, x, rows[j]) for x in rows[j:]]
+            w = max(w, _width(rank, _top(product), max(sizes[:j + 1])))
+        else:
+            product = [pointwise_nums(n, rows[j], y) for y in columns[:j + 1]]
+            w = max(w, _width(rank, max(tops[j:]), _top(product, phi)))
+        if packed_as != (by_rows, w):
+            fixed = _packed(n, columns, w, True) if by_rows else _packed(n, rows, w)
+            packed_as = by_rows, w
+        yield (_matmul(n, _packed(n, product, w), fixed, w, j + 1) if by_rows
+               else _matmul(n, fixed[j:], _packed(n, product, w, True), w, j + 1))
 
 
 def _fraction():

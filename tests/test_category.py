@@ -85,23 +85,26 @@ def test_verlinde_rejects_corrupted_entry():
 
 
 def test_verlinde_packs_each_weighted_column_once(monkeypatch):
-    """One Verlinde sum at rank 16 packs the rows and the weighted columns
-    once each, and each product with s_j once.  At phi = 1 (toric_code^2)
-    the products go into the rows, their own packing, and the columns into
-    one packed int per coordinate; at phi = 8 (Z/16, whose s lies in
-    Q(zeta_16)) each coordinate of a row, a column or a product is packed
-    once."""
+    """One Verlinde sum at rank 16 packs the weighted columns once, the rows
+    at most once, and per j only the products with s_j, as the (vectors,
+    columns) of each _packed call show.  At phi = 1 (toric_code^2) the
+    products go into the rows, their own packing.  At phi = 8 (Z/16, whose s
+    lies in Q(zeta_16)) they go into the columns for j < 8 and into the rows
+    from j = 8 on."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     gen = importlib.import_module("gen")
-    pack, sizes = cyclotomic._pack, []
-    monkeypatch.setattr(cyclotomic, "_pack", lambda nums, w: sizes.append(len(nums)) or pack(nums, w))
-    products = sum(min(j + 1, 16 - j) for j in range(16))
-    for cat, want in ((gen.deligne_power(gen.toric_code(), 2, "toric_code2"), [16] * 16),
-                      (gen.vec_zn(16), [8] * (16 * (16 + 16 + products)))):
+    packed, calls = cyclotomic._packed, []
+    monkeypatch.setattr(cyclotomic, "_packed", lambda n, vs, w, columns=False: (
+        calls.append((len(vs), columns)) or packed(n, vs, w, columns)))
+    toric = [(16, True)] + [(16 - j, False) for j in range(16)]
+    z16 = ([(16, False)] + [(j + 1, True) for j in range(8)]
+           + [(16, True)] + [(16 - j, False) for j in range(8, 16)])
+    for cat, want in ((gen.deligne_power(gen.toric_code(), 2, "toric_code2"), toric),
+                      (gen.vec_zn(16), z16)):
         s = parse_category(gen.modular_json(cat)).s_field
-        sizes.clear()
+        calls.clear()
         verlinde_fusion(s)
-        assert (s.nrows, sizes) == (16, want)
+        assert (s.nrows, calls) == (16, want)
 
 
 def _su2_s_rows(k):

@@ -22,7 +22,7 @@ from fusioncat import (
 )
 from fusioncat import charalg
 from fusioncat.category import (
-    _law_witness, _sparse_rows, assemble_category, build_category, category_to_input,
+    _law_witness, assemble_category, build_category, category_to_input,
     input_to_json, parse_category,
 )
 from fusioncat.cyclotomic import (
@@ -392,8 +392,7 @@ def test_conjugacy_runs_the_law_on_rules_the_certificate_does_not_name(monkeypat
     # row of chi_1 squares to 1 while the row of chi_2 is (1, -1, 1, -1)
     z4 = tuple(tuple(tuple(int(k == (i + j) % 4) for k in range(4)) for j in range(4))
                for i in range(4))
-    ring = replaced(data.ring, fusion=z4, nonzero=_sparse_rows(z4))
-    alg = CharacterAlgebra(replaced(data, ring=ring))
+    alg = CharacterAlgebra(replaced(data, ring=replaced(data.ring, fusion=z4)))
     with pytest.raises(InternalConsistencyError, match=r"class 1 is not a character at \(1, 1\)"):
         alg.conjugacy()
     assert len(calls) == 3

@@ -25,6 +25,7 @@ from fusioncat.cyclotomic import (
     matmul_nums,
     pointwise_nums,
     rational,
+    triple_sums,
     zeta,
 )
 from fusioncat.errors import SingularMatrixError
@@ -525,6 +526,42 @@ def test_matmul_matches_plain_accumulation(case):
     for count in range(1, len(ys) + 1):
         assert _matmul(n, _packed(n, xs, w), columns, w, count) == [r[:count * phi] for r in full]
     assert _matmul(n, _packed(n, squares, w), columns, w, len(ys)) == matmul_nums(n, squares, ys)
+
+
+
+@st.composite
+def triple_cases(draw):
+    values = kernel_values(_kernel_conductors(draw))
+    rank = draw(st.integers(1, 4))
+    rows = [[draw(values) for _ in range(rank)] for _ in range(rank)]
+    return rows, [draw(values) for _ in range(rank)]
+
+
+@given(triple_cases())
+@settings(max_examples=60, deadline=None)
+# phi = 1, x_j into the rows: at j = 1 the slot bound needs the larger
+# column, |y_1|_1 = 127, not |y_0|_1 = 1; 2 * 127^3 overflows 2-byte slots
+@example(([[rational(1)] * 2, [rational(127)] * 2], [rational(1)] * 2))
+# phi = 2, x_0 into the column at j = 0: the bound needs the largest row
+# i >= 0, 2^20, not row 0; 3 * 2^20 overflows 1-byte slots
+@example(([[rational(1, 3)] * 3] + [[rational(2**20)] * 3] * 2, [rational(1)] * 3))
+def test_triple_sums_match_plain_accumulation(case):
+    """triple_sums against the reference sums over r of x_ir x_jr x_kr w_r,
+    for each j on the rows i >= j and the columns k <= j."""
+    x, weights = case
+    rank = len(x)
+    n = lcm(*(v.conductor for v in weights + [v for row in x for v in row]))
+    n, dx, rows = _family(list(map(_Vector, x)), n)
+    n, dw, (w,) = _family([_Vector(weights)], n)
+    phi = euler_phi(n)
+    got = list(triple_sums(n, rows, w))
+    assert [len(sums) for sums in got] == [rank - j for j in range(rank)]
+    for j, sums in enumerate(got):
+        for i, row in enumerate(sums, j):
+            assert len(row) == (j + 1) * phi
+            for k in range(j + 1):
+                want = _ref_sum(n, [(x[i][r], x[j][r], x[k][r], weights[r]) for r in range(rank)])
+                assert _make(n, row[k * phi:(k + 1) * phi], dx ** 3 * dw) == want
 
 
 # -- descent to the least field ------------------------------------------------
