@@ -71,7 +71,8 @@ SCHEMA_VERSION = 1
 # n * phi(n)-entry monomial table, which takes seconds from about n = 10000.
 CONDUCTOR_LIMIT = 1000
 # Largest rank a file may declare: validation makes about rank^4/6 packed
-# products, 2.7 s at rank 128 in Q, 133 s at rank 127 in Q(zeta_127).
+# products; a cold validate takes 1.4 s at rank 128 in Q, 132 s at rank 127 in
+# Q(zeta_127) (vec_z127), on a shared 2-vCPU machine.
 RANK_LIMIT = 128
 
 

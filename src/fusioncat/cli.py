@@ -366,8 +366,10 @@ def _cmd_verify(args) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing: one fixed grammar, read and reported as argparse did at
-# 80 columns (unique prefixes, --opt=value, the last repeated value wins)
+# argument parsing: a command with its options spelled in full is read here,
+# without importing argparse; any other argv (prefixes, --opt=value, --,
+# values that start with '-', help and usage errors) goes to argparse itself,
+# whose texts are laid out at 80 columns whatever the terminal
 
 _COMMANDS = {  # command: (handler, help)
     "validate": (_cmd_validate, "check the input against the schema and category axioms"),
@@ -379,141 +381,70 @@ _COMMANDS = {  # command: (handler, help)
     "verify": (_cmd_verify, "run every identity check and report pass/fail"),
     "catalog": (_cmd_catalog, "list built-in categories"),
 }
-_OPTIONS = {  # name: (option strings, metavar or None for a flag, usage part, help)
-    "help": (("-h", "--help"), None, "[-h]", "show this help message and exit"),
-    "file": (("--file",), "FILE", "(--file FILE | --catalog CATALOG)", "category file (JSON)"),
-    "catalog": (("--catalog",), "CATALOG", "", "built-in catalog entry name"),
-    "json": (("--json",), None, "[--json]", "machine readable output"),
-    "subcat": (("--subcat",), "LABELS", "--subcat LABELS", "comma separated generator labels"),
-}
-
-
-def _negative(arg: str) -> bool:
-    r"""Whether argparse reads arg as a negative number: ^-\d+$|^-\d*\.\d+$, where
-    \d is any decimal digit and $ also matches before a final newline."""
-    body = arg[1:-1] if arg.endswith("\n") else arg[1:]
-    whole, _, frac = body.partition(".")
-    return arg[:1] == "-" and (body.isdecimal()
-                               or (not whole or whole.isdecimal()) and frac.isdecimal())
 
 
 class _UsageError(Exception):
     """A usage error, carrying its whole report: usage line and message."""
 
 
-def _names(command) -> list:
-    """The options of a command, or of the main parser for None, in order."""
-    if command is None:
-        return ["help"]
-    rest = ["json"] if command == "catalog" else ["file", "catalog", "json"]
-    return ["help", *rest] + ["subcat"] * (command == "centralizer")
+class _Help(Exception):
+    """The help text argparse was asked for."""
 
 
-def _usage(command) -> str:
-    head = "usage: fusioncat" + (f" {command}" if command else "")
-    lines = [head]
-    parts = [_OPTIONS[n][2] for n in _names(command)] + ["COMMAND ..."] * (command is None)
-    for part in filter(None, parts):
-        if len(lines[-1]) + 1 + len(part) > 78:
-            lines.append(" " * len(head))
-        lines[-1] += " " + part
-    return "\n".join(lines) + "\n"
+def _argparse(argv: list):
+    import argparse
+    from functools import partial
 
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(f"{self.format_usage()}error: {message}")
 
-def _help(command) -> str:
-    rows = [(2, ", ".join(s) if m is None else f"{s[0]} {m}", h)
-            for s, m, _, h in map(_OPTIONS.get, _names(command))]
-    sections, text = [("options:", rows)], _usage(command)
-    if command is None:
-        text += "\n" + __doc__.split("\n\n")[0] + "\n"
-        rows = [(2, "COMMAND", "")] + [(4, c, h) for c, (_, h) in _COMMANDS.items()]
-        sections.insert(0, ("positional arguments:", rows))
-    at = min(24, 4 + max(len(inv) for _, rows in sections for _, inv, _ in rows))
-    for title, rows in sections:
-        text += f"\n{title}\n"
-        for indent, inv, h in rows:
-            lead = " " * indent + inv
-            if h:  # after the option, or on a line of its own where it does not fit
-                lead = f"{lead:<{at}}{h}" if len(lead) + 2 <= at else f"{lead}\n{'':<{at}}{h}"
-            text += lead + "\n"
-    return text
+        def print_help(self, file=None):
+            raise _Help(self.format_help())
 
-
-def _optional(arg: str, table: dict, usage: str):
-    """argparse's reading of one argument against a table {option string:
-    name}: None for a positional, else (name, or None for an unknown
-    option, option string, explicit value or None)."""
-    head, eq, value = arg.partition("=")
-    if arg in table or eq and head in table:
-        return table[head], head, value if eq else None
-    if arg[:1] != "-" or len(arg) < 2:
-        return None
-    if arg[1] == "-":
-        found = [(table[s], s, value if eq else None) for s in table if s.startswith(head)]
-    else:
-        found = [(table[s], s, arg[2:]) for s in table if s == arg[:2]]
-    if len(found) > 1:
-        matches = ", ".join(s for _, s, _ in found)
-        raise _UsageError(f"{usage}error: ambiguous option: {arg} could match {matches}")
-    return found[0] if found else None if _negative(arg) or " " in arg else (None, arg, None)
-
-
-def _option_error(usage: str, name: str, message: str) -> _UsageError:
-    return _UsageError(f"{usage}error: argument {'/'.join(_OPTIONS[name][0])}: {message}")
+    layout = partial(argparse.HelpFormatter, width=78)  # 80 columns, whatever COLUMNS says
+    parser = Parser(prog="fusioncat", description=__doc__.split("\n\n")[0],
+                    formatter_class=layout)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (_, text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text, formatter_class=layout)
+        if name != "catalog":
+            g = p.add_mutually_exclusive_group(required=True)
+            g.add_argument("--file", help="category file (JSON)")
+            g.add_argument("--catalog", help="built-in catalog entry name")
+        p.add_argument("--json", action="store_true", help="machine readable output")
+        if name == "centralizer":
+            p.add_argument("--subcat", required=True, metavar="LABELS",
+                           help="comma separated generator labels")
+    try:
+        return parser.parse_args(argv)
+    except _Help as e:
+        return e.args[0]
 
 
 def _parse(argv: list):
-    """The args argparse made of argv, or the help text it printed; a usage
-    error raises _UsageError.  The main parser reads options up to the first
-    positional, the command, whose parser reads the rest."""
-    args = SimpleNamespace(command=None, file=None, catalog=None, json=False, subcat=None)
-    extras = []
-    while True:
-        command, usage = args.command, _usage(args.command)
-        table = {s: n for n in _names(command) for s in _OPTIONS[n][0]}
-        cut = argv.index("--") if "--" in argv else len(argv)  # all after it is positional
-        kinds = [_optional(a, table, usage) for a in argv[:cut]] + [None] * (len(argv) - cut)
-        k = 0
-        # the main parser stops at the command: a positional, or '--' with one after it
-        while k < len(argv) and (command or kinds[k] or k == cut == len(argv) - 1):
-            if kinds[k] is None or kinds[k][0] is None:
-                extras.append(argv[k])
-                k += 1
-                continue
-            name, string, value = kinds[k]
-            if value is not None and _OPTIONS[name][1] is None:
-                # a flag takes no value; -h is the one single-dash option, and -hh is -h twice
-                rest = value.lstrip("h") if string == "-h" else value
-                if rest or not value:
-                    raise _option_error(usage, name, f"ignored explicit argument {rest!r}")
-                value = None
-            if _OPTIONS[name][1] is not None and value is None:
-                if k + 1 == cut or kinds[k + 1] is not None:
-                    raise _option_error(usage, name, "expected one argument")
-                k, value = k + 1, argv[k + 1]
-            k += 1
-            if name == "help":
-                return _help(command)
-            other = {"file": "catalog", "catalog": "file"}.get(name)
-            if other and getattr(args, other) is not None:
-                raise _option_error(usage, name, f"not allowed with argument --{other}")
-            setattr(args, name, True if value is None else value)
-        if command:
+    """The args argparse makes of argv, or the help text it prints; a usage
+    error raises _UsageError.  Read here: a command and then its options,
+    each spelled in full, with no value that starts with '-'."""
+    command = argv[0] if argv else None
+    args = SimpleNamespace(command=command, file=None, catalog=None, json=False, subcat=None)
+    names = ["--json"] + ["--file", "--catalog"] * (command != "catalog")
+    names += ["--subcat"] * (command == "centralizer")
+    k = 1
+    while k < len(argv) and argv[k] in names:  # a repeated option keeps its last value
+        name = argv[k][2:]
+        if name == "json":
+            args.json, k = True, k + 1
+        elif argv[k + 1:k + 2] and argv[k + 1][:1] != "-":
+            setattr(args, name, argv[k + 1])
+            k += 2
+        else:
             break
-        if k == len(argv):
-            raise _UsageError(f"{usage}error: the following arguments are required: COMMAND")
-        if argv[k] not in _COMMANDS:
-            choices = ", ".join(map(repr, _COMMANDS))
-            raise _UsageError(f"{usage}error: argument COMMAND: invalid choice: {argv[k]!r} "
-                              f"(choose from {choices})")
-        args.command, argv = argv[k], argv[k + 1:]
-    if command == "centralizer" and args.subcat is None:
-        raise _UsageError(f"{usage}error: the following arguments are required: --subcat")
-    if "--file" in table and args.file is None and args.catalog is None:
-        raise _UsageError(f"{usage}error: one of the arguments --file --catalog is required")
-    if extras:
-        raise _UsageError(f"{_usage(None)}error: unrecognized arguments: {' '.join(extras)}")
-    return args
+    if (k == len(argv) and command in _COMMANDS
+            and (command == "catalog" or (args.file is None) != (args.catalog is None))
+            and (command != "centralizer" or args.subcat is not None)):
+        return args
+    return _argparse(argv)
 
 
 # the exit code of each error a handler may raise (see the module docstring)
@@ -524,10 +455,7 @@ _EXIT_CODES = {SchemaError: 3, CapabilityError: 4, InvalidCategoryError: 1,
 def run(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
-        if isinstance(args, str):
-            sys.stdout.write(args)
-            return 0
-        report = _COMMANDS[args.command][0](args)
+        report = None if isinstance(args, str) else _COMMANDS[args.command][0](args)
     except _UsageError as e:
         sys.stderr.write(f"{e}\n")
         return 3
@@ -535,18 +463,28 @@ def run(argv=None) -> int:
         sys.stderr.write(f"error: {e}\n")
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(e, kind))
 
-    sys.stdout.write(render_json(report) if args.json else render_text(report))
-    if any(c.status == "fail" for c in report.checks):
-        return 1 if args.command == "validate" else 2
-    return 0
+    code = 0
+    if report is None:
+        text = args
+    else:
+        text = render_json(report) if args.json else render_text(report)
+        if any(c.status == "fail" for c in report.checks):
+            code = 1 if args.command == "validate" else 2
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as e:
+        sys.stderr.write(f"error: cannot write the report: {e}\n")
+        return 3
+    return code
 
 
 def main(argv=None) -> None:
-    """Entry of `python -m fusioncat` and the `fusioncat` script: run, flush,
-    then os._exit, skipping teardown and atexit handlers; run is the API."""
+    """Entry of `python -m fusioncat` and the `fusioncat` script: run (which
+    flushes its report), flush stderr, then os._exit, skipping teardown and
+    atexit handlers; run is the API."""
     code = run(argv)
     try:
-        sys.stdout.flush()
         sys.stderr.flush()
     except (OSError, ValueError):  # e.g. a closed pipe: exit as the interpreter does
         raise SystemExit(code) from None

@@ -7,9 +7,12 @@ import functools
 import importlib
 import io
 import json
+import os
 import random
 import re
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -605,7 +608,6 @@ def test_json_encoder_matches_json_dumps(obj):
 # -- string tests against the patterns they replaced ---------------------------
 
 
-_OLD_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's negative-number matcher
 _OLD_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")  # the rational string of the schema
 
 
@@ -618,7 +620,6 @@ def _rational_or_none(text):
 
 
 def _check_string_tests(text):
-    assert cli._negative(text) == bool(_OLD_NEGATIVE.match(text)), text
     p, _, q = text.partition("/")
     old = (int(p), int(q or 1)) if _OLD_RATIONAL.match(text) else None
     assert _rational_or_none(text) == old, text
@@ -638,7 +639,7 @@ def test_string_tests_match_old_patterns(text):
     _check_string_tests(text)
 
 
-# -- the parser against the argparse front end it replaced --------------------
+# -- the parser against an argparse parser built apart from it --------------
 
 
 class _ArgparseParser(argparse.ArgumentParser):
@@ -647,8 +648,8 @@ class _ArgparseParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _ArgparseParser:
-    """The argparse parser the command line used to build, the reference for
-    cli._parse."""
+    """The argparse parser of the command line, built here apart from cli's
+    own, the reference for cli._parse and its fast path."""
     parser = _ArgparseParser(prog="fusioncat", description=cli.__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
@@ -767,13 +768,59 @@ def test_parser_matches_argparse_on_random_argv(monkeypatch):
     tokens = [*_COMMAND_NAMES, "catalog", "--file", "--catalog", "--json", "--subcat", "-h",
               "--help", "--he", "--f", "--c", "--cat=x", "--j", "--s", "--sub=e", "--json=",
               "-hh", "-hx", "-h=", "--=x", "--", "-", "", "-1", "-.5", "-x", "x", "-a b", "--zz",
-              "--zz=1", "---", "-hh=x", "bogus"]
+              "--zz=1", "---", "-hh=x", "bogus", "a=b"]
     rng = random.Random(20)
+    drawn = []
     for _ in range(300):
         argv = [rng.choice(tokens) for _ in range(rng.randrange(6))]
         if argv and rng.random() < 0.7:
             argv[0] = rng.choice(_COMMAND_NAMES + ["catalog"])
+        drawn.append(argv)
+    # repeated options, read on the fast path, and --subcat off centralizer, which is not
+    drawn += [["info", "--json", "--json", "--catalog", "a=b"], ["catalog", "--json", "--json"],
+              ["info", "--catalog", "semion", "--subcat", "e"], ["catalog", "--subcat", "e"],
+              ["centralizer", "--subcat", "e", "--subcat", "m", "--catalog", "toric_code"]]
+    for argv in drawn:
         assert _parsed(cli._parse, argv) == _parsed(_argparse_parse, argv), argv
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["centralizer", "-h"], ["info", "--catalog"]])
+def test_help_and_usage_texts_ignore_the_terminal_width(argv, monkeypatch, capsys):
+    """Help and usage errors are laid out at 80 columns whatever COLUMNS says."""
+    seen = set()
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        seen.add(invoke(capsys, *argv))
+    assert len(seen) == 1
+    (code, out, err), = seen
+    assert len(max((out + err).splitlines(), key=len)) > 40
+
+
+class _FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("argv", [["info", "--catalog", "semion", "--json"], ["-h"]])
+def test_failed_report_write_exits_3_in_process(argv, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdout", _FullStream())
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert (code, err) == (3, "error: cannot write the report: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [["catalog"], ["info", "--catalog", "semion", "--json"], ["-h"]])
+def test_failed_report_write_exits_3(argv, unbuffered):
+    """Writing to a full device ends in exit 3 and one line on stderr, whether
+    stdout is buffered or not."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "w") as full:
+        out = subprocess.run([sys.executable, "-m", "fusioncat", *argv], stdout=full,
+                             stderr=subprocess.PIPE, text=True, env=env)
+    assert (out.returncode, out.stderr) == (
+        3, "error: cannot write the report: [Errno 28] No space left on device\n")
 
 
 def test_help_returns_zero_from_run(capsys):
