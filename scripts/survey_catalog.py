@@ -32,7 +32,7 @@ def main():
     for name in names:
         data = catalog_get(name)
         alg = CharacterAlgebra(data)
-        labels = data.ring.labels
+        labels = data.labels
         subcats = enumerate_subcats(alg)
         grade = grading(alg)
         transparent = members_str(labels, alg.transparent_members())

@@ -14,7 +14,7 @@ from types import ModuleType
 
 _EXPORTS = {  # module: the public names it defines
     "catalog": "catalog_get catalog_input catalog_names",
-    "category": "CategoryData CategoryInput Check FusionRing build_category global_dim "
+    "category": "CategoryData CategoryInput Check build_category global_dim "
                 "load_category load_input parse_category save_category validate_input "
                 "verlinde_fusion",
     "centralizer": "CentralizerResult centralizer centralizer_smatrix centralizer_suite "

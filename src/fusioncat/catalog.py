@@ -45,7 +45,6 @@ def _ones(n):
 def _trivial():
     inp = CategoryInput(
         name="trivial",
-        kind="modular",
         conductor=1,
         labels=("1",),
         s_matrix=CycloMatrix([[rational(1)]]),
@@ -60,7 +59,7 @@ def _vec_zn(n: int):
             [[rational(1), rational(1)], [rational(1), rational(-1)]]
         )
         inp = CategoryInput(
-            name="vec_z2", kind="modular", conductor=1,
+            name="vec_z2", conductor=1,
             labels=("0", "1"), s_matrix=s,
         )
         return inp, _group_fusion(table), _ones(n)
@@ -72,7 +71,6 @@ def _vec_zn(n: int):
     twists = tuple(zeta(m, (j * j) % m) for j in range(n))
     inp = CategoryInput(
         name=f"vec_z{n}",
-        kind="modular",
         conductor=m,
         labels=tuple(str(j) for j in range(n)),
         s_matrix=s,
@@ -85,7 +83,6 @@ def _semion():
     s = CycloMatrix([[rational(1), rational(1)], [rational(1), rational(-1)]])
     inp = CategoryInput(
         name="semion",
-        kind="modular",
         conductor=4,
         labels=("1", "s"),
         s_matrix=s,
@@ -108,7 +105,6 @@ def _toric_code():
     table = [[i ^ j for j in range(4)] for i in range(4)]
     inp = CategoryInput(
         name="toric_code",
-        kind="modular",
         conductor=1,
         labels=("1", "e", "m", "f"),
         s_matrix=s,
@@ -131,7 +127,6 @@ def _double_semion():
     table = [[i ^ j for j in range(4)] for i in range(4)]
     inp = CategoryInput(
         name="double_semion",
-        kind="modular",
         conductor=4,
         labels=("1", "s", "sbar", "f"),
         s_matrix=s,
@@ -150,7 +145,6 @@ def _fibonacci():
     )
     inp = CategoryInput(
         name="fibonacci",
-        kind="modular",
         conductor=5,
         labels=("1", "tau"),
         s_matrix=s,
@@ -178,7 +172,6 @@ def _ising():
     # no twists are stored.
     inp = CategoryInput(
         name="ising",
-        kind="modular",
         conductor=8,
         labels=("1", "sigma", "psi"),
         s_matrix=s,
@@ -230,7 +223,7 @@ def catalog_get(name: str) -> CategoryData:
             f"catalog entry {name} failed validation: "
             + ", ".join(c.check_id for c in e.failures)
         ) from e
-    if data.ring.fusion != tuple(expected_fusion):
+    if data.fusion != tuple(expected_fusion):
         raise InternalConsistencyError(
             f"catalog entry {name}: Verlinde fusion disagrees with the known rules"
         )

@@ -22,8 +22,9 @@ Everything derived from an s-matrix is computed in the least field that
 holds it (CategoryInput.s_field): SU(2)_k declares conductor 4(k+2) for its
 twists, but its s lies in Q(zeta_2(k+2)).  Twists keep their conductor, and
 values are printed at the one s was given at, shown_conductor, by the one
-show that CategoryInput and CategoryData share.  CategoryData is one flat
-record: the ring, the dimensions and, on modular input, s and the twists.
+show that CategoryInput and CategoryData share, as they share rank.
+CategoryData is one flat record: the labels, the fusion rules with their
+duality, the dimensions and, on modular input, s and the twists.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .errors import (
 __all__ = [
     "Check",
     "verdict",
-    "FusionRing",
     "CategoryData",
     "CategoryInput",
     "dual_involution",
@@ -95,12 +95,28 @@ def _witness(check_id: str, bad, detail: str) -> Check:
     return verdict(check_id, ok, "" if ok else detail.format(bad))
 
 
-class FusionRing(_Frozen):
-    """Fusion coefficients N[i][j][k] with the derived duality involution.
-    Index 0 is always the unit object."""
+class CategoryData(_Frozen):
+    """An assembled category: `labels`, the fusion rules `fusion` with their
+    duality involution `dual`, and `dims`.  `s` is the unnormalized s-matrix,
+    in its least field, and `twists` are stored if given but only checked to
+    be roots of unity; both are None on fusion-ring input.  `shown_conductor`
+    is the one values are shown at (CategoryInput).  `certified` is the
+    fusion rules N for which validation proved the character law sum_k N_ij^k
+    alpha_kl = alpha_il alpha_jl of conjugacy()'s alpha, or None.  On a
+    character table, char_table_law checked it column by column.  On modular input alpha_il =
+    s_il / d_l, and the certificate is: s symmetric, s s = c P with c != 0
+    and P the permutation matrix of the duality k -> k* derived with N by
+    the Verlinde sum N_ij^k = (1/c') sum_r s_ir s_jr s_{k* r} / d_r,
+    c' = sum_r d_r^2, d_r = s_0r.  Proof: s commutes with s s = c P, so
+    s P = P s, that is s_{r k*} = s_{r* k}.  With symmetry, sum_k s_{k* r}
+    s_kl = sum_k s_{r* k} s_kl = (s s)_{r* l} = c delta_rl, and c = (s s)_00
+    = c' as 0* = 0.  So sum_k N_ij^k s_kl = s_il s_jl / d_l; divide by d_l."""
 
-    # fusion[i][j][k] = N_ij^k, as nested tuples; __dict__ holds nonzero
-    __slots__ = ("labels", "fusion", "dual", "__dict__")
+    # fusion[i][j][k] = N_ij^k as nested tuples, index 0 the unit object; dim is
+    # the global dimension, sum_i d_i d_{i*}; __dict__ holds nonzero
+    __slots__ = ("name", "labels", "fusion", "dual", "dims", "s", "twists", "shown_conductor",
+                 "char_table", "dim", "certified", "__dict__")
+    _defaults = {"certified": None}
 
     @property
     def rank(self) -> int:
@@ -116,32 +132,6 @@ class FusionRing(_Frozen):
             return self.labels.index(label)
         except ValueError:
             raise KeyError(f"no simple object labelled {label!r}") from None
-
-
-class CategoryData(_Frozen):
-    """An assembled category.  `s` is the unnormalized s-matrix, in its least
-    field, and `twists` are stored if given but only checked to be roots of
-    unity; both are None on fusion-ring input.  `shown_conductor` is the one
-    values are shown at (CategoryInput).  `certified` is the fusion rules N
-    for which validation proved the character law sum_k N_ij^k alpha_kl =
-    alpha_il alpha_jl of conjugacy()'s alpha, or None.  On a character table,
-    char_table_law checked it column by column.  On modular input alpha_il =
-    s_il / d_l, and the certificate is: s symmetric, s s = c P with c != 0
-    and P the permutation matrix of the duality k -> k* derived with N by
-    the Verlinde sum N_ij^k = (1/c') sum_r s_ir s_jr s_{k* r} / d_r,
-    c' = sum_r d_r^2, d_r = s_0r.  Proof: s commutes with s s = c P, so
-    s P = P s, that is s_{r k*} = s_{r* k}.  With symmetry, sum_k s_{k* r}
-    s_kl = sum_k s_{r* k} s_kl = (s s)_{r* l} = c delta_rl, and c = (s s)_00
-    = c' as 0* = 0.  So sum_k N_ij^k s_kl = s_il s_jl / d_l; divide by d_l."""
-
-    # dim is the global dimension, sum_i d_i d_{i*}
-    __slots__ = ("name", "ring", "dims", "s", "twists", "shown_conductor", "char_table", "dim",
-                 "certified")
-    _defaults = {"certified": None}
-
-    @property
-    def rank(self) -> int:
-        return self.ring.rank
 
     @property
     def kind(self) -> str:
@@ -273,14 +263,17 @@ def verlinde_fusion(s: CycloMatrix, show=lambda v: v):
 class CategoryInput(_Frozen):
     """Parsed but not yet trusted category description."""
 
-    # kind is "modular" | "fusion_ring"; __dict__ holds the derivations
-    __slots__ = ("name", "kind", "conductor", "labels", "s_matrix", "twists", "fusion",
-                 "dims", "char_table", "__dict__")
+    # __dict__ holds the derivations
+    __slots__ = ("name", "conductor", "labels", "s_matrix", "twists", "fusion", "dims",
+                 "char_table", "__dict__")
     _defaults = dict.fromkeys(("s_matrix", "twists", "fusion", "dims", "char_table"))
 
+    rank = CategoryData.rank
+
     @property
-    def rank(self) -> int:
-        return len(self.labels)
+    def kind(self) -> str:
+        """Read off the fields: modular when s_matrix is given, else fusion_ring."""
+        return "modular" if self.s_matrix is not None else "fusion_ring"
 
     @cached_property
     def derived_ring(self) -> tuple[tuple, tuple[int, ...]]:
@@ -516,7 +509,7 @@ def assemble_category(inp: CategoryInput) -> CategoryData:
         table, dims = inp.char_table, tuple(inp.dims)
         proved = table is not None and inp.char_table_law is None
     return CategoryData(
-        name=inp.name, ring=FusionRing(labels=inp.labels, fusion=fusion, dual=dual), dims=dims,
+        name=inp.name, labels=inp.labels, fusion=fusion, dual=dual, dims=dims,
         s=s, twists=twists, shown_conductor=inp.shown_conductor, char_table=table,
         dim=global_dim(dims, dual), certified=fusion if proved else None,
     )
@@ -641,7 +634,6 @@ def parse_category(obj) -> CategoryInput:
             )
         return CategoryInput(
             name=name,
-            kind=kind,
             conductor=conductor,
             labels=tuple(labels),
             s_matrix=s,
@@ -677,7 +669,6 @@ def parse_category(obj) -> CategoryInput:
         char_table = _parse_matrix(obj["char_table"], rank, conductor, "char_table", seen)
     return CategoryInput(
         name=name,
-        kind=kind,
         conductor=conductor,
         labels=tuple(labels),
         fusion=tuple(fusion),
@@ -743,9 +734,8 @@ def category_to_input(data: CategoryData, kind: str | None = None) -> CategoryIn
             raise CapabilityError("no s-matrix to write")
         return CategoryInput(
             name=data.name,
-            kind="modular",
             conductor=_file_conductor(data, data.s, data.twists or ()),
-            labels=data.ring.labels,
+            labels=data.labels,
             s_matrix=data.s,
             twists=data.twists,
         )
@@ -759,10 +749,9 @@ def category_to_input(data: CategoryData, kind: str | None = None) -> CategoryIn
         )
     return CategoryInput(
         name=data.name,
-        kind="fusion_ring",
         conductor=_file_conductor(data, table, data.dims),
-        labels=data.ring.labels,
-        fusion=data.ring.fusion,
+        labels=data.labels,
+        fusion=data.fusion,
         dims=data.dims,
         char_table=table,
     )

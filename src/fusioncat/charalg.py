@@ -136,7 +136,7 @@ class CharacterAlgebra:
         self.data = data
         self.rank = data.rank
         self.dims = data.dims
-        self.dual = data.ring.dual
+        self.dual = data.dual
         self.dim = data.dim
         self.dim_inv = data.dim.inv()
         self._dims_inv = tuple(d.inv() for d in self.dims)
@@ -194,7 +194,7 @@ class CharacterAlgebra:
         n, den, (x, y) = _family((f, g))
         phi = euler_phi(n)
         w = [[0] * len(x) for _ in range(self.rank)]
-        for i, row in enumerate(self.data.ring.nonzero):
+        for i, row in enumerate(self.data.nonzero):
             at = slice(i * phi, (i + 1) * phi)
             for gj, pairs in zip(_chunks(y, phi), row):
                 for k, t in pairs:
@@ -315,7 +315,7 @@ class CharacterAlgebra:
         """
         if self._conjugacy is not None:
             return self._conjugacy
-        rank, dual, ring = self.rank, self.dual, self.data.ring
+        rank, dual, data = self.rank, self.dual, self.data
         if self.data.s is not None:
             rows = self._drinfeld_characters
             column_order = tuple(range(rank))
@@ -336,11 +336,11 @@ class CharacterAlgebra:
             rows = tuple(_Vector([row[c] for c in column_order]) for row in table.rows)
 
         bad = next(((i, j) for i, j in product(range(rank), repeat=2)
-                    if ring.fusion[i][j] != ring.fusion[j][i]), None)
+                    if data.fusion[i][j] != data.fusion[j][i]), None)
         if bad is not None:
             raise InternalConsistencyError(f"fusion rules do not commute at {bad}")
-        if self.data.certified is not ring.fusion:
-            bad = _law_witness(ring.nonzero, *_family(rows))
+        if data.certified is not data.fusion:
+            bad = _law_witness(data.nonzero, *_family(rows))
             if bad is not None:
                 i, j, l = bad
                 raise InternalConsistencyError(f"class {l} is not a character at ({i}, {j})")
@@ -383,13 +383,13 @@ class CharacterAlgebra:
         """Structure constants of the class sums, verified against ce_mul
         through the fusion law of the y_l (one routine with the suite)."""
         i, j = self._object(i), self._object(j)
-        if _law_witness(self.data.ring.nonzero, *_family(self._scaled_class_sums), [(i, j)]):
+        if _law_witness(self.data.nonzero, *_family(self._scaled_class_sums), [(i, j)]):
             raise InternalConsistencyError(
                 f"class sum product ({i}, {j}) does not match its expansion"
             )
         constants = [rational(0)] * self.rank
         dij = self.dims[i] * self.dims[j]
-        for l, n in self.data.ring.nonzero[i][j]:
+        for l, n in self.data.nonzero[i][j]:
             constants[l] = dij * self._dims_inv[l] * n
         return ClassSumProduct(tuple(constants))
 
@@ -451,7 +451,7 @@ class CharacterAlgebra:
         if self.data.s is None:
             return checks + no_s
 
-        fq, nonzero = self._drinfeld_characters, self.data.ring.nonzero
+        fq, nonzero = self._drinfeld_characters, self.data.nonzero
         images = _products(CentralElement, conj.idempotents, self._drinfeld_columns)
         transparent = self.transparent_members()
         # Each family is certified when it equals the rows conjugacy() proved the

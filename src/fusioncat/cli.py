@@ -134,19 +134,6 @@ def render_json(report: Report) -> str:
     return _json(obj, "\n") + "\n"
 
 
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
-            "\b": "\\b", "\f": "\\f"}
-
-
-def _json_char(c: str) -> str:
-    n = ord(c)
-    if c in _ESCAPES or " " <= c < "\x7f":
-        return _ESCAPES.get(c, c)
-    if n > 0xFFFF:  # a surrogate pair, as UTF-16 writes it
-        return "\\u%04x\\u%04x" % (0xD800 | (n - 0x10000) >> 10, 0xDC00 | n & 0x3FF)
-    return "\\u%04x" % n
-
-
 def _json(obj, indent: str) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) with indent the newline and
     indentation obj starts at, for the types of a report: str, int, bool,
@@ -154,7 +141,8 @@ def _json(obj, indent: str) -> str:
     if isinstance(obj, str):
         if obj.isascii() and obj.isprintable() and '"' not in obj and "\\" not in obj:
             return f'"{obj}"'
-        return '"' + "".join(map(_json_char, obj)) + '"'
+        from _json import encode_basestring_ascii  # what json.dumps runs for ensure_ascii
+        return encode_basestring_ascii(obj)
     if obj is None or isinstance(obj, bool):
         return {None: "null", True: "true", False: "false"}[obj]
     if isinstance(obj, int):
@@ -185,7 +173,7 @@ def _algebra(args):
     """(data, its CharacterAlgebra, its labels) for the category args name."""
     from .charalg import CharacterAlgebra
     data = _source(args, catalog_get, load_category)
-    return data, CharacterAlgebra(data), data.ring.labels
+    return data, CharacterAlgebra(data), data.labels
 
 
 def _members_str(labels, members) -> str:
@@ -224,7 +212,7 @@ def _cmd_validate(args) -> Report:
 
 def _cmd_info(args) -> Report:
     data = _source(args, catalog_get, load_category)
-    labels = data.ring.labels
+    labels = data.labels
     sections = [
         Section(
             "category",
@@ -236,7 +224,7 @@ def _cmd_info(args) -> Report:
             ],
         ),
         Section("dims", list(zip(labels, data.dims))),
-        Section("duals", [(lab, labels[d]) for lab, d in zip(labels, data.ring.dual)]),
+        Section("duals", [(lab, labels[d]) for lab, d in zip(labels, data.dual)]),
     ]
     if data.twists is not None:
         sections.append(Section("twists", list(zip(labels, data.twists))))
@@ -276,7 +264,7 @@ def _cmd_centralizer(args) -> Report:
     unknown = [lab for lab in names if lab not in labels]
     if unknown:
         raise SchemaError(f"unknown object label {unknown[0]!r}; have {', '.join(labels)}")
-    subcat = generate_subcat(alg, [data.ring.index_of(lab) for lab in names])
+    subcat = generate_subcat(alg, [data.index_of(lab) for lab in names])
     result = centralizer(alg, subcat)
     checks = verify_main_identity(alg, subcat, result)
     sections = [
@@ -452,15 +440,26 @@ _EXIT_CODES = {SchemaError: 3, CapabilityError: 4, InvalidCategoryError: 1,
                NotRibbonConsistentError: 2, InternalConsistencyError: 2}
 
 
+def _diagnose(line: str) -> None:
+    """Write line to stderr.  A closed or failing stderr loses it, and never
+    changes the exit code."""
+    try:
+        if sys.stderr is not None:
+            sys.stderr.write(f"{line}\n")
+            sys.stderr.flush()
+    except (OSError, ValueError):
+        pass
+
+
 def run(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         report = None if isinstance(args, str) else _COMMANDS[args.command][0](args)
     except _UsageError as e:
-        sys.stderr.write(f"{e}\n")
+        _diagnose(str(e))
         return 3
     except tuple(_EXIT_CODES) as e:
-        sys.stderr.write(f"error: {e}\n")
+        _diagnose(f"error: {e}")
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(e, kind))
 
     code = 0
@@ -471,21 +470,18 @@ def run(argv=None) -> int:
         if any(c.status == "fail" for c in report.checks):
             code = 1 if args.command == "validate" else 2
     try:
+        if sys.stdout is None:  # the interpreter started with no standard output
+            raise OSError("standard output is closed")
         sys.stdout.write(text)
         sys.stdout.flush()
-    except OSError as e:
-        sys.stderr.write(f"error: cannot write the report: {e}\n")
+    except (OSError, ValueError) as e:  # ValueError: a stream closed in process
+        _diagnose(f"error: cannot write the report: {e}")
         return 3
     return code
 
 
 def main(argv=None) -> None:
-    """Entry of `python -m fusioncat` and the `fusioncat` script: run (which
-    flushes its report), flush stderr, then os._exit, skipping teardown and
-    atexit handlers; run is the API."""
-    code = run(argv)
-    try:
-        sys.stderr.flush()
-    except (OSError, ValueError):  # e.g. a closed pipe: exit as the interpreter does
-        raise SystemExit(code) from None
-    os._exit(code)
+    """Entry of `python -m fusioncat` and the `fusioncat` script: os._exit with
+    the code of run, which flushes what it writes, skipping teardown and atexit
+    handlers; run is the API."""
+    os._exit(run(argv))

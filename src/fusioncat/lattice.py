@@ -135,7 +135,7 @@ def _product_masks(nonzero, dual) -> tuple[tuple[int, ...], ...]:
 
 @_memoized
 def _ring_masks(alg: CharacterAlgebra) -> tuple[tuple[int, ...], ...]:
-    return _product_masks(alg.data.ring.nonzero, alg.data.ring.dual)
+    return _product_masks(alg.data.nonzero, alg.data.dual)
 
 
 def _close(masks, closed: int, new: int) -> int:
@@ -329,10 +329,8 @@ def kernel_of_object(alg: CharacterAlgebra, i: int) -> tuple[int, ...]:
 
 @_memoized
 def grading(alg: CharacterAlgebra) -> Grading:
-    ring = alg.data.ring
-    nonzero = ring.nonzero
-    rank = alg.rank
-    seed = {k for i in range(rank) for k, _ in nonzero[i][ring.dual[i]]}
+    nonzero, dual, rank = alg.data.nonzero, alg.data.dual, alg.rank
+    seed = {k for i in range(rank) for k, _ in nonzero[i][dual[i]]}
     adjoint = generate_subcat(alg, seed)
 
     assigned, components = {}, []  # object: its component

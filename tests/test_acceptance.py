@@ -121,7 +121,7 @@ def test_criterion_04_class_sum_products(algs):
     for name in catalog_names():
         alg = algs[name]
         conj = alg.conjugacy()
-        fusion = alg.data.ring.fusion
+        fusion = alg.data.fusion
         for i in range(alg.rank):
             for j in range(alg.rank):
                 # independent expansion from dims and fusion numbers
@@ -228,7 +228,7 @@ def test_criterion_08_verlinde_integrality(algs):
     for name in catalog_names():
         data = catalog_get(name)
         fusion, dual = verlinde_fusion(data.s)
-        if fusion != data.ring.fusion or dual != data.ring.dual:
+        if fusion != data.fusion or dual != data.dual:
             ok = False
     # corrupting any one of the 16 toric entries must be caught somewhere;
     # each fails verlinde-integral at (i=0, j=0, k) with this (k, value)
@@ -242,7 +242,6 @@ def test_criterion_08_verlinde_integrality(algs):
             rows[i][j] = rows[i][j] + rational(1)
             bad = CategoryInput(
                 name="bad",
-                kind="modular",
                 conductor=inp.conductor,
                 labels=inp.labels,
                 s_matrix=CycloMatrix(rows),

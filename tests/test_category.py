@@ -58,7 +58,7 @@ def test_catalog_kind_and_dims(name):
     # global dim is the square-length of the dimension vector
     total = rational(0)
     for i, d in enumerate(data.dims):
-        total = total + d * data.dims[data.ring.dual[i]]
+        total = total + d * data.dims[data.dual[i]]
     assert total == data.dim
 
 
@@ -158,7 +158,7 @@ def test_verlinde_reports_its_first_witness_on_su2_5(corrupt, detail):
     rows = _su2_s_rows(5)
     corrupt(rows)
     inp = CategoryInput(
-        name="su2_5", kind="modular", conductor=28,
+        name="su2_5", conductor=28,
         labels=tuple(map(str, range(6))), s_matrix=CycloMatrix(rows),
     )
     checks = {c.check_id: c for c in validate_input(inp)}
@@ -200,11 +200,11 @@ def test_su2_s_is_computed_at_twice_k_plus_2_or_its_odd_half(k, m):
             back = v.lift(n)
             assert (back.nums, back.den) == (w.nums, w.den)
     if k == 5:  # validation runs at m and shows every value at n
-        inp = CategoryInput(name="su2_5", kind="modular", conductor=n,
+        inp = CategoryInput(name="su2_5", conductor=n,
                             labels=tuple(map(str, range(6))), s_matrix=s)
         data = build_category(inp)
         assert (data.s.conductor, data.shown_conductor) == (m, n)
-        assert data.certified is data.ring.fusion
+        assert data.certified is data.fusion
         dim = {c.check_id: c for c in validate_input(inp)}["global-dim-nonzero"].detail
         assert dim == f"dim C = {shown(data.dim, n)}" and "ζ28" in dim
         # written back, s is lifted to the conductor it was given at
@@ -219,7 +219,6 @@ def test_corrupted_s_fails_validation():
     rows[1][2] = rational(2)
     bad = CategoryInput(
         name="bad",
-        kind="modular",
         conductor=inp.conductor,
         labels=inp.labels,
         s_matrix=CycloMatrix(rows),
@@ -316,7 +315,7 @@ def test_save_and_load_modular(tmp_path):
     data = load_category(path)
     assert data.name == "toric_code"
     assert data.s == catalog_get("toric_code").s
-    assert data.ring.fusion == XOR4
+    assert data.fusion == XOR4
 
 
 def test_save_and_load_fusion_ring(tmp_path):
@@ -326,7 +325,7 @@ def test_save_and_load_fusion_ring(tmp_path):
     assert data.kind == "fusion_ring"
     assert data.s is None
     assert data.char_table is not None
-    assert data.ring.fusion == XOR4
+    assert data.fusion == XOR4
     assert data.dims == catalog_get("toric_code").dims
 
 
@@ -433,7 +432,7 @@ def _uncertified(kind):
     if kind == "modular":
         one = rational(1)
         return CategoryInput(
-            name="uncertified", kind="modular", conductor=1, labels=("1", "x"),
+            name="uncertified", conductor=1, labels=("1", "x"),
             s_matrix=CycloMatrix([[one, one], [one, rational(2)]]),
         )
     inp = category_to_input(catalog_get("toric_code"), kind="fusion_ring")
@@ -487,7 +486,7 @@ def test_modular_ring_laws_run_only_without_the_certificate(case, runs, dim_law,
 def test_singular_s_matrix_reports_its_rank():
     one = rational(1)
     inp = CategoryInput(
-        name="singular", kind="modular", conductor=1, labels=("1", "x"),
+        name="singular", conductor=1, labels=("1", "x"),
         s_matrix=CycloMatrix([[one, one], [one, one]]),
     )
     checks = {c.check_id: c for c in validate_input(inp)}
@@ -572,7 +571,7 @@ def test_associativity_witness_deep_in_a_rank_16_ring(entry, witness):
     i, j, k, value = entry
     xor16[i][j][k] = value
     inp = CategoryInput(
-        name="z2^4", kind="fusion_ring", conductor=1, labels=tuple(map(str, range(16))),
+        name="z2^4", conductor=1, labels=tuple(map(str, range(16))),
         fusion=tuple(tuple(map(tuple, plane)) for plane in xor16),
         dims=tuple(rational(1) for _ in range(16)),
     )

@@ -157,7 +157,7 @@ def test_rank_32_product_verifies_with_nothing_skipped():
     # toric_code (x) toric_code (x) semion: rank 32, past the old rank-16 cap
     toric = catalog_get("toric_code").s.rows
     s = _kron(_kron(toric, toric), catalog_get("semion").s.rows)
-    inp = CategoryInput(name="tc2s", kind="modular", conductor=1,
+    inp = CategoryInput(name="tc2s", conductor=1,
                         labels=tuple(f"x{i}" for i in range(32)), s_matrix=CycloMatrix(s))
     assert [c.check_id for c in validate_input(inp) if c.status != "pass"] == []
     checks = full_suite(CharacterAlgebra(build_category(inp)))
@@ -179,7 +179,7 @@ def _toric2():
     """toric_code (x) toric_code: modular, with the fusion rules of the
     group ring of Z/2^4; 67 subcategories."""
     toric = catalog_get("toric_code").s.rows
-    inp = CategoryInput(name="tc2", kind="modular", conductor=1,
+    inp = CategoryInput(name="tc2", conductor=1,
                         labels=tuple(f"x{i}" for i in range(16)),
                         s_matrix=CycloMatrix(_kron(toric, toric)))
     return CharacterAlgebra(build_category(inp))
@@ -193,7 +193,7 @@ def _z2_4_ring():
                                for k in range(16)) for h in elements) for g in elements)
     table = CycloMatrix([[rational((-1) ** sum(a * b for a, b in zip(g, h))) for h in elements]
                          for g in elements])
-    inp = CategoryInput(name="z2^4", kind="fusion_ring", conductor=1,
+    inp = CategoryInput(name="z2^4", conductor=1,
                         labels=tuple(map(str, range(16))), fusion=fusion,
                         dims=tuple(rational(1) for _ in range(16)), char_table=table)
     return CharacterAlgebra(build_category(inp))

@@ -22,7 +22,7 @@ from fusioncat import (
 )
 from fusioncat import charalg
 from fusioncat.category import (
-    _law_witness, assemble_category, build_category, category_to_input,
+    _law_witness, _sparse_rows, assemble_category, build_category, category_to_input,
     input_to_json, parse_category,
 )
 from fusioncat.cyclotomic import (
@@ -195,7 +195,7 @@ def test_cf_mul_matches_plain_arithmetic(name, data, algs):
     got = alg.cf_mul(f, g)
     assert type(got) is ClassFunction
     assert list(got.coeffs) == _bilinear_reference(
-        f.coeffs, g.coeffs, alg.data.ring.nonzero
+        f.coeffs, g.coeffs, alg.data.nonzero
     )
 
 
@@ -383,16 +383,18 @@ def test_valid_modular_input_runs_no_fusion_law_after_validation(name, monkeypat
 def test_conjugacy_runs_the_law_on_rules_the_certificate_does_not_name(monkeypatch):
     calls = _count_laws(monkeypatch)
     data = catalog_get("toric_code")
-    copied = replaced(data.ring, fusion=tuple(plane for plane in data.ring.fusion))
+    copied = replaced(data, fusion=tuple(plane for plane in data.fusion))
     uncertified = replaced(data, certified=None)
-    for same in (replaced(data, ring=copied), uncertified):
+    for same in (copied, uncertified):
         CharacterAlgebra(same).conjugacy()
     assert len(calls) == 2
     # Z/4 fusion rules under the toric code s-matrix: chi_1^2 = chi_2, but the
     # row of chi_1 squares to 1 while the row of chi_2 is (1, -1, 1, -1)
     z4 = tuple(tuple(tuple(int(k == (i + j) % 4) for k in range(4)) for j in range(4))
                for i in range(4))
-    alg = CharacterAlgebra(replaced(data, ring=replaced(data.ring, fusion=z4)))
+    swapped = replaced(data, fusion=z4)
+    assert swapped.nonzero == _sparse_rows(z4) != data.nonzero  # its own rules, never data's
+    alg = CharacterAlgebra(swapped)
     with pytest.raises(InternalConsistencyError, match=r"class 1 is not a character at \(1, 1\)"):
         alg.conjugacy()
     assert len(calls) == 3
@@ -406,7 +408,7 @@ def test_conjugacy_checks_the_law_on_data_assembled_without_a_certificate(monkey
     inp = catalog_input("ising")
     rows = [(a, c, b) for a, b, c in inp.s_matrix.rows]
     data = assemble_category(replaced(inp, s_matrix=CycloMatrix(rows)))  # no validation
-    assert data.certified is None and data.ring.fusion == catalog_get("ising").ring.fusion
+    assert data.certified is None and data.fusion == catalog_get("ising").fusion
     CharacterAlgebra(data).conjugacy()
     assert len(calls) == 1
 
@@ -422,7 +424,7 @@ def test_ring_input_proves_the_character_law_once(move, monkeypatch):
         inp = replaced(inp, char_table=CycloMatrix(rows))
     calls = _count_laws(monkeypatch)
     data = build_category(inp)
-    assert data.certified is data.ring.fusion
+    assert data.certified is data.fusion
     assert CharacterAlgebra(data).conjugacy().column_order[0] == (2 if move else 0)
     assert calls == []
     # without the certificate the law runs, once
@@ -478,7 +480,7 @@ def test_conjugacy_rejects_non_commutative_fusion_rules():
     )
     one, zero = rational(1), rational(0)
     inp = CategoryInput(
-        name="vec_s3", kind="fusion_ring", conductor=1, labels=tuple("abcdef"),
+        name="vec_s3", conductor=1, labels=tuple("abcdef"),
         fusion=fusion, dims=(one,) * 6,
         char_table=CycloMatrix([[one] + [zero] * 5] * 6),
     )
@@ -520,7 +522,7 @@ def test_object_index_out_of_range_is_a_key_error(call, index, algs):
 def test_class_sum_product_matches_closed_form(name, algs):
     # c_ij^l = d_i d_j N_ij^l / d_l at every l, zero or not
     alg = algs[name]
-    d, fusion = alg.dims, alg.data.ring.fusion
+    d, fusion = alg.dims, alg.data.fusion
     for i in range(alg.rank):
         for j in range(alg.rank):
             want = tuple(
@@ -818,5 +820,5 @@ def test_fusion_law_routine_matches_plain_arithmetic(data):
 def test_fusion_law_routine_accepts_the_character_tables(name, algs):
     alg = algs[name]
     n, den, rows = _family(alg.conjugacy().alpha)
-    assert _law_witness(alg.data.ring.nonzero, n, den, rows) is None
-    assert _law_witness(alg.data.ring.nonzero, n, den, [[0] * len(r) for r in rows]) is None
+    assert _law_witness(alg.data.nonzero, n, den, rows) is None
+    assert _law_witness(alg.data.nonzero, n, den, [[0] * len(r) for r in rows]) is None

@@ -828,3 +828,93 @@ def test_help_returns_zero_from_run(capsys):
     assert (code, err) == (0, "") and out.startswith("usage: fusioncat [-h] COMMAND ...\n")
     code, out, err = invoke(capsys, "info", "-h")
     assert (code, err) == (0, "") and out.startswith("usage: fusioncat info [-h]")
+
+
+# -- a closed or full standard stream ------------------------------------------
+
+
+def _failing_verify_file(tmp_path):
+    obj = input_to_json(catalog_input("toric_code"))
+    obj["s_matrix"][1][2] = "2"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+# argv ("BAD" stands for a file whose verify fails) and the exit code it must end in
+_STREAM_CASES = [
+    pytest.param(["info", "--catalog", "semion"], 0, id="info"),
+    pytest.param(["verify", "--catalog", "semion", "--json"], 0, id="verify"),
+    pytest.param(["frobnicate"], 3, id="usage-error"),
+    pytest.param(["info", "--catalog", "nosuch"], 3, id="unknown-entry"),
+    pytest.param(["verify", "--file", "BAD"], 2, id="failing-verify"),
+]
+
+
+def _argv(argv, tmp_path):
+    return [_failing_verify_file(tmp_path) if a == "BAD" else a for a in argv]
+
+
+@pytest.mark.parametrize("stream", [None, _FullStream()], ids=["closed", "full"])
+@pytest.mark.parametrize("argv, code", _STREAM_CASES)
+def test_broken_stderr_never_changes_the_exit_code_in_process(argv, code, stream, tmp_path,
+                                                              monkeypatch, capsys):
+    argv = _argv(argv, tmp_path)
+    monkeypatch.setattr("sys.stderr", stream)
+    assert run(argv) == code
+
+
+def _closed_stream():
+    stream = io.StringIO()
+    stream.close()
+    return stream
+
+
+@pytest.mark.parametrize("stream, why", [
+    (None, "standard output is closed"),
+    (_closed_stream(), "I/O operation on closed file"),
+], ids=["none", "closed-file"])
+def test_closed_stdout_exits_3_in_process(stream, why, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdout", stream)
+    code = run(["catalog"])
+    assert (code, capsys.readouterr().err) == (3, f"error: cannot write the report: {why}\n")
+
+
+def _run_with(argv, flags=(), **kwargs):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, *flags, "-m", "fusioncat", *argv], text=True,
+                          env=env, **kwargs)
+
+
+@pytest.mark.parametrize("argv, code", _STREAM_CASES)
+def test_closed_stderr_never_changes_the_exit_code(argv, code, tmp_path):
+    out = _run_with(_argv(argv, tmp_path), stdout=subprocess.DEVNULL,
+                    preexec_fn=functools.partial(os.close, 2))
+    assert out.returncode == code
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("argv, code", _STREAM_CASES)
+def test_full_stderr_never_changes_the_exit_code(argv, code, tmp_path):
+    with open("/dev/full", "w") as full:
+        out = _run_with(_argv(argv, tmp_path), stdout=subprocess.DEVNULL, stderr=full)
+    assert out.returncode == code
+
+
+@pytest.mark.parametrize("argv", [["catalog"], ["info", "--catalog", "semion", "--json"]])
+def test_closed_stdout_exits_3(argv):
+    out = _run_with(argv, stderr=subprocess.PIPE, preexec_fn=functools.partial(os.close, 1))
+    assert (out.returncode, out.stderr) == (
+        3, "error: cannot write the report: standard output is closed\n")
+    both = _run_with(argv, preexec_fn=lambda: (os.close(1), os.close(2)))
+    assert both.returncode == 3
+
+
+def test_commands_run_clean_under_dev_mode_and_warnings_as_errors(tmp_path):
+    """No ResourceWarning, DeprecationWarning or other warning on a full run."""
+    path = tmp_path / "toric_code.json"
+    save_category(catalog_get("toric_code"), path)
+    for argv in (["verify", "--catalog", "toric_code", "--json"],
+                 ["subcats", "--file", str(path)]):
+        out = _run_with(argv, ["-X", "dev", "-W", "error"], capture_output=True)
+        assert (out.returncode, out.stderr) == (0, ""), argv

@@ -414,7 +414,6 @@ def _group_ring(name, elements, mul, character=None):
     )
     inp = CategoryInput(
         name=name,
-        kind="fusion_ring",
         conductor=1,
         labels=tuple(str(i) for i in range(n)),
         fusion=fusion,
@@ -459,11 +458,11 @@ def _closures_from_scratch(alg):
     index for object b + 1), from the definition: the intersection of all
     closed sets holding the subset and 0, where a set is closed when it holds
     the dual of each member and every constituent of every product of two."""
-    ring = alg.data.ring
+    data = alg.data
 
     def is_closed(members):
-        return all(ring.dual[a] in members for a in members) and all(
-            k in members for a in members for b in members for k, _ in ring.nonzero[a][b]
+        return all(data.dual[a] in members for a in members) and all(
+            k in members for a in members for b in members for k, _ in data.nonzero[a][b]
         )
 
     subsets = [
@@ -636,7 +635,6 @@ def _z17():
     )
     inp = CategoryInput(
         name="z17",
-        kind="fusion_ring",
         conductor=1,
         labels=tuple(str(i) for i in range(n)),
         fusion=fusion,

@@ -117,7 +117,7 @@ def test_lazy_package_resolves_every_public_name():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert out.stdout == "53 0.1.0\n"
+    assert out.stdout == "52 0.1.0\n"
 
 
 def test_keyword_construction_with_defaults():
@@ -126,12 +126,15 @@ def test_keyword_construction_with_defaults():
 
 
 def test_category_input_keeps_field_order_and_defaults():
-    fusion = catalog_get("semion").ring.fusion
-    inp = CategoryInput("z2", "fusion_ring", 1, ("1", "s"), None, None, fusion)
-    assert (inp.name, inp.kind, inp.conductor, inp.labels, inp.fusion) == (
-        "z2", "fusion_ring", 1, ("1", "s"), fusion
-    )
+    fusion = catalog_get("semion").fusion
+    inp = CategoryInput("z2", 1, ("1", "s"), None, None, fusion)
+    assert (inp.name, inp.conductor, inp.labels, inp.fusion) == ("z2", 1, ("1", "s"), fusion)
     assert (inp.s_matrix, inp.twists, inp.dims, inp.char_table) == (None,) * 4
+    # kind is read off the fields, never given
+    assert inp.kind == "fusion_ring"
+    assert replaced(inp, s_matrix=catalog_get("semion").s).kind == "modular"
+    with pytest.raises(TypeError):
+        CategoryInput("z2", 1, ("1", "s"), fusion=fusion, kind="modular")
     assert inp.derived_ring is inp.derived_ring  # cached once per input
     with pytest.raises(AttributeError):
         inp.fusion = None
@@ -149,7 +152,7 @@ def _read_only_records(alg):
     [vector.coeffs for vector in values[2:]]  # fills each vector's _coeffs slot
     return [
         (Check("x", "pass"), "status"),
-        (data.ring, "labels"),
+        (data, "labels"),
         (data, "dims"),
         (data, "s"),
         (data, "name"),
@@ -264,9 +267,9 @@ def test_one_read_only_guard():
 def _sample_records(alg):
     """One record of every class with the shared constructor."""
     data, subcat = alg.data, enumerate_subcats(alg)[1]
-    section = Section("dims", list(zip(data.ring.labels, data.dims)))
+    section = Section("dims", list(zip(data.labels, data.dims)))
     return [
-        Check("x", "pass"), data.ring, data, catalog_input("toric_code"), alg.conjugacy(),
+        Check("x", "pass"), data, catalog_input("toric_code"), alg.conjugacy(),
         alg.class_sum_product(1, 1), subcat, subcat_invariants(alg, subcat), grading(alg),
         prime_index_check(alg), centralizer(alg, subcat), section,
         Report("info", data, [section], []),
