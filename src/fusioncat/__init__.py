@@ -21,7 +21,7 @@ _EXPORTS = {  # module: the public names it defines
                    "centralizer_theorem verify_main_identity",
     "charalg": "CentralElement CharacterAlgebra ClassFunction ClassSumProduct ConjugacyData",
     "cyclotomic": "Cyclotomic CycloMatrix cyclotomic_polynomial rational zeta",
-    "errors": "CapabilityError DegenerateError InternalConsistencyError InvalidCategoryError "
+    "errors": "CapabilityError InternalConsistencyError InvalidCategoryError "
               "MalformedFusionError NotModularError NotRibbonConsistentError SchemaError "
               "SingularMatrixError",
     "lattice": "FusionSubcategory Grading PrimeIndexReport SubcatInvariants enumerate_subcats "

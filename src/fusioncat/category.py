@@ -30,17 +30,16 @@ duality, the dimensions and, on modular input, s and the twists.
 from __future__ import annotations
 
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import compress, product
 from math import inf, lcm, nan
 
 from .cyclotomic import (
     Cyclotomic, CycloMatrix, _chunks, _family, _Frozen, _make, _Vector, euler_phi, matmul_nums,
-    pointwise_nums, rational, shown, triple_sums,
+    pointwise_nums, rational, shown, triple_sums, zeta,
 )
 from .errors import (
     CapabilityError,
-    DegenerateError,
     InvalidCategoryError,
     MalformedFusionError,
     NotModularError,
@@ -207,13 +206,13 @@ def global_dim(dims, dual) -> Cyclotomic:
 
 
 def verlinde_fusion(s: CycloMatrix, show=lambda v: v):
-    """Derive (fusion, dual) from an s-matrix, or raise NotModularError /
-    DegenerateError.  Duality is self-consistent: the first pass computes the
-    raw sums T_ij^k = sum_r s_ir s_jr s_kr / (d_r dim C) (no dual applied),
-    symmetric in i, j, k, on sorted triples k <= j <= i only, as the
-    triple_sums of the flat rows of s with the weights 1 / (d_r dim C).  It
-    raises at the least failing sorted triple, the first failing entry of
-    all, printed through show.
+    """Derive (fusion, dual) from an s-matrix, or raise NotModularError, also
+    for a zero dimension or global dimension.  Duality is self-consistent: the
+    first pass computes the raw sums T_ij^k = sum_r s_ir s_jr s_kr / (d_r
+    dim C) (no dual applied), symmetric in i, j, k, on sorted triples
+    k <= j <= i only, as the triple_sums of the flat rows of s with the
+    weights 1 / (d_r dim C).  It raises at the least failing sorted triple,
+    the first failing entry of all, printed through show.
     dual_involution reads duality off T_ij^0, and then N_ij^k = T_ij^{k*}."""
     rank = s.nrows
     if rank != s.ncols:
@@ -221,10 +220,10 @@ def verlinde_fusion(s: CycloMatrix, show=lambda v: v):
     dims = s.rows[0]
     for r, d in enumerate(dims):
         if d.is_zero():
-            raise DegenerateError(f"s_0{r} = 0, zero dimension")
+            raise NotModularError(f"s_0{r} = 0, zero dimension")
     dim_c = sum((d * d for d in dims), rational(0))
     if dim_c.is_zero():
-        raise DegenerateError("global dimension is zero")
+        raise NotModularError("global dimension is zero")
     dim_inv = dim_c.inv()
     n, den_s, rows = s.flat()
     n, den_w, (weights,) = _family([_Vector([d.inv() * dim_inv for d in dims])], n)
@@ -438,7 +437,7 @@ def _check_char_table(inp: CategoryInput, dual, checks: list[Check]):
 
 
 def validate_input(inp: CategoryInput) -> list[Check]:
-    """Run every invariant check and report them all; never raises."""
+    """Run every check and report them all; raises only SchemaError, on an unprintable detail."""
     checks = [verdict("labels-distinct", len(set(inp.labels)) == len(inp.labels))]
 
     if inp.kind == "modular":
@@ -458,7 +457,7 @@ def validate_input(inp: CategoryInput) -> list[Check]:
             try:
                 fusion = inp.derived_ring[0]
                 checks.append(verdict("verlinde-integral", True))
-            except (NotModularError, DegenerateError) as e:
+            except NotModularError as e:
                 checks.append(verdict("verlinde-integral", False, str(e)))
         else:
             checks.append(Check("verlinde-integral", "skip", "zero dimension"))
@@ -472,15 +471,9 @@ def validate_input(inp: CategoryInput) -> list[Check]:
             )]
 
         if inp.twists is not None:
-            bad = None
-            if not inp.twists[0] == 1:
-                bad = f"twist of the unit is {inp.twists[0]}"
-            else:
-                for i, th in enumerate(inp.twists):
-                    order = lcm(2, th.conductor)
-                    if th ** order != 1:
-                        bad = f"twist {i} is not a root of unity"
-                        break
+            bad = f"twist of the unit is {inp.twists[0]}" if inp.twists[0] != 1 else next(
+                (f"twist {i} is not a root of unity" for i, th in enumerate(inp.twists)
+                 if th.den != 1 or th.nums not in _roots_of_unity(th.conductor)), None)
             checks.append(verdict("twists-roots-of-unity", bad is None, bad or ""))
     else:
         dual = _check_ring_axioms(inp, inp.fusion, inp.dims, checks)
@@ -488,6 +481,12 @@ def validate_input(inp: CategoryInput) -> list[Check]:
             _check_char_table(inp, dual, checks)
 
     return checks
+
+
+@cache
+def _roots_of_unity(n: int) -> frozenset:
+    """Numerators at n of the roots of unity in Q(zeta_n): the +-zeta_n^k."""
+    return frozenset(z.nums for k in range(n) for z in (zeta(n, k), -zeta(n, k)))
 
 
 def build_category(inp: CategoryInput) -> CategoryData:

@@ -60,19 +60,20 @@ def _route(alg: CharacterAlgebra, members: tuple[int, ...], what: str) -> Fusion
     return FusionSubcategory(members)
 
 
-def centralizer_smatrix(
-    alg: CharacterAlgebra, subcat: FusionSubcategory
-) -> FusionSubcategory:
+def centralizer_smatrix(alg: CharacterAlgebra, subcat: FusionSubcategory) -> FusionSubcategory:
     """Objects whose s-matrix pairing with all of D degenerates to d_i d_j."""
     return _route(alg, alg.s_centralizer(subcat.members), "s-matrix centralizer")
 
 
-def centralizer_theorem(alg: CharacterAlgebra, subcat: FusionSubcategory, image=None):
-    """Centralizer via the Drinfeld image of the cointegral, read off its
-    flat numerators; returns the subcategory and the idempotent image
-    drinfeld(lambda_D), computed when not given."""
-    if image is None:
-        image = alg.drinfeld(alg.cointegral(subcat.members))
+def centralizer_theorem(alg: CharacterAlgebra, subcat: FusionSubcategory):
+    """Centralizer via the Drinfeld image of the cointegral: the subcategory
+    and the idempotent image drinfeld(lambda_D), computed from D alone."""
+    image = alg.drinfeld(alg.cointegral(subcat.members))
+    return _transform_route(alg, image), image
+
+
+def _transform_route(alg: CharacterAlgebra, image) -> FusionSubcategory:
+    """D' read off the 0/1 flat numerators of image = drinfeld(lambda_D)."""
     chunks = _chunks(image.nums, euler_phi(image.conductor))
     one, support = (image.den,) + (0,) * (len(chunks[0]) - 1), []
     for j, x in enumerate(chunks):
@@ -84,7 +85,7 @@ def centralizer_theorem(alg: CharacterAlgebra, subcat: FusionSubcategory, image=
                 f"{alg.data.show(image.coeffs[j])} at {j}; "
                 "expected a 0/1 vector"
             )
-    return _route(alg, tuple(support), "support of the transformed cointegral"), image
+    return _route(alg, tuple(support), "support of the transformed cointegral")
 
 
 def _results(alg: CharacterAlgebra, subcats) -> list:
@@ -96,7 +97,7 @@ def _results(alg: CharacterAlgebra, subcats) -> list:
     for d, image in zip(subcats, _products(CentralElement, lams, columns)):
         try:
             by_s = centralizer_smatrix(alg, d)
-            results.append(CentralizerResult(d, by_s, *centralizer_theorem(alg, d, image)))
+            results.append(CentralizerResult(d, by_s, _transform_route(alg, image), image))
         except NotRibbonConsistentError as e:
             results.append(e)
     return results
@@ -109,12 +110,9 @@ def centralizer(alg: CharacterAlgebra, subcat: FusionSubcategory) -> Centralizer
     return result
 
 
-def verify_main_identity(
-    alg: CharacterAlgebra, subcat: FusionSubcategory, result=None
-) -> list[Check]:
-    """All exact centralizer laws for one subcategory, from its entry of
-    _results (computed when not given)."""
-    laws = _laws(alg, [subcat], [result or _results(alg, [subcat])[0]])
+def verify_main_identity(alg: CharacterAlgebra, subcat: FusionSubcategory) -> list[Check]:
+    """All exact centralizer laws for one subcategory, from _results on it."""
+    laws = _laws(alg, [subcat], _results(alg, [subcat]))
     return [verdict(law, at is None, detail(0)) for law, at, detail in laws]
 
 

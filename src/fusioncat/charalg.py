@@ -142,7 +142,6 @@ class CharacterAlgebra:
         self._dims_inv = tuple(d.inv() for d in self.dims)
         # the d_i d_{i*} as a _family, one row each, which subset_dim sums
         self._dim_terms = _family([d * self.dims[k] for d, k in zip(self.dims, self.dual)])
-        self._conjugacy: ConjugacyData | None = None
         self.n = lcm(*(d.conductor for d in self.dims))
         # weights of the pairing, fourier and fourier_inv, built once
         self._dims_vec = _Vector(self.dims)
@@ -313,8 +312,10 @@ class CharacterAlgebra:
         idempotents, summing to chi_0, with tau(F_l) = alpha_0l / f_l = 1 / f_l.
         Column 0 holds the d_i (s is symmetric), so f_0 = dim C, F_0 = lambda.
         """
-        if self._conjugacy is not None:
-            return self._conjugacy
+        return self._conjugacy
+
+    @cached_property
+    def _conjugacy(self) -> ConjugacyData:
         rank, dual, data = self.rank, self.dual, self.data
         if self.data.s is not None:
             rows = self._drinfeld_characters
@@ -359,7 +360,7 @@ class CharacterAlgebra:
         if bad is not None:
             raise InternalConsistencyError(f"class idempotents do not invert alpha at {bad}")
 
-        self._conjugacy = ConjugacyData(
+        return ConjugacyData(
             alpha=rows,
             idempotents=idempotents,
             class_sums=tuple(self.fourier_inv(f) for f in idempotents),
@@ -367,7 +368,6 @@ class CharacterAlgebra:
             multiplicities=tuple(codegrees),
             column_order=column_order,
         )
-        return self._conjugacy
 
     @cached_property
     def _scaled_class_sums(self) -> tuple[CentralElement, ...]:

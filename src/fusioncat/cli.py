@@ -266,7 +266,7 @@ def _cmd_centralizer(args) -> Report:
         raise SchemaError(f"unknown object label {unknown[0]!r}; have {', '.join(labels)}")
     subcat = generate_subcat(alg, [data.index_of(lab) for lab in names])
     result = centralizer(alg, subcat)
-    checks = verify_main_identity(alg, subcat, result)
+    checks = verify_main_identity(alg, subcat)
     sections = [
         Section(
             "centralizer",
@@ -455,6 +455,7 @@ def run(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         report = None if isinstance(args, str) else _COMMANDS[args.command][0](args)
+        text = args if report is None else render_json(report) if args.json else render_text(report)
     except _UsageError as e:
         _diagnose(str(e))
         return 3
@@ -463,12 +464,8 @@ def run(argv=None) -> int:
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(e, kind))
 
     code = 0
-    if report is None:
-        text = args
-    else:
-        text = render_json(report) if args.json else render_text(report)
-        if any(c.status == "fail" for c in report.checks):
-            code = 1 if args.command == "validate" else 2
+    if report is not None and any(c.status == "fail" for c in report.checks):
+        code = 1 if args.command == "validate" else 2
     try:
         if sys.stdout is None:  # the interpreter started with no standard output
             raise OSError("standard output is closed")

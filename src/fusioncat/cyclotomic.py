@@ -50,13 +50,14 @@ checks only; nothing downstream branches on floats.
 
 from __future__ import annotations
 
+import sys
 from functools import cache
 from itertools import takewhile
 from math import cos, gcd, lcm, pi, prod, sin
 from operator import add, mul
 from struct import Struct
 
-from .errors import SingularMatrixError
+from .errors import SchemaError, SingularMatrixError
 
 __all__ = [
     "Cyclotomic",
@@ -628,9 +629,17 @@ class Cyclotomic(_Flat):
         return a.den == b.den and a.nums == b.nums
 
     def coeff_strs(self) -> list[str]:
-        """The power-basis coefficients as str(Fraction) writes them: "-1/2"."""
+        """The power-basis coefficients as str(Fraction) writes them: "-1/2";
+        SchemaError for a number past the interpreter's limit on str(int)."""
         d = self.den
-        return [str(c // g) if (g := gcd(c, d)) == d else f"{c // g}/{d // g}" for c in self.nums]
+        try:
+            return [str(c // g) if (g := gcd(c, d)) == d else f"{c // g}/{d // g}"
+                    for c in self.nums]
+        except ValueError:
+            from decimal import Decimal  # which counts digits without str(int)
+            x = max(max(abs(c), d) // gcd(c, d) for c in self.nums)  # the longest number
+            raise SchemaError(f"cannot print a number of {Decimal(x).adjusted() + 1} digits, "
+                              f"past the limit of {sys.get_int_max_str_digits()}") from None
 
     def __repr__(self):
         return f"Cyclotomic({self.conductor}, {self.coeff_strs()})"

@@ -2,8 +2,8 @@
 
 The CLI maps these onto exit codes, so the split matters: schema problems
 (SchemaError) are I/O-level, validation problems (InvalidCategoryError,
-MalformedFusionError, NotModularError, DegenerateError) mean the input data
-does not describe a category of the advertised kind, capability problems
+MalformedFusionError, NotModularError) mean the input data does not
+describe a category of the advertised kind, capability problems
 (CapabilityError) mean the request needs data the input does not carry, and
 consistency problems (InternalConsistencyError, NotRibbonConsistentError)
 mean an exact identity that must hold failed mid-computation.
@@ -13,7 +13,8 @@ from __future__ import annotations
 
 
 class SchemaError(Exception):
-    """Input file or JSON object does not match the on-disk schema."""
+    """Input file or JSON object does not match the on-disk schema, or a number
+    read or printed is past the interpreter's limit on int/str conversion."""
 
 
 class MalformedFusionError(Exception):
@@ -21,11 +22,7 @@ class MalformedFusionError(Exception):
 
 
 class NotModularError(Exception):
-    """An s-matrix whose Verlinde coefficients are not nonnegative integers."""
-
-
-class DegenerateError(Exception):
-    """Zero global dimension or zero object dimension."""
+    """An s-matrix with a zero dimension or dim C, or a Verlinde coefficient outside N."""
 
 
 class CapabilityError(Exception):

@@ -105,20 +105,13 @@ _MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _memoized(fn):
-    """fn(alg, *args), memoized in _MEMOS[alg], which dies with alg.  So is a
-    CapabilityError, kept without its traceback, whose frames hold alg, and
-    raised anew on each call, so that a bound is reached once per algebra."""
+    """fn(alg, *args), memoized in _MEMOS[alg], which dies with alg.  Only
+    return values are kept: an exception propagates and is not cached."""
     @wraps(fn)
     def cached(alg, *args):
-        memo = _MEMOS.setdefault(alg, {})
-        key = (fn.__name__, *args)
+        memo, key = _MEMOS.setdefault(alg, {}), (fn.__name__, *args)
         if key not in memo:
-            try:
-                memo[key] = fn(alg, *args)
-            except CapabilityError as e:
-                memo[key] = e.with_traceback(None)
-        if isinstance(memo[key], CapabilityError):
-            raise type(memo[key])(*memo[key].args)
+            memo[key] = fn(alg, *args)
         return memo[key]
     return cached
 
@@ -192,16 +185,21 @@ def enumerate_subcats(alg: CharacterAlgebra) -> tuple[FusionSubcategory, ...]:
     These are the joins of the principal subcategories <i> generated by one
     simple object.  Proof: for i in D, <i> lies in D, so the join J of the <i>
     over i in D lies in D; each i in D lies in <i>, so D lies in J.  So D = J.
+    Past SUBCATEGORY_LIMIT it raises a copy of the lattice record's error.
     """
-    return _lattice(alg)[0]
+    record = _lattice(alg)
+    if isinstance(record, CapabilityError):
+        raise CapabilityError(*record.args)
+    return record[0]
 
 
 @_memoized
-def _lattice(alg: CharacterAlgebra) -> tuple:
+def _lattice(alg: CharacterAlgebra) -> tuple | CapabilityError:
     """(subcats, masks, atoms, joins) in subcategory order: the member masks,
     the indices of the distinct principal subcategories <i>, and joins[a][k],
     the index of D_a v D_{atoms[k]}.  Each subcategory found is joined with
-    every atom, reaching the joins of k atoms from those of k - 1."""
+    every atom, reaching the joins of k atoms from those of k - 1.  Past
+    SUBCATEGORY_LIMIT the record is the CapabilityError that names it."""
     products = _ring_masks(alg)
     atoms = list(dict.fromkeys(_close(products, 1, 1 << i) for i in range(alg.rank)))
     rows, todo = dict.fromkeys(atoms), list(atoms)
@@ -213,8 +211,8 @@ def _lattice(alg: CharacterAlgebra) -> tuple:
                 rows[joined] = None
                 todo.append(joined)
                 if len(rows) > SUBCATEGORY_LIMIT:
-                    raise CapabilityError(f"subcategory enumeration stopped past "
-                                          f"SUBCATEGORY_LIMIT = {SUBCATEGORY_LIMIT} subcategories")
+                    return CapabilityError(f"subcategory enumeration stopped past "
+                                           f"SUBCATEGORY_LIMIT = {SUBCATEGORY_LIMIT} subcategories")
     mask_of = {_members(m): m for m in rows}
     dims = {m: _dim(alg, m) for m in mask_of}
     keys = {m: _rounded(v) for m, v in dims.items()}

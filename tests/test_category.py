@@ -6,9 +6,12 @@ import random
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import replaced
 
@@ -29,7 +32,9 @@ from fusioncat import (
 from fusioncat.category import category_to_input, input_to_json
 from fusioncat import cyclotomic
 from fusioncat.cli import run
-from fusioncat.cyclotomic import CycloMatrix, Cyclotomic, least_field, rational, shown, zeta
+from fusioncat.cyclotomic import (
+    CycloMatrix, Cyclotomic, euler_phi, least_field, rational, shown, zeta,
+)
 from fusioncat.errors import MalformedFusionError, NotModularError
 
 XOR4 = tuple(
@@ -116,6 +121,57 @@ def _su2_s_rows(k):
         return sum((zeta(n, 2 * e) for e in range(1 - m, m, 2)), rational(0))
 
     return [[qint((i + 1) * (j + 1)) for j in range(k + 1)] for i in range(k + 1)]
+
+
+def test_zero_global_dimension_is_not_modular():
+    # s = [[1, i], [i, -1]]: both dimensions are nonzero and dim C = 1 + i^2 = 0
+    i = zeta(4)
+    s = CycloMatrix([[rational(1), i], [i, rational(-1)]])
+    with pytest.raises(NotModularError, match="^global dimension is zero$"):
+        verlinde_fusion(s)
+    inp = CategoryInput(name="degenerate", conductor=4, labels=("1", "x"), s_matrix=s)
+    checks = {c.check_id: (c.status, c.detail) for c in validate_input(inp)}
+    assert checks["verlinde-integral"] == ("fail", "global dimension is zero")
+
+
+def _twist_passes(theta) -> bool:
+    """twists-roots-of-unity on semion's s-matrix with the twists (1, theta)."""
+    inp = replaced(catalog_input("semion"), twists=(rational(1), theta))
+    checks = {c.check_id: c.status for c in validate_input(inp)}
+    return checks["twists-roots-of-unity"] == "pass"
+
+
+def _power_test(theta) -> bool:
+    """The oracle: theta^lcm(2, n) = 1 at the conductor n of theta, as every
+    root of unity of Q(zeta_n) has an order dividing lcm(2, n)."""
+    return theta ** lcm(2, theta.conductor) == 1
+
+
+def test_twist_check_agrees_with_the_power_test_on_known_twists(monkeypatch):
+    # every twist of the catalog and of the generated families passes both
+    # tests; each moved off the unit circle fails both
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    gen = importlib.import_module("gen")
+    cats = [gen.su2(k) for k in range(1, 9)] + [gen.vec_zn(n) for n in (5, 9, 12, 16)] + [
+        gen.deligne(gen.semion(), gen.su2(3)), gen.double_semion(), gen.anti_semion()]
+    twists = [th for name in catalog_names() for th in catalog_input(name).twists or ()]
+    twists += [th for cat in cats for th in parse_category(gen.modular_json(cat)).twists]
+    for theta in twists:
+        assert _twist_passes(theta) and _power_test(theta), theta
+        for moved in (theta * 2, theta * Fraction(1, 2), theta + 3):
+            assert not _twist_passes(moved) and not _power_test(moved), moved
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 30), k=st.integers(0, 59), sign=st.sampled_from((1, -1)),
+       noise=st.lists(st.integers(-2, 2), min_size=30, max_size=30),
+       den=st.sampled_from((1, 1, 2, 3)), exact=st.booleans())
+def test_twist_check_agrees_with_the_power_test(n, k, sign, noise, den, exact):
+    # +-zeta_n^k itself, or moved by a small vector and scaled by 1/den
+    theta = zeta(n, k) * sign
+    if not exact:
+        theta = (theta + Cyclotomic(n, noise[:euler_phi(n)])) * Fraction(1, den)
+    assert _twist_passes(theta) == _power_test(theta)
 
 
 def _plus_one_at_1_2(rows):

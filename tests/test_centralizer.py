@@ -149,6 +149,27 @@ def test_batched_images_match_the_formula(name):
         assert result.members == centralizer_smatrix(alg, sub).members
 
 
+def test_the_criterion_and_the_main_identity_take_only_the_subcategory(algs):
+    # drinfeld(lambda_D) and the results are derived from D alone: a copy
+    # handed in by the caller, here that of another subcategory, is refused
+    alg = algs["toric_code"]
+    d, other = FusionSubcategory((0, 1)), FusionSubcategory((0, 2))
+    with pytest.raises(TypeError):
+        centralizer_theorem(alg, d, centralizer_theorem(alg, other)[1])
+    with pytest.raises(TypeError):
+        verify_main_identity(alg, d, centralizer(alg, other))
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "toric_code^2"])
+def test_criterion_reads_the_route_and_image_of_the_batched_results(name, algs):
+    # centralizer_theorem forms drinfeld(lambda_D) for one D and _results
+    # takes it from the batched matmul; both read D' through the same reader
+    alg = _toric2() if name == "toric_code^2" else algs[name]
+    subcats = enumerate_subcats(alg)
+    for d, result in zip(subcats, centralizer_module._results(alg, subcats)):
+        assert centralizer_theorem(alg, d) == (result.transform_route, result.image)
+
+
 def _kron(a, b):
     return [[x * y for x in ra for y in rb] for ra in a for rb in b]
 

@@ -258,6 +258,52 @@ def test_exit_int_literal_past_digit_limit(tmp_path, capsys):
     _hostile_file_exits_3(capsys, path, str(path), "5000 digits")
 
 
+def _plus_zeta(p, c):
+    """c + zeta_p as a coefficient array at a prime conductor p."""
+    return [str(c), "1"] + ["0"] * (p - 3)
+
+
+def _modular_file(tmp_path, conductor, s_matrix, **fields):
+    path = tmp_path / "crafted.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "name": "crafted", "kind": "modular", "conductor": conductor,
+        "rank": len(s_matrix), "labels": [f"x{i}" for i in range(len(s_matrix))],
+        "s_matrix": s_matrix, **fields,
+    }))
+    return path
+
+
+@pytest.mark.parametrize("conductor, s_matrix", [
+    (3, [[[f"1/{10**4000 - 1}", f"1/{10**4000 - 3}"]]]),
+    (11, [["1", _plus_zeta(11, 10**1000)], [_plus_zeta(11, 10**1000), "-1"]]),
+], ids=["dim-of-a-1x1", "verlinde-witness"])
+def test_exit_value_too_long_to_print(conductor, s_matrix, tmp_path, capsys):
+    """Every numeral parses, but a value that a check detail prints has a
+    number past the limit of str(int): exit 3 with one line naming its
+    length and the limit, as for such a numeral in the file."""
+    path = _modular_file(tmp_path, conductor, s_matrix)
+    line = (r"error: cannot print a number of \d+ digits, past the limit of "
+            rf"{sys.get_int_max_str_digits()}\n")
+    for command in ("validate", "info", "verify"):
+        for extra in ((), ("--json",)):
+            code, out, err = invoke(capsys, command, "--file", str(path), *extra)
+            assert (code, out) == (3, ""), (command, extra)
+            assert re.fullmatch(line, err), err
+
+
+def test_a_twist_far_from_every_root_of_unity_fails_at_once(tmp_path, capsys):
+    """10^40 + zeta_401 is none of the +-zeta_401^k, which are the roots of
+    unity of Q(zeta_401); its 802nd power, the former test, took tens of
+    seconds."""
+    path = _modular_file(tmp_path, 401, [["1", "1"], ["1", "-1"]],
+                         twists=["1", _plus_zeta(401, 10**40)])
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "validate", "--file", str(path))
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (1, "")
+    assert "  fail  twists-roots-of-unity  twist 1 is not a root of unity\n" in out
+
+
 # -- the file decoder ----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic: construction, field operations, matrices."""
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -28,7 +29,7 @@ from fusioncat.cyclotomic import (
     triple_sums,
     zeta,
 )
-from fusioncat.errors import SingularMatrixError
+from fusioncat.errors import SchemaError, SingularMatrixError
 
 CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 12, 15, 24)
 
@@ -96,6 +97,22 @@ def test_approx_str_drops_float_noise():
     assert zeta(4).approx_str() == "0+1i"
     assert zeta(4, 3).approx_str() == "0-1i"
     assert zeta(6).approx_str() == "0.5+0.866025i"
+
+
+@pytest.mark.skipif(not 0 < sys.get_int_max_str_digits() < 5000,
+                    reason="needs a digit limit below 5000")
+@pytest.mark.parametrize("value, digits", [
+    (rational(10**5000 - 1), 5000),
+    (rational(Fraction(1, 10**5000)), 5001),
+    (zeta(5) * -(10**5000) + Fraction(1, 3), 5001),
+])
+def test_a_number_too_long_to_print_raises_schema_error(value, digits):
+    # the length is counted without str(int), exactly, also next to a power of 10
+    want = (f"cannot print a number of {digits} digits, past the limit of "
+            f"{sys.get_int_max_str_digits()}")
+    for text in (value.coeff_strs, value.__str__, value.__repr__):
+        with pytest.raises(SchemaError, match=f"^{want}$"):
+            text()
 
 
 def test_sixth_root_equals_one_plus_third_root():

@@ -29,6 +29,7 @@ from fusioncat import (
     prime_index_check,
     subcat_invariants,
 )
+from fusioncat.category import category_to_input
 from fusioncat.cyclotomic import CycloMatrix, rational, zeta
 from fusioncat.errors import CapabilityError, InternalConsistencyError
 
@@ -324,6 +325,18 @@ def test_lattice_memo_dies_with_its_algebra():
     gc.collect()
     assert ref() is None
     assert len(lattice._MEMOS) == before
+
+
+def test_memo_keeps_no_raised_error():
+    # without an s-matrix or a character table conjugacy() raises before
+    # any work; the error reaches the caller each time, and the memo keeps
+    # no entry for the rows it stopped
+    inp = category_to_input(catalog_get("toric_code"), kind="fusion_ring")
+    alg = CharacterAlgebra(build_category(replaced(inp, char_table=None)))
+    for _ in range(2):
+        with pytest.raises(CapabilityError, match="needs an s-matrix or a character table"):
+            subcat_invariants(alg, FusionSubcategory((0,)))
+    assert ("_invariant_rows",) not in lattice._MEMOS[alg]
 
 
 def test_enumeration_refuses_an_uncertified_dimension_order():

@@ -117,7 +117,7 @@ def test_lazy_package_resolves_every_public_name():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert out.stdout == "52 0.1.0\n"
+    assert out.stdout == "51 0.1.0\n"
 
 
 def test_keyword_construction_with_defaults():
