@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import sys
 from functools import cache, cached_property
-from itertools import compress, product
+from itertools import chain, compress, product, repeat, zip_longest
 from math import inf, lcm, nan
+from operator import floordiv, mod
 
 from .cyclotomic import (
     Cyclotomic, CycloMatrix, _chunks, _family, _Frozen, _make, _Vector, euler_phi, matmul_nums,
@@ -228,30 +229,36 @@ def verlinde_fusion(s: CycloMatrix, show=lambda v: v):
     n, den_s, rows = s.flat()
     n, den_w, (weights,) = _family([_Vector([d.inv() * dim_inv for d in dims])], n)
     phi, den = euler_phi(n), den_s ** 3 * den_w
-    low, bad = [[None] * rank for _ in range(rank)], None
+    low, bad = [], None  # low[j][i - j] = T_ij^k for k <= j <= i, decided per block
     for j, sums in enumerate(triple_sums(n, rows, weights)):
-        for i, row in enumerate(sums, j):
-            qs = low[i][j] = [c // den for c in row[::phi]]
-            if (min(qs) < 0 or [q * den for q in qs] != row[::phi]
-                    or any(any(row[m::phi]) for m in range(1, phi))):
-                first = next((k, j, i, x) for k, x in enumerate(_chunks(row, phi))
-                             if x[0] < 0 or x[0] % den or any(x[1:]))
-                bad = min(bad or first, first)
+        flat = list(chain.from_iterable(sums))
+        if (min(flat[::phi]) < 0 or any(map(mod, flat[::phi], repeat(den)))
+                or any(any(flat[m::phi]) for m in range(1, phi))):
+            firsts = (next(((k, j, i, x) for k, x in enumerate(_chunks(row, phi))
+                            if x[0] < 0 or x[0] % den or any(x[1:])), None)
+                      for i, row in enumerate(sums, j))
+            bad = min(filter(None, [bad, *firsts]))
+        qs = list(map(floordiv, flat[::phi], repeat(den)))
+        low.append([qs[x:x + j + 1] for x in range(0, len(qs), j + 1)])
     if bad is not None:
         i, j, k, x = bad
         raise NotModularError(f"Verlinde coefficient at (i={i}, j={j}, k={k}) is "
                               f"{show(_make(n, x, den))}, not a nonnegative integer")
 
-    t = [[None] * rank for _ in range(rank)]  # T_ij^k for k > j from the sorted triples
-    for i, j in ((i, j) for i in range(rank) for j in range(i + 1)):
-        t[i][j] = t[j][i] = (low[i][j] + [low[i][k][j] for k in range(j + 1, i + 1)]
-                             + [low[k][i][j] for k in range(i + 1, rank)])
+    # t[i][j] = t[j][i] for j <= i: T_ij^k over k <= j, then over j < k <= i (column
+    # j of the rows low[k][i - k]), then over k > i (column j of low[i] past row 0)
+    t = [[None] * rank for _ in range(rank)]
+    for i in range(rank):
+        tri = [low[k][i - k] for k in range(i + 1)]
+        mid, high = list(zip_longest(*tri)), list(zip(*low[i]))
+        for j in range(i + 1):
+            t[i][j] = t[j][i] = (*tri[j], *mid[j][j + 1:], *high[j][1:])
     try:
         dual = dual_involution(t)
     except MalformedFusionError as e:
         raise NotModularError(f"derived duality broken: {e}") from e
 
-    fusion = tuple(tuple(tuple(map(row.__getitem__, dual)) for row in plane) for plane in t)
+    fusion = tuple(tuple(zip(*[cols[k] for k in dual])) for cols in (list(zip(*p)) for p in t))
     return fusion, dual
 
 
@@ -545,14 +552,17 @@ def _parse_rational(text, where: str, k=None) -> tuple[int, int]:
 
 def _parse_value(obj, conductor: int, where: str, seen: dict) -> Cyclotomic:
     """The value of a rational string or coefficient array; seen maps each
-    string parsed so far to its value, which equal strings share."""
-    want = euler_phi(conductor)
+    string and each array (as a tuple) parsed so far to its value, which equal
+    entries share."""
+    want, key = euler_phi(conductor), tuple(obj) if isinstance(obj, list) else obj
+    try:
+        return seen[key]
+    except (KeyError, TypeError):  # TypeError: an element that is no string, named below
+        pass
     if isinstance(obj, str):
-        if obj not in seen:
-            p, q = _parse_rational(obj, where)
-            seen[obj] = _make(conductor, [p] + [0] * (want - 1), q)
-        return seen[obj]
-    if isinstance(obj, list):
+        p, q = _parse_rational(obj, where)
+        seen[key] = _make(conductor, [p] + [0] * (want - 1), q)
+    elif isinstance(obj, list):
         if len(obj) != want:
             raise SchemaError(
                 f"{where}: coefficient array has length {len(obj)}, "
@@ -560,8 +570,10 @@ def _parse_value(obj, conductor: int, where: str, seen: dict) -> Cyclotomic:
             )
         pairs = [_parse_rational(c, where, k) for k, c in enumerate(obj)]
         den = lcm(*(q for _, q in pairs))
-        return _make(conductor, [p * (den // q) for p, q in pairs], den)
-    raise SchemaError(f"{where}: expected rational string or coefficient array")
+        seen[key] = _make(conductor, [p * (den // q) for p, q in pairs], den)
+    else:
+        raise SchemaError(f"{where}: expected rational string or coefficient array")
+    return seen[key]
 
 
 def _parse_matrix(obj, rank: int, conductor: int, where: str, seen: dict) -> CycloMatrix:

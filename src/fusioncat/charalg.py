@@ -57,7 +57,7 @@ from math import lcm
 from .category import CategoryData, Check, _law_witness, _witness, verdict
 from .cyclotomic import (
     Cyclotomic, CycloMatrix, _chunks, _family, _Frozen, _make, _mul, _permuted, _products,
-    _sums, _transposed, _Vector, euler_phi, matmul_nums, rational,
+    _stacked, _sums, _transposed, _Vector, euler_phi, matmul_nums, rational,
 )
 from .errors import CapabilityError, InternalConsistencyError
 
@@ -239,7 +239,20 @@ class CharacterAlgebra:
             if dim_d.is_zero():
                 raise InternalConsistencyError("subcategory dimension is zero")
             dim_inv = dim_d.inv()
-        return _mul(ClassFunction, self._basis(_Vector, members), self._codims).scaled(dim_inv)
+        return self._codim_sums([members])[0].scaled(dim_inv)
+
+    def _codim_sums(self, subsets) -> list:
+        """sum_{i in D} d_{i*} chi_i = lambda_D dim D for each member set D,
+        from one _sums over the rows d_{i*} chi_i."""
+        n, den, sums = _sums(self._codim_characters, subsets)
+        return [_make(n, row, den, ClassFunction) for row in sums]
+
+    @cached_property
+    def _codim_characters(self) -> tuple:
+        """The _family rows d_{i*} chi_i: block i of the d_{j*}, zero elsewhere."""
+        n, den, (row,) = _family([self._codims])
+        phi, zero = euler_phi(n), [0] * len(row)
+        return n, den, [zero[:k] + row[k:k + phi] + zero[k + phi:] for k in range(0, len(row), phi)]
 
     # -- Fourier transform ----------------------------------------------------
 
@@ -399,8 +412,8 @@ class CharacterAlgebra:
         """Run every promised exact identity; one Check per identity."""
         rank, lam = self.rank, self.cointegral()
         # every basis vector at once, as the maps act on each block of a stack
-        eye = [c for i in range(rank) for c in self._basis(_Vector, (i,)).nums]
-        e, chi = _make(self.n, eye, cls=CentralElement), _make(self.n, eye, cls=ClassFunction)
+        basis = [self._basis(_Vector, (i,)) for i in range(rank)]
+        e, chi = (_stacked(cls, basis) for cls in (CentralElement, ClassFunction))
         fe = self.fourier(e)
         checks = [
             verdict("cointegral-normalized", self.pairing(lam, self.unit_central()) == 1),
@@ -414,7 +427,6 @@ class CharacterAlgebra:
         except CapabilityError as e:
             return checks + [Check(cid, "skip", str(e)) for cid in _CLASS_CHECKS] + no_s
 
-        basis = [self._basis(_Vector, (i,)) for i in range(rank)]
         arows, acols = conj.alpha, _transposed(conj.alpha)
         exchange = _products(  # sum_i F_i[a] (n_i F_i[b])
             _Vector,

@@ -40,7 +40,7 @@ packed together, one int per coordinate, so a row costs one multiply-add
 per coordinate.  This module is the one home of the layout: a `_Vector` (the
 class algebra's two carriers subclass it) is stored in it, `_family` puts
 vectors or values at one conductor over one denominator as flat rows, one
-per vector, and the row routines `_sums`, `_mul`, `_permuted`,
+per vector, and the row routines `_sums`, `_mul`, `_permuted`, `_stacked`,
 `_transposed` and `_products` (one matmul_nums, also behind CycloMatrix.@)
 build every other flat row.
 
@@ -739,6 +739,8 @@ class _Vector(_Flat):
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
+        if self.conductor == other.conductor:  # both canonical
+            return self.den == other.den and self.nums == other.nums
         x, y = _family((self, other))[2]
         return self.den == other.den and x == y
 
@@ -776,6 +778,13 @@ def _permuted(cls, v, perm):
     at = [i * phi + m for i in perm for m in range(phi)]
     nums = [v.nums[b + k] for b in range(0, len(v.nums), len(at)) for k in at]
     return _make(v.conductor, nums, v.den, cls)
+
+
+def _stacked(cls, vectors):
+    """One cls holding the coordinates of the vectors in turn: a stack, which
+    _mul and _permuted map block by block."""
+    n, den, rows = _family(vectors)
+    return _make(n, [c for row in rows for c in row], den, cls)
 
 
 def _transposed(vectors) -> list[_Vector]:

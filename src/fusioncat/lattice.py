@@ -3,15 +3,23 @@
 A fusion subcategory is recorded by the sorted index set of its simple
 objects; the set always contains the unit and is closed under duals and
 under taking constituents of tensor products.  Inside this module a set
-of objects is an int mask, bit i for object i, and the one closure routine
-_close grows a closed mask by new bits over a table of product supports.
-Enumeration is the join closure of the principal subcategories <i>
-(stopped past SUBCATEGORY_LIMIT) in exact order of dimension; its record
-keeps the masks, the atoms <i> and the join table D v <i> by index, on
-which the lattice laws are decided.  Ganter's NextClosure lists every
-closed mask, at most rank - 1 closures each, as lattice_suite's
-independent oracle.  That record, dimensions, invariants, grading and
-product supports of an algebra are memoized in this module, keyed weakly.
+of objects is an int mask, bit i for object i, and P[a][b] the mask of
+the constituents of a b and b a.  Enumeration joins the principal
+subcategories <i> (stopped past SUBCATEGORY_LIMIT) in exact order of
+dimension; its record keeps the masks, the atoms <i> and the join table
+D v <i> by index, on which the lattice laws are decided.  Ganter's
+NextClosure lists every closed mask, at most rank - 1 runs each of the
+closure routine _close, as lattice_suite's independent oracle.  That
+record, dimensions, invariants, grading and product supports of an
+algebra are memoized in this module, keyed weakly.
+
+In a commutative fusion ring the join of closed sets D and E is the
+product set D E, the constituents of x y for x in D and y in E.  Proof:
+D E lies in D v E and holds D and E, as both hold the unit.  It is closed
+under products, (x y)(x' y') = (x x')(y y') with x x' in D and y y' in E,
+as the support of a product of nonnegative combinations is the union of
+the supports of the pairwise products.  It is closed under duals, as
+(x y)* = y* x* = x* y*.  So D E is closed and equals D v E.
 
 Every subcategory D owns a small bundle of invariants:
 
@@ -38,10 +46,10 @@ prime_index_check report exhibits the bijection (subgroups from G/G'G^p).
 from __future__ import annotations
 
 import weakref
-from functools import cmp_to_key, wraps
+from functools import cmp_to_key, reduce, wraps
 from itertools import compress, count, product
 from math import isqrt
-from operator import mul
+from operator import mul, or_
 
 from .category import Check, verdict
 from .charalg import CentralElement, CharacterAlgebra, ClassFunction
@@ -66,7 +74,11 @@ __all__ = [
     "lattice_suite",
 ]
 
-SUBCATEGORY_LIMIT = 4096  # enumeration and its oracle make up to L rank closures each
+# Enumeration stops past this many subcategories.  Without the bound, the
+# 29,212 of toric_code^3 (x) semion (rank 128) cost one verify about 31 s and
+# 616 MB in process on a 2-vCPU machine: enumeration 5.0 s, lattice_suite
+# 18.7 s (13.3 s of it the oracle) and centralizer_suite 6.1 s.
+SUBCATEGORY_LIMIT = 4096
 
 
 class FusionSubcategory(_Frozen):
@@ -109,7 +121,7 @@ def _memoized(fn):
     return values are kept: an exception propagates and is not cached."""
     @wraps(fn)
     def cached(alg, *args):
-        memo, key = _MEMOS.setdefault(alg, {}), (fn.__name__, *args)
+        memo, key = _MEMOS.get(alg) or _MEMOS.setdefault(alg, {}), (fn.__name__, *args)
         if key not in memo:
             memo[key] = fn(alg, *args)
         return memo[key]
@@ -131,16 +143,19 @@ def _ring_masks(alg: CharacterAlgebra) -> tuple[tuple[int, ...], ...]:
     return _product_masks(alg.data.nonzero, alg.data.dual)
 
 
-def _close(masks, closed: int, new: int) -> int:
+def _close(masks, closed: int, new: int, stop: int = 0) -> int:
     """The smallest closed mask holding the closed mask `closed` (bit 0 set)
     and the bits of `new`; `closed` itself when new adds no bit.  One worklist
     pass: each new member a is multiplied with itself and the members taken
-    before it, by masks[a][b]."""
+    before it, by masks[a][b].  Once a bit of `stop` is due, it returns a
+    mask inside the closure that holds that bit."""
     todo = new & ~closed
     if not todo:
         return closed
     members = [b for b, bit in enumerate(bin(closed)[:1:-1]) if bit == "1"]
     while todo:
+        if todo & stop:
+            return closed | todo
         a = (todo & -todo).bit_length() - 1
         closed |= 1 << a
         members.append(a)
@@ -151,20 +166,34 @@ def _close(masks, closed: int, new: int) -> int:
     return closed
 
 
+def _is_closed(alg: CharacterAlgebra, mask: int) -> bool:
+    """Whether mask is closed: one of the masks of the lattice record once
+    that is built for alg, as it holds all of them; else by one closure."""
+    if isinstance(_MEMOS.get(alg, {}).get(("_lattice",)), tuple):
+        return mask in _closed_set(alg)
+    return _close(_ring_masks(alg), 1, mask) == mask
+
+
+@_memoized
+def _closed_set(alg: CharacterAlgebra) -> frozenset:
+    return frozenset(_lattice(alg)[1])
+
+
 def _members(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _closed_masks(masks, rank: int) -> list[int]:
     """Every closed mask, once each, in lectic order (Ganter's NextClosure),
-    with at most rank - 1 closures per mask; proof in lattice_suite."""
+    with at most rank - 1 closures per mask; proof in lattice_suite.  A
+    closure stops at the first bit below i outside A, which rejects i."""
     closed = [1]
     while closed[-1] != (1 << rank) - 1:
         a = closed[-1]
         for i in range(rank - 1, 0, -1):
             low = (1 << i) - 1
             if not a >> i & 1:
-                b = _close(masks, 1, a & low | 1 << i)
+                b = _close(masks, 1, a & low | 1 << i, low & ~a)
                 if not (a ^ b) & low:
                     break
         closed.append(b)
@@ -197,19 +226,41 @@ def enumerate_subcats(alg: CharacterAlgebra) -> tuple[FusionSubcategory, ...]:
 def _lattice(alg: CharacterAlgebra) -> tuple | CapabilityError:
     """(subcats, masks, atoms, joins) in subcategory order: the member masks,
     the indices of the distinct principal subcategories <i>, and joins[a][k],
-    the index of D_a v D_{atoms[k]}.  Each subcategory found is joined with
-    every atom, reaching the joins of k atoms from those of k - 1.  Past
-    SUBCATEGORY_LIMIT the record is the CapabilityError that names it."""
-    products = _ring_masks(alg)
-    atoms = list(dict.fromkeys(_close(products, 1, 1 << i) for i in range(alg.rank)))
+    the index of D_a v D_{atoms[k]}.  <i> is the fixed point of A -> A A from
+    {0, i}: each A lies in <i>, and A A = A is closed (P[a][a] holds a*).  Each
+    subcategory found is joined with every atom: where N_ij = N_ji (checked
+    here, as subcats reaches this without conjugacy()), D v <k> is the OR of
+    Q[d][k] = (P[d][a] OR-ed over a in <k>) over d in D (module docstring),
+    with Q[d] packed into one int; else one closure.  Past SUBCATEGORY_LIMIT
+    the record is the CapabilityError that names it."""
+    products, rank, nonzero = _ring_masks(alg), alg.rank, alg.data.nonzero
+    atoms = []
+    for i in range(rank):
+        atom, grown = 0, 1 | 1 << i
+        while grown != atom:
+            atom, part = grown, _members(grown)
+            grown = reduce(or_, (products[x][y] for x in part for y in part))
+        atoms += [atom] * (atom not in atoms)
+    if tuple(zip(*nonzero)) == nonzero:
+        shifts, full = range(0, rank * len(atoms), rank), (1 << rank) - 1
+        parts = [_members(atom) for atom in atoms]
+        packed = [sum(reduce(or_, map(row.__getitem__, p)) << x for p, x in zip(parts, shifts))
+                  for row in products]
+
+        def joined(closed):
+            row = reduce(or_, map(packed.__getitem__, _members(closed)))
+            return [row >> x & full for x in shifts]
+    else:
+        def joined(closed):
+            return [_close(products, closed, atom) for atom in atoms]
     rows, todo = dict.fromkeys(atoms), list(atoms)
     while todo:
         closed = todo.pop()
-        rows[closed] = row = [_close(products, closed, atom) for atom in atoms]
-        for joined in row:
-            if joined not in rows:
-                rows[joined] = None
-                todo.append(joined)
+        rows[closed] = row = joined(closed)
+        for mask in row:
+            if mask not in rows:
+                rows[mask] = None
+                todo.append(mask)
                 if len(rows) > SUBCATEGORY_LIMIT:
                     return CapabilityError(f"subcategory enumeration stopped past "
                                            f"SUBCATEGORY_LIMIT = {SUBCATEGORY_LIMIT} subcategories")
@@ -263,18 +314,21 @@ def _invariants(alg: CharacterAlgebra, subcats) -> list[SubcatInvariants]:
     fourier_inv is a permutation times a weight per coordinate, ell_D =
     fourier_inv(lambda_D) = u 1_D / dim D for u = fourier_inv(sum_i d_{i*}
     chi_i), which is index 1_D iff u_k = dim C on D; then <F_j, ell_D> =
-    index <F_j d, 1_D>.  That and sum_{j in supp D} of F_j and of |C^j| are
-    products of 0/1 indicator matrices with flat rows (_sums), for every D;
-    the rows do not depend on D, so _invariant_rows builds them once."""
+    index <F_j d, 1_D>.  That, sum_{j in supp D} of F_j and of |C^j|, and
+    lambda_D dim D = sum_{i in D} d_{i*} chi_i are products of 0/1 indicator
+    matrices with flat rows (_sums), for every D; the rows do not depend on
+    D, so _invariant_rows and the algebra build them once."""
     memo = _MEMOS.setdefault(alg, {})
     todo = [d for d in subcats if ("subcat_invariants", d) not in memo]
     if todo:
         good, weighted, idempotents, class_sizes = _invariant_rows(alg)
-        n, _, pairs = _sums(weighted, [d.members for d in todo])
+        members = [d.members for d in todo]
+        n, _, pairs = _sums(weighted, members)
         supports = [tuple(compress(count(), map(any, _chunks(r, euler_phi(n))))) for r in pairs]
         n, den, lams = _sums(idempotents, supports)
         m, den_m, sizes = _sums(class_sizes, supports)
-        for d, support, lam_sum, size_sum in zip(todo, supports, lams, sizes):
+        codims = alg._codim_sums(members)
+        for d, support, lam_sum, size_sum, codim in zip(todo, supports, lams, sizes, codims):
             dim_d = _dim(alg, d.members)
             dim_inv = dim_d.inv()  # a zero dimension raises here, first
             index = alg.dim * dim_inv
@@ -282,7 +336,7 @@ def _invariants(alg: CharacterAlgebra, subcats) -> list[SubcatInvariants]:
                 raise InternalConsistencyError(
                     "integral of the subcategory disagrees with its closed form"
                 )
-            lam = alg.cointegral(d.members, dim_inv)
+            lam = codim.scaled(dim_inv)
             if _make(n, lam_sum, den, ClassFunction) != lam:
                 raise InternalConsistencyError(
                     "cointegral is not the sum of the idempotents in its support"

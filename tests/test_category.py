@@ -713,3 +713,40 @@ def test_schema_reads_rationals_in_canonical_form():
     value = parse_category(obj).s_matrix.rows[0][1]
     want = Cyclotomic(5, [Fraction(-3, 2), 0, Fraction(2, 3), 7])
     assert (value.nums, value.den) == (want.nums, want.den) == ((-9, 0, 4, 42), 6)
+
+
+def test_schema_parses_each_distinct_coefficient_array_once(monkeypatch):
+    # fibonacci's s is written at conductor 5 with s_01 = s_10 as equal
+    # coefficient arrays; the second is read from the memo, so the elements
+    # of each distinct array are parsed once
+    obj = input_to_json(catalog_input("fibonacci"))
+    rows = obj["s_matrix"]
+    assert rows[0][1] == rows[1][0] and isinstance(rows[0][1], list)
+    category, calls = sys.modules["fusioncat.category"], []
+    parse = category._parse_rational
+
+    def counted(text, where, k=None):
+        calls.append((where, k))
+        return parse(text, where, k)
+
+    monkeypatch.setattr(category, "_parse_rational", counted)
+    s = parse_category(obj).s_matrix.rows
+    assert s[0][1] == s[1][0] == catalog_input("fibonacci").s_matrix.rows[0][1]
+    arrays = {tuple(v) for row in rows for v in row if isinstance(v, list)}
+    parsed = [where for where, k in calls if k is not None and where.startswith("s_matrix")]
+    assert parsed == ["s_matrix[0][1]"] * 4 * len(arrays)
+
+
+@pytest.mark.parametrize("bad, where", [
+    (["0", ["1"], "0", "0"], "s_matrix[1][0][1]"),  # an unhashable element
+    (["0", {"x": 1}, "0", "0"], "s_matrix[1][0][1]"),
+    (["0", None, "0", "0"], "s_matrix[1][0][1]"),
+    (["1/0", "0", "0", "0"], "s_matrix[1][0][0]"),
+])
+def test_schema_names_a_bad_element_of_an_array_seen_before(bad, where):
+    # s_01 is a well-formed array; s_10 differs from it in one element, which
+    # is still named where it sits, also when it cannot be a memo key
+    obj = input_to_json(catalog_input("fibonacci"))
+    obj["s_matrix"][1][0] = bad
+    with pytest.raises(SchemaError, match=rf"^{re.escape(where)}: expected a rational string"):
+        parse_category(obj)

@@ -327,3 +327,23 @@ def test_centralizer_suite_reports_a_route_failure_instead_of_raising(monkeypatc
     assert run(["verify", "--catalog", "toric_code"]) == 2  # a report, not an error line
     out, err = capsys.readouterr()
     assert err == "" and "double-centralizer" in out and "integral-image" in out
+
+
+def test_suite_reads_closedness_off_the_lattice_record(monkeypatch):
+    # once enumeration has built the record, which holds every closed mask,
+    # the suite's routes are looked up there and close no mask; the
+    # centralizer command, which does not enumerate, closes each route's set
+    closures, close = [], lattice._close
+
+    def counted(*args):
+        closures.append(args)
+        return close(*args)
+
+    monkeypatch.setattr(lattice, "_close", counted)
+    alg = _toric2()
+    single = centralizer(alg, FusionSubcategory((0, 1)))
+    assert single.agreed and len(closures) == 2
+    enumerate_subcats(alg)
+    closures.clear()
+    checks = centralizer_suite(alg)
+    assert [c.status for c in checks] == ["pass"] * 7 and closures == []

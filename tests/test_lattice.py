@@ -1,11 +1,13 @@
 """Fusion subcategory lattice, universal grading, prime-index correspondence."""
 
 import gc
+import importlib
 import math
 import random
 import weakref
 from functools import partial
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from fusioncat import (
     CharacterAlgebra,
     FusionSubcategory,
     build_category,
+    parse_category,
     catalog_get,
     catalog_names,
     enumerate_subcats,
@@ -860,3 +863,65 @@ def test_zero_subcategory_dimension_raises_before_the_cointegral(monkeypatch):
     monkeypatch.setattr(lattice, "_dim", lambda alg, members: rational(0))
     with pytest.raises(ZeroDivisionError, match="inverse of zero"):
         subcat_invariants(alg, d)
+
+
+# -- the join table against the closure fold --------------------------------------
+
+
+def _close_fold(alg):
+    """The lattice by closures alone, as the record was built before joins were
+    product sets: the atoms <i>, each closed from {0, i}, and for every join
+    of atoms D the row {A: D v A}, each the closure of D | A."""
+    close, masks = lattice._close, lattice._ring_masks(alg)
+    atoms = {close(masks, 1, 1 << i) for i in range(alg.rank)}
+    rows, todo = {}, list(atoms)
+    while todo:
+        d = todo.pop()
+        if d not in rows:
+            rows[d] = {a: close(masks, d, a) for a in atoms}
+            todo.extend(rows[d].values())
+    return atoms, rows
+
+
+def _fusion_ring(gen, cat):
+    """The fusion-ring form of a generated category."""
+    return CharacterAlgebra(build_category(parse_category(gen.ring_json(cat))))
+
+
+COMMUTATIVE_RINGS = {  # name: the algebra, from perfbench's generators
+    **{f"z{a}xz{b}": partial(lambda gen, a, b: _group_ring("g", *_abelian(a, b))[0], a=a, b=b)
+       for a, b in ((2, 2), (2, 4), (3, 3), (2, 6), (4, 4), (3, 5))},
+    **{f"su2_{k}": partial(lambda gen, k: _fusion_ring(gen, gen.su2(k)), k=k) for k in range(1, 9)},
+    "semion x su2_4": lambda gen: _fusion_ring(gen, gen.deligne(gen.semion(), gen.su2(4))),
+    "su2_2 x su2_3": lambda gen: _fusion_ring(gen, gen.deligne(gen.su2(2), gen.su2(3))),
+}
+
+
+@pytest.mark.parametrize("name", list(COMMUTATIVE_RINGS))
+def test_lattice_record_matches_the_close_fold(name, monkeypatch):
+    # on a commutative ring the record's masks, atoms and join table equal the
+    # closure fold's, and are built with no closure: joins are product sets
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    alg = COMMUTATIVE_RINGS[name](importlib.import_module("gen"))
+    atoms, rows = _close_fold(alg)
+
+    def forbidden(*args):
+        raise AssertionError("a commutative ring joins by product sets")
+
+    monkeypatch.setattr(lattice, "_close", forbidden)
+    subcats, masks, kept, joins = lattice._lattice(alg)
+    assert sorted(masks) == sorted(rows) and len(masks) == len(set(masks))
+    assert [d.members for d in subcats] == [lattice._members(m) for m in masks]
+    assert list(kept) == sorted(kept) and {masks[k] for k in kept} == atoms
+    for d, row in zip(masks, joins):
+        assert {masks[k]: masks[j] for k, j in zip(kept, row)} == rows[d]
+
+
+@pytest.mark.parametrize("name,count", [("s3", 6), ("d4", 10), ("q8", 6)])
+def test_non_commutative_group_rings_keep_the_closure_joins(name, count):
+    # product sets of subgroups of a non-abelian group need not be subgroups,
+    # so these rings take the closure fold: every subgroup, each once
+    alg = _group_ring(name, *GROUPS[name])[0]
+    assert len(enumerate_subcats(alg)) == count
+    atoms, rows = _close_fold(alg)
+    assert sorted(lattice._lattice(alg)[1]) == sorted(rows)
