@@ -24,7 +24,9 @@ twists, but its s lies in Q(zeta_2(k+2)).  Twists keep their conductor, and
 values are printed at the one s was given at, shown_conductor, by the one
 show that CategoryInput and CategoryData share, as they share rank.
 CategoryData is one flat record: the labels, the fusion rules with their
-duality, the dimensions and, on modular input, s and the twists.
+duality, the dimensions and, on modular input, s and the twists.  _FIELDS is
+the one declaration of the file format's array fields: parse_category reads
+each through _parse_array and input_to_json writes each through _array_to_json.
 """
 
 from __future__ import annotations
@@ -526,10 +528,16 @@ def assemble_category(inp: CategoryInput) -> CategoryData:
 
 
 _COMMON_KEYS = {"schema_version", "name", "kind", "conductor", "rank", "labels"}
-_KIND_KEYS = {
-    "modular": {"s_matrix": True, "twists": False},
-    "fusion_ring": {"fusion": True, "dims": True, "char_table": False},
+# The array fields, in the order a file is read: the kind that carries each,
+# whether that kind requires it, and its depth, each level a list of rank items
+_FIELDS = {
+    "s_matrix": ("modular", True, 2),
+    "twists": ("modular", False, 1),
+    "fusion": ("fusion_ring", True, 3),
+    "dims": ("fusion_ring", True, 1),
+    "char_table": ("fusion_ring", False, 2),
 }
+_LEVELS = ("entries", "rows", "outer rows")  # a level's items, named from the innermost
 
 
 def _parse_rational(text, where: str, k=None) -> tuple[int, int]:
@@ -576,17 +584,23 @@ def _parse_value(obj, conductor: int, where: str, seen: dict) -> Cyclotomic:
     return seen[key]
 
 
-def _parse_matrix(obj, rank: int, conductor: int, where: str, seen: dict) -> CycloMatrix:
+def _parse_array(obj, depth: int, rank: int, where: str, row) -> tuple:
+    """obj as nested tuples, a list of rank items at each of depth levels; each
+    innermost list is read whole by row(list, where)."""
     if not isinstance(obj, list) or len(obj) != rank:
-        raise SchemaError(f"{where}: expected {rank} rows")
-    rows = []
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != rank:
-            raise SchemaError(f"{where}[{i}]: expected {rank} entries")
-        rows.append(
-            [_parse_value(v, conductor, f"{where}[{i}][{j}]", seen) for j, v in enumerate(row)]
-        )
-    return CycloMatrix(rows)
+        raise SchemaError(f"{where}: expected {rank} {_LEVELS[depth - 1]}")
+    if depth == 1:
+        return row(obj, where)
+    return tuple(_parse_array(x, depth - 1, rank, f"{where}[{i}]", row) for i, x in enumerate(obj))
+
+
+def _parse_counts(row: list, where: str) -> tuple[int, ...]:
+    """A row of fusion counts: each an int, not a bool, and nonnegative."""
+    if set(map(type, row)) != {int} or min(row) < 0:  # else look at each entry
+        for k, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise SchemaError(f"{where}[{k}]: expected a nonnegative integer, got {v!r}")
+    return tuple(row)
 
 
 def parse_category(obj) -> CategoryInput:
@@ -597,14 +611,14 @@ def parse_category(obj) -> CategoryInput:
     if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in _KIND_KEYS:
+    fields = {key: spec for key, spec in _FIELDS.items() if spec[0] == kind}
+    if not fields:
         raise SchemaError(f"kind: expected 'modular' or 'fusion_ring', got {kind!r}")
-    allowed = _COMMON_KEYS | set(_KIND_KEYS[kind])
-    unknown = sorted(set(obj) - allowed)
+    unknown = sorted(set(obj) - _COMMON_KEYS - set(fields))
     if unknown:
         raise SchemaError(f"unknown fields for kind {kind!r}: {', '.join(unknown)}")
     missing = sorted(
-        k for k, required in _KIND_KEYS[kind].items() if required and k not in obj
+        k for k, (_, required, _) in fields.items() if required and k not in obj
     ) + sorted(k for k in _COMMON_KEYS if k not in obj)
     if missing:
         raise SchemaError(f"missing fields: {', '.join(missing)}")
@@ -633,59 +647,16 @@ def parse_category(obj) -> CategoryInput:
         raise CapabilityError(f"rank {rank} is past the limit {RANK_LIMIT}")
     seen = {}  # for _parse_value
 
-    if kind == "modular":
-        s = _parse_matrix(obj["s_matrix"], rank, conductor, "s_matrix", seen)
-        twists = None
-        if "twists" in obj:
-            tw = obj["twists"]
-            if not isinstance(tw, list) or len(tw) != rank:
-                raise SchemaError(f"twists: expected {rank} entries")
-            twists = tuple(
-                _parse_value(v, conductor, f"twists[{i}]", seen) for i, v in enumerate(tw)
-            )
-        return CategoryInput(
-            name=name,
-            conductor=conductor,
-            labels=tuple(labels),
-            s_matrix=s,
-            twists=twists,
-        )
+    def values(row, where):
+        return tuple([_parse_value(v, conductor, f"{where}[{j}]", seen) for j, v in enumerate(row)])
 
-    fus = obj["fusion"]
-    if not isinstance(fus, list) or len(fus) != rank:
-        raise SchemaError(f"fusion: expected {rank} outer rows")
-    fusion = []
-    for i, plane in enumerate(fus):
-        if not isinstance(plane, list) or len(plane) != rank:
-            raise SchemaError(f"fusion[{i}]: expected {rank} rows")
-        rows = []
-        for j, row in enumerate(plane):
-            if not isinstance(row, list) or len(row) != rank:
-                raise SchemaError(f"fusion[{i}][{j}]: expected {rank} entries")
-            for k, v in enumerate(row):
-                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                    raise SchemaError(
-                        f"fusion[{i}][{j}][{k}]: expected a nonnegative integer, got {v!r}"
-                    )
-            rows.append(tuple(row))
-        fusion.append(tuple(rows))
-    dims_obj = obj["dims"]
-    if not isinstance(dims_obj, list) or len(dims_obj) != rank:
-        raise SchemaError(f"dims: expected {rank} entries")
-    dims = tuple(
-        _parse_value(v, conductor, f"dims[{i}]", seen) for i, v in enumerate(dims_obj)
-    )
-    char_table = None
-    if "char_table" in obj:
-        char_table = _parse_matrix(obj["char_table"], rank, conductor, "char_table", seen)
-    return CategoryInput(
-        name=name,
-        conductor=conductor,
-        labels=tuple(labels),
-        fusion=tuple(fusion),
-        dims=dims,
-        char_table=char_table,
-    )
+    arrays = {}
+    for key, (_, _, depth) in fields.items():
+        if key in obj:
+            array = _parse_array(obj[key], depth, rank, key,
+                                 _parse_counts if key == "fusion" else values)
+            arrays[key] = CycloMatrix(array) if depth == 2 else array
+    return CategoryInput(name=name, conductor=conductor, labels=tuple(labels), **arrays)
 
 
 class _JSON:
@@ -775,6 +746,13 @@ def _file_conductor(data: CategoryData, matrix, values) -> int:
     return lcm(*(data.show(v).conductor for row in rows for v in row if not v.is_rational()))
 
 
+def _array_to_json(array, depth: int, leaf) -> list:
+    """array, nested depth levels deep, as nested lists of leaf(entry)."""
+    if depth == 1:
+        return list(map(leaf, array))
+    return [_array_to_json(x, depth - 1, leaf) for x in array]
+
+
 def input_to_json(inp: CategoryInput) -> dict:
     out = {
         "schema_version": SCHEMA_VERSION,
@@ -785,21 +763,11 @@ def input_to_json(inp: CategoryInput) -> dict:
         "labels": list(inp.labels),
     }
     n = inp.conductor
-    if inp.kind == "modular":
-        out["s_matrix"] = [
-            [_value_to_json(v, n) for v in row] for row in inp.s_matrix.rows
-        ]
-        if inp.twists is not None:
-            out["twists"] = [_value_to_json(v, n) for v in inp.twists]
-    else:
-        out["fusion"] = [
-            [[int(v) for v in row] for row in plane] for plane in inp.fusion
-        ]
-        out["dims"] = [_value_to_json(v, n) for v in inp.dims]
-        if inp.char_table is not None:
-            out["char_table"] = [
-                [_value_to_json(v, n) for v in row] for row in inp.char_table.rows
-            ]
+    for key, (kind, _, depth) in _FIELDS.items():
+        array = getattr(inp, key)
+        if kind == inp.kind and array is not None:
+            out[key] = _array_to_json(array.rows if depth == 2 else array, depth,
+                                      int if key == "fusion" else lambda v: _value_to_json(v, n))
     return out
 
 

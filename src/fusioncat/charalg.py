@@ -229,17 +229,14 @@ class CharacterAlgebra:
         n, den, (terms,) = _sums(self._dim_terms, [members])
         return _make(n, terms, den)
 
-    def cointegral(self, members=None, dim_inv=None) -> ClassFunction:
+    def cointegral(self, members=None) -> ClassFunction:
         """tau-normalized cointegral of the full category, or of the fusion
-        subcategory spanned by a dual-closed member set; dim_inv, when the
-        caller has it, is the inverse of that subcategory's dimension."""
+        subcategory spanned by a dual-closed member set."""
         members = sorted(set(range(self.rank) if members is None else members))
-        if dim_inv is None:
-            dim_d = self.subset_dim(members)
-            if dim_d.is_zero():
-                raise InternalConsistencyError("subcategory dimension is zero")
-            dim_inv = dim_d.inv()
-        return self._codim_sums([members])[0].scaled(dim_inv)
+        dim_d = self.subset_dim(members)
+        if dim_d.is_zero():
+            raise InternalConsistencyError("subcategory dimension is zero")
+        return self._codim_sums([members])[0].scaled(dim_d.inv())
 
     def _codim_sums(self, subsets) -> list:
         """sum_{i in D} d_{i*} chi_i = lambda_D dim D for each member set D,

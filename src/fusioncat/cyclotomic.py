@@ -443,23 +443,6 @@ class Cyclotomic(_Flat):
         """The power-basis coefficients as Fractions, built on request."""
         return tuple(_fraction()(c, self.den) for c in self.nums)
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_rational(q, conductor: int = 1) -> "Cyclotomic":
-        if not isinstance(q, int):
-            q = _fraction()(q)
-        nums = [0] * euler_phi(conductor)
-        nums[0] = q.numerator
-        return _make(conductor, nums, q.denominator)
-
-    @staticmethod
-    def root_of_unity(n: int, k: int = 1) -> "Cyclotomic":
-        nums = [0] * euler_phi(n)
-        for m, c in _monomial_table(n)[k % n]:
-            nums[m] = c
-        return _make(n, nums)
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -502,7 +485,7 @@ class Cyclotomic(_Flat):
         if isinstance(other, Cyclotomic):
             return other
         if isinstance(other, int) or isinstance(other, _fraction()):
-            return Cyclotomic.from_rational(other, self.conductor)
+            return rational(other, self.conductor)
         return NotImplemented
 
     # -- ring operations ---------------------------------------------------
@@ -591,7 +574,7 @@ class Cyclotomic(_Flat):
         base = self
         if k < 0:
             base, k = self.inv(), -k
-        result = Cyclotomic.from_rational(1, base.conductor)
+        result = rational(1, base.conductor)
         while k:
             if k & 1:
                 result = result * base
@@ -686,11 +669,18 @@ def _make(n: int, nums, den: int = 1, cls=Cyclotomic):
 
 
 def zeta(n: int, k: int = 1) -> Cyclotomic:
-    return Cyclotomic.root_of_unity(n, k)
+    nums = [0] * euler_phi(n)
+    for m, c in _monomial_table(n)[k % n]:
+        nums[m] = c
+    return _make(n, nums)
 
 
 def rational(q, conductor: int = 1) -> Cyclotomic:
-    return Cyclotomic.from_rational(q, conductor)
+    if not isinstance(q, int):
+        q = _fraction()(q)
+    nums = [0] * euler_phi(conductor)
+    nums[0] = q.numerator
+    return _make(conductor, nums, q.denominator)
 
 
 def shown(v: Cyclotomic, n: int) -> Cyclotomic:
@@ -825,8 +815,8 @@ class CycloMatrix(_Frozen):
 
     @staticmethod
     def identity(k: int, conductor: int = 1) -> "CycloMatrix":
-        one = Cyclotomic.from_rational(1, conductor)
-        zero = Cyclotomic.from_rational(0, conductor)
+        one = rational(1, conductor)
+        zero = rational(0, conductor)
         return CycloMatrix(
             [[one if i == j else zero for j in range(k)] for i in range(k)]
         )
@@ -884,8 +874,8 @@ class CycloMatrix(_Frozen):
         if self.nrows != self.ncols:
             raise ValueError("inverse of non-square matrix")
         k = self.nrows
-        zero = Cyclotomic.from_rational(0, self.conductor)
-        one = Cyclotomic.from_rational(1, self.conductor)
+        zero = rational(0, self.conductor)
+        one = rational(1, self.conductor)
         work = [
             list(self.rows[i]) + [one if i == j else zero for j in range(k)]
             for i in range(k)

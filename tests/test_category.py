@@ -305,12 +305,99 @@ def _toric_json():
     return input_to_json(catalog_input("toric_code"))
 
 
-def test_schema_roundtrip():
-    obj = _toric_json()
+@pytest.mark.parametrize("kind", ["modular", "fusion_ring"])
+@pytest.mark.parametrize("name", catalog_names())
+def test_schema_roundtrip(name, kind):
+    want = category_to_input(catalog_get(name), kind)
+    obj = input_to_json(want)
     inp = parse_category(obj)
-    assert inp.name == "toric_code"
-    assert inp.s_matrix == catalog_input("toric_code").s_matrix
+    assert (inp.name, inp.kind, inp.labels) == (name, kind, want.labels)
+    assert (inp.s_matrix, inp.twists) == (want.s_matrix, want.twists)
+    assert (inp.fusion, inp.dims, inp.char_table) == (want.fusion, want.dims, want.char_table)
     assert input_to_json(inp) == obj
+
+
+def _cut(key, *path):
+    """An edit that drops the last item of obj[key][path...]."""
+    def edit(obj):
+        items = obj[key]
+        for i in path:
+            items = items[i]
+        items.pop()
+    return edit
+
+
+def _put(key, path, value):
+    """An edit that sets obj[key][path...] to value."""
+    def edit(obj):
+        items = obj[key]
+        for i in path[:-1]:
+            items = items[i]
+        items[path[-1]] = value
+    return edit
+
+
+def _top(**fields):
+    """An edit that sets the top-level fields given and deletes those given as None."""
+    def edit(obj):
+        for key, value in fields.items():
+            if value is None:
+                del obj[key]
+            else:
+                obj[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("modular", _cut("s_matrix"), "s_matrix: expected 4 rows"),
+    ("modular", _cut("s_matrix", 1), "s_matrix[1]: expected 4 entries"),
+    ("modular", _put("s_matrix", [1], "1"), "s_matrix[1]: expected 4 entries"),
+    ("modular", _cut("twists"), "twists: expected 4 entries"),
+    ("modular", _top(twists={}), "twists: expected 4 entries"),
+    ("fusion_ring", _cut("fusion"), "fusion: expected 4 outer rows"),
+    ("fusion_ring", _cut("fusion", 0), "fusion[0]: expected 4 rows"),
+    ("fusion_ring", _cut("fusion", 0, 1), "fusion[0][1]: expected 4 entries"),
+    ("fusion_ring", _put("fusion", [0, 1], 0), "fusion[0][1]: expected 4 entries"),
+    ("fusion_ring", _cut("dims"), "dims: expected 4 entries"),
+    ("fusion_ring", _cut("char_table"), "char_table: expected 4 rows"),
+    ("fusion_ring", _cut("char_table", 2), "char_table[2]: expected 4 entries"),
+    ("fusion_ring", _put("fusion", [0, 1, 2], -1),
+     "fusion[0][1][2]: expected a nonnegative integer, got -1"),
+    ("fusion_ring", _put("fusion", [0, 1, 2], True),
+     "fusion[0][1][2]: expected a nonnegative integer, got True"),
+    ("fusion_ring", _put("fusion", [0, 1, 2], "1"),
+     "fusion[0][1][2]: expected a nonnegative integer, got '1'"),
+    ("fusion_ring", _put("fusion", [0, 1, 2], 1.0),
+     "fusion[0][1][2]: expected a nonnegative integer, got 1.0"),
+    ("modular", _put("s_matrix", [2, 3], "x"),
+     "s_matrix[2][3]: expected a rational string 'p' or 'p/q', got 'x'"),
+    ("modular", _put("twists", [3], 1),
+     "twists[3]: expected rational string or coefficient array"),
+    ("fusion_ring", _put("dims", [1], ["1", "0"]),
+     "dims[1]: coefficient array has length 2, conductor 1 needs 1"),
+    ("fusion_ring", _put("char_table", [1, 2], None),
+     "char_table[1][2]: expected rational string or coefficient array"),
+    ("modular", _top(extra=1, dims=["1"] * 4),
+     "unknown fields for kind 'modular': dims, extra"),
+    ("fusion_ring", _top(s_matrix=[]), "unknown fields for kind 'fusion_ring': s_matrix"),
+    ("modular", _top(s_matrix=None, labels=None), "missing fields: s_matrix, labels"),
+    ("modular", _top(twists=None, rank=None), "missing fields: rank"),
+    ("fusion_ring", _top(fusion=None, dims=None, char_table=None, name=None),
+     "missing fields: dims, fusion, name"),
+    ("modular", _top(kind="braided"), "kind: expected 'modular' or 'fusion_ring', got 'braided'"),
+    ("modular", _top(kind=["modular"]),
+     "kind: expected 'modular' or 'fusion_ring', got ['modular']"),
+    ("fusion_ring", _top(kind=None), "kind: expected 'modular' or 'fusion_ring', got None"),
+    ("modular", _top(schema_version=2), "schema_version: expected 1, got 2"),
+    ("modular", _top(schema_version=True), "schema_version: expected 1, got True"),
+    ("fusion_ring", _top(schema_version="1"), "schema_version: expected 1, got '1'"),
+])
+def test_schema_error_texts(kind, edit, message):
+    obj = input_to_json(category_to_input(catalog_get("toric_code"), kind))
+    edit(obj)
+    with pytest.raises(SchemaError) as e:
+        parse_category(obj)
+    assert str(e.value) == message
 
 
 def test_schema_rejects_unknown_field():
