@@ -115,7 +115,7 @@ class CategoryData(_Frozen):
     = c' as 0* = 0.  So sum_k N_ij^k s_kl = s_il s_jl / d_l; divide by d_l."""
 
     # fusion[i][j][k] = N_ij^k as nested tuples, index 0 the unit object; dim is
-    # the global dimension, sum_i d_i d_{i*}; __dict__ holds nonzero
+    # the global dimension, sum_i d_i d_{i*}; __dict__ holds nonzero and noncommuting
     __slots__ = ("name", "labels", "fusion", "dual", "dims", "s", "twists", "shown_conductor",
                  "char_table", "dim", "certified", "__dict__")
     _defaults = {"certified": None}
@@ -128,6 +128,15 @@ class CategoryData(_Frozen):
     def nonzero(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
         """nonzero[i][j] lists the pairs (k, N_ij^k) with N_ij^k != 0."""
         return _sparse_rows(self.fusion)
+
+    @cached_property
+    def noncommuting(self) -> tuple[int, int] | None:
+        """The first (i, j), row-major, where N_ij != N_ji, or None when the rules commute."""
+        nonzero = self.nonzero
+        if tuple(zip(*nonzero)) == nonzero:
+            return None
+        return next((i, j) for i, j in product(range(self.rank), repeat=2)
+                    if nonzero[i][j] != nonzero[j][i])
 
     def index_of(self, label: str) -> int:
         try:

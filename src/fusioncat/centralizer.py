@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .category import Check, verdict
 from .charalg import CentralElement, CharacterAlgebra, _first_pair
-from .cyclotomic import _chunks, _Frozen, _products, _stacked, _Vector, euler_phi
+from .cyclotomic import _chunks, _Frozen, _mul, _products, _stacked, _Vector, euler_phi
 from .errors import CapabilityError, InternalConsistencyError, NotRibbonConsistentError
 from .lattice import FusionSubcategory, _invariants, _is_closed, enumerate_subcats
 
@@ -99,6 +99,7 @@ def _results(alg: CharacterAlgebra, subcats) -> list:
             by_s = centralizer_smatrix(alg, d)
             results.append(CentralizerResult(d, by_s, _transform_route(alg, image), image))
         except NotRibbonConsistentError as e:
+            e.image = image  # centralizer-idempotent reads every D's image
             results.append(e)
     return results
 
@@ -131,10 +132,11 @@ def _laws(alg: CharacterAlgebra, subcats, results) -> list:
     """(law, at, detail) per law of _LAWS that applies: at is the first index
     of subcats where the law fails, None where it holds for all, and
     detail(x) its detail at index x.  One pass over the lattice per law.
-    Route agreement fails where a route raised; the other laws run where
-    both routes returned, and apply only when one did.  D'' is read from the
-    row of D' in results, or taken by the s-matrix route when D' has none;
-    where that route raises, double-centralizer fails with its message."""
+    Route agreement fails where a route raised; the other laws apply only
+    when some D's routes both returned, idempotence on every D's image and
+    the rest where both routes returned.  D'' is read from the row of D' in
+    results, or taken by the s-matrix route when D' has none; where that
+    route raises, double-centralizer fails with its message."""
     ok = [x for x, r in enumerate(results) if isinstance(r, CentralizerResult)]
 
     def agreement(x):
@@ -173,6 +175,9 @@ def _laws(alg: CharacterAlgebra, subcats, results) -> list:
         return None if bad is None else ok[bad[1] // alg.rank]
 
     show, images = alg.data.show, [results[x].image for x in ok]
+    stack = _stacked(_Vector, [r.image for r in results])
+    bad = _first_pair([_mul(_Vector, stack, stack)], [stack])  # c^2 = c exactly on {0, 1}
+    at, j = divmod(bad[1], alg.rank) if bad else (None, None)
     return laws + [
         ("main-identity", first_block(images, [
             primes[x].cointegral.scaled(primes[x].dim * alg.dim_inv) for x in ok], alg.fourier),
@@ -180,8 +185,8 @@ def _laws(alg: CharacterAlgebra, subcats, results) -> list:
         ("integral-transfer", first_block([primes[x].integral for x in ok], [
             image.scaled(primes[x].index) for x, image in zip(ok, images)]),
          lambda x: "ell_D' = (dim C/dim D') drinfeld(lambda_D)"),
-        # centralizer_theorem lets only a 0/1 image through, and c^2 = c on {0, 1}
-        ("centralizer-idempotent", None, lambda x: ""),
+        ("centralizer-idempotent", at, lambda x: "" if at is None else
+         f"drinfeld(lambda_D) has coefficient {show(results[x].image.coeffs[j])} at {j}"),
         ("centralizer-support", first(lambda x: primes[x].support == subcats[x].members),
          lambda x: f"support(D') = {list(primes[x].support)}, "
                    f"members(D) = {list(subcats[x].members)}"),

@@ -346,10 +346,8 @@ class CharacterAlgebra:
             column_order = (dim_cols[0], *(j for j in range(rank) if j != dim_cols[0]))
             rows = tuple(_Vector([row[c] for c in column_order]) for row in table.rows)
 
-        bad = next(((i, j) for i, j in product(range(rank), repeat=2)
-                    if data.fusion[i][j] != data.fusion[j][i]), None)
-        if bad is not None:
-            raise InternalConsistencyError(f"fusion rules do not commute at {bad}")
+        if data.noncommuting is not None:
+            raise InternalConsistencyError(f"fusion rules do not commute at {data.noncommuting}")
         if data.certified is not data.fusion:
             bad = _law_witness(data.nonzero, *_family(rows))
             if bad is not None:

@@ -8,13 +8,14 @@ den == 1, and equality at a fixed conductor is a plain (nums, den)
 comparison.  Every operation works on the integers and builds its result
 through the trusted constructor `_make`, which restores the canonical form;
 the public constructor accepts any rationals and is meant for boundaries.
-Mixed-conductor arithmetic coerces both operands to the lcm conductor, and
-no operation descends its result to a smaller field (a value that happens
-to be rational still reports is_rational() exactly, because the canonical
-representative of a rational is the constant vector).  Descent is explicit:
-CycloMatrix.descended rewrites a matrix at the least conductor m that holds
-its entries (least_field) when phi(m) < phi(n), so that everything computed
-from it runs there, and `shown` lifts a value back for display.
+Mixed-conductor arithmetic aligns both operands at the lcm conductor
+through `_family`, as the row routines below do, and no operation descends
+its result to a smaller field (a value that happens to be rational still
+reports is_rational() exactly, because the canonical representative of a
+rational is the constant vector).  Descent is explicit: CycloMatrix.descended
+rewrites a matrix at the least conductor m that holds its entries
+(least_field) when phi(m) < phi(n), so that everything computed from it runs
+there, and `shown` lifts a value back for display.
 
 Products and sums of products go through one packed kernel (Kronecker
 substitution).  A numerator vector (c_0, ..., c_{phi-1}) at conductor n is
@@ -37,12 +38,17 @@ denominator, phi(n) numerators per coordinate; `pointwise_nums`,
 layout.  The last two scan their operands once for the width and pack
 each once (`_packed`, `_matmul`); at phi(n) = 1 (n = 1 or 2) columns are
 packed together, one int per coordinate, so a row costs one multiply-add
-per coordinate.  This module is the one home of the layout: a `_Vector` (the
-class algebra's two carriers subclass it) is stored in it, `_family` puts
-vectors or values at one conductor over one denominator as flat rows, one
-per vector, and the row routines `_sums`, `_mul`, `_permuted`, `_stacked`,
-`_transposed` and `_products` (one matmul_nums, also behind CycloMatrix.@)
-build every other flat row.
+per coordinate.  A Cyclotomic is stored in it with one coordinate and a
+`_Vector` (the class algebra's two carriers subclass it) with several, and
+`_Flat`, their common base, holds the sum, equality and rational scaling of
+both.  `_family` puts vectors or values at one conductor over one
+denominator as flat rows, one per vector, and the row routines `_sums`,
+`_mul`, `_permuted`, `_stacked`, `_transposed` and `_products` (one
+matmul_nums, also behind CycloMatrix.@) build every other flat row.  Other
+modules slice rows by phi(n) where they build or read one: `_law_witness`,
+`verlinde_fusion`, `s_flat` and `s_square` in category.py, `_basis`, `cf_mul`,
+`_first_pair` and `_codim_characters` in charalg.py, `_invariants` in
+lattice.py and the transform route in centralizer.py.
 
 Numeric embedding (zeta_n -> exp(2*pi*i/n)) exists for display and sanity
 checks only; nothing downstream branches on floats.
@@ -51,10 +57,10 @@ checks only; nothing downstream branches on floats.
 from __future__ import annotations
 
 import sys
-from functools import cache
+from functools import cache, partialmethod
 from itertools import takewhile
 from math import cos, gcd, lcm, pi, prod, sin
-from operator import add, mul
+from operator import mul
 from struct import Struct
 
 from .errors import SchemaError, SingularMatrixError
@@ -420,6 +426,24 @@ class _Flat(_Frozen):
     __slots__ = ("conductor", "nums", "den")
     __init__ = object.__init__  # built in __new__, not by _Frozen's constructor
 
+    def _plus(self, other, sign=1):
+        """self + sign * other, of self's class, at the lcm conductor."""
+        n, den, (x, y) = _family((self, other))
+        return _make(n, [a + sign * b for a, b in zip(x, y)], den, type(self))
+
+    def _same(self, other) -> bool:
+        """Equality of the values.  Lifting keeps a canonical denominator,
+        as Z[zeta_n] meets Q(zeta_m) in Z[zeta_m] for m dividing n."""
+        if self.conductor == other.conductor:  # both canonical
+            return self.den == other.den and self.nums == other.nums
+        x, y = _family((self, other))[2]
+        return self.den == other.den and x == y
+
+    def _scaled_by(self, q):
+        """self times the rational value q, of self's class, at self's conductor."""
+        return _make(self.conductor, [q.nums[0] * c for c in self.nums], self.den * q.den,
+                     type(self))
+
 
 class Cyclotomic(_Flat):
     """An element of Q(zeta_n) in reduced power-basis form: integer
@@ -474,13 +498,6 @@ class Cyclotomic(_Flat):
             )
         return _make(conductor, lift_nums(self.nums, self.conductor, conductor), self.den)
 
-    @staticmethod
-    def _common(a: "Cyclotomic", b: "Cyclotomic"):
-        if a.conductor == b.conductor:
-            return a, b
-        n = lcm(a.conductor, b.conductor)
-        return a.lift(n), b.lift(n)
-
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
             return other
@@ -490,19 +507,11 @@ class Cyclotomic(_Flat):
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = Cyclotomic._common(self, other)
-        da, db = a.den, b.den
-        if da == db:
-            return _make(a.conductor, list(map(add, a.nums, b.nums)), da)
-        den = lcm(da, db)
-        fa, fb = den // da, den // db
-        return _make(
-            a.conductor, [x * fa + y * fb for x, y in zip(a.nums, b.nums)], den
-        )
+        return self._plus(other, sign)
 
     __radd__ = __add__
 
@@ -510,10 +519,7 @@ class Cyclotomic(_Flat):
         return _make(self.conductor, [-c for c in self.nums], self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -523,18 +529,10 @@ class Cyclotomic(_Flat):
         if other is NotImplemented:
             return NotImplemented
         if other.is_rational() and other.conductor <= self.conductor:
-            p = other.nums[0]
-            return _make(
-                self.conductor, [p * c for c in self.nums], self.den * other.den
-            )
+            return self._scaled_by(other)
         if self.is_rational() and self.conductor <= other.conductor:
-            p = self.nums[0]
-            return _make(
-                other.conductor, [p * c for c in other.nums], self.den * other.den
-            )
-        a, b = Cyclotomic._common(self, other)
-        n = a.conductor
-        return _make(n, _mul_nums(n, a.nums, b.nums), a.den * b.den)
+            return other._scaled_by(self)
+        return _mul(Cyclotomic, self, other)
 
     __rmul__ = __mul__
 
@@ -608,8 +606,7 @@ class Cyclotomic(_Flat):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = Cyclotomic._common(self, other)
-        return a.den == b.den and a.nums == b.nums
+        return self._same(other)
 
     def coeff_strs(self) -> list[str]:
         """The power-basis coefficients as str(Fraction) writes them: "-1/2";
@@ -698,8 +695,7 @@ class _Vector(_Flat):
     __slots__ = ("_coeffs",)
 
     def __new__(cls, coeffs: tuple[Cyclotomic, ...]):
-        n, den, rows = _family(coeffs)
-        return _make(n, [c for x in rows for c in x], den, cls)
+        return _stacked(cls, coeffs)
 
     @property
     def coeffs(self) -> tuple[Cyclotomic, ...]:
@@ -712,27 +708,17 @@ class _Vector(_Flat):
     def __repr__(self):
         return f"{type(self).__name__}(coeffs={self.coeffs!r})"
 
-    def __add__(self, other, sign=1):
-        n, den, (x, y) = _family((self, other))
-        return _make(n, [a + sign * b for a, b in zip(x, y)], den, type(self))
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
+    __add__ = _Flat._plus
+    __sub__ = partialmethod(_Flat._plus, sign=-1)
 
     def scaled(self, c):
         c = c if isinstance(c, Cyclotomic) else rational(c)
-        if c.is_rational():
-            nums = [c.nums[0] * x for x in self.nums]
-            return _make(self.conductor, nums, self.den * c.den, type(self))
-        return _mul(type(self), self, c)
+        return self._scaled_by(c) if c.is_rational() else _mul(type(self), self, c)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        if self.conductor == other.conductor:  # both canonical
-            return self.den == other.den and self.nums == other.nums
-        x, y = _family((self, other))[2]
-        return self.den == other.den and x == y
+        return self._same(other)
 
 
 def _family(vectors, n: int = 1):
@@ -826,21 +812,13 @@ class CycloMatrix(_Frozen):
 
     def flat(self):
         """(n, den, rows): the rows as flat numerator rows over one
-        denominator, as _family gives them."""
-        den = lcm(*(v.den for row in self.rows for v in row))
-        rows = [[c * (den // v.den) for v in row for c in v.nums] for row in self.rows]
-        return self.conductor, den, rows
+        denominator, the _family of the rows as vectors."""
+        return _family(list(map(_Vector, self.rows)))
 
     def __eq__(self, other):
         if not isinstance(other, CycloMatrix):
             return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            return False
-        return all(
-            self.rows[i][j] == other.rows[i][j]
-            for i in range(self.nrows)
-            for j in range(self.ncols)
-        )
+        return self.rows == other.rows  # tuples compare shapes, then entries by value
 
     def __matmul__(self, other: "CycloMatrix") -> "CycloMatrix":
         if self.ncols != other.nrows:

@@ -228,12 +228,12 @@ def _lattice(alg: CharacterAlgebra) -> tuple | CapabilityError:
     the indices of the distinct principal subcategories <i>, and joins[a][k],
     the index of D_a v D_{atoms[k]}.  <i> is the fixed point of A -> A A from
     {0, i}: each A lies in <i>, and A A = A is closed (P[a][a] holds a*).  Each
-    subcategory found is joined with every atom: where N_ij = N_ji (checked
+    subcategory found is joined with every atom: where N_ij = N_ji (read
     here, as subcats reaches this without conjugacy()), D v <k> is the OR of
     Q[d][k] = (P[d][a] OR-ed over a in <k>) over d in D (module docstring),
     with Q[d] packed into one int; else one closure.  Past SUBCATEGORY_LIMIT
     the record is the CapabilityError that names it."""
-    products, rank, nonzero = _ring_masks(alg), alg.rank, alg.data.nonzero
+    products, rank = _ring_masks(alg), alg.rank
     atoms = []
     for i in range(rank):
         atom, grown = 0, 1 | 1 << i
@@ -241,7 +241,7 @@ def _lattice(alg: CharacterAlgebra) -> tuple | CapabilityError:
             atom, part = grown, _members(grown)
             grown = reduce(or_, (products[x][y] for x in part for y in part))
         atoms += [atom] * (atom not in atoms)
-    if tuple(zip(*nonzero)) == nonzero:
+    if alg.data.noncommuting is None:
         shifts, full = range(0, rank * len(atoms), rank), (1 << rank) - 1
         parts = [_members(atom) for atom in atoms]
         packed = [sum(reduce(or_, map(row.__getitem__, p)) << x for p, x in zip(parts, shifts))

@@ -234,6 +234,7 @@ BATCHED_LAW_CASES = {
     ("toric_code", 2, "image"): {
         "main-identity": f"D = [0, 2]: {_MAIN}",
         "integral-transfer": "D = [0, 2]: ell_D' = (dim C/dim D') drinfeld(lambda_D)",
+        "centralizer-idempotent": "D = [0, 2]: drinfeld(lambda_D) has coefficient 2 at 0",
     },
     ("toric_code", 2, "s-route"): {
         "centralizer-route-agreement": "D = [0, 2]: s-route [0] != transform route [0, 2]",
@@ -249,6 +250,8 @@ BATCHED_LAW_CASES = {
     ("toric_code^2", 34, "image"): {
         "main-identity": f"D = [0, 3, 13, 14]: {_MAIN}",
         "integral-transfer": "D = [0, 3, 13, 14]: ell_D' = (dim C/dim D') drinfeld(lambda_D)",
+        "centralizer-idempotent":
+            "D = [0, 3, 13, 14]: drinfeld(lambda_D) has coefficient 2 at 0",
     },
     ("toric_code^2", 34, "s-route"): {
         "centralizer-route-agreement":
@@ -327,6 +330,20 @@ def test_centralizer_suite_reports_a_route_failure_instead_of_raising(monkeypatc
     assert run(["verify", "--catalog", "toric_code"]) == 2  # a report, not an error line
     out, err = capsys.readouterr()
     assert err == "" and "double-centralizer" in out and "integral-image" in out
+
+
+def test_idempotence_is_decided_on_images_whose_routes_raised():
+    # column 1 of the Drinfeld map doubled: D = [0]'s transform route raises
+    # on its image, and the idempotent law, which reads every image, fails there
+    alg = CharacterAlgebra(catalog_get("toric_code"))
+    columns = alg._drinfeld_columns
+    columns[1] = columns[1].scaled(2)
+    failed = {c.check_id: c.detail for c in centralizer_suite(alg) if c.status == "fail"}
+    assert failed == {
+        "centralizer-route-agreement":
+            "D = [0]: transform of the cointegral has coefficient 2 at 1; expected a 0/1 vector",
+        "centralizer-idempotent": "D = [0]: drinfeld(lambda_D) has coefficient 2 at 1",
+    }
 
 
 def test_suite_reads_closedness_off_the_lattice_record(monkeypatch):

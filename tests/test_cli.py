@@ -964,3 +964,24 @@ def test_commands_run_clean_under_dev_mode_and_warnings_as_errors(tmp_path):
                  ["subcats", "--file", str(path)]):
         out = _run_with(argv, ["-X", "dev", "-W", "error"], capture_output=True)
         assert (out.returncode, out.stderr) == (0, ""), argv
+
+
+def test_verify_runs_under_the_benchmark_tracer(monkeypatch):
+    """perfbench/spans.py wraps package functions and Cyclotomic methods by
+    name, so a rename there shows up here and not only in a traced benchmark run."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    for mod, *names in [*spans.FUNCTION_SPANS, *spans.METHOD_SPANS]:
+        owner = importlib.import_module(f"fusioncat.{mod}")
+        for name in names[:-1]:
+            owner = getattr(owner, name)
+        assert names[-1] in vars(owner), (mod, *names)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run(["verify", "--catalog", "toric_code", "--json"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert all(tracer.counts[key] for key in ("add", "mul", "inv")), tracer.counts

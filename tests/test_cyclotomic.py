@@ -425,6 +425,55 @@ def test_constructor_stores_canonical_form():
     assert rational(Fraction(-2, 3), 5).inv() == rational(Fraction(-3, 2))
 
 
+# Values at conductors 1, 4, 5, 8 and 20 over mixed denominators, rationals
+# among them, one value written at two conductors, and the int and Fraction
+# operands that are coerced.
+PINNED_OPERANDS = (
+    rational(Fraction(3, 4)), rational(Fraction(-2, 3), 4), Cyclotomic(4, ["1/2", "-1/6"]),
+    Cyclotomic(5, [1, "2/3", 0, "-5/4"]), rational(0, 5), rational(Fraction(1, 6), 20),
+    Cyclotomic(8, ["1/10", 0, "3/5", -1]), Cyclotomic(20, [1, 0, "1/4", 0, 0, "-2/9", 0, 3]),
+    Cyclotomic(4, ["1/2", "-1/6"]).lift(20), 2, Fraction(-5, 6),
+)
+
+
+def _expected(n, coeffs):
+    """(conductor, den, nums) of the canonical value with these coefficients at n."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    return n, den, tuple(int(c * den) for c in coeffs)
+
+
+@pytest.mark.parametrize("a", PINNED_OPERANDS[:9])
+@pytest.mark.parametrize("b", PINNED_OPERANDS)
+def test_scalar_results_pin_conductor_den_and_nums(a, b):
+    # + and - land at the lcm conductor; a rational factor whose conductor is
+    # at most the other factor's keeps the other's conductor, even where it
+    # does not divide it (a rational at 4 times a value at 5 stays at 5)
+    c = b if isinstance(b, Cyclotomic) else rational(b, a.conductor)
+    n = lcm(a.conductor, c.conductor)
+    ra, rb = _ref_at(a, n), _ref_at(c, n)
+    if c.is_rational() and c.conductor <= a.conductor:
+        at, product = a.conductor, [c.rational_value * x for x in a.coeffs]
+    elif a.is_rational() and a.conductor <= c.conductor:
+        at, product = c.conductor, [a.rational_value * x for x in c.coeffs]
+    else:
+        at, product = n, _ref_mul(n, ra, rb)
+    total = [x + y for x, y in zip(ra, rb)]
+    for got, (m, want) in ((a + b, (n, total)), (b + a, (n, total)),
+                           (a - b, (n, [x - y for x, y in zip(ra, rb)])),
+                           (b - a, (n, [y - x for x, y in zip(ra, rb)])),
+                           (a * b, (at, product)), (b * a, (at, product))):
+        assert type(got) is Cyclotomic
+        assert (got.conductor, got.den, got.nums) == _expected(m, want)
+    assert (a == b) == (b == a) == (ra == rb)
+
+
+def test_a_rational_factor_at_4_keeps_a_value_at_5_at_5():
+    v = Cyclotomic(5, [1, "2/3", 0, "-5/4"])
+    for q in (rational(Fraction(-2, 3), 4), rational(Fraction(-2, 3), 5)):
+        for got in (q * v, v * q):
+            assert (got.conductor, got.den, got.nums) == (5, 18, (-12, -8, 0, 15))
+
+
 # -- the packed kernel against plain accumulation ----------------------------
 #
 # Every expected value is accumulated in the test from the Fraction reference
