@@ -38,8 +38,8 @@ from math import inf, lcm, nan
 from operator import floordiv, mod
 
 from .cyclotomic import (
-    Cyclotomic, CycloMatrix, _chunks, _family, _Frozen, _make, _Vector, euler_phi, matmul_nums,
-    pointwise_nums, rational, shown, triple_sums, zeta,
+    Cyclotomic, CycloMatrix, _chunks, _family, _Frozen, _make, _matrix, _mul, _permuted, _Vector,
+    euler_phi, pointwise_nums, rational, shown, triple_sums, zeta,
 )
 from .errors import (
     CapabilityError,
@@ -327,21 +327,23 @@ class CategoryInput(_Frozen):
         return self.s_matrix.descended()
 
     @cached_property
-    def s_flat(self):
-        """(n, rows, columns): s_field as flat rows and as flat columns."""
-        n, _, rows = self.s_field.flat()
-        cols = zip(*(_chunks(row, euler_phi(n)) for row in rows))
-        return n, rows, [[c for x in col for c in x] for col in cols]
+    def s_asymmetry(self) -> tuple[int, int] | None:
+        """The first (i, j), row-major, where s_ij != s_ji, or None: s ==
+        s.transpose() as one comparison of their numerators, which share the
+        conductor and the denominator."""
+        s, t = self.s_field, self.s_field.transpose()
+        k = next((k for k, (a, b) in enumerate(zip(s.entries.nums, t.entries.nums)) if a != b),
+                 None)
+        return None if k is None else divmod(k // euler_phi(s.conductor), s.ncols)
 
     @cached_property
     def s_square(self) -> tuple[int, ...] | None:
         """P when s s = c P with c != 0 and P a permutation matrix, as the
         column of the one nonzero entry of each row; else None.  This proves s
-        invertible, and s_certified builds on it.  s s is one matmul_nums of
-        the flat rows of s with its flat columns."""
-        n, rows, cols = self.s_flat
+        invertible, and s_certified builds on it."""
+        n, _, rows = (self.s_field @ self.s_field).flat()
         hits = [[(j, x) for j, x in enumerate(_chunks(row, euler_phi(n))) if any(x)]
-                for row in matmul_nums(n, rows, cols)]
+                for row in rows]
         if not all(len(h) == 1 and h[0][1] == hits[0][0][1] for h in hits):
             return None
         perm = tuple(h[0][0] for h in hits)
@@ -350,7 +352,7 @@ class CategoryInput(_Frozen):
     @property
     def s_certified(self) -> bool:
         """s symmetric, s s = c P, P the derived duality: the certificate of CategoryData."""
-        return self.s_square == self.derived_ring[1] and self.s_flat[1] == self.s_flat[2]
+        return self.s_square == self.derived_ring[1] and self.s_asymmetry is None
 
 
 def _associativity_witness(fusion, nonzero):
@@ -439,12 +441,12 @@ def _check_char_table(inp: CategoryInput, dual, checks: list[Check]):
     )
     checks.append(verdict("char-table-characters", bad is None, detail))
 
-    # alpha^T P alpha = diag(f) with every f_j != 0, P the duality on rows,
-    # proves alpha invertible: column orthogonality of a character table
-    gram = dual is not None and table.transpose() @ CycloMatrix([table.rows[k] for k in dual])
-    certified = gram and all(
-        (j == l) != v.is_zero() for j, row in enumerate(gram.rows) for l, v in enumerate(row)
-    )
+    # (P alpha)^T alpha = alpha^T P alpha = diag(f) with every f_j != 0, P the
+    # duality on rows, proves alpha invertible: a table's column orthogonality
+    gram = dual is not None and _matrix(
+        inp.rank, inp.rank, _permuted(_Vector, table.transpose().entries, dual)) @ table
+    certified = gram and all((j == l) != v.is_zero()
+                             for j, row in enumerate(gram.rows) for l, v in enumerate(row))
     checks.append(_invertibility("char-table-invertible", table, certified))
 
     if dims is not None:
@@ -461,10 +463,8 @@ def validate_input(inp: CategoryInput) -> list[Check]:
     if inp.kind == "modular":
         s = inp.s_field
         ok = s.rows[0][0] == 1
-        checks.append(
-            verdict("s-unit-entry", ok, "" if ok else f"s_00 = {inp.s_matrix.rows[0][0]}")
-        )
-        checks.append(verdict("s-symmetric", inp.s_flat[1] == inp.s_flat[2]))
+        checks.append(verdict("s-unit-entry", ok, "" if ok else f"s_00 = {inp.show(s.rows[0][0])}"))
+        checks.append(_witness("s-symmetric", inp.s_asymmetry, "s_ij != s_ji at {}"))
         zero = [r for r in range(s.nrows) if s.rows[0][r].is_zero()]
         checks.append(_witness("dims-nonzero", zero, "s_0r = 0 at {}"))
         # for modular data s s = c P with c = dim C and P charge conjugation
@@ -733,11 +733,9 @@ def category_to_input(data: CategoryData, kind: str | None = None) -> CategoryIn
     if kind != "fusion_ring":
         raise ValueError(f"unknown kind {kind!r}")
     table = data.char_table
-    if table is None and data.s is not None:
-        dim_inv = [d.inv() for d in data.dims]
-        table = CycloMatrix(
-            [[data.s.rows[i][j] * dim_inv[j] for j in range(data.rank)] for i in range(data.rank)]
-        )
+    if table is None and data.s is not None:  # _mul repeats the weights 1 / d_j for every row
+        table = _matrix(data.rank, data.rank,
+                        _mul(_Vector, data.s.entries, _Vector([d.inv() for d in data.dims])))
     return CategoryInput(
         name=data.name,
         conductor=_file_conductor(data, table, data.dims),

@@ -57,7 +57,7 @@ from math import lcm
 from .category import CategoryData, Check, _law_witness, _witness, verdict
 from .cyclotomic import (
     Cyclotomic, CycloMatrix, _chunks, _family, _Frozen, _make, _mul, _permuted, _products,
-    _stacked, _sums, _transposed, _Vector, euler_phi, matmul_nums, rational,
+    _stacked, _sums, _transposed, _unstacked, _Vector, euler_phi, matmul_nums, rational,
 )
 from .errors import CapabilityError, InternalConsistencyError
 
@@ -280,9 +280,9 @@ class CharacterAlgebra:
 
     @cached_property
     def _drinfeld_characters(self) -> tuple[CentralElement, ...]:
-        """drinfeld(chi_i) for every i: row i of s with column j divided by d_j."""
-        weights = _Vector(self._dims_inv)
-        return tuple(_mul(CentralElement, _Vector(row), weights) for row in self.require_s().rows)
+        """drinfeld(chi_i) for every i: row i of s over the d_j, one _mul of the entries."""
+        stack = _mul(_Vector, self.require_s().entries, _Vector(self._dims_inv))
+        return _unstacked(CentralElement, stack, self.rank)
 
     @cached_property
     def _drinfeld_columns(self) -> list[_Vector]:
@@ -344,7 +344,7 @@ class CharacterAlgebra:
                     f"found {dim_cols}"
                 )
             column_order = (dim_cols[0], *(j for j in range(rank) if j != dim_cols[0]))
-            rows = tuple(_Vector([row[c] for c in column_order]) for row in table.rows)
+            rows = _unstacked(_Vector, _permuted(_Vector, table.entries, column_order), rank)
 
         if data.noncommuting is not None:
             raise InternalConsistencyError(f"fusion rules do not commute at {data.noncommuting}")

@@ -38,17 +38,19 @@ denominator, phi(n) numerators per coordinate; `pointwise_nums`,
 layout.  The last two scan their operands once for the width and pack
 each once (`_packed`, `_matmul`); at phi(n) = 1 (n = 1 or 2) columns are
 packed together, one int per coordinate, so a row costs one multiply-add
-per coordinate.  A Cyclotomic is stored in it with one coordinate and a
+per coordinate.  A Cyclotomic is stored in it with one coordinate, a
 `_Vector` (the class algebra's two carriers subclass it) with several, and
-`_Flat`, their common base, holds the sum, equality and rational scaling of
-both.  `_family` puts vectors or values at one conductor over one
-denominator as flat rows, one per vector, and the row routines `_sums`,
-`_mul`, `_permuted`, `_stacked`, `_transposed` and `_products` (one
-matmul_nums, also behind CycloMatrix.@) build every other flat row.  Other
-modules slice rows by phi(n) where they build or read one: `_law_witness`,
-`verlinde_fusion`, `s_flat` and `s_square` in category.py, `_basis`, `cf_mul`,
-`_first_pair` and `_codim_characters` in charalg.py, `_invariants` in
-lattice.py and the transform route in centralizer.py.
+the entries of a CycloMatrix, row-major, as one _Vector; `_Flat`, the
+common base, holds the sum, equality and rational scaling.  `_family` puts
+vectors or values at one conductor over one denominator as flat rows, one
+per vector, and the row routines `_sums`, `_mul`, `_permuted`, `_stacked`,
+`_unstacked`, `_transposed` and `_products` (one matmul_nums, also behind
+CycloMatrix.@) build every other flat row; CycloMatrix.inverse eliminates
+on whole rows.  Other modules slice rows by phi(n) where they build or read
+one: `_law_witness`, `verlinde_fusion`, `s_asymmetry` and `s_square` in
+category.py, `_basis`, `cf_mul`, `_first_pair` and `_codim_characters` in
+charalg.py, `_invariants` in lattice.py and the transform route in
+centralizer.py.
 
 Numeric embedding (zeta_n -> exp(2*pi*i/n)) exists for display and sanity
 checks only; nothing downstream branches on floats.
@@ -57,7 +59,7 @@ checks only; nothing downstream branches on floats.
 from __future__ import annotations
 
 import sys
-from functools import cache, partialmethod
+from functools import cache, cached_property, partialmethod
 from itertools import takewhile
 from math import cos, gcd, lcm, pi, prod, sin
 from operator import mul
@@ -269,11 +271,12 @@ def _descend_nums(n: int, p: int, nums):
 
 def least_field(values, n: int):
     """(m, nums): the least m dividing n such that every value (each at a
-    conductor dividing n) lies in Q(zeta_m), and the numerators of each value
-    at m.  Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so the least
-    such field exists, and dividing n by one prime at a time while every
-    value stays inside reaches it."""
-    nums = [lift_nums(v.nums, v.conductor, n) for v in values]
+    conductor dividing n; a vector's coordinates count as values) lies in
+    Q(zeta_m), and the numerators of each value at m.  Q(zeta_a) and
+    Q(zeta_b) meet in Q(zeta_gcd(a, b)), so the least such field exists,
+    and dividing n by one prime at a time while every value stays inside
+    reaches it."""
+    nums = [x for v in values for x in _chunks(lift_nums(v.nums, v.conductor, n), euler_phi(n))]
     m = n
     for p in (d for d in _divisors(n)[1:] if euler_phi(d) == d - 1):
         while m % p == 0:
@@ -700,9 +703,7 @@ class _Vector(_Flat):
     @property
     def coeffs(self) -> tuple[Cyclotomic, ...]:
         if not hasattr(self, "_coeffs"):
-            n = self.conductor
-            coeffs = tuple(_make(n, x, self.den) for x in _chunks(self.nums, euler_phi(n)))
-            object.__setattr__(self, "_coeffs", coeffs)
+            object.__setattr__(self, "_coeffs", _unstacked(Cyclotomic, self, 1))
         return self._coeffs
 
     def __repr__(self):
@@ -763,6 +764,13 @@ def _stacked(cls, vectors):
     return _make(n, [c for row in rows for c in row], den, cls)
 
 
+def _unstacked(cls, v, size: int) -> tuple:
+    """The stack v cut into vectors of size coordinates, each a cls (or a Cyclotomic)."""
+    step = size * euler_phi(v.conductor)
+    return tuple(_make(v.conductor, v.nums[k:k + step], v.den, cls)
+                 for k in range(0, len(v.nums), step))
+
+
 def _transposed(vectors) -> list[_Vector]:
     """The columns of the matrix with the vectors as rows."""
     n, den, rows = _family(vectors)
@@ -778,108 +786,101 @@ def _products(cls, xs, ys) -> list:
 
 
 class CycloMatrix(_Frozen):
-    """Read-only matrix over a cyclotomic field, all entries at one conductor."""
+    """Read-only matrix over a cyclotomic field, its entries stored once,
+    row-major, as one flat _Vector `entries`.  The constructor stacks its
+    checked rows through _family, `_matrix` builds every other matrix, and
+    `rows` is a read-only view of the entries as values, built when read."""
 
-    __slots__ = ("nrows", "ncols", "rows", "conductor")
+    __slots__ = ("nrows", "ncols", "entries", "__dict__")  # __dict__ holds rows
     __hash__ = None
 
     def __init__(self, rows):
         rows = [list(r) for r in rows]
         if not rows or not rows[0]:
             raise ValueError("matrix needs at least one row and column")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
+        if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        n = 1
-        for r in rows:
-            for v in r:
-                if not isinstance(v, Cyclotomic):
-                    raise TypeError("matrix entries must be Cyclotomic")
-                n = lcm(n, v.conductor)
-        rows = tuple(tuple(v.lift(n) for v in r) for r in rows)
-        super().__init__(len(rows), ncols, rows, n)
+        if not all(isinstance(v, Cyclotomic) for r in rows for v in r):
+            raise TypeError("matrix entries must be Cyclotomic")
+        super().__init__(len(rows), len(rows[0]), _stacked(_Vector, [v for r in rows for v in r]))
+
+    conductor = property(lambda self: self.entries.conductor)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Cyclotomic, ...], ...]:
+        return tuple(_chunks(self.entries.coeffs, self.ncols))
 
     @staticmethod
     def identity(k: int, conductor: int = 1) -> "CycloMatrix":
-        one = rational(1, conductor)
-        zero = rational(0, conductor)
-        return CycloMatrix(
-            [[one if i == j else zero for j in range(k)] for i in range(k)]
-        )
-
-    def __getitem__(self, i):
-        return self.rows[i]
+        nums = [0] * (k * k * euler_phi(conductor))
+        nums[::(k + 1) * euler_phi(conductor)] = [1] * k
+        return _matrix(k, k, _make(conductor, nums, 1, _Vector))
 
     def flat(self):
-        """(n, den, rows): the rows as flat numerator rows over one
-        denominator, the _family of the rows as vectors."""
-        return _family(list(map(_Vector, self.rows)))
+        """(n, den, rows): the stored numerators sliced into flat rows."""
+        n, v = self.conductor, self.entries
+        return n, v.den, _chunks(list(v.nums), self.ncols * euler_phi(n))
 
     def __eq__(self, other):
         if not isinstance(other, CycloMatrix):
             return NotImplemented
-        return self.rows == other.rows  # tuples compare shapes, then entries by value
+        return (self.nrows, self.entries) == (other.nrows, other.entries)  # and so ncols
 
     def __matmul__(self, other: "CycloMatrix") -> "CycloMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        rows, cols = list(map(_Vector, self.rows)), list(map(_Vector, zip(*other.rows)))
-        return CycloMatrix([v.coeffs for v in _products(_Vector, rows, cols)])
+        rows, cols = (_unstacked(_Vector, m.entries, m.ncols) for m in (self, other.transpose()))
+        return _matrix(self.nrows, other.ncols, _stacked(_Vector, _products(_Vector, rows, cols)))
 
     def transpose(self) -> "CycloMatrix":
-        return CycloMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        )
+        order = [i * self.ncols + j for j in range(self.ncols) for i in range(self.nrows)]
+        return _matrix(self.ncols, self.nrows, _permuted(_Vector, self.entries, order))
 
     def descended(self) -> "CycloMatrix":
         """The matrix at the least conductor m holding its entries
         (least_field) when phi(m) < phi(conductor), else the matrix itself."""
-        if euler_phi(self.conductor) == 1:
+        phi = euler_phi(self.conductor)
+        if phi == 1:
             return self
-        entries = [v for row in self.rows for v in row]
-        m, nums = least_field(entries, self.conductor)
-        if euler_phi(m) == euler_phi(self.conductor):
+        m, nums = least_field([self.entries], self.conductor)
+        if euler_phi(m) == phi:
             return self
-        values = [_make(m, x, v.den) for x, v in zip(nums, entries)]
-        return CycloMatrix(_chunks(values, self.ncols))
+        return _matrix(self.nrows, self.ncols,
+                       _make(m, [c for x in nums for c in x], self.entries.den, _Vector))
 
     def inverse(self) -> "CycloMatrix":
-        """Exact Gauss-Jordan; pivot is the first nonzero entry in the column
-        (no magnitude heuristics needed over an exact field).  A column with
-        no pivot is skipped and elimination goes on, so the number of pivots
-        found is the rank that SingularMatrixError carries.  Each call
-        eliminates afresh: the matrix keeps no inverse."""
+        """Exact Gauss-Jordan on the rows of [m | I], each a _Vector: the pivot
+        is the first nonzero entry in the column (no magnitude heuristics
+        over an exact field), scaled to 1 by one inv, and each other row with
+        a nonzero entry there loses a multiple of the pivot row.  A column
+        with no pivot is skipped, so the number of pivots found is the rank
+        that SingularMatrixError carries.  The matrix keeps no inverse."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of non-square matrix")
-        k = self.nrows
-        zero = rational(0, self.conductor)
-        one = rational(1, self.conductor)
-        work = [
-            list(self.rows[i]) + [one if i == j else zero for j in range(k)]
-            for i in range(k)
-        ]
-        rank = 0
+        k, (n, den, rows) = self.nrows, self.flat()
+        phi, rank = euler_phi(n), 0
+        work = [_make(n, row + [0] * (i * phi) + [den] + [0] * ((k - i) * phi - 1), den, _Vector)
+                for i, row in enumerate(rows)]
         for col in range(k):
-            pivot_row = None
-            for r in range(rank, k):
-                if not work[r][col].is_zero():
-                    pivot_row = r
-                    break
-            if pivot_row is None:
+            at = slice(col * phi, (col + 1) * phi)
+            pivot = next((r for r in range(rank, k) if any(work[r].nums[at])), None)
+            if pivot is None:
                 continue
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
-            pinv = work[rank][col].inv()
-            work[rank] = [v * pinv for v in work[rank]]
-            for r in range(k):
-                if r != rank and not work[r][col].is_zero():
-                    factor = work[r][col]
-                    work[r] = [
-                        a - factor * b for a, b in zip(work[r], work[rank])
-                    ]
+            top, work[pivot] = work[pivot], work[rank]
+            top = work[rank] = top.scaled(_make(n, top.nums[at], top.den).inv())
+            for r, row in enumerate(work):
+                if r != rank and any(row.nums[at]):
+                    work[r] = row - top.scaled(_make(n, row.nums[at], row.den))
             rank += 1
         if rank < k:
             raise SingularMatrixError(rank=rank)
-        return CycloMatrix([row[k:] for row in work])
+        return _matrix(k, k, _stacked(_Vector, [_unstacked(_Vector, v, k)[1] for v in work]))
 
     def __repr__(self):
         return f"CycloMatrix({self.nrows}x{self.ncols}, conductor {self.conductor})"
+
+
+def _matrix(nrows: int, ncols: int, entries: _Vector) -> CycloMatrix:
+    """Trusted constructor of a CycloMatrix from its entries, row-major."""
+    _Frozen.__init__(m := _new(CycloMatrix), nrows, ncols, entries)
+    return m

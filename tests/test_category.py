@@ -668,6 +668,57 @@ def test_char_table_characters_reports_the_first_witness_by_row():
     )
 
 
+def _table_edited(edit):
+    """toric_code as a fusion ring, with edit applied to its character table's rows."""
+    inp = category_to_input(catalog_get("toric_code"), kind="fusion_ring")
+    rows = [list(row) for row in inp.char_table.rows]
+    edit(rows)
+    return replaced(inp, char_table=CycloMatrix(rows))
+
+
+def _copy_column(src, dst):
+    def edit(rows):
+        for row in rows:
+            row[dst] = row[src]
+    return edit
+
+
+def _set_entry(i, j, value):
+    def edit(rows):
+        rows[i][j] = value
+    return edit
+
+
+def _s_00_at_4_shown_at_8():
+    """A modular input declared at conductor 8 whose s is built at conductor 4."""
+    return CategoryInput(name="z4", conductor=8, labels=("1",), s_matrix=CycloMatrix([[zeta(4)]]))
+
+
+@pytest.mark.parametrize("make, check_id, outcome", [
+    (lambda: _ring_law_cases()["doubled"], "s-unit-entry", ("fail", "s_00 = 2")),
+    (_s_00_at_4_shown_at_8, "s-unit-entry", ("fail", "s_00 = ζ8^2")),
+    (lambda: _ring_law_cases()["columns-swapped"], "s-symmetric",
+     ("fail", "s_ij != s_ji at (0, 1)")),
+    (lambda: _ring_law_cases()["certified"], "s-symmetric", ("pass", "")),
+    (lambda: _table_edited(_set_entry(0, 2, rational(2))),
+     "char-table-unit-row", ("fail", "column 2 does not send the unit to 1")),
+    (lambda: _table_edited(_copy_column(1, 0)), "char-table-dimension-column",
+     ("fail", "columns equal to the dimension vector: []")),
+    (lambda: _table_edited(_copy_column(0, 3)), "char-table-dimension-column",
+     ("fail", "columns equal to the dimension vector: [0, 3]")),
+    (lambda: _table_edited(lambda rows: None), "char-table-dimension-column",
+     ("pass", "column 0")),
+    (lambda: replaced(catalog_input("ising"), labels=("1", "x", "x")), "labels-distinct",
+     ("fail", "")),
+], ids=["s-unit-entry", "s-unit-entry-shown", "s-symmetric", "s-symmetric-pass",
+        "char-table-unit-row", "no-dimension-column", "two-dimension-columns",
+        "one-dimension-column", "labels-distinct"])
+def test_matrix_reading_checks_report_their_detail(make, check_id, outcome):
+    # details print values through show, at the declared conductor
+    checks = {c.check_id: (c.status, c.detail) for c in validate_input(make())}
+    assert checks[check_id] == outcome
+
+
 def test_unknown_catalog_name():
     with pytest.raises(KeyError, match="available"):
         catalog_get("nope")

@@ -297,6 +297,69 @@ def test_matrix_transpose_symmetric():
     assert a.transpose() != a and a.transpose().transpose() == a
 
 
+def test_matrix_equality_is_by_value_and_shape():
+    one = rational(1)
+    assert CycloMatrix([[zeta(4)]]) == CycloMatrix([[zeta(8, 2)]])
+    assert CycloMatrix([[one, one]]) != CycloMatrix([[one], [one]])
+    assert CycloMatrix([[one]]) != CycloMatrix([[one, one]])
+    assert CycloMatrix([[one, zeta(3)]]) != CycloMatrix([[one, zeta(3, 2)]])
+    with pytest.raises(TypeError):
+        hash(CycloMatrix([[one]]))
+
+
+def _rank_over_q(values, n):
+    """The rank over Q, by sympy, of the k phi(n) x k phi(n) rational matrix
+    that replaces each value by its multiplication matrix on the power basis
+    1, x, ..., x^(phi(n)-1) of Q[x]/(Phi_n(x))."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    phi_n, phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x), euler_phi(n)
+
+    def block(v):  # column m: the coefficients of v x^m mod Phi_n
+        poly = sympy.Poly(sum(c * x**i for i, c in enumerate(v.coeffs)), x, domain="QQ")
+        cols = [(poly * sympy.Poly(x**m, x)).rem(phi_n).all_coeffs()[::-1] for m in range(phi)]
+        return [[col[r] if r < len(col) else 0 for col in cols] for r in range(phi)]
+
+    blocks = [[block(v) for v in row] for row in values]
+    big = [[c for b in row for c in b[r]] for row in blocks for r in range(phi)]
+    return sympy.Matrix(big).rank()
+
+
+@st.composite
+def square_cases(draw):
+    """(n, rows): a k x k matrix at conductor n, k <= 4; when drawn so, its
+    last row is a combination of the others, so that it is singular."""
+    n = draw(st.sampled_from((1, 3, 4, 5, 8, 12)))
+    k = draw(st.integers(1, 4))
+    values = cyclotomics((n,), max_num=3, max_den=3)
+    rows = [[draw(values) for _ in range(k)] for _ in range(k)]
+    if k > 1 and draw(st.booleans()):
+        weights = [draw(values) for _ in range(k - 1)]
+        rows[-1] = [sum((w * row[j] for w, row in zip(weights, rows)), rational(0, n))
+                    for j in range(k)]
+    return n, rows
+
+
+@given(square_cases())
+@settings(max_examples=60, deadline=None)
+@example((1, [[rational(0)]]))
+@example((8, [[zeta(8), zeta(8, 2)], [rational(1), zeta(8)]]))
+def test_inverse_round_trips_or_reports_the_rank_over_q(case):
+    """inverse() either round-trips or raises with the rank; the rank over
+    Q(zeta_n) is the rank over Q of the rational matrix, divided by phi(n)."""
+    n, rows = case
+    k, m = len(rows), CycloMatrix(rows)
+    rank, rest = divmod(_rank_over_q(rows, n), euler_phi(n))
+    assert rest == 0
+    try:
+        inv = m.inverse()
+    except SingularMatrixError as e:
+        assert e.rank == rank < k
+    else:
+        assert rank == k
+        assert m @ inv == CycloMatrix.identity(k, n)
+
+
 # -- the integer kernel against a Fraction reference -------------------------
 #
 # The reference works on Fraction coefficient lists only: dense products and
